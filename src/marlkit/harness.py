@@ -13,14 +13,14 @@ win_rate = (wins + 0.5 * draws) / episodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import metadata
 from typing import Any, Mapping, Sequence
 
 from .agents import Agent
 from .bundles import Bundle
 from .env import Env
-from .errors import ConfigError
+from .errors import ConfigError, InvalidPartition, SetupError
 from .registry import build_pipeline, make_agent, make_env
 from .replay import ReplayWriter, state_hash
 from .rng import RngStream
@@ -61,9 +61,11 @@ class AgentSpec:
     def from_jsonable(obj: Mapping[str, Any]) -> "AgentSpec":
         if "name" not in obj:
             raise ConfigError(f"agent entry without a name: {obj!r}")
-        pipeline = obj.get("interfaces")
-        if pipeline is None:
-            pipeline = obj.get("agent_interface") or ()
+        known = [f.name for f in fields(AgentSpec)]
+        unknown = sorted(set(obj) - set(known))
+        if unknown:
+            raise ConfigError(f"agent entry {obj!r} has unknown keys {unknown}; known: {known}")
+        pipeline = obj.get("interfaces") or ()
         if isinstance(pipeline, Mapping):
             pipeline = (pipeline,)
         return AgentSpec(
@@ -119,10 +121,6 @@ class EpisodeResult:
     length: int
 
 
-def _actor_width(actor) -> int:
-    return actor.slots
-
-
 def run_episode(env: Env, actors: Sequence[Agent | WrappedAgent], seed: int,
                 writer: ReplayWriter | None = None,
                 episode_index: int = 0) -> EpisodeResult:
@@ -133,7 +131,7 @@ def run_episode(env: Env, actors: Sequence[Agent | WrappedAgent], seed: int,
     when given, records the innermost environment's actions, rewards and state
     hashes.
     """
-    widths = [_actor_width(a) for a in actors]
+    widths = [a.slots for a in actors]
     if sum(widths) != env.num_slots:
         raise ConfigError(
             f"actors cover {sum(widths)} slots, environment has {env.num_slots}"
@@ -243,8 +241,9 @@ def _build_actors(env: Env, spec: MatchSpec, assignment: dict[int, AgentSpec],
                   episode_seed: int) -> list[Agent | WrappedAgent]:
     """One actor per covered slot block, ordered by first slot."""
     ids, slots_of = _party_layout(env)
+    obs_specs, act_specs = env.observation_specs, env.action_specs
     rng = RngStream(episode_seed, ("agents",))
-    plan: list[tuple[int, Agent | WrappedAgent, int]] = []  # (first_slot, actor, width)
+    plan: list[tuple[int, Agent | WrappedAgent]] = []  # (first_slot, actor)
     for party in ids:
         entry = assignment[party]
         slots = slots_of[party]
@@ -256,34 +255,23 @@ def _build_actors(env: Env, spec: MatchSpec, assignment: dict[int, AgentSpec],
                     "interface pipeline cannot cover them"
                 )
             pipeline = build_pipeline(entry.interfaces)
-            width = len(slots)
-            # Invert inner_count_for over plausible member counts to find the
-            # pipeline's outer layout.
-            members_n = None
-            for candidate in range(1, width + 1):
-                if pipeline.inner_count_for(candidate) == width:
-                    members_n = candidate
-                    break
-            if members_n is None:
+            try:
+                pipeline.setup(obs_specs[lo:hi + 1], act_specs[lo:hi + 1])
+            except (SetupError, InvalidPartition) as exc:
                 raise ConfigError(
-                    f"cannot derive the member count of pipeline {list(entry.interfaces)!r} "
-                    f"over {width} slots"
-                )
+                    f"party {party}: agent-side pipeline {list(entry.interfaces)!r} "
+                    f"does not fit its {len(slots)} slots: {exc}"
+                ) from exc
             members = [
                 make_agent(entry.name, entry.params, rng.child(str(lo), str(m)))
-                for m in range(members_n)
+                for m in range(pipeline.outer_slot_count)
             ]
-            plan.append((lo, WrappedAgent(members, pipeline, covered_slots=width), width))
+            plan.append((lo, WrappedAgent(members, pipeline)))
         else:
             for s in slots:
-                plan.append((s, make_agent(entry.name, entry.params, rng.child(str(s))), 1))
+                plan.append((s, make_agent(entry.name, entry.params, rng.child(str(s)))))
     plan.sort(key=lambda item: item[0])
-    expect = 0
-    for first, _, width in plan:
-        if first != expect:
-            raise ConfigError("agent blocks do not tile the environment slots")
-        expect += width
-    return [actor for _, actor, _ in plan]
+    return [actor for _, actor in plan]
 
 
 def run_match(spec: MatchSpec) -> MatchResult:

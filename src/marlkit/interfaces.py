@@ -46,8 +46,8 @@ class Interface:
     """A transform node with an optional inner node (the stack below it).
 
     Subclasses override the local hooks _setup, _obs, _act and optionally
-    _reset, _local_groups and _local_inner_count; the public methods thread
-    calls through the inner chain in the documented order.
+    _reset and _local_groups; the public methods thread calls through the
+    inner chain in the documented order.
     """
 
     def __init__(self, inner: "Interface | None" = None):
@@ -145,15 +145,6 @@ class Interface:
         self._require_setup()
         return [list(g) for g in self._slot_groups]
 
-    def inner_count_for(self, outer_count: int) -> int | None:
-        """Raw slot count implied by an outer count, if statically known."""
-        local = self._local_inner_count(outer_count)
-        if local is None:
-            return None
-        if self.inner is not None:
-            return self.inner.inner_count_for(local)
-        return local
-
     def _require_setup(self) -> None:
         if not self._setup_done:
             raise SetupError(f"{type(self).__name__} used before setup()")
@@ -178,9 +169,6 @@ class Interface:
     def _local_groups(self) -> list[list[int]]:
         """Outer slot -> local input slot indices; defaults to slot-local."""
         return [[i] for i in range(len(self._in_obs_specs))]
-
-    def _local_inner_count(self, outer_count: int) -> int | None:
-        return outer_count
 
 
 class Identity(Interface):
@@ -274,14 +262,6 @@ class Combine(Interface):
             pos += count
         return Bundle(tuple(merged))
 
-    def _local_inner_count(self, outer_count: int) -> int | None:
-        # Statically derivable only when every child preserves its group's count.
-        sizes = [len(g) for g in self._partition_arg]
-        for child, size in zip(self.children, sizes):
-            if child.inner_count_for(size) != size:
-                return None
-        return sum(sizes) if outer_count == sum(sizes) else None
-
 
 def combine(base: Interface | None, children: Sequence[Interface],
             partition: Sequence[Sequence[int]]) -> Interface:
@@ -349,11 +329,6 @@ class MakeTeam(Interface):
                 )
             flat.extend(act.items)
         return Bundle(tuple(flat))
-
-    def _local_inner_count(self, outer_count: int) -> int | None:
-        if outer_count != len(self._partition_arg):
-            return None
-        return sum(len(g) for g in self._partition_arg)
 
 
 def make_team(partition: Sequence[Sequence[int]]) -> Interface:
@@ -451,11 +426,6 @@ class ConcatObsAct(Interface):
                         min(spec.high, max(spec.low, e)) for e in chunk
                     )))
         return Bundle(tuple(flat))
-
-    def _local_inner_count(self, outer_count: int) -> int | None:
-        if outer_count != len(self._partition_arg):
-            return None
-        return sum(len(g) for g in self._partition_arg)
 
 
 def concat_obs_act(partition: Sequence[Sequence[int]]) -> Interface:

@@ -1,10 +1,12 @@
 """Attaching interfaces to either side of the RL loop.
 
 wrap_env(env, itf) hides the transforms inside env.step(): the wrapped
-environment exposes the interface's outer specs. wrap_agent(members, itf)
-hides them inside the agent instead: the wrapped agent accepts raw
-observations for the slots it covers and emits raw actions, so agents trained
-with different interfaces can play each other in the original environment.
+environment exposes the interface's outer specs. wrap_agent(members, itf,
+obs_specs, act_specs) hides them inside the agent instead: the wrapped agent
+accepts raw observations for the slots whose specs it was set up on and emits
+raw actions, so agents trained with different interfaces can play each other
+in the original environment. Either way, itf.setup() on the raw specs alone
+decides the slot layout.
 lift_single_wrapper adapts a classic single-slot observation/reward/action
 wrapper so it composes in interface stacks.
 """
@@ -96,43 +98,31 @@ def wrap_env_per_agent(env: Env, itfs: Sequence[Interface]) -> WrappedEnv:
 class WrappedAgent:
     """A team: member agents behind an interface, covering raw env slots.
 
-    The wrapped agent presents the interface's inner (raw) specs to the
-    outside; member k is fed the interface's outer slot k. Rewards reach each
-    member after the interface's reward transform (teams see the group sum).
+    The interface must already be set up on the raw specs of the covered
+    slots (wrap_agent does that); its layout fixes the member count. The
+    wrapped agent presents the interface's raw specs to the outside; member k
+    is fed the interface's outer slot k. Rewards reach each member after the
+    interface's reward transform (teams see the group sum).
     """
 
-    def __init__(self, members: Sequence[Agent], interface: Interface,
-                 covered_slots: int | None = None):
+    def __init__(self, members: Sequence[Agent], interface: Interface):
         self.members = list(members)
         self.interface = interface
-        if covered_slots is None:
-            covered_slots = interface.inner_count_for(len(self.members))
-        if covered_slots is None:
+        if len(self.members) != interface.outer_slot_count:
             raise SetupError(
-                "cannot derive the covered raw slot count from this interface; "
-                "pass covered_slots explicitly"
+                f"interface exposes {interface.outer_slot_count} outer slots for "
+                f"{len(self.members)} members"
             )
-        self.slots = int(covered_slots)
-        self._setup_specs: tuple | None = None
+        self.slots = interface.raw_slot_count
+        for member, o, a in zip(self.members, interface.outer_obs_specs,
+                                interface.outer_act_specs):
+            member.setup(o, a)
         self._pending_first: Bundle | None = None
 
     def setup(self, obs_specs: Sequence[SpaceSpec], act_specs: Sequence[SpaceSpec]) -> None:
-        key = (tuple(obs_specs), tuple(act_specs))
-        if self._setup_specs is not None:
-            if key != self._setup_specs:
-                raise SetupError("wrapped agent was set up on different specs")
-            return
-        if len(obs_specs) != self.slots:
-            raise SetupError(f"expected {self.slots} raw slots, got {len(obs_specs)}")
-        outer_obs, outer_act = self.interface.setup(list(obs_specs), list(act_specs))
-        if len(outer_obs) != len(self.members):
-            raise SetupError(
-                f"interface exposes {len(outer_obs)} outer slots for "
-                f"{len(self.members)} members"
-            )
-        for member, o, a in zip(self.members, outer_obs, outer_act):
-            member.setup(o, a)
-        self._setup_specs = key
+        if (list(obs_specs) != self.interface.raw_obs_specs
+                or list(act_specs) != self.interface.raw_act_specs):
+            raise SetupError("wrapped agent's interface was set up on different specs")
 
     def reset(self, first_obs: Sequence[Value]) -> None:
         outer = self.interface.reset(Bundle(tuple(first_obs)))
@@ -162,9 +152,10 @@ class WrappedAgent:
 
 
 def wrap_agent(members: Sequence[Agent], itf: Interface,
-               covered_slots: int | None = None) -> WrappedAgent:
-    """Wrap an interface on one or more agents, forming a team-shaped actor."""
-    return WrappedAgent(members, itf, covered_slots)
+               obs_specs: Sequence[SpaceSpec], act_specs: Sequence[SpaceSpec]) -> WrappedAgent:
+    """Set itf up on the covered raw slots' specs and wrap it on the members."""
+    itf.setup(obs_specs, act_specs)
+    return WrappedAgent(members, itf)
 
 
 class SingleSlotWrapper:

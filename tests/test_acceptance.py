@@ -103,10 +103,12 @@ def test_criterion_1_wrapping_equivalence():
                 env_side = _record_episode(
                     wrap_env(env_fn(), itf_fn()), _seeded_randoms(seed, slots), seed,
                 )
+                raw = env_fn()
                 agent_side = _record_episode(
-                    env_fn(),
-                    [wrap_agent([agent], itf_fn())
-                     for agent in _seeded_randoms(seed, slots)],
+                    raw,
+                    [wrap_agent([agent], itf_fn(), raw.observation_specs[i:i + 1],
+                                raw.action_specs[i:i + 1])
+                     for i, agent in enumerate(_seeded_randoms(seed, slots))],
                     seed,
                 )
                 assert env_side == agent_side, (name, seed)
@@ -132,9 +134,11 @@ def test_criterion_1_wrapping_equivalence():
                     wrap_env(BattleEnv(BattleConfig(step_limit=30)), itf_fn()),
                     [member_fn(seed, 0), member_fn(seed, 1)], seed,
                 )
+                raw = BattleEnv(BattleConfig(step_limit=30))
                 agent_side = _record_episode(
-                    BattleEnv(BattleConfig(step_limit=30)),
-                    [wrap_agent([member_fn(seed, 0), member_fn(seed, 1)], itf_fn())],
+                    raw,
+                    [wrap_agent([member_fn(seed, 0), member_fn(seed, 1)], itf_fn(),
+                                raw.observation_specs, raw.action_specs)],
                     seed,
                 )
                 assert env_side == agent_side, (name, seed)

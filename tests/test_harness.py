@@ -12,7 +12,9 @@ from marlkit import (
     ConfigError,
     ConstantAgent,
     DiscreteV,
+    InvalidPartition,
     MatchSpec,
+    RandomAgent,
     read_replay,
     replay_verify,
     round_robin,
@@ -266,6 +268,59 @@ class TestConfigExpressiveness:
         raw_b = (tmp_path / "agent_side.jsonl").read_text().splitlines()[1:]
         assert raw_a == raw_b  # identical below the header (specs differ)
 
+    @pytest.fixture
+    def split_team(self):
+        """A test-only agent-side pipeline and an agent that records its instances.
+
+        combine(identity(), [make_team([[0, 1]]), make_team([[0, 1, 2]])]) lays a
+        5-slot party out as 2 team slots; only setup() can tell.
+        """
+        from marlkit import combine, identity, make_team, register_agent, register_interface
+        from marlkit import registry
+
+        made = []
+        register_interface("test.split_team", lambda p: combine(
+            identity(), [make_team([[0, 1]]), make_team([[0, 1, 2]])], [[0, 1], [2, 3, 4]],
+        ))
+
+        def recorded_random(params, rng):
+            made.append(RandomAgent(rng=rng))
+            return made[-1]
+
+        register_agent("test.recorded_random", recorded_random)
+        yield made
+        del registry._INTERFACES["test.split_team"]
+        del registry._AGENTS["test.recorded_random"]
+
+    def test_agent_side_layout_comes_from_setup(self, tmp_path, split_team):
+        replay = tmp_path / "split.jsonl"
+        spec = MatchSpec(
+            env_name="gridbattle", env_params={"scenario": "5I", "step_limit": 30},
+            agents=(AgentSpec(name="test.recorded_random",
+                              interfaces=({"name": "test.split_team"},)),
+                    AgentSpec(name="battle.hit_and_run")),
+            episodes=1, base_seed=4, replay_path=str(replay),
+        )
+        result = run_match(spec)
+        assert len(split_team) == 2
+        assert len(result.outcomes) == 1 and result.outcomes[0].length > 0
+        assert replay_verify(str(replay)).ok
+
+    def test_pipeline_that_does_not_fit_is_config_error(self, capsys):
+        pipeline = ({"name": "make_team", "groups": [[0, 1]]},)
+        spec = MatchSpec(
+            env_name="gridbattle",
+            agents=(AgentSpec(name="random", interfaces=pipeline), AgentSpec(name="random")),
+        )
+        with pytest.raises(ConfigError, match=r"party 0.*make_team.*5 slots") as info:
+            run_match(spec)
+        assert isinstance(info.value.__cause__, InvalidPartition)
+        assert cli_main([
+            "run", "--env", "gridbattle", "--agents", "random,random",
+            "--agent-itf", json.dumps(list(pipeline)), "--agent-itf", "-",
+        ]) == 2
+        assert "5 slots" in capsys.readouterr().err
+
 
 class TestCli:
     def test_list_commands(self, capsys):
@@ -377,16 +432,24 @@ class TestCliExtras:
 
 class TestConfigAliases:
     def test_inline_pipeline_params(self):
-        from marlkit import build_pipeline
+        from marlkit import DiscreteSpec, build_pipeline
 
         itf = build_pipeline([{"name": "make_team", "groups": [[0, 1], [2, 3]]}])
-        assert itf.inner_count_for(2) == 4
+        itf.setup([DiscreteSpec(2)] * 4, [DiscreteSpec(2)] * 4)
+        assert itf.outer_slot_count == 2
+        assert itf.raw_slot_count == 4
 
-    def test_agent_interface_key_alias(self):
-        from marlkit import AgentSpec
-
-        spec = AgentSpec.from_jsonable({
-            "name": "random",
-            "agent_interface": {"name": "pong.screen_obs", "resolution": 16},
-        })
-        assert spec.interfaces == ({"name": "pong.screen_obs", "resolution": 16},)
+    def test_unknown_agent_keys_rejected(self, tmp_path, capsys):
+        # Misspellings of "interfaces" must not run the entrant without its pipeline.
+        for key in ("agent_interface", "interface"):
+            entry = {"name": "random", key: {"name": "pong.screen_obs", "resolution": 16}}
+            with pytest.raises(ConfigError, match=key):
+                AgentSpec.from_jsonable(entry)
+            path = tmp_path / f"{key}.json"
+            path.write_text(json.dumps({
+                "env": {"name": "pong2p", "params": {"step_limit": 20}},
+                "entrants": [{"name": "random", "label": "bare"}, entry],
+                "episodes_per_pair": 1,
+            }))
+            assert cli_main(["tourney", "--config", str(path)]) == 2
+            assert key in capsys.readouterr().err

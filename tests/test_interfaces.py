@@ -280,10 +280,11 @@ class TestMakeTeam:
         with pytest.raises(SpaceMismatch):
             itf.act_trans(Bundle((SeqV((DiscreteV(0),)),)))
 
-    def test_inner_count_statically_known(self):
+    def test_slot_counts_read_after_setup(self):
         itf = make_team([[0, 1], [2, 3]])
-        assert itf.inner_count_for(2) == 4
-        assert itf.inner_count_for(3) is None
+        itf.setup([BoxSpec((1,), 0, 1)] * 4, [DiscreteSpec(2)] * 4)
+        assert itf.outer_slot_count == 2
+        assert itf.raw_slot_count == 4
 
 
 class TestActSpecConformance:

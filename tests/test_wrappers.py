@@ -15,6 +15,7 @@ from marlkit import (
     SpaceMismatch,
     TeamAgent,
     VectorV,
+    WrappedAgent,
     identity,
     lift_single_wrapper,
     make_team,
@@ -111,21 +112,26 @@ class TestWrapEnvPerAgent:
             wrap_env_per_agent(ToyVecEnv(slots=2), [make_team([[0, 1]]), make_team([[0, 1]])])
 
 
+def wrap_slots(members, itf, env, lo, hi):
+    """wrap_agent over raw slots lo..hi-1 of env."""
+    return wrap_agent(members, itf, env.observation_specs[lo:hi], env.action_specs[lo:hi])
+
+
 class TestWrapAgent:
     def test_single_member_identity_equals_bare_agent(self):
         env1, env2 = ToyVecEnv(), ToyVecEnv()
         bare = run_episode(env1, [ConstantAgent(DiscreteV(1)), ConstantAgent(DiscreteV(2))], 5)
         wrapped = run_episode(env2, [
-            wrap_agent([ConstantAgent(DiscreteV(1))], identity()),
-            wrap_agent([ConstantAgent(DiscreteV(2))], identity()),
+            wrap_slots([ConstantAgent(DiscreteV(1))], identity(), env2, 0, 1),
+            wrap_slots([ConstantAgent(DiscreteV(2))], identity(), env2, 1, 2),
         ], 5)
         assert bare == wrapped
 
     def test_team_controls_multiple_raw_slots(self):
         env = ToyVecEnv(slots=2)
-        team = wrap_agent(
+        team = wrap_slots(
             [TeamAgent([ConstantAgent(DiscreteV(0)), ConstantAgent(DiscreteV(3))])],
-            make_team([[0, 1]]),
+            make_team([[0, 1]]), env, 0, 2,
         )
         assert team.slots == 2
         result = run_episode(env, [team], 9)
@@ -134,23 +140,30 @@ class TestWrapAgent:
 
     def test_member_action_validated(self):
         env = ToyVecEnv(slots=1, n_actions=2)
-        bad = wrap_agent([ConstantAgent(DiscreteV(7))], identity())
+        bad = wrap_slots([ConstantAgent(DiscreteV(7))], identity(), env, 0, 1)
         with pytest.raises(SpaceMismatch):
             run_episode(env, [bad], 0)
 
     def test_member_count_must_match_outer(self):
         # make_team([[0, 1]]) exposes one outer slot; two members cannot fit.
         with pytest.raises(SetupError):
-            wrap_agent(
+            wrap_slots(
                 [ConstantAgent(DiscreteV(0)), ConstantAgent(DiscreteV(0))],
-                make_team([[0, 1]]),
+                make_team([[0, 1]]), ToyVecEnv(slots=2), 0, 2,
             )
+
+    def test_interface_must_be_set_up_on_the_run_specs(self):
+        with pytest.raises(SetupError):
+            WrappedAgent([ConstantAgent(DiscreteV(0))], identity())
+        agent = wrap_slots([ConstantAgent(DiscreteV(0))], identity(), ToyVecEnv(obs_len=3), 0, 1)
+        with pytest.raises(SetupError):
+            run_episode(ToyVecEnv(slots=1, obs_len=2), [agent], 0)
 
     def test_heterogeneous_agents_share_raw_env(self):
         # Two members wrapped with different interfaces play in one raw env.
         env = ToyVecEnv(slots=2)
-        a1 = wrap_agent([ConstantAgent(DiscreteV(1))], AddToVectors(1.0))
-        a2 = wrap_agent([ConstantAgent(DiscreteV(2))], AddToVectors(-1.0))
+        a1 = wrap_slots([ConstantAgent(DiscreteV(1))], AddToVectors(1.0), env, 0, 1)
+        a2 = wrap_slots([ConstantAgent(DiscreteV(2))], AddToVectors(-1.0), env, 1, 2)
         result = run_episode(env, [a1, a2], 3)
         assert result.length == 4
         assert env.trace[:2] == [1, 2]
@@ -204,7 +217,7 @@ class TestLiftSingleWrapper:
         plain = run_episode(raw_env, [ConstantAgent(DiscreteV(0)), ConstantAgent(DiscreteV(1))], 2)
         wrapped_env = wrap_env(ToyVecEnv(), identity())
         wrapped = run_episode(wrapped_env, [
-            wrap_agent([ConstantAgent(DiscreteV(0))], identity()),
-            wrap_agent([ConstantAgent(DiscreteV(1))], identity()),
+            wrap_slots([ConstantAgent(DiscreteV(0))], identity(), wrapped_env, 0, 1),
+            wrap_slots([ConstantAgent(DiscreteV(1))], identity(), wrapped_env, 1, 2),
         ], 2)
         assert plain == wrapped
