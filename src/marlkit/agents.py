@@ -13,11 +13,20 @@ observations and actions are SeqV tuples, one item per controlled lane.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Sequence
+from typing import Any, Sequence
 
 from .errors import SetupError
 from .rng import RngStream
-from .values import SeqSpec, SeqV, SpaceSpec, Value, space_sample
+from .values import (
+    BoxSpec,
+    DiscreteSpec,
+    MappingSpec,
+    SeqSpec,
+    SeqV,
+    SpaceSpec,
+    Value,
+    space_sample,
+)
 
 
 class Agent(ABC):
@@ -36,6 +45,38 @@ class Agent(ABC):
     @abstractmethod
     def step(self, obs: Value, reward: float, done: bool) -> Value:
         """Return an action in act_spec for the current observation."""
+
+
+def require_spec(spec: SpaceSpec, pattern: Any, what: str) -> None:
+    """Raise SetupError unless spec has the structure an agent reads.
+
+    A pattern is a spec (matched exactly), the DiscreteSpec class (any size),
+    a shape tuple (a BoxSpec of that shape; None matches any extent), a dict
+    of patterns (a MappingSpec holding at least those keys) or a one-item
+    list (a SeqSpec whose every item matches that item).
+    """
+    if isinstance(pattern, dict):
+        if not isinstance(spec, MappingSpec):
+            raise SetupError(f"{what} must be a mapping with keys {sorted(pattern)}, got {spec!r}")
+        missing = sorted(set(pattern) - set(spec.keys()))
+        if missing:
+            raise SetupError(f"{what} lacks keys {missing}; it has {list(spec.keys())}")
+        for key, sub in pattern.items():
+            require_spec(spec[key], sub, f"{what}[{key!r}]")
+    elif isinstance(pattern, list):
+        if not isinstance(spec, SeqSpec):
+            raise SetupError(f"{what} must be a sequence, got {spec!r}")
+        for i, item in enumerate(spec.items):
+            require_spec(item, pattern[0], f"{what}[{i}]")
+    elif isinstance(pattern, tuple):
+        if (not isinstance(spec, BoxSpec) or len(spec.shape) != len(pattern)
+                or any(p is not None and p != s for p, s in zip(pattern, spec.shape))):
+            raise SetupError(f"{what} must be a box of shape {pattern}, got {spec!r}")
+    elif pattern is DiscreteSpec:
+        if not isinstance(spec, DiscreteSpec):
+            raise SetupError(f"{what} must be discrete, got {spec!r}")
+    elif spec != pattern:
+        raise SetupError(f"{what} must be {pattern!r}, got {spec!r}")
 
 
 class RandomAgent(Agent):

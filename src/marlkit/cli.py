@@ -15,7 +15,15 @@ import time
 from typing import Any, Sequence
 
 from .errors import MarlkitError
-from .harness import AgentSpec, MatchSpec, round_robin, run_match, toolkit_version
+from .harness import (
+    ENV_KEYS,
+    AgentSpec,
+    MatchSpec,
+    require_known_keys,
+    round_robin,
+    run_match,
+    toolkit_version,
+)
 from .registry import list_agents, list_envs, list_interfaces, make_env
 from .replay import read_replay, replay_verify
 from .serial import value_from_jsonable
@@ -141,13 +149,18 @@ def _cmd_run(args) -> int:
     return 0
 
 
+TOURNEY_KEYS = ("env", "env_interfaces", "entrants", "episodes_per_pair", "seed", "replay_dir")
+
+
 def _cmd_tourney(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise MarlkitError(f"cannot read config {args.config!r}: {exc}") from exc
+    require_known_keys(config, TOURNEY_KEYS, f"tourney config {args.config!r}")
     env = config.get("env") or {}
+    require_known_keys(env, ENV_KEYS, f"tourney config {args.config!r} env")
     entrants = [AgentSpec.from_jsonable(e) for e in config.get("entrants") or []]
     board = round_robin(
         entrants,

@@ -22,8 +22,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
+from operator import itemgetter
 
-from ..agents import Agent
+from ..agents import Agent, require_spec
 from ..bundles import Bundle, StepResult
 from ..env import Env
 from ..errors import ConfigError, SetupError
@@ -582,11 +584,10 @@ def _require_bomber_obs(obs_specs) -> MappingSpec:
 def _obs_cells(view: MappingV, key: str) -> dict[Cell, float]:
     grid = view[key]
     n = grid.shape[0]
-    out = {}
-    for idx, v in enumerate(grid.entries):
-        if v != 0.0:
-            out[(idx // n, idx % n)] = v
-    return out
+    entries = grid.entries
+    # Entries are exact floats, whose truthiness is v != 0.0: -0.0 is
+    # skipped and NaN kept.
+    return {divmod(idx, n): entries[idx] for idx in compress(range(len(entries)), entries)}
 
 
 class BoardMapObs(Interface):
@@ -597,6 +598,7 @@ class BoardMapObs(Interface):
     """
 
     CHANNELS = 8
+    TERRAIN = ("rigid", "wood", "bomb_fuse", "flames", "items")
 
     def _setup(self, obs_specs, act_specs):
         spec = _require_bomber_obs(obs_specs)
@@ -608,14 +610,20 @@ class BoardMapObs(Interface):
         ]
         return outer, act_specs
 
-    def _encode(self, view: MappingV) -> GridV:
+    def _terrain(self, view: MappingV) -> list[float]:
+        """Channels 0-4 (the terrain planes) with every agent channel zero."""
         n = self._n
         ch = self.CHANNELS
         cells = [0.0] * (n * n * ch)
-        for plane, key in ((0, "rigid"), (1, "wood"), (2, "bomb_fuse"),
-                           (3, "flames"), (4, "items")):
+        for plane, key in enumerate(self.TERRAIN):
             for (r, c) in _obs_cells(view, key):
                 cells[(r * n + c) * ch + plane] = 1.0
+        return cells
+
+    def _encode(self, view: MappingV, terrain: list[float]) -> GridV:
+        n = self._n
+        ch = self.CHANNELS
+        cells = terrain.copy()
         me = view["self_id"].index
         teams = view["teams"].entries
         for i, agent in enumerate(view["agents"]):
@@ -633,10 +641,19 @@ class BoardMapObs(Interface):
         return GridV((n, n, ch), tuple(cells))
 
     def _obs(self, obs, rewards):
-        out = tuple(
-            MappingV(v.entries + (("board_map", self._encode(v)),)) for v in obs
-        )
-        return Bundle(out), rewards
+        # Views that hold the same terrain grid objects (every raw bomber
+        # tick) share one terrain computation. The memo keeps the grids
+        # alive, so their ids cannot be reused within this call.
+        memo: dict[tuple[int, ...], tuple[tuple[GridV, ...], list[float]]] = {}
+        out = []
+        for v in obs:
+            grids = tuple(v[key] for key in self.TERRAIN)
+            key = tuple(map(id, grids))
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo[key] = (grids, self._terrain(v))
+            out.append(MappingV(v.entries + (("board_map", self._encode(v, hit[1])),)))
+        return Bundle(tuple(out)), rewards
 
 
 def board_map_obs() -> Interface:
@@ -734,15 +751,21 @@ def _rotation_permutation(n: int, ch: int, k: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
+@lru_cache(maxsize=None)
+def _rotation_getter(n: int, ch: int, k: int) -> itemgetter:
+    """Applies _rotation_permutation(n, ch, k) to an entries tuple in C."""
+    return itemgetter(*_rotation_permutation(n, ch, k))
+
+
 def _rotate_grid(grid: GridV, quarter_turns: int) -> GridV:
     """Rotate each channel plane; one turn maps (r, c) -> (c, N-1-r)."""
     k = quarter_turns % 4
-    if k == 0:
-        return grid
     n, _, ch = grid.shape
-    entries = grid.entries
-    perm = _rotation_permutation(n, ch, k)
-    return GridV(grid.shape, tuple(entries[i] for i in perm))
+    # A 1x1 plane is its own rotation (and a one-index itemgetter would
+    # return a scalar, not a tuple).
+    if k == 0 or n == 1:
+        return grid
+    return GridV(grid.shape, _rotation_getter(n, ch, k)(grid.entries))
 
 
 def _rotate_pos(r: int, c: int, n: int, quarter_turns: int) -> tuple[int, int]:
@@ -840,6 +863,26 @@ class SimpleBomberAgent(Agent):
 
     DANGER_HORIZON = 2
     RETREAT_DEPTH = 9
+    GRIDS = ("rigid", "wood", "bomb_fuse", "bomb_strength", "flames")
+    OBS = {
+        **{key: (None, None, 1) for key in GRIDS},
+        "agents": [{key: (1,) for key in ("row", "col", "ammo", "blast", "alive")}],
+        "teams": (None,),
+        "self_id": DiscreteSpec,
+    }
+
+    def setup(self, obs_spec: SpaceSpec, act_spec: SpaceSpec) -> None:
+        what = "bomber.simple observation"
+        require_spec(obs_spec, self.OBS, what)
+        n = obs_spec["rigid"].shape[0]
+        for key in self.GRIDS:
+            require_spec(obs_spec[key], (n, n, 1), f"{what}[{key!r}]")
+        slots = len(obs_spec["agents"])
+        require_spec(obs_spec["teams"], (slots,), f"{what}['teams']")
+        if obs_spec["self_id"].n > slots:
+            raise SetupError(f"{what}: self_id can exceed the agent list")
+        require_spec(act_spec, DiscreteSpec(6), "bomber.simple action")
+        super().setup(obs_spec, act_spec)
 
     def step(self, obs: Value, reward: float, done: bool) -> Value:
         n = obs["rigid"].shape[0]

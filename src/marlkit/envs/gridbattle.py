@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..agents import Agent
+from ..agents import Agent, require_spec
 from ..bundles import Bundle, StepResult
 from ..env import Env
 from ..errors import ConfigError, SetupError
@@ -448,6 +448,18 @@ class HitAndRunAgent(Agent):
     otherwise step to the one minimizing it. Ties break toward the smallest
     action index.
     """
+
+    OBS = {
+        "self_id": DiscreteSpec,
+        "units": [{key: (1,) for key in ("team", "kind", "row", "col", "cd", "alive")}],
+    }
+
+    def setup(self, obs_spec: SpaceSpec, act_spec: SpaceSpec) -> None:
+        require_spec(obs_spec, self.OBS, "battle.hit_and_run observation")
+        if obs_spec["self_id"].n > len(obs_spec["units"]):
+            raise SetupError("battle.hit_and_run observation: self_id can exceed the unit list")
+        require_spec(act_spec, DiscreteSpec(9), "battle.hit_and_run action")
+        super().setup(obs_spec, act_spec)
 
     def step(self, obs: Value, reward: float, done: bool) -> Value:
         units = obs["units"]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..agents import Agent
+from ..agents import Agent, require_spec
 from ..bundles import Bundle, StepResult
 from ..env import Env
 from ..errors import ConfigError, SetupError
@@ -326,6 +326,12 @@ class FollowBallAgent(Agent):
     """Naively follows the ball vertically, with a one-unit deadzone."""
 
     DEADZONE = 1.0
+
+    def setup(self, obs_spec: SpaceSpec, act_spec: SpaceSpec) -> None:
+        require_spec(obs_spec, {"ball_y": (1,), "own_paddle_y": (1,)},
+                     "pong.follow_ball observation")
+        require_spec(act_spec, DiscreteSpec(3), "pong.follow_ball action")
+        super().setup(obs_spec, act_spec)
 
     def step(self, obs: Value, reward: float, done: bool) -> Value:
         ball_y = obs["ball_y"].entries[0]

@@ -27,6 +27,15 @@ from .rng import RngStream
 from .wrappers import WrappedAgent, wrap_env
 
 
+def require_known_keys(obj: Mapping[str, Any], known: Sequence[str], what: str) -> None:
+    """Raise ConfigError naming every key of obj outside known (a typo never passes)."""
+    if not isinstance(obj, Mapping):
+        raise ConfigError(f"{what} must be a JSON object, got {obj!r}")
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ConfigError(f"{what} has unknown keys {unknown}; known: {list(known)}")
+
+
 def toolkit_version() -> str:
     try:
         return metadata.version("marlkit")
@@ -61,10 +70,7 @@ class AgentSpec:
     def from_jsonable(obj: Mapping[str, Any]) -> "AgentSpec":
         if "name" not in obj:
             raise ConfigError(f"agent entry without a name: {obj!r}")
-        known = [f.name for f in fields(AgentSpec)]
-        unknown = sorted(set(obj) - set(known))
-        if unknown:
-            raise ConfigError(f"agent entry {obj!r} has unknown keys {unknown}; known: {known}")
+        require_known_keys(obj, [f.name for f in fields(AgentSpec)], f"agent entry {obj!r}")
         pipeline = obj.get("interfaces") or ()
         if isinstance(pipeline, Mapping):
             pipeline = (pipeline,)
@@ -72,6 +78,11 @@ class AgentSpec:
             name=obj["name"], params=dict(obj.get("params") or {}),
             interfaces=tuple(pipeline), label=obj.get("label"),
         )
+
+
+# Keys of a match config: what MatchSpec.to_jsonable writes, plus "replay".
+MATCH_KEYS = ("env", "env_interfaces", "agents", "episodes", "seed", "replay")
+ENV_KEYS = ("name", "params")
 
 
 @dataclass(frozen=True)
@@ -95,7 +106,9 @@ class MatchSpec:
 
     @staticmethod
     def from_jsonable(obj: Mapping[str, Any]) -> "MatchSpec":
+        require_known_keys(obj, MATCH_KEYS, "match config")
         env = obj.get("env") or {}
+        require_known_keys(env, ENV_KEYS, "match config env")
         if "name" not in env:
             raise ConfigError("match config needs env.name")
         return MatchSpec(

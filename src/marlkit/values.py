@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
 from .errors import SpaceMismatch
@@ -76,9 +77,11 @@ class DiscreteV(Value):
 
 
 def _float_tuple(entries) -> tuple[float, ...]:
-    if type(entries) is tuple and all(type(e) is float for e in entries):
+    # set(map(type, ...)) runs the exact-float test in C. Any other entry
+    # type (int, bool, a float subclass) takes the converting path.
+    if type(entries) is tuple and set(map(type, entries)) <= {float}:
         return entries
-    return tuple(float(e) for e in entries)
+    return tuple(map(float, entries))
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -107,8 +110,8 @@ class GridV(Value):
     _cb: bytes | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        shape = tuple(int(s) for s in self.shape)
-        if len(shape) != 3 or any(s <= 0 for s in shape):
+        shape = tuple(map(int, self.shape))
+        if len(shape) != 3 or min(shape) <= 0:
             raise ValueError(f"grid shape must be 3 positive ints, got {self.shape!r}")
         entries = _float_tuple(self.entries)
         h, w, c = shape
@@ -139,7 +142,7 @@ class MappingV(Value):
             items = list(raw.items())
         else:
             items = list(raw)
-        items.sort(key=lambda kv: kv[0])
+        items.sort(key=itemgetter(0))
         keys = [k for k, _ in items]
         if len(set(keys)) != len(keys):
             raise ValueError("mapping keys must be unique")

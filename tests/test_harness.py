@@ -453,3 +453,39 @@ class TestConfigAliases:
             }))
             assert cli_main(["tourney", "--config", str(path)]) == 2
             assert key in capsys.readouterr().err
+
+    def test_match_config_round_trips_and_rejects_unknown_keys(self):
+        spec = MatchSpec(
+            env_name="pong2p", env_params={"step_limit": 20},
+            agents=(AgentSpec("random"), AgentSpec("pong.follow_ball", label="f")),
+            episodes=3, base_seed=4, replay_path="out.jsonl",
+        )
+        config = {**spec.to_jsonable(), "replay": "out.jsonl"}
+        assert MatchSpec.from_jsonable(config) == spec
+        with pytest.raises(ConfigError, match=r"\['sed'\].*known"):
+            MatchSpec.from_jsonable({**config, "sed": 3})
+        with pytest.raises(ConfigError, match="parms"):
+            MatchSpec.from_jsonable({**config, "env": {"name": "pong2p", "parms": {}}})
+
+    def test_tourney_config_typos_exit_2(self, tmp_path, capsys):
+        good = {
+            "env": {"name": "pong2p", "params": {"step_limit": 20}},
+            "entrants": [{"name": "random", "label": "a"}, {"name": "pong.follow_ball"}],
+            "episodes_per_pair": 1, "seed": 3,
+        }
+        path = tmp_path / "good.json"
+        path.write_text(json.dumps(good))
+        assert cli_main(["tourney", "--config", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["episodes_per_pair"] == 1
+        # Before, these ran silently with 2 episodes per pair and seed 0.
+        typos = [
+            ({**{k: v for k, v in good.items() if k not in ("episodes_per_pair", "seed")},
+              "episodes_per_par": 1, "sed": 3}, "['episodes_per_par', 'sed']"),
+            ({**good, "env": {"name": "pong2p", "param": {"step_limit": 20}}}, "['param']"),
+        ]
+        for i, (config, unknown) in enumerate(typos):
+            path = tmp_path / f"typo{i}.json"
+            path.write_text(json.dumps(config))
+            assert cli_main(["tourney", "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert f"unknown keys {unknown}; known:" in err
