@@ -171,6 +171,7 @@ class BomberEnv(Env):
             "tick": BoxSpec((1,), 0.0, float(self.cfg.step_limit)),
             "self_id": DiscreteSpec(4),
         })
+        self._act_spec = DiscreteSpec(6)
 
     @property
     def observation_specs(self) -> list[SpaceSpec]:
@@ -178,7 +179,7 @@ class BomberEnv(Env):
 
     @property
     def action_specs(self) -> list[SpaceSpec]:
-        return [DiscreteSpec(6)] * 4
+        return [self._act_spec] * 4
 
     @property
     def parties(self) -> list[int]:

@@ -121,6 +121,7 @@ class BattleEnv(Env):
             "self_id": DiscreteSpec(n),
             "units": SeqSpec(tuple(unit_specs)),
         })
+        self._act_spec = DiscreteSpec(9)
 
     @property
     def observation_specs(self) -> list[SpaceSpec]:
@@ -128,7 +129,7 @@ class BattleEnv(Env):
 
     @property
     def action_specs(self) -> list[SpaceSpec]:
-        return [DiscreteSpec(9)] * len(self.kinds)
+        return [self._act_spec] * len(self.kinds)
 
     @property
     def parties(self) -> list[int]:
@@ -405,7 +406,8 @@ def _any_nonzero(v: Value) -> bool:
     if isinstance(v, DiscreteV):
         return v.index != 0
     if isinstance(v, (VectorV, GridV)):
-        return any(e != 0.0 for e in v.entries)
+        # Entries are exact floats, whose truth is != 0.0: -0.0 is false, NaN true.
+        return any(v.entries)
     if isinstance(v, MappingV):
         return any(_any_nonzero(sub) for _, sub in v.entries)
     if isinstance(v, SeqV):

@@ -93,6 +93,7 @@ class PongEnv(Env):
             "own_paddle_y": pos, "opp_paddle_y": pos,
             "own_side": BoxSpec((1,), 0.0, 1.0),
         })
+        self._act_spec = DiscreteSpec(3)
 
     @property
     def observation_specs(self) -> list[SpaceSpec]:
@@ -100,7 +101,7 @@ class PongEnv(Env):
 
     @property
     def action_specs(self) -> list[SpaceSpec]:
-        return [DiscreteSpec(3), DiscreteSpec(3)]
+        return [self._act_spec, self._act_spec]
 
     @property
     def parties(self) -> list[int]:

@@ -279,7 +279,13 @@ def _build_actors(env: Env, spec: MatchSpec, assignment: dict[int, AgentSpec],
                 make_agent(entry.name, entry.params, rng.child(str(lo), str(m)))
                 for m in range(pipeline.outer_slot_count)
             ]
-            plan.append((lo, WrappedAgent(members, pipeline)))
+            try:
+                plan.append((lo, WrappedAgent(members, pipeline)))
+            except SetupError as exc:
+                raise ConfigError(
+                    f"party {party}: entrant {entry.name!r} does not fit behind its "
+                    f"agent-side pipeline {list(entry.interfaces)!r}: {exc}"
+                ) from exc
         else:
             for s in slots:
                 plan.append((s, make_agent(entry.name, entry.params, rng.child(str(s)))))

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import math
 import struct
+from collections import abc
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import itemgetter
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .errors import SpaceMismatch
 from .rng import RngStream
@@ -129,50 +131,81 @@ class GridV(Value):
         out.append(b"\x03" + _U32.pack(h) + _U32.pack(w) + _U32.pack(c) + _pack_floats(self.entries))
 
 
+_KEY = itemgetter(0)
+_STR = {str}
+
+
+def _sorted_index(raw, what: str) -> tuple[tuple, dict]:
+    """(entries sorted by key, key -> value dict) from a mapping or (key, value) pairs.
+
+    Raises ValueError on a duplicate key.
+    """
+    if type(raw) is tuple:
+        if not raw:
+            return (), {}
+    elif isinstance(raw, dict) or isinstance(raw, abc.Mapping):
+        raw = raw.items()
+    items = sorted(raw, key=_KEY)
+    try:
+        index = dict(items)
+    except (TypeError, ValueError):
+        # A pair that does not unpack, or an unhashable key: raise what
+        # unpacking every pair and then hashing every key raises.
+        set([k for k, _ in items])
+        raise
+    if len(index) != len(items):
+        raise ValueError(f"{what} keys must be unique")
+    return tuple(items), index
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class MappingV(Value):
-    """String-keyed mapping of values; iterates in ascending key order."""
+    """String-keyed mapping of values; iterates in ascending key order.
+
+    Lookup (get, [], in) is a dict lookup. Construction checks that keys are
+    unique str and values are Value.
+    """
 
     entries: tuple[tuple[str, Value], ...]
     _cb: bytes | None = field(default=None, init=False, repr=False)
+    _index: dict[str, Value] = field(init=False, repr=False)
 
     def __post_init__(self):
-        raw = self.entries
-        if isinstance(raw, Mapping):
-            items = list(raw.items())
-        else:
-            items = list(raw)
-        items.sort(key=itemgetter(0))
-        keys = [k for k, _ in items]
-        if len(set(keys)) != len(keys):
-            raise ValueError("mapping keys must be unique")
-        for k, v in items:
-            if not isinstance(k, str):
-                raise ValueError(f"mapping keys must be str, got {k!r}")
-            if not isinstance(v, Value):
-                raise ValueError(f"mapping values must be Value, got {v!r}")
-        object.__setattr__(self, "entries", tuple(items))
+        entries, index = _sorted_index(self.entries, "mapping")
+        # Exact str keys take the set test; str subclasses fall through to isinstance.
+        if not ((set(map(type, index)) <= _STR or all(map(isinstance, index, repeat(str))))
+                and all(map(isinstance, index.values(), repeat(Value)))):
+            for k, v in entries:
+                if not isinstance(k, str):
+                    raise ValueError(f"mapping keys must be str, got {k!r}")
+                if not isinstance(v, Value):
+                    raise ValueError(f"mapping values must be Value, got {v!r}")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_index", index)
 
     def keys(self) -> tuple[str, ...]:
-        return tuple(k for k, _ in self.entries)
+        return tuple(self._index)
 
     def items(self) -> tuple[tuple[str, Value], ...]:
         return self.entries
 
     def get(self, key: str, default: Value | None = None) -> Value | None:
-        for k, v in self.entries:
-            if k == key:
-                return v
-        return default
+        try:
+            return self._index.get(key, default)
+        except TypeError:  # an unhashable key is in no mapping
+            return default
 
     def __getitem__(self, key: str) -> Value:
-        v = self.get(key)
-        if v is None:
-            raise KeyError(key)
-        return v
+        try:
+            return self._index[key]
+        except TypeError:
+            raise KeyError(key) from None
 
     def __contains__(self, key: str) -> bool:
-        return self.get(key) is not None
+        try:
+            return key in self._index
+        except TypeError:
+            return False
 
     def _encode(self, out: list[bytes]) -> None:
         out.append(b"\x04" + _U32.pack(len(self.entries)))
@@ -256,30 +289,24 @@ class MappingSpec(SpaceSpec):
     """String-keyed mapping of sub-spaces, in ascending key order."""
 
     entries: tuple[tuple[str, SpaceSpec], ...]
+    _index: dict[str, SpaceSpec] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        raw = self.entries
-        if isinstance(raw, Mapping):
-            items = list(raw.items())
-        else:
-            items = list(raw)
-        items.sort(key=lambda kv: kv[0])
-        keys = [k for k, _ in items]
-        if len(set(keys)) != len(keys):
-            raise ValueError("mapping spec keys must be unique")
-        object.__setattr__(self, "entries", tuple(items))
+        entries, index = _sorted_index(self.entries, "mapping spec")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_index", index)
 
     def keys(self) -> tuple[str, ...]:
-        return tuple(k for k, _ in self.entries)
+        return tuple(self._index)
 
     def items(self) -> tuple[tuple[str, SpaceSpec], ...]:
         return self.entries
 
     def __getitem__(self, key: str) -> SpaceSpec:
-        for k, v in self.entries:
-            if k == key:
-                return v
-        raise KeyError(key)
+        try:
+            return self._index[key]
+        except TypeError:
+            raise KeyError(key) from None
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,13 +9,29 @@ from __future__ import annotations
 
 import math
 import struct
+from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Mapping
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marlkit import Bundle, GridV, MappingV, RandomAgent, RngStream, make_env
+from marlkit import (
+    Bundle,
+    DiscreteSpec,
+    DiscreteV,
+    GridV,
+    MappingSpec,
+    MappingV,
+    RandomAgent,
+    RngStream,
+    SeqV,
+    VectorV,
+    make_env,
+)
 from marlkit.envs.bomber import BoardMapObs, _obs_cells, _rotate_grid
-from marlkit.values import _float_tuple
+from marlkit.envs.gridbattle import _any_nonzero
+from marlkit.values import SpaceSpec, Value, _float_tuple
 
 
 class Flt(float):
@@ -196,3 +212,244 @@ def test_board_map_same_output_with_shared_or_separate_grids():
         if result.done:
             episode += 1
             obs = env.reset(5 + episode)
+
+
+# ---------------------------------------------------------------------------
+# MappingV and MappingSpec: dict lookup and C-level construction checks
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class RefMappingV(Value):
+    """The linear-scan MappingV with its per-entry Python checks."""
+
+    entries: tuple
+    _cb: bytes | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        raw = self.entries
+        if isinstance(raw, Mapping):
+            items = list(raw.items())
+        else:
+            items = list(raw)
+        items.sort(key=itemgetter(0))
+        keys = [k for k, _ in items]
+        if len(set(keys)) != len(keys):
+            raise ValueError("mapping keys must be unique")
+        for k, v in items:
+            if not isinstance(k, str):
+                raise ValueError(f"mapping keys must be str, got {k!r}")
+            if not isinstance(v, Value):
+                raise ValueError(f"mapping values must be Value, got {v!r}")
+        object.__setattr__(self, "entries", tuple(items))
+
+    def keys(self):
+        return tuple(k for k, _ in self.entries)
+
+    def get(self, key, default=None):
+        for k, v in self.entries:
+            if k == key:
+                return v
+        return default
+
+    def __getitem__(self, key):
+        v = self.get(key)
+        if v is None:
+            raise KeyError(key)
+        return v
+
+    def __contains__(self, key):
+        return self.get(key) is not None
+
+    def _encode(self, out):
+        out.append(b"\x04" + struct.pack("<I", len(self.entries)))
+        for k, v in self.entries:
+            raw = k.encode("utf-8")
+            out.append(struct.pack("<I", len(raw)) + raw)
+            v._encode(out)
+
+
+@dataclass(frozen=True, slots=True)
+class RefMappingSpec(SpaceSpec):
+    """The linear-scan MappingSpec."""
+
+    entries: tuple
+
+    def __post_init__(self):
+        raw = self.entries
+        if isinstance(raw, Mapping):
+            items = list(raw.items())
+        else:
+            items = list(raw)
+        items.sort(key=lambda kv: kv[0])
+        keys = [k for k, _ in items]
+        if len(set(keys)) != len(keys):
+            raise ValueError("mapping spec keys must be unique")
+        object.__setattr__(self, "entries", tuple(items))
+
+    def keys(self):
+        return tuple(k for k, _ in self.entries)
+
+    def __getitem__(self, key):
+        for k, v in self.entries:
+            if k == key:
+                return v
+        raise KeyError(key)
+
+
+class Key(str):
+    """A str subclass: a valid key that must keep its type."""
+
+
+def outcome(fn):
+    """fn()'s result, or its exception's class and message."""
+    try:
+        return "ok", fn()
+    except Exception as exc:  # noqa: BLE001 - the exception is the result
+        return type(exc), str(exc)
+
+
+NAMES = ["", "a", "b", "ab", "z", "é"]
+str_keys = st.one_of(st.sampled_from(NAMES), st.sampled_from(NAMES).map(Key), st.text(max_size=3))
+values = st.one_of(st.integers(0, 3).map(DiscreteV),
+                   st.lists(st.floats(), max_size=3).map(lambda xs: VectorV(tuple(xs))))
+junk = st.one_of(st.integers(), st.none(), st.text(max_size=2), st.just([1.0]))
+
+
+KEY_KINDS = {
+    "str": str_keys,
+    "int": st.integers(-2, 2),
+    "unhashable": st.lists(st.integers(0, 2), max_size=2),
+    "mixed": st.one_of(str_keys, st.integers(), st.none()),
+}
+
+
+@st.composite
+def raw_inputs(draw, vals):
+    """A tuple or list of (key, value) pairs, or a dict, with at most one fault.
+
+    Keys are str (distinct, or with repeats), or all ints, all unhashable lists, or a
+    mix (which fails in the sort). The fault is a value that is not of the
+    expected type, or a pair that does not unpack to two.
+    """
+    kind = draw(st.sampled_from(["str"] * 5 + ["int", "unhashable", "mixed"]))
+    unique = kind == "str" and draw(st.booleans())
+    items = draw(st.lists(st.tuples(KEY_KINDS[kind], vals), max_size=6 if kind == "str" else 3,
+                          unique_by=itemgetter(0) if unique else None))
+    fault = draw(st.sampled_from([None] * 4 + ["junk", "short", "long"]))
+    if fault and items:
+        i = draw(st.integers(0, len(items) - 1))
+        k, v = items[i]
+        items[i] = {"junk": (k, draw(junk)), "short": (k,), "long": (k, v, v)}[fault]
+    form = draw(st.sampled_from(["tuple", "list", "dict"]))
+    if form == "dict" and all(len(p) == 2 and not isinstance(p[0], list) for p in items):
+        return dict(items)
+    return tuple(items) if form == "tuple" else items
+
+
+PROBES = [*NAMES, Key("a"), "missing", 0, None, 1.5, [1], {"a": 1}, ("a",)]
+
+
+def assert_same_mapping(fast, ref):
+    assert fast.entries == ref.entries
+    assert [type(k) for k, _ in fast.entries] == [type(k) for k, _ in ref.entries]
+    assert all(a is b for (_, a), (_, b) in zip(fast.entries, ref.entries))
+    assert fast.keys() == ref.keys()
+    assert repr(fast) == repr(ref).replace("Ref", "", 1)
+    for probe in PROBES + [k for k, _ in ref.entries]:
+        assert outcome(lambda: fast[probe]) == outcome(lambda: ref[probe]), probe
+
+
+@settings(max_examples=600, deadline=None)
+@given(raw_inputs(values))
+def test_mapping_value_matches_reference(raw):
+    fast, ref = outcome(lambda: MappingV(raw)), outcome(lambda: RefMappingV(raw))
+    assert fast[0] == ref[0]
+    if fast[0] != "ok":
+        assert fast == ref
+        return
+    fast, ref = fast[1], ref[1]
+    assert_same_mapping(fast, ref)
+    assert fast.canonical_bytes() == ref.canonical_bytes()
+    assert fast == ref and hash(fast) == hash(ref)
+    assert fast == MappingV(fast.entries) == MappingV(dict(fast.entries))
+    for probe in PROBES + list(fast.keys()):
+        assert outcome(lambda: fast.get(probe)) == outcome(lambda: ref.get(probe)), probe
+        assert outcome(lambda: fast.get(probe, "d")) == outcome(lambda: ref.get(probe, "d"))
+        assert outcome(lambda: probe in fast) == outcome(lambda: probe in ref), probe
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_inputs(st.integers(1, 4).map(DiscreteSpec)))
+def test_mapping_spec_matches_reference(raw):
+    fast, ref = outcome(lambda: MappingSpec(raw)), outcome(lambda: RefMappingSpec(raw))
+    assert fast[0] == ref[0]
+    if fast[0] != "ok":
+        assert fast == ref
+        return
+    fast, ref = fast[1], ref[1]
+    assert_same_mapping(fast, ref)
+    assert fast == MappingSpec(fast.entries)
+    assert outcome(lambda: hash(fast)) == outcome(lambda: hash(ref))
+
+
+def test_mapping_edge_cases_match_reference():
+    v = DiscreteV(0)
+    cases = [
+        (), {}, [], (("a", v),), {"b": v, "a": v},
+        (("a", v), ("a", v)), (("a", v), (Key("a"), v)),
+        ((1, v),), (("a", v), (1, v)), ((Key("k"), v),), (("a", 1),),
+        (([1], v),), (("a", v, v),), (("a",),), (("a", v), ("b",)), ("ab",), (1,), ((),),
+        None, 3,
+    ]
+    for fast_cls, ref_cls in ((MappingV, RefMappingV), (MappingSpec, RefMappingSpec)):
+        for raw in cases:
+            fast, ref = outcome(lambda: fast_cls(raw)), outcome(lambda: ref_cls(raw))
+            assert fast[0] == ref[0], raw
+            if fast[0] == "ok":
+                assert_same_mapping(fast[1], ref[1])
+            else:
+                assert fast == ref, raw
+
+
+# ---------------------------------------------------------------------------
+# _any_nonzero (battle.dead_pad)
+
+
+def ref_any_nonzero(v) -> bool:
+    if isinstance(v, DiscreteV):
+        return v.index != 0
+    if isinstance(v, (VectorV, GridV)):
+        return any(e != 0.0 for e in v.entries)
+    if isinstance(v, MappingV):
+        return any(ref_any_nonzero(sub) for _, sub in v.entries)
+    if isinstance(v, SeqV):
+        return any(ref_any_nonzero(sub) for sub in v.items)
+    return False
+
+
+EDGE_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+               5e-324, -5e-324, 2.2250738585072014e-308, 1.0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(EDGE_FLOATS), st.sampled_from([0.0, -0.0]), st.floats()),
+                max_size=8),
+       st.integers(1, 3))
+def test_any_nonzero_matches_reference(entries, channels):
+    values = [VectorV(tuple(entries))]
+    if entries:
+        values.append(GridV((1, len(entries), 1), tuple(entries)))
+        values.append(GridV((len(entries), 1, channels), tuple(entries) * channels))
+    values.append(MappingV({"obs": values[-1], "pad": VectorV((-0.0,))}))
+    values.append(SeqV(tuple(values)))
+    for v in values:
+        assert _any_nonzero(v) is ref_any_nonzero(v), v
+
+
+def test_any_nonzero_edge_values():
+    for x in EDGE_FLOATS:
+        assert _any_nonzero(VectorV((x,))) is (x != 0.0), x
+        assert _any_nonzero(GridV((1, 1, 1), (x,))) is (x != 0.0), x
+    assert _any_nonzero(VectorV(())) is False
+    # A grid has no empty shape; an all-signed-zero one is the empty case.
+    assert _any_nonzero(GridV((2, 2, 1), (0.0, -0.0, -0.0, 0.0))) is False

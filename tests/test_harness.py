@@ -15,6 +15,8 @@ from marlkit import (
     InvalidPartition,
     MatchSpec,
     RandomAgent,
+    SetupError,
+    make_env,
     read_replay,
     replay_verify,
     round_robin,
@@ -44,6 +46,17 @@ class TestRunEpisode:
             env = PongEnv(PongConfig(step_limit=500))
             r = run_episode(env, [FollowBallAgent(), FollowBallAgent()], seed)
             assert r.length <= 500
+
+    @pytest.mark.parametrize("name", ["pong2p", "gridbattle", "bomber"])
+    def test_action_specs_built_once_and_returned_in_a_fresh_list(self, name):
+        env = make_env(name)
+        specs = env.action_specs
+        assert len(specs) == env.num_slots
+        assert all(s is specs[0] for s in specs)
+        again = env.action_specs
+        assert again is not specs and again[0] is specs[0]
+        specs.clear()
+        assert env.action_specs == again
 
 
 class TestRunMatch:
@@ -320,6 +333,23 @@ class TestConfigExpressiveness:
             "--agent-itf", json.dumps(list(pipeline)), "--agent-itf", "-",
         ]) == 2
         assert "5 slots" in capsys.readouterr().err
+
+    def test_member_that_does_not_fit_behind_pipeline_is_config_error(self, capsys):
+        spec = MatchSpec(
+            env_name="pong2p",
+            agents=(AgentSpec(name="pong.follow_ball", interfaces=({"name": "pong.screen_obs"},)),
+                    AgentSpec(name="random")),
+        )
+        with pytest.raises(ConfigError, match=r"party 0.*pong\.follow_ball.*pong\.screen_obs") as info:
+            run_match(spec)
+        assert isinstance(info.value.__cause__, SetupError)
+        assert cli_main([
+            "run", "--env", "pong2p", "--agents", "pong.follow_ball,random",
+            "--agent-itf", "pong.screen_obs", "--agent-itf", "-",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "party 0" in err and "pong.screen_obs" in err
+        assert "pong.follow_ball observation must be a mapping" in err
 
 
 class TestCli:

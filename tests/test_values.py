@@ -137,6 +137,20 @@ class TestEquality:
         with pytest.raises(ValueError):
             MappingV((("a", DiscreteV(0)), ("a", DiscreteV(1))))
 
+    def test_mapping_lookup_is_total(self):
+        v = MappingV({"a": DiscreteV(1)})
+        default = DiscreteV(7)
+        for key in ([1], {"a": 1}, 1, None, "b"):
+            assert v.get(key) is None
+            assert v.get(key, default) is default
+            assert key not in v
+            with pytest.raises(KeyError):
+                v[key]
+        spec = MappingSpec({"a": DiscreteSpec(2)})
+        for key in ([1], 1, "b"):
+            with pytest.raises(KeyError):
+                spec[key]
+
     def test_grid_shape_validation(self):
         with pytest.raises(ValueError):
             GridV((2, 2, 1), (1.0,) * 3)
