@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidPartition
-from .values import MappingV, Value
+from .values import DiscreteV, MappingV, Value
 
 Partition = tuple[tuple[int, ...], ...]
+
+#: The info of every tick that is not an episode's last (values are immutable).
+NO_INFO = MappingV(())
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,17 +47,25 @@ class StepResult:
     rewards: tuple[float, ...]
     done: bool
     alive: tuple[bool, ...]
-    info: MappingV = field(default_factory=lambda: MappingV(()))
+    info: MappingV = NO_INFO
 
     def __post_init__(self):
-        object.__setattr__(self, "rewards", tuple(float(r) for r in self.rewards))
-        object.__setattr__(self, "alive", tuple(bool(a) for a in self.alive))
+        object.__setattr__(self, "rewards", tuple(map(float, self.rewards)))
+        object.__setattr__(self, "done", bool(self.done))
+        object.__setattr__(self, "alive", tuple(map(bool, self.alive)))
         n = len(self.obs)
         if len(self.rewards) != n or len(self.alive) != n:
             raise ValueError(
                 f"rewards ({len(self.rewards)}) and alive ({len(self.alive)}) "
                 f"must match obs slot count ({n})"
             )
+
+
+def outcome_info(winner: int | None) -> MappingV:
+    """The info of an episode's last tick: the winning party, or a draw."""
+    if winner is None:
+        return MappingV((("draw", DiscreteV(1)),))
+    return MappingV((("winner", DiscreteV(winner)),))
 
 
 def check_partition(partition: Sequence[Sequence[int]], slot_count: int) -> Partition:

@@ -2,7 +2,7 @@
 
 Subcommands: list-envs / list-agents / list-interfaces, run (seeded matches
 with optional replay logging), tourney (round robin from a JSON config),
-verify-replay (re-simulate and compare state hashes), and render (ASCII
+verify-replay (re-simulate and check every record), and render (ASCII
 animation of a replay). Exit codes: 0 success, 1 usage error, 2 runtime error.
 """
 
@@ -25,9 +25,7 @@ from .harness import (
     toolkit_version,
 )
 from .registry import list_agents, list_envs, list_interfaces, make_env
-from .replay import read_replay, replay_verify
-from .serial import value_from_jsonable
-from .bundles import Bundle
+from .replay import read_replay, replay_verify, step_actions
 
 
 class _UsageError(Exception):
@@ -100,7 +98,7 @@ def _build_parser() -> _Parser:
     tourney.add_argument("--config", required=True, metavar="PATH")
     tourney.add_argument("--json", action="store_true")
 
-    verify = sub.add_parser("verify-replay", help="re-simulate a replay and compare hashes")
+    verify = sub.add_parser("verify-replay", help="re-simulate a replay and check every record")
     verify.add_argument("path", metavar="PATH")
 
     render = sub.add_parser("render", help="ASCII animation of a replay")
@@ -193,10 +191,12 @@ def _cmd_verify(args) -> int:
     if result.ok:
         print("ok")
         return 0
-    where = f"episode {result.episode}"
-    if result.step is not None:
-        where += f", step {result.step}"
-    print(f"DIVERGED at {where}: {result.message}")
+    where = ""
+    if result.episode is not None:
+        where = f" at episode {result.episode}"
+        if result.step is not None:
+            where += f", step {result.step}"
+    print(f"DIVERGED{where}: {result.message}")
     return 2
 
 
@@ -215,8 +215,7 @@ def _cmd_render(args) -> int:
         if delay:
             time.sleep(delay)
         for rec in ep.steps:
-            actions = Bundle(tuple(value_from_jsonable(a) for a in rec["actions"]))
-            env.step(actions)
+            env.step(step_actions(rec, args.path))
             print()
             print(env.render_ascii())
             if delay:

@@ -26,7 +26,7 @@ from itertools import compress
 from operator import itemgetter
 
 from ..agents import Agent, require_spec
-from ..bundles import Bundle, StepResult
+from ..bundles import NO_INFO, Bundle, StepResult, outcome_info
 from ..env import Env
 from ..errors import ConfigError, SetupError
 from ..interfaces import Interface
@@ -363,33 +363,25 @@ class BomberEnv(Env):
         living_teams = [t for t in team_ids if team_alive[t]]
         done = len(living_teams) <= 1 or self.tick >= cfg.step_limit
         rewards = [0.0] * 4
-        info_entries: list[tuple[str, Value]] = []
+        info = NO_INFO
         if done:
+            winner = living_teams[0] if len(living_teams) == 1 else None
+            info = outcome_info(winner)
             if cfg.mode == "ffa":
-                if len(living_teams) == 1:
-                    winner = living_teams[0]
-                    info_entries.append(("winner", DiscreteV(winner)))
-                else:
-                    info_entries.append(("draw", DiscreteV(1)))
                 for i in range(4):
                     if not alive[i]:
                         rewards[i] = -1.0
-                    elif len(living_teams) == 1:
+                    elif winner is not None:
                         rewards[i] = 1.0
-            else:
-                if len(living_teams) == 1:
-                    winner = living_teams[0]
-                    info_entries.append(("winner", DiscreteV(winner)))
-                    for i in range(4):
-                        rewards[i] = 1.0 if teams[i] == winner else -1.0
-                else:
-                    info_entries.append(("draw", DiscreteV(1)))
+            elif winner is not None:
+                for i in range(4):
+                    rewards[i] = 1.0 if teams[i] == winner else -1.0
         return StepResult(
             obs=self._observe(),
             rewards=tuple(rewards),
             done=done,
             alive=tuple(alive),
-            info=MappingV(tuple(info_entries)),
+            info=info,
         )
 
     # -- observations -----------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..agents import Agent, require_spec
-from ..bundles import Bundle, StepResult
+from ..bundles import NO_INFO, Bundle, StepResult, outcome_info
 from ..env import Env
 from ..errors import ConfigError, SetupError
 from ..interfaces import Interface
@@ -220,21 +220,20 @@ class BattleEnv(Env):
         team_alive = [any(u.alive for u in units if u.team == t) for t in (0, 1)]
         rewards = [d / 100.0 for d in dealt]
         done = not (team_alive[0] and team_alive[1]) or self.tick >= self.cfg.step_limit
-        info_entries: list[tuple[str, Value]] = []
+        info = NO_INFO
         if done:
+            winner = None
             if team_alive[0] != team_alive[1]:
                 winner = 0 if team_alive[0] else 1
-                info_entries.append(("winner", DiscreteV(winner)))
                 for slot, u in enumerate(units):
                     rewards[slot] += 1.0 if u.team == winner else -1.0
-            else:
-                info_entries.append(("draw", DiscreteV(1)))
+            info = outcome_info(winner)
         return StepResult(
             obs=self._observe(),
             rewards=tuple(rewards),
             done=done,
             alive=tuple(u.alive for u in units),
-            info=MappingV(tuple(info_entries)),
+            info=info,
         )
 
     def _nearest_enemy(self, slot: int, alive: list[bool]) -> int | None:

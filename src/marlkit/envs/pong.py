@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from ..agents import Agent, require_spec
-from ..bundles import Bundle, StepResult
+from ..bundles import NO_INFO, Bundle, StepResult, outcome_info
 from ..env import Env
 from ..errors import ConfigError, SetupError
 from ..interfaces import Interface
@@ -35,6 +35,10 @@ from ..values import (
 )
 
 STAY, UP, DOWN = 0, 1, 2
+
+# The "own_side" entry of the left (slot 0) and right (slot 1) player's view.
+_LEFT_SIDE = VectorV((0.0,))
+_RIGHT_SIDE = VectorV((1.0,))
 
 
 @dataclass(frozen=True)
@@ -152,19 +156,16 @@ class PongEnv(Env):
 
         self.tick += 1
         done = max(self.scores) >= cfg.win_score or self.tick >= cfg.step_limit
-        info_entries: list[tuple[str, Value]] = []
+        info = NO_INFO
         if done:
-            if self.scores[0] != self.scores[1]:
-                winner = 0 if self.scores[0] > self.scores[1] else 1
-                info_entries.append(("winner", DiscreteV(winner)))
-            else:
-                info_entries.append(("draw", DiscreteV(1)))
+            left, right = self.scores
+            info = outcome_info(None if left == right else 0 if left > right else 1)
         return StepResult(
             obs=self._observe(),
             rewards=tuple(rewards),
             done=done,
             alive=(True, True),
-            info=MappingV(tuple(info_entries)),
+            info=info,
         )
 
     def _advance_ball(self) -> int | None:
@@ -219,33 +220,33 @@ class PongEnv(Env):
         return None
 
     def _observe(self) -> Bundle:
-        cfg = self.cfg
-
-        def view(side: int) -> MappingV:
-            if side == 0:
-                bx, bvx = self.ball_x, self.ball_vx
-            else:
-                bx, bvx = cfg.field_w - self.ball_x, -self.ball_vx
-            return MappingV({
-                "ball_x": VectorV((bx,)),
-                "ball_y": VectorV((self.ball_y,)),
-                "ball_vx": VectorV((bvx,)),
-                "ball_vy": VectorV((self.ball_vy,)),
-                "own_paddle_y": VectorV((self.paddle_y[side],)),
-                "opp_paddle_y": VectorV((self.paddle_y[1 - side],)),
-                "own_side": VectorV((float(side),)),
-            })
-
-        return Bundle((view(0), view(1)))
+        """Both egocentric views; values they have in common are built once."""
+        ball_y = VectorV((self.ball_y,))
+        ball_vy = VectorV((self.ball_vy,))
+        left = VectorV((self.paddle_y[0],))
+        right = VectorV((self.paddle_y[1],))
+        # Pairs in ascending key order, as MappingV stores them.
+        return Bundle((
+            MappingV((
+                ("ball_vx", VectorV((self.ball_vx,))), ("ball_vy", ball_vy),
+                ("ball_x", VectorV((self.ball_x,))), ("ball_y", ball_y),
+                ("opp_paddle_y", right), ("own_paddle_y", left), ("own_side", _LEFT_SIDE),
+            )),
+            MappingV((
+                ("ball_vx", VectorV((-self.ball_vx,))), ("ball_vy", ball_vy),
+                ("ball_x", VectorV((self.cfg.field_w - self.ball_x,))), ("ball_y", ball_y),
+                ("opp_paddle_y", left), ("own_paddle_y", right), ("own_side", _RIGHT_SIDE),
+            )),
+        ))
 
     def state_value(self) -> Value:
-        return MappingV({
-            "ball": VectorV((self.ball_x, self.ball_y, self.ball_vx, self.ball_vy)),
-            "paddles": VectorV(tuple(self.paddle_y)),
-            "scores": VectorV(tuple(float(s) for s in self.scores)),
-            "tick": VectorV((float(self.tick),)),
-            "serves": VectorV((float(self._serve_count),)),
-        })
+        return MappingV((
+            ("ball", VectorV((self.ball_x, self.ball_y, self.ball_vx, self.ball_vy))),
+            ("paddles", VectorV(tuple(self.paddle_y))),
+            ("scores", VectorV(tuple(map(float, self.scores)))),
+            ("serves", VectorV((float(self._serve_count),))),
+            ("tick", VectorV((float(self.tick),))),
+        ))
 
     def render_ascii(self) -> str:
         cfg = self.cfg

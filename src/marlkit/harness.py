@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from importlib import metadata
+from operator import add
 from typing import Any, Mapping, Sequence
 
 from .agents import Agent
@@ -24,6 +25,7 @@ from .errors import ConfigError, InvalidPartition, SetupError
 from .registry import build_pipeline, make_agent, make_env
 from .replay import ReplayWriter, state_hash
 from .rng import RngStream
+from .values import MappingV
 from .wrappers import WrappedAgent, wrap_env
 
 
@@ -134,6 +136,30 @@ class EpisodeResult:
     length: int
 
 
+class EpisodeTally:
+    """An episode's length and per-raw-slot returns, summed step by step.
+
+    run_episode and replay_verify both compute outcomes here, so a replay's
+    outcome record is checked with the arithmetic that wrote it.
+    """
+
+    def __init__(self, slots: int):
+        self.returns = [0.0] * slots
+        self.length = 0
+
+    def add(self, raw_rewards: Sequence[float]) -> None:
+        self.returns = list(map(add, self.returns, raw_rewards))
+        self.length += 1
+
+    def result(self, last_info: MappingV) -> EpisodeResult:
+        """The outcome, read from the info of the episode's last raw step."""
+        winner = last_info.get("winner")
+        return EpisodeResult(
+            winner_party=None if winner is None else winner.index,
+            draw="draw" in last_info, returns=tuple(self.returns), length=self.length,
+        )
+
+
 def run_episode(env: Env, actors: Sequence[Agent | WrappedAgent], seed: int,
                 writer: ReplayWriter | None = None,
                 episode_index: int = 0) -> EpisodeResult:
@@ -171,10 +197,8 @@ def run_episode(env: Env, actors: Sequence[Agent | WrappedAgent], seed: int,
         else:
             actor.reset(obs[a])
 
-    n_raw = env.unwrapped.num_slots
-    returns = [0.0] * n_raw
+    tally = EpisodeTally(env.unwrapped.num_slots)
     rewards: tuple[float, ...] = (0.0,) * env.num_slots
-    length = 0
     while True:
         actions: list = []
         for actor, (a, b) in zip(actors, blocks):
@@ -184,24 +208,16 @@ def run_episode(env: Env, actors: Sequence[Agent | WrappedAgent], seed: int,
                 actions.append(actor.step(obs[a], rewards[a], False))
         result = env.step(Bundle(tuple(actions)))
         raw_actions, raw_result = env.raw_record()
-        for i, r in enumerate(raw_result.rewards):
-            returns[i] += r
-        length += 1
+        tally.add(raw_result.rewards)
         if writer is not None:
-            writer.step(length - 1, raw_actions, raw_result.rewards,
+            writer.step(tally.length - 1, raw_actions, raw_result.rewards,
                         raw_result.done, state_hash(env))
         obs, rewards = result.obs, result.rewards
         if result.done:
-            info = raw_result.info
-            winner_v = info.get("winner")
-            winner = winner_v.index if winner_v is not None else None
-            draw = info.get("draw") is not None
-            episode = EpisodeResult(
-                winner_party=winner, draw=draw,
-                returns=tuple(returns), length=length,
-            )
+            episode = tally.result(raw_result.info)
             if writer is not None:
-                writer.outcome(winner, draw, episode.returns, length)
+                writer.outcome(episode.winner_party, episode.draw, episode.returns,
+                               episode.length)
             return episode
 
 

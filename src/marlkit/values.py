@@ -17,6 +17,7 @@ import math
 import struct
 from collections import abc
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import repeat
 from operator import itemgetter
 from typing import Iterator, Sequence
@@ -59,8 +60,13 @@ class Value:
         return hash(self.canonical_bytes())
 
 
+@lru_cache(maxsize=256)
+def _floats_struct(count: int) -> struct.Struct:
+    return struct.Struct(f"<{count}d")
+
+
 def _pack_floats(values: Sequence[float]) -> bytes:
-    return struct.pack(f"<{len(values)}d", *values)
+    return _floats_struct(len(values)).pack(*values)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -133,6 +139,13 @@ class GridV(Value):
 
 _KEY = itemgetter(0)
 _STR = {str}
+
+
+@lru_cache(maxsize=1024)
+def _key_prefix(key: str) -> bytes:
+    """A mapping key's canonical bytes: u32 length + UTF-8."""
+    raw = key.encode("utf-8")
+    return _U32.pack(len(raw)) + raw
 
 
 def _sorted_index(raw, what: str) -> tuple[tuple, dict]:
@@ -210,8 +223,7 @@ class MappingV(Value):
     def _encode(self, out: list[bytes]) -> None:
         out.append(b"\x04" + _U32.pack(len(self.entries)))
         for k, v in self.entries:
-            raw = k.encode("utf-8")
-            out.append(_U32.pack(len(raw)) + raw)
+            out.append(_key_prefix(k))
             v._encode(out)
 
 

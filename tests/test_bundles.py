@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from marlkit import Bundle, DiscreteV, InvalidPartition, VectorV, bundle_merge, bundle_split
-from marlkit.bundles import StepResult, check_partition
+from marlkit.bundles import NO_INFO, StepResult, check_partition, outcome_info
 from marlkit.values import MappingV
 
 from conftest import vector_bundle
@@ -59,6 +59,20 @@ def test_step_result_length_checks():
 def test_step_result_info_default():
     r = StepResult(obs=Bundle((x,)), rewards=(0.0,), done=False, alive=(True,))
     assert isinstance(r.info, MappingV) and r.info.keys() == ()
+    assert r.info is NO_INFO
+
+
+def test_step_result_converts_rewards_and_alive():
+    r = StepResult(obs=Bundle((x, y)), rewards=[1, True], done=1, alive=[1, 0])
+    assert r.rewards == (1.0, 1.0) and [type(v) for v in r.rewards] == [float, float]
+    assert r.done is True  # a replay's "done" must be a JSON boolean
+    assert r.alive == (True, False) and [type(v) for v in r.alive] == [bool, bool]
+
+
+def test_outcome_info():
+    assert outcome_info(None) == MappingV({"draw": DiscreteV(1)})
+    assert outcome_info(0) == MappingV({"winner": DiscreteV(0)})
+    assert outcome_info(3).keys() == ("winner",) and outcome_info(3)["winner"].index == 3
 
 
 @st.composite

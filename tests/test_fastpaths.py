@@ -31,6 +31,7 @@ from marlkit import (
 )
 from marlkit.envs.bomber import BoardMapObs, _obs_cells, _rotate_grid
 from marlkit.envs.gridbattle import _any_nonzero
+from marlkit.envs.pong import PongConfig, PongEnv
 from marlkit.values import SpaceSpec, Value, _float_tuple
 
 
@@ -453,3 +454,147 @@ def test_any_nonzero_edge_values():
     assert _any_nonzero(VectorV(())) is False
     # A grid has no empty shape; an all-signed-zero one is the empty case.
     assert _any_nonzero(GridV((2, 2, 1), (0.0, -0.0, -0.0, 0.0))) is False
+
+
+# ---------------------------------------------------------------------------
+# PongEnv._observe: sub-values shared by the two views
+
+
+def ref_pong_observe(env: PongEnv) -> Bundle:
+    """The per-view observation: every view builds all seven of its vectors."""
+    cfg = env.cfg
+
+    def view(side: int) -> MappingV:
+        if side == 0:
+            bx, bvx = env.ball_x, env.ball_vx
+        else:
+            bx, bvx = cfg.field_w - env.ball_x, -env.ball_vx
+        return MappingV({
+            "ball_x": VectorV((bx,)),
+            "ball_y": VectorV((env.ball_y,)),
+            "ball_vx": VectorV((bvx,)),
+            "ball_vy": VectorV((env.ball_vy,)),
+            "own_paddle_y": VectorV((env.paddle_y[side],)),
+            "opp_paddle_y": VectorV((env.paddle_y[1 - side],)),
+            "own_side": VectorV((float(side),)),
+        })
+
+    return Bundle((view(0), view(1)))
+
+
+def assert_same_observation(env: PongEnv) -> None:
+    fast, ref = env._observe(), ref_pong_observe(env)
+    assert len(fast) == len(ref) == 2
+    for f, r in zip(fast, ref):
+        assert f.keys() == r.keys()
+        assert f.canonical_bytes() == r.canonical_bytes()
+    assert fast[0]["ball_y"] is fast[1]["ball_y"]
+    assert fast[0]["own_paddle_y"] is fast[1]["opp_paddle_y"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32), st.booleans(), st.sampled_from([80.0, 63.5, 120.0]),
+       st.integers(0, 2**32))
+def test_pong_observe_matches_reference(seed, mirror, field_w, action_seed):
+    env = PongEnv(PongConfig(field_w=field_w, mirror_serves=mirror, win_score=2,
+                             step_limit=400))
+    actions = RandomAgent(rng=RngStream(action_seed))
+    actions.setup(DiscreteSpec(3), DiscreteSpec(3))
+    env.reset(seed)
+    assert_same_observation(env)
+    while True:
+        result = env.step(Bundle((actions.step(None, 0.0, False),
+                                  actions.step(None, 0.0, False))))
+        assert_same_observation(env)
+        assert result.obs == ref_pong_observe(env)
+        if result.done:
+            break
+
+
+def test_pong_observe_on_signed_zero_and_nan_velocities():
+    env = PongEnv()
+    env.reset(0)
+    specials = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+                struct.unpack("<d", bytes.fromhex("0100000000f8ff7f"))[0]]
+    for vx in specials:
+        for vy in specials:
+            env.ball_vx, env.ball_vy = vx, vy
+            env.ball_x, env.ball_y = -0.0, vy
+            assert_same_observation(env)
+
+
+# ---------------------------------------------------------------------------
+# canonical_bytes: cached struct per float count and per mapping key
+
+
+def ref_canonical(v: Value) -> bytes:
+    """The canonical encoding with a format string built and parsed per call."""
+    if isinstance(v, DiscreteV):
+        return b"\x01" + struct.pack("<Q", v.index)
+    if isinstance(v, VectorV):
+        n = len(v.entries)
+        return b"\x02" + struct.pack("<I", n) + struct.pack(f"<{n}d", *v.entries)
+    if isinstance(v, GridV):
+        h, w, c = v.shape
+        return (b"\x03" + struct.pack("<I", h) + struct.pack("<I", w) + struct.pack("<I", c)
+                + struct.pack(f"<{len(v.entries)}d", *v.entries))
+    if isinstance(v, MappingV):
+        out = [b"\x04" + struct.pack("<I", len(v.entries))]
+        for k, sub in v.entries:
+            raw = k.encode("utf-8")
+            out.append(struct.pack("<I", len(raw)) + raw + ref_canonical(sub))
+        return b"".join(out)
+    if isinstance(v, SeqV):
+        return b"\x05" + struct.pack("<I", len(v.items)) + b"".join(map(ref_canonical, v.items))
+    raise TypeError(v)
+
+
+# Every double bit pattern (NaN payloads included), plus the edge values.
+any_double = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]),
+    st.sampled_from(EDGE_FLOATS),
+)
+# Empty, short and long runs (a long run repeats a short one).
+float_runs = st.one_of(
+    st.lists(any_double, max_size=6),
+    st.tuples(st.lists(any_double, min_size=1, max_size=6), st.integers(30, 80))
+    .map(lambda t: t[0] * t[1]),
+)
+mapping_keys = st.one_of(st.sampled_from(["", "a", "é", "日本", "\U0001f600", "a\x00b"]),
+                         st.text(max_size=4))
+
+
+@st.composite
+def grids(draw):
+    h, w, c = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return GridV((h, w, c), tuple(draw(st.lists(any_double, min_size=h * w * c,
+                                                  max_size=h * w * c))))
+
+
+nested_values = st.recursive(
+    st.one_of(st.integers(0, 2**64 - 1).map(DiscreteV),
+              float_runs.map(lambda xs: VectorV(tuple(xs))), grids()),
+    lambda children: st.one_of(
+        st.dictionaries(mapping_keys, children, max_size=4).map(MappingV),
+        st.lists(children, max_size=4).map(lambda xs: SeqV(tuple(xs))),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(nested_values)
+def test_canonical_bytes_match_reference(v):
+    assert v.canonical_bytes() == ref_canonical(v)
+
+
+def test_canonical_bytes_past_the_cache_bounds():
+    # More distinct float counts and keys than either cache holds, twice over.
+    for _ in range(2):
+        for n in range(0, 600, 7):
+            v = VectorV(tuple(float(i) - n for i in range(n)))
+            assert v.canonical_bytes() == ref_canonical(v)
+        keys = [f"k{i}é" for i in range(3000)]
+        m = MappingV({k: VectorV((-0.0,)) for k in keys})
+        assert m.canonical_bytes() == ref_canonical(m)
+        assert MappingV(()).canonical_bytes() == ref_canonical(MappingV(())) == b"\x04" + bytes(4)

@@ -18,6 +18,7 @@ from marlkit import (
     AgentSpec,
     Bundle,
     MatchSpec,
+    RngStream,
     build_pipeline,
     make_agent,
     make_env,
@@ -27,6 +28,12 @@ from marlkit import (
 
 BOMBER_OBS_TICKS = 300
 BOMBER_OBS_SHA256 = "781be85d29d4c3af657615b429640185f49eab1f64c721107b73b199dfdeef8f"
+
+PONG_OBS_SEED = 3
+PONG_OBS_SHA256 = {
+    False: "deaa3146472186e26922e52e0de9ffde0ac8a48713dd1ff6c8aad67b57a92ae1",
+    True: "633136772acb5506b35c3602f88dee0a1540d2f1e5b975d82c4448a918feaf72",
+}
 
 MATCHES = {
     "pong": MatchSpec(
@@ -94,6 +101,34 @@ def test_bomber_interface_observations_pinned():
     for view in obs:
         digest.update(view.canonical_bytes())
     assert digest.hexdigest() == BOMBER_OBS_SHA256
+
+
+@pytest.mark.parametrize("mirror_serves", [False, True])
+def test_pong_observations_pinned(mirror_serves):
+    """Both egocentric views of every tick of a seeded 2-episode pong match."""
+    digest = hashlib.sha256()
+    for episode in range(2):
+        seed = PONG_OBS_SEED + episode
+        env = make_env("pong2p", {"mirror_serves": mirror_serves})
+        agents = [make_agent("pong.follow_ball"),
+                  make_agent("random", rng=RngStream(seed, ("agents",)))]
+        for slot, agent in enumerate(agents):
+            agent.setup(env.observation_specs[slot], env.action_specs[slot])
+        obs = env.reset(seed)
+        for slot, agent in enumerate(agents):
+            agent.reset(obs[slot])
+        rewards = (0.0, 0.0)
+        while True:
+            for view in obs:
+                digest.update(view.canonical_bytes())
+            actions = tuple(agent.step(obs[s], rewards[s], False) for s, agent in enumerate(agents))
+            result = env.step(Bundle(actions))
+            obs, rewards = result.obs, result.rewards
+            if result.done:
+                break
+        for view in obs:
+            digest.update(view.canonical_bytes())
+    assert digest.hexdigest() == PONG_OBS_SHA256[mirror_serves]
 
 
 @pytest.mark.parametrize("name", sorted(MATCHES))

@@ -1,0 +1,239 @@
+"""Replay records are schema-checked, and replay_verify checks every field it reads.
+
+Each tamper below leaves every state hash intact, so only the new checks can
+catch it: changed rewards, a flipped winner, a done flag on the first step,
+a file cut mid-match, steps after done and outcome fields that do not add up.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from marlkit import AgentSpec, FormatError, MatchSpec, read_replay, replay_verify, run_match
+from marlkit.cli import main as cli_main
+
+REQUIRED = {
+    "match": ("format", "version", "spec"),
+    "episode": ("index", "seed", "reset_hash"),
+    "step": ("t", "actions", "rewards", "done", "hash"),
+    "outcome": ("winner", "draw", "returns", "length"),
+}
+
+
+@pytest.fixture(scope="module")
+def replay_lines(tmp_path_factory) -> list[dict]:
+    """The records of a seeded 2-episode pong match; each episode has a winner."""
+    path = tmp_path_factory.mktemp("replay") / "match.jsonl"
+    run_match(MatchSpec(
+        env_name="pong2p", env_params={"win_score": 2},
+        agents=(AgentSpec("pong.follow_ball"), AgentSpec("random")),
+        episodes=2, base_seed=20, replay_path=str(path),
+    ))
+    assert replay_verify(str(path)).ok
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def write(tmp_path, records: list[dict]) -> str:
+    path = tmp_path / "tampered.jsonl"
+    path.write_text("".join(
+        json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records
+    ))
+    return str(path)
+
+
+def first(records: list[dict], kind: str, episode: int = 0) -> int:
+    """Index of the first record of a kind inside the given episode."""
+    seen = -1
+    for i, r in enumerate(records):
+        seen += r["kind"] == "episode"
+        if r["kind"] == kind and (kind == "match" or seen == episode):
+            return i
+    raise LookupError(kind)
+
+
+def copy(records: list[dict]) -> list[dict]:
+    return json.loads(json.dumps(records))
+
+
+# ---------------------------------------------------------------------------
+# Schema
+
+
+@pytest.mark.parametrize("kind,key", [(k, key) for k, keys in REQUIRED.items() for key in keys])
+def test_missing_key_is_format_error_with_line(replay_lines, tmp_path, kind, key):
+    records = copy(replay_lines)
+    i = first(records, kind)
+    del records[i][key]
+    path = write(tmp_path, records)
+    with pytest.raises(FormatError, match=rf"{path}:{i + 1}: {kind} record lacks \['{key}'\]"):
+        read_replay(path)
+    with pytest.raises(FormatError):
+        replay_verify(path)
+
+
+@pytest.mark.parametrize("kind,key,bad", [
+    ("episode", "index", "0"),
+    ("episode", "seed", 20.0),
+    ("step", "t", True),
+    ("step", "done", 1),
+    ("step", "actions", {"d": 0}),
+    ("step", "rewards", [0.0, "0"]),
+    ("step", "hash", None),
+    ("outcome", "winner", "0"),
+    ("outcome", "returns", [None, 1.0]),
+    ("match", "spec", []),
+])
+def test_wrong_type_is_format_error(replay_lines, tmp_path, kind, key, bad):
+    records = copy(replay_lines)
+    i = first(records, kind)
+    records[i][key] = bad
+    with pytest.raises(FormatError, match=rf":{i + 1}: {kind} record's '{key}' must"):
+        read_replay(write(tmp_path, records))
+
+
+@pytest.mark.parametrize("env", [None, {}, {"name": 3}, {"name": "pong2p", "params": [1]}])
+def test_match_spec_without_env_name_is_format_error(replay_lines, tmp_path, env):
+    records = copy(replay_lines)
+    records[0]["spec"]["env"] = env
+    with pytest.raises(FormatError, match=r":1: match spec needs an env"):
+        read_replay(write(tmp_path, records))
+
+
+def test_records_out_of_place_are_format_errors(replay_lines, tmp_path):
+    records = copy(replay_lines)
+    outcome = first(records, "outcome")
+    after_outcome = records[:outcome + 1] + [records[outcome - 1]] + records[outcome + 1:]
+    with pytest.raises(FormatError, match=rf":{outcome + 2}: step record after episode 0's"):
+        read_replay(write(tmp_path, after_outcome))
+    with pytest.raises(FormatError, match=r":1: step record before the match header"):
+        read_replay(write(tmp_path, records[2:]))
+    with pytest.raises(FormatError, match=r":2: unknown record kind 'stepp'"):
+        read_replay(write(tmp_path, [records[0], {**records[2], "kind": "stepp"}]))
+
+
+def test_cli_exits_2_on_a_malformed_record(replay_lines, tmp_path, capsys):
+    records = copy(replay_lines)
+    del records[first(records, "episode")]["index"]
+    path = write(tmp_path, records)
+    assert cli_main(["verify-replay", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: episode record lacks ['index']")
+    assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# Verification
+
+
+def verify(tmp_path, records):
+    return replay_verify(write(tmp_path, records))
+
+
+def test_untouched_copy_verifies(replay_lines, tmp_path):
+    assert verify(tmp_path, copy(replay_lines)).ok
+
+
+def test_changed_rewards_detected(replay_lines, tmp_path):
+    records = copy(replay_lines)
+    step = records[first(records, "step")]
+    step["rewards"] = [1.0, -1.0]
+    result = verify(tmp_path, records)
+    assert (result.ok, result.episode, result.step) == (False, 0, 0)
+    assert result.message == "rewards diverged: recorded [1.0, -1.0], re-simulated [0.0, 0.0]"
+
+
+def test_flipped_winner_detected(replay_lines, tmp_path):
+    records = copy(replay_lines)
+    outcome = records[first(records, "outcome")]
+    outcome["winner"] = 1 - outcome["winner"]
+    result = verify(tmp_path, records)
+    assert (result.ok, result.episode, result.step) == (False, 0, None)
+    assert result.message.startswith("outcome winner diverged")
+
+
+@pytest.mark.parametrize("field,tamper", [
+    ("draw", lambda o: {**o, "draw": True}),
+    ("returns", lambda o: {**o, "returns": o["returns"][::-1]}),
+    ("length", lambda o: {**o, "length": o["length"] + 1}),
+])
+def test_outcome_fields_recomputed(replay_lines, tmp_path, field, tamper):
+    records = copy(replay_lines)
+    i = first(records, "outcome", episode=1)
+    records[i] = tamper(records[i])
+    result = verify(tmp_path, records)
+    assert (result.ok, result.episode) == (False, 1)
+    assert result.message.startswith("outcome ")
+    assert field in result.message
+
+
+def test_done_on_first_step_detected(replay_lines, tmp_path):
+    records = copy(replay_lines)
+    records[first(records, "step")]["done"] = True
+    result = verify(tmp_path, records)
+    assert (result.ok, result.episode, result.step) == (False, 0, 0)
+    assert result.message == "done diverged: recorded True, re-simulated False"
+
+
+def test_file_cut_mid_episode_detected(replay_lines, tmp_path):
+    records = copy(replay_lines)
+    second = first(records, "episode", episode=1)
+    result = verify(tmp_path, records[:second + 10])
+    assert (result.ok, result.episode) == (False, 1)
+    assert result.message == "episode ends without a done step"
+
+
+def test_file_cut_before_outcome_detected(replay_lines, tmp_path):
+    result = verify(tmp_path, copy(replay_lines)[:-1])
+    assert (result.ok, result.episode) == (False, 1)
+    assert result.message == "episode has no outcome record"
+
+
+def test_file_cut_between_episodes_detected(replay_lines, tmp_path):
+    records = copy(replay_lines)
+    result = verify(tmp_path, records[:first(records, "episode", episode=1)])
+    assert not result.ok
+    assert result.message == "episode count: the header's spec has 2, the file 1"
+
+
+def test_steps_after_done_detected(replay_lines, tmp_path):
+    records = copy(replay_lines)
+    outcome = first(records, "outcome")
+    extra = {**records[outcome - 1], "t": records[outcome - 1]["t"] + 1}
+    records.insert(outcome, extra)
+    result = verify(tmp_path, records)
+    assert (result.ok, result.episode, result.step) == (False, 0, extra["t"])
+    assert result.message == "step after the done step"
+
+
+def test_step_index_and_episode_seed_checked(replay_lines, tmp_path):
+    records = copy(replay_lines)
+    records[first(records, "step") + 1]["t"] = 5
+    result = verify(tmp_path, records)
+    assert (result.ok, result.step) == (False, 5)
+    assert result.message == "t diverged: recorded 5, re-simulated 1"
+
+    records = copy(replay_lines)
+    records[0]["spec"]["seed"] = 21
+    result = verify(tmp_path, records)
+    assert (result.ok, result.episode) == (False, 0)
+    assert result.message.startswith("seed 20 is not the header's base seed 21")
+
+
+def test_cli_names_the_diverged_field(replay_lines, tmp_path, capsys):
+    records = copy(replay_lines)
+    records[first(records, "step")]["done"] = True
+    assert cli_main(["verify-replay", write(tmp_path, records)]) == 2
+    assert capsys.readouterr().out == (
+        "DIVERGED at episode 0, step 0: done diverged: recorded True, re-simulated False\n"
+    )
+
+
+def test_render_exits_2_on_an_undecodable_action(replay_lines, tmp_path, capsys):
+    records = copy(replay_lines)
+    records[first(records, "step")]["actions"] = []
+    path = write(tmp_path, records)
+    assert cli_main(["render", path, "--fps", "0", "--episodes", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {path}: bad action record at t=0\n"
+    assert cli_main(["verify-replay", path]) == 2
