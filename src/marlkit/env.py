@@ -96,6 +96,14 @@ class Env(ABC):
         """Canonical snapshot of the full simulator state, for hashing/replays."""
         raise NotImplementedError(f"{type(self).__name__} does not expose state snapshots")
 
+    def state_bytes(self) -> bytes:
+        """The canonical bytes of the state, which replays hash.
+
+        An override (a direct packer that skips building the value) must
+        return exactly state_value().canonical_bytes().
+        """
+        return self.state_value().canonical_bytes()
+
     def render_ascii(self) -> str:
         """One-frame ASCII rendering of the current state."""
         raise NotImplementedError(f"{type(self).__name__} has no ASCII renderer")

@@ -501,11 +501,6 @@ class BomberEnv(Env):
         )
 
 
-def legal_actions(env: BomberEnv, slot: int) -> set[int]:
-    """Module-level spelling of BomberEnv.legal_actions."""
-    return env.legal_actions(slot)
-
-
 def _phase1_prediction(
     size: int,
     rigid: set[Cell],

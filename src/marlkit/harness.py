@@ -13,6 +13,7 @@ win_rate = (wins + 0.5 * draws) / episodes.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from importlib import metadata
 from operator import add
@@ -23,7 +24,7 @@ from .bundles import Bundle
 from .env import Env
 from .errors import ConfigError, InvalidPartition, SetupError
 from .registry import build_pipeline, make_agent, make_env
-from .replay import ReplayWriter, state_hash
+from .replay import ReplayWriter, atomic_write, state_hash
 from .rng import RngStream
 from .values import MappingV
 from .wrappers import WrappedAgent, wrap_env
@@ -175,15 +176,17 @@ def run_episode(env: Env, actors: Sequence[Agent | WrappedAgent], seed: int,
         raise ConfigError(
             f"actors cover {sum(widths)} slots, environment has {env.num_slots}"
         )
-    blocks: list[tuple[int, int]] = []
+    # Per actor, once per episode: its block of slots and whether it takes
+    # per-slot lists (a WrappedAgent) or one slot's value.
+    plan: list[tuple[Agent | WrappedAgent, int, int, bool]] = []
     start = 0
-    for w in widths:
-        blocks.append((start, start + w))
+    for actor, w in zip(actors, widths):
+        plan.append((actor, start, start + w, isinstance(actor, WrappedAgent)))
         start += w
     obs_specs = env.observation_specs
     act_specs = env.action_specs
-    for actor, (a, b) in zip(actors, blocks):
-        if isinstance(actor, WrappedAgent):
+    for actor, a, b, wrapped in plan:
+        if wrapped:
             actor.setup(obs_specs[a:b], act_specs[a:b])
         else:
             actor.setup(obs_specs[a], act_specs[a])
@@ -191,8 +194,8 @@ def run_episode(env: Env, actors: Sequence[Agent | WrappedAgent], seed: int,
     obs = env.reset(seed)
     if writer is not None:
         writer.episode_header(episode_index, seed, state_hash(env))
-    for actor, (a, b) in zip(actors, blocks):
-        if isinstance(actor, WrappedAgent):
+    for actor, a, b, wrapped in plan:
+        if wrapped:
             actor.reset(list(obs.slots[a:b]))
         else:
             actor.reset(obs[a])
@@ -200,12 +203,13 @@ def run_episode(env: Env, actors: Sequence[Agent | WrappedAgent], seed: int,
     tally = EpisodeTally(env.unwrapped.num_slots)
     rewards: tuple[float, ...] = (0.0,) * env.num_slots
     while True:
+        slots = obs.slots
         actions: list = []
-        for actor, (a, b) in zip(actors, blocks):
-            if isinstance(actor, WrappedAgent):
-                actions.extend(actor.step(list(obs.slots[a:b]), list(rewards[a:b]), False))
+        for actor, a, b, wrapped in plan:
+            if wrapped:
+                actions += actor.step(list(slots[a:b]), list(rewards[a:b]), False)
             else:
-                actions.append(actor.step(obs[a], rewards[a], False))
+                actions.append(actor.step(slots[a], rewards[a], False))
         result = env.step(Bundle(tuple(actions)))
         raw_actions, raw_result = env.raw_record()
         tally.add(raw_result.rewards)
@@ -310,7 +314,11 @@ def _build_actors(env: Env, spec: MatchSpec, assignment: dict[int, AgentSpec],
 
 
 def run_match(spec: MatchSpec) -> MatchResult:
-    """Play spec.episodes seeded episodes, rotating entrants across parties."""
+    """Play spec.episodes seeded episodes, rotating entrants across parties.
+
+    A replay file appears at spec.replay_path only once the match has
+    finished; a match that raises leaves no file there.
+    """
     if spec.episodes < 1:
         raise ConfigError("a match needs at least one episode (win-rate is undefined on 0)")
     probe = _build_env(spec)
@@ -322,11 +330,9 @@ def run_match(spec: MatchSpec) -> MatchResult:
     n_parties = len(ids)
     wins = draws = losses = 0
     outcomes: list[EpisodeResult] = []
-    writer = None
-    replay_file = None
-    try:
-        if spec.replay_path:
-            replay_file = open(spec.replay_path, "w", encoding="utf-8")
+    with atomic_write(spec.replay_path) if spec.replay_path else nullcontext() as replay_file:
+        writer = None
+        if replay_file is not None:
             writer = ReplayWriter(replay_file)
             writer.match_header(spec.to_jsonable(), toolkit_version())
         for k in range(spec.episodes):
@@ -346,9 +352,6 @@ def run_match(spec: MatchSpec) -> MatchResult:
                     wins += 1
                 else:
                     losses += 1
-    finally:
-        if replay_file is not None:
-            replay_file.close()
     n_slots = len(outcomes[0].returns)
     mean_returns = tuple(
         sum(o.returns[i] for o in outcomes) / len(outcomes) for i in range(n_slots)

@@ -17,24 +17,57 @@ byte-identical files on any platform.
 from __future__ import annotations
 
 import json
+import os
+import secrets
+from contextlib import contextmanager
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Any, IO, Iterator
 
 from .bundles import Bundle
 from .env import Env
 from .errors import FormatError
-from .serial import value_from_jsonable, value_to_jsonable, value_hash_hex
+# value_hash_hex is the reference state_hash must agree with; it stays importable here.
+from .serial import bytes_hash_hex, value_from_jsonable, value_to_jsonable, value_hash_hex
+from .values import DiscreteV, Value
 
 FORMAT_VERSION = 1
 
 
 def state_hash(env: Env) -> str:
-    """Hash of the innermost environment's canonical state."""
-    return value_hash_hex(env.unwrapped.state_value())
+    """Hash of the innermost environment's canonical state.
+
+    Equal to value_hash_hex(env.unwrapped.state_value()), without building the value.
+    """
+    return bytes_hash_hex(env.unwrapped.state_bytes())
 
 
 def _dump(obj: dict[str, Any]) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+# _dump's step record, keys in sorted order: actions, done, hash, kind, rewards, t.
+_STEP_LINE = '{"actions":[%s],"done":%s,"hash":%s,"kind":"step","rewards":[%s],"t":%d}\n'
+
+
+@contextmanager
+def atomic_write(path: str) -> Iterator[IO[str]]:
+    """A text file written next to path and renamed over it when the block completes.
+
+    If the block raises, the file is removed and path is left as it was.
+    There is no fsync: this guards against the process failing, not the host.
+    """
+    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except FileNotFoundError:
+            pass
+        raise
 
 
 class ReplayWriter:
@@ -56,11 +89,26 @@ class ReplayWriter:
 
     def step(self, t: int, raw_actions: Bundle, rewards: tuple[float, ...],
              done: bool, digest: str) -> None:
-        self._stream.write(_dump({
-            "kind": "step", "t": t,
-            "actions": [value_to_jsonable(a) for a in raw_actions],
-            "rewards": list(rewards), "done": done, "hash": digest,
-        }) + "\n")
+        """Write _dump's step line, formatted without building the record.
+
+        Rewards are floats (StepResult makes them so), written with
+        float.__repr__ as json.dumps does. Only a non-finite repr holds an
+        "n" ("inf", "nan"); json.dumps spells those Infinity/NaN, so _dump.
+        """
+        rewards_text = ",".join(map(float.__repr__, rewards))
+        if "n" in rewards_text:
+            self._stream.write(_dump({
+                "kind": "step", "t": t,
+                "actions": [value_to_jsonable(a) for a in raw_actions],
+                "rewards": list(rewards), "done": done, "hash": digest,
+            }) + "\n")
+            return
+        actions_text = ",".join([
+            '{"d":%d}' % a.index if type(a) is DiscreteV else _dump(value_to_jsonable(a))
+            for a in raw_actions
+        ])
+        self._stream.write(_STEP_LINE % (actions_text, "true" if done else "false",
+                                         encode_basestring_ascii(digest), rewards_text, t))
 
     def outcome(self, winner: int | None, draw: bool,
                 returns: tuple[float, ...], length: int) -> None:
@@ -172,10 +220,23 @@ def read_replay(path: str) -> Replay:
     return Replay(header=header, episodes=episodes)
 
 
+# Shared decodes of {"d": i} for small i; values are immutable, so sharing is safe.
+_DISCRETE = tuple(map(DiscreteV, range(64)))
+
+
+def _action_from_jsonable(obj: Any) -> Value:
+    """value_from_jsonable(obj), shared for a {"d": i} whose i is a small exact int."""
+    if type(obj) is dict and len(obj) == 1:
+        i = obj.get("d")
+        if type(i) is int and 0 <= i < len(_DISCRETE):
+            return _DISCRETE[i]
+    return value_from_jsonable(obj)
+
+
 def step_actions(rec: dict[str, Any], path: str) -> Bundle:
     """A step record's action bundle; FormatError if it does not decode."""
     try:
-        return Bundle(tuple(value_from_jsonable(a) for a in rec["actions"]))
+        return Bundle(tuple(map(_action_from_jsonable, rec["actions"])))
     except FormatError:
         raise
     except Exception as exc:

@@ -37,26 +37,60 @@ def value_to_jsonable(v: Value) -> dict[str, Any]:
     raise TypeError(f"not a Value: {v!r}")
 
 
+_NUMBERS = {int, float}  # what json.loads gives for a JSON number; bool is neither
+_INTS = {int}
+
+
+def _json_list(payload: Any, types: set[type], what: str) -> list:
+    """payload if it is a JSON array whose items' exact types are in types; else FormatError."""
+    if type(payload) is not list or not set(map(type, payload)) <= types:
+        raise FormatError(f"{what} must be a JSON array of "
+                          f"{' or '.join(sorted(t.__name__ for t in types))}, got {payload!r}")
+    return payload
+
+
 def value_from_jsonable(obj: Any) -> Value:
+    """Decode the JSON form strictly: a payload of any other JSON type is a FormatError.
+
+    A discrete index is a JSON int (not a bool, float or string), vector
+    entries and grid data are JSON numbers, a grid shape is JSON ints, and
+    sequences and grid fields are JSON arrays.
+    """
     if not isinstance(obj, dict) or len(obj) != 1:
         raise FormatError(f"malformed value payload: {obj!r}")
     tag, payload = next(iter(obj.items()))
     try:
         if tag == "d":
-            return DiscreteV(int(payload))
+            if type(payload) is not int:
+                raise FormatError(f"discrete index must be a JSON int, got {payload!r}")
+            return DiscreteV(payload)
         if tag == "v":
-            return VectorV(tuple(payload))
+            return VectorV(tuple(_json_list(payload, _NUMBERS, "vector entries")))
         if tag == "g":
-            return GridV(tuple(payload["shape"]), tuple(payload["data"]))
+            if type(payload) is not dict or payload.keys() != {"shape", "data"}:
+                raise FormatError(f"grid payload must hold exactly shape and data, "
+                                  f"got {payload!r}")
+            return GridV(tuple(_json_list(payload["shape"], _INTS, "grid shape")),
+                         tuple(_json_list(payload["data"], _NUMBERS, "grid data")))
         if tag == "m":
             return MappingV(tuple((k, value_from_jsonable(sub)) for k, sub in payload.items()))
         if tag == "s":
+            if type(payload) is not list:
+                raise FormatError(f"sequence items must be a JSON array, got {payload!r}")
             return SeqV(tuple(value_from_jsonable(sub) for sub in payload))
     except FormatError:
         raise
     except Exception as exc:
         raise FormatError(f"malformed {tag!r} payload: {payload!r}") from exc
     raise FormatError(f"unknown value tag {tag!r}")
+
+
+def bytes_hash_hex(data: bytes) -> str:
+    """value_hash_hex of the value whose canonical bytes are data.
+
+    The hex of the reversed digest is the 016x form of its little-endian int.
+    """
+    return hashlib.blake2b(data, digest_size=8).digest()[::-1].hex()
 
 
 def value_hash(v: Value) -> int:

@@ -22,7 +22,6 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .errors import SpaceMismatch
 from .rng import RngStream
 
 _U32 = struct.Struct("<I")
@@ -449,9 +448,3 @@ def flat_bounds(spec: SpaceSpec) -> tuple[float, float]:
     if not subs:
         return 0.0, 0.0
     return min(lo for lo, _ in subs), max(hi for _, hi in subs)
-
-
-def require_in_space(spec: SpaceSpec, v: Value, what: str) -> None:
-    """Raise SpaceMismatch with context unless v is in spec."""
-    if not space_contains(spec, v):
-        raise SpaceMismatch(f"{what}: {v!r} not in {spec!r}")

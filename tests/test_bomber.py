@@ -33,7 +33,6 @@ from marlkit.envs.bomber import (
     attr_obs,
     board_map_obs,
     detonate,
-    legal_actions,
     rotate_itf,
     _rotate_grid,
     _rotate_pos,
@@ -481,7 +480,7 @@ class TestActMask:
             views, _ = itf.obs_trans(env._observe(), (0.0,) * 4)
             for slot in range(4):
                 mask = views[slot]["act_mask"].entries
-                legal = legal_actions(env, slot)
+                legal = env.legal_actions(slot)
                 assert mask == tuple(1.0 if a in legal else 0.0 for a in range(6))
             result = env.step(Bundle(tuple(DiscreteV(rng.randrange(6)) for _ in range(4))))
             if result.done:

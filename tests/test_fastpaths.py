@@ -7,6 +7,8 @@ bit for bit, including on -0.0, NaN, negative values and non-float entries.
 
 from __future__ import annotations
 
+import io
+import json
 import math
 import struct
 from dataclasses import dataclass, field
@@ -27,11 +29,18 @@ from marlkit import (
     RngStream,
     SeqV,
     VectorV,
+    identity,
     make_env,
+    state_hash,
+    value_from_jsonable,
+    value_hash_hex,
+    value_to_jsonable,
+    wrap_env,
 )
 from marlkit.envs.bomber import BoardMapObs, _obs_cells, _rotate_grid
 from marlkit.envs.gridbattle import _any_nonzero
 from marlkit.envs.pong import PongConfig, PongEnv
+from marlkit.replay import ReplayWriter, _action_from_jsonable
 from marlkit.values import SpaceSpec, Value, _float_tuple
 
 
@@ -598,3 +607,106 @@ def test_canonical_bytes_past_the_cache_bounds():
         m = MappingV({k: VectorV((-0.0,)) for k in keys})
         assert m.canonical_bytes() == ref_canonical(m)
         assert MappingV(()).canonical_bytes() == ref_canonical(MappingV(())) == b"\x04" + bytes(4)
+
+
+# ---------------------------------------------------------------------------
+# Replays: state bytes without a value tree, templated step lines, shared
+# action decodes
+
+
+def assert_same_state(env) -> None:
+    ref = env.state_value()
+    assert env.state_bytes() == ref.canonical_bytes()
+    assert state_hash(env) == value_hash_hex(ref)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32), st.booleans(), st.sampled_from([80.0, 63.5, 120, 80]),
+       st.integers(0, 2**32))
+def test_pong_state_bytes_match_reference(seed, mirror, field_w, action_seed):
+    env = PongEnv(PongConfig(field_w=field_w, mirror_serves=mirror, win_score=2,
+                             step_limit=400))
+    wrapped = wrap_env(env, identity())
+    actions = RandomAgent(rng=RngStream(action_seed))
+    actions.setup(DiscreteSpec(3), DiscreteSpec(3))
+    wrapped.reset(seed)
+    assert_same_state(env)
+    assert wrapped.state_bytes() == env.state_bytes()
+    while not wrapped.step(Bundle((actions.step(None, 0.0, False),
+                                   actions.step(None, 0.0, False)))).done:
+        assert_same_state(env)
+    assert_same_state(env)
+    assert state_hash(wrapped) == state_hash(env)
+
+
+def test_pong_state_bytes_on_special_floats_and_large_counts():
+    env = PongEnv()
+    env.reset(0)
+    payload_nan = struct.unpack("<d", bytes.fromhex("0100000000f8ff7f"))[0]
+    specials = [0.0, -0.0, math.nan, -math.nan, payload_nan, math.inf, -math.inf, 5e-324, 7]
+    for i, x in enumerate(specials):
+        for y in specials:
+            env.ball_x, env.ball_y, env.ball_vx, env.ball_vy = x, y, y, x
+            env.paddle_y = [y, x]
+            env.scores = [i, 2**53 + 1]
+            env._serve_count, env.tick = 2**60 + i, 2**70
+            assert_same_state(env)
+
+
+def ref_step_line(t, actions, rewards, done, digest) -> str:
+    """ReplayWriter.step's line as one sorted-key json.dumps of the record."""
+    return json.dumps({
+        "kind": "step", "t": t,
+        "actions": [value_to_jsonable(a) for a in actions],
+        "rewards": list(rewards), "done": done, "hash": digest,
+    }, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.integers(0, 10**4), st.integers(0, 2**80)),
+       st.lists(st.one_of(st.integers(0, 2**64 - 1).map(DiscreteV), nested_values),
+                min_size=1, max_size=4),
+       st.lists(st.one_of(any_double, st.floats(-10.0, 10.0)), max_size=5),
+       st.booleans(),
+       st.one_of(st.integers(0, 2**64 - 1).map(lambda h: format(h, "016x")),
+                 st.text(max_size=8)))
+def test_step_line_matches_reference(t, actions, rewards, done, digest):
+    out = io.StringIO()
+    ReplayWriter(out).step(t, Bundle(tuple(actions)), tuple(rewards), done, digest)
+    assert out.getvalue() == ref_step_line(t, actions, rewards, done, digest)
+
+
+def test_step_line_non_finite_rewards():
+    for reward in (math.inf, -math.inf, math.nan, 1e308 * 10):
+        out = io.StringIO()
+        ReplayWriter(out).step(3, Bundle((DiscreteV(1),)), (0.5, reward), True, "ab")
+        assert out.getvalue() == ref_step_line(3, [DiscreteV(1)], [0.5, reward], True, "ab")
+
+
+index_payloads = st.one_of(
+    st.integers(-3, 80), st.integers(2**63, 2**64 - 1), st.booleans(), st.floats(),
+    st.text(max_size=2), st.none(), st.lists(st.integers(0, 2), max_size=1),
+)
+action_payloads = st.one_of(
+    index_payloads.map(lambda i: {"d": i}),
+    index_payloads.map(lambda i: {"d": i, "v": []}),
+    nested_values.map(value_to_jsonable),
+    st.sampled_from([{}, [], None, {"v": [1.0, True]}, {"v": ["1"]}, {"x": 1}]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(action_payloads)
+def test_action_decode_matches_reference(payload):
+    fast = outcome(lambda: _action_from_jsonable(payload))
+    ref = outcome(lambda: value_from_jsonable(payload))
+    assert fast == ref
+    if fast[0] == "ok":
+        assert type(fast[1]) is type(ref[1])
+
+
+def test_action_decode_shares_small_discrete_values():
+    assert _action_from_jsonable({"d": 2}) is _action_from_jsonable({"d": 2})
+    assert _action_from_jsonable({"d": 2}) == DiscreteV(2)
+    big = 10**6
+    assert _action_from_jsonable({"d": big}) == DiscreteV(big)

@@ -171,6 +171,41 @@ class TestReplay:
         assert not result.ok
         assert result.episode == 0
 
+    def test_match_that_raises_leaves_no_replay(self, tmp_path):
+        from marlkit import register_agent, registry
+
+        class Crash(RuntimeError):
+            pass
+
+        ticks = [0]  # across the episodes of one match; each builds a fresh agent
+
+        class CrashingAgent(RandomAgent):
+            def step(self, obs, reward, done):
+                ticks[0] += 1
+                if ticks[0] == 30:
+                    raise Crash("mid-match")
+                return super().step(obs, reward, done)
+
+        register_agent("test.crashing", lambda params, rng: CrashingAgent(rng=rng))
+        try:
+            path = tmp_path / "match.jsonl"
+            spec = MatchSpec(
+                env_name="pong2p", env_params={"step_limit": 20},
+                agents=(AgentSpec(name="random"), AgentSpec(name="test.crashing")),
+                episodes=3, base_seed=4, replay_path=str(path),
+            )
+            with pytest.raises(Crash):
+                run_match(spec)  # the second episode's tenth tick raises
+            assert list(tmp_path.iterdir()) == []
+            path.write_text("kept\n")
+            ticks[0] = 0
+            with pytest.raises(Crash):
+                run_match(spec)
+            assert list(tmp_path.iterdir()) == [path]
+            assert path.read_text() == "kept\n"
+        finally:
+            del registry._AGENTS["test.crashing"]
+
     def test_truncated_file_is_format_error(self, tmp_path):
         from marlkit import FormatError
 

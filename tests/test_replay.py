@@ -93,6 +93,27 @@ def test_wrong_type_is_format_error(replay_lines, tmp_path, kind, key, bad):
         read_replay(write(tmp_path, records))
 
 
+@pytest.mark.parametrize("payload", [
+    {"d": 1.5}, {"d": 1.0}, {"d": True}, {"d": "1"},
+    {"v": ["1.0"]}, {"v": [True]}, {"v": "1"},
+    {"g": {"shape": [1, 1, 1], "data": ["1.0"]}},
+    {"g": {"shape": ["1", 1, 1], "data": [1.0]}},
+    {"g": {"shape": [1, 1, 1], "data": [1.0], "extra": 0}},
+    {"s": {}},
+])
+def test_action_payload_of_another_json_type_is_format_error(replay_lines, tmp_path, payload):
+    # Each {"d": ...} form decoded to the recorded DiscreteV(1), so the tampered
+    # file verified; the others failed on the action, not on the record.
+    records = copy(replay_lines)
+    i = next(i for i, r in enumerate(records)
+             if r["kind"] == "step" and r["actions"][0] == {"d": 1})
+    records[i]["actions"][0] = payload
+    path = write(tmp_path, records)
+    with pytest.raises(FormatError, match=r"must be a JSON|must hold exactly"):
+        replay_verify(path)
+    assert cli_main(["verify-replay", path]) == 2
+
+
 @pytest.mark.parametrize("env", [None, {}, {"name": 3}, {"name": "pong2p", "params": [1]}])
 def test_match_spec_without_env_name_is_format_error(replay_lines, tmp_path, env):
     records = copy(replay_lines)
