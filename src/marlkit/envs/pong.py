@@ -14,7 +14,6 @@ episode ends when one side reaches win_score or at step_limit (draw if even).
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 from ..agents import Agent, require_spec
@@ -33,6 +32,7 @@ from ..values import (
     SpaceSpec,
     Value,
     VectorV,
+    vector_mapping_struct,
 )
 
 STAY, UP, DOWN = 0, 1, 2
@@ -42,28 +42,8 @@ _LEFT_SIDE = VectorV((0.0,))
 _RIGHT_SIDE = VectorV((1.0,))
 
 # state_value() is a mapping of five vectors with fixed keys and lengths.
-_STATE_LAYOUT = (("ball", 4), ("paddles", 2), ("scores", 2), ("serves", 1), ("tick", 1))
-
-
-def _state_packer() -> tuple[struct.Struct, tuple[bytes, ...]]:
-    """A struct for the canonical bytes of state_value(), and its constant fields.
-
-    Each key's constant bytes (the mapping tag and count before the first key,
-    then the key's length and UTF-8, the vector tag and its count) are an "s"
-    field, followed by that vector's doubles.
-    """
-    fmt, prefixes = "<", []
-    head = b"\x04" + struct.pack("<I", len(_STATE_LAYOUT))
-    for key, count in _STATE_LAYOUT:
-        raw = key.encode("utf-8")
-        prefix = head + struct.pack("<I", len(raw)) + raw + b"\x02" + struct.pack("<I", count)
-        fmt += f"{len(prefix)}s{count}d"
-        prefixes.append(prefix)
-        head = b""
-    return struct.Struct(fmt), tuple(prefixes)
-
-
-_STATE, (_BALL, _PADDLES, _SCORES, _SERVES, _TICK) = _state_packer()
+_STATE, (_BALL, _PADDLES, _SCORES, _SERVES, _TICK) = vector_mapping_struct((
+    ("ball", 4), ("paddles", 2), ("scores", 2), ("serves", 1), ("tick", 1)))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import os
 import secrets
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Any, IO, Iterator
@@ -29,7 +29,7 @@ from .env import Env
 from .errors import FormatError
 # value_hash_hex is the reference state_hash must agree with; it stays importable here.
 from .serial import bytes_hash_hex, value_from_jsonable, value_to_jsonable, value_hash_hex
-from .values import DiscreteV, Value
+from .values import DiscreteV
 
 FORMAT_VERSION = 1
 
@@ -58,15 +58,14 @@ def atomic_write(path: str) -> Iterator[IO[str]]:
     There is no fsync: this guards against the process failing, not the host.
     """
     tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
     try:
-        with open(tmp, "x", encoding="utf-8") as fh:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with suppress(OSError):  # the block's error is the one to report
             os.remove(tmp)
-        except FileNotFoundError:
-            pass
         raise
 
 
@@ -220,23 +219,10 @@ def read_replay(path: str) -> Replay:
     return Replay(header=header, episodes=episodes)
 
 
-# Shared decodes of {"d": i} for small i; values are immutable, so sharing is safe.
-_DISCRETE = tuple(map(DiscreteV, range(64)))
-
-
-def _action_from_jsonable(obj: Any) -> Value:
-    """value_from_jsonable(obj), shared for a {"d": i} whose i is a small exact int."""
-    if type(obj) is dict and len(obj) == 1:
-        i = obj.get("d")
-        if type(i) is int and 0 <= i < len(_DISCRETE):
-            return _DISCRETE[i]
-    return value_from_jsonable(obj)
-
-
 def step_actions(rec: dict[str, Any], path: str) -> Bundle:
     """A step record's action bundle; FormatError if it does not decode."""
     try:
-        return Bundle(tuple(map(_action_from_jsonable, rec["actions"])))
+        return Bundle(tuple(map(value_from_jsonable, rec["actions"])))
     except FormatError:
         raise
     except Exception as exc:

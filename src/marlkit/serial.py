@@ -49,6 +49,10 @@ def _json_list(payload: Any, types: set[type], what: str) -> list:
     return payload
 
 
+# Shared decodes of {"d": i} for small i; values are immutable, so sharing is safe.
+_DISCRETE = tuple(map(DiscreteV, range(64)))
+
+
 def value_from_jsonable(obj: Any) -> Value:
     """Decode the JSON form strictly: a payload of any other JSON type is a FormatError.
 
@@ -63,7 +67,7 @@ def value_from_jsonable(obj: Any) -> Value:
         if tag == "d":
             if type(payload) is not int:
                 raise FormatError(f"discrete index must be a JSON int, got {payload!r}")
-            return DiscreteV(payload)
+            return _DISCRETE[payload] if 0 <= payload < len(_DISCRETE) else DiscreteV(payload)
         if tag == "v":
             return VectorV(tuple(_json_list(payload, _NUMBERS, "vector entries")))
         if tag == "g":
@@ -86,19 +90,18 @@ def value_from_jsonable(obj: Any) -> Value:
 
 
 def bytes_hash_hex(data: bytes) -> str:
-    """value_hash_hex of the value whose canonical bytes are data.
+    """The 64-bit hash of canonical bytes as 16 lowercase hex chars, as stored in replays.
 
-    The hex of the reversed digest is the 016x form of its little-endian int.
+    The digest is read as a little-endian int, so its hex is the reversed digest's.
     """
     return hashlib.blake2b(data, digest_size=8).digest()[::-1].hex()
 
 
 def value_hash(v: Value) -> int:
     """64-bit hash of the canonical byte form."""
-    digest = hashlib.blake2b(v.canonical_bytes(), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
+    return int(value_hash_hex(v), 16)
 
 
 def value_hash_hex(v: Value) -> str:
-    """The 64-bit hash as 16 lowercase hex chars, as stored in replays."""
-    return format(value_hash(v), "016x")
+    """value_hash as 16 lowercase hex chars."""
+    return bytes_hash_hex(v.canonical_bytes())

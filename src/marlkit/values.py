@@ -226,6 +226,30 @@ class MappingV(Value):
             v._encode(out)
 
 
+def vector_mapping_struct(layout: Sequence[tuple[str, int]]
+                          ) -> tuple[struct.Struct, tuple[bytes, ...]]:
+    """A struct for the canonical bytes of a mapping of vectors with fixed keys and lengths.
+
+    layout is one or more (key, entry count) pairs in ascending key order. Per key, the
+    struct holds an "s" field for the constant bytes before that vector's
+    doubles (the mapping's tag and count before the first key, the key, the
+    vector's tag and count), then the doubles; the second result holds those
+    constant fields. pack(prefix_0, *entries_0, prefix_1, *entries_1, ...)
+    equals MappingV({key_i: VectorV(entries_i)}).canonical_bytes().
+    """
+    keys = [key for key, _ in layout]
+    if not keys or keys != sorted(set(keys)):
+        raise ValueError(f"layout keys must be unique, ascending and at least one, got {keys}")
+    fmt, prefixes = "<", []
+    head = b"\x04" + _U32.pack(len(layout))
+    for key, count in layout:
+        prefix = head + _key_prefix(key) + b"\x02" + _U32.pack(count)
+        fmt += f"{len(prefix)}s{count}d"
+        prefixes.append(prefix)
+        head = b""
+    return struct.Struct(fmt), tuple(prefixes)
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class SeqV(Value):
     """An ordered sequence of values."""

@@ -72,9 +72,6 @@ class WrappedEnv(Env):
     def state_value(self) -> Value:
         return self.base.state_value()
 
-    def state_bytes(self) -> bytes:
-        return self.base.state_bytes()
-
     def render_ascii(self) -> str:
         return self.base.render_ascii()
 

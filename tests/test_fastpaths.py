@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Mapping
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from marlkit import (
     Bundle,
     DiscreteSpec,
     DiscreteV,
+    FormatError,
     GridV,
     MappingSpec,
     MappingV,
@@ -40,8 +42,8 @@ from marlkit import (
 from marlkit.envs.bomber import BoardMapObs, _obs_cells, _rotate_grid
 from marlkit.envs.gridbattle import _any_nonzero
 from marlkit.envs.pong import PongConfig, PongEnv
-from marlkit.replay import ReplayWriter, _action_from_jsonable
-from marlkit.values import SpaceSpec, Value, _float_tuple
+from marlkit.replay import ReplayWriter
+from marlkit.values import SpaceSpec, Value, _float_tuple, vector_mapping_struct
 
 
 class Flt(float):
@@ -683,30 +685,29 @@ def test_step_line_non_finite_rewards():
         assert out.getvalue() == ref_step_line(3, [DiscreteV(1)], [0.5, reward], True, "ab")
 
 
-index_payloads = st.one_of(
-    st.integers(-3, 80), st.integers(2**63, 2**64 - 1), st.booleans(), st.floats(),
-    st.text(max_size=2), st.none(), st.lists(st.integers(0, 2), max_size=1),
-)
-action_payloads = st.one_of(
-    index_payloads.map(lambda i: {"d": i}),
-    index_payloads.map(lambda i: {"d": i, "v": []}),
-    nested_values.map(value_to_jsonable),
-    st.sampled_from([{}, [], None, {"v": [1.0, True]}, {"v": ["1"]}, {"x": 1}]),
-)
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(max_size=6), st.lists(any_double, max_size=5), min_size=1,
+                       max_size=6))
+def test_vector_mapping_struct_matches_reference(vectors):
+    layout = sorted((key, len(entries)) for key, entries in vectors.items())
+    packer, prefixes = vector_mapping_struct(layout)
+    fields = []
+    for prefix, (key, _) in zip(prefixes, layout):
+        fields += [prefix, *vectors[key]]
+    ref = MappingV({k: VectorV(tuple(xs)) for k, xs in vectors.items()})
+    assert packer.pack(*fields) == ref.canonical_bytes()
 
 
-@settings(max_examples=400, deadline=None)
-@given(action_payloads)
-def test_action_decode_matches_reference(payload):
-    fast = outcome(lambda: _action_from_jsonable(payload))
-    ref = outcome(lambda: value_from_jsonable(payload))
-    assert fast == ref
-    if fast[0] == "ok":
-        assert type(fast[1]) is type(ref[1])
+def test_vector_mapping_struct_needs_sorted_unique_keys():
+    for layout in ([("b", 1), ("a", 1)], [("a", 1), ("a", 2)], []):
+        with pytest.raises(ValueError):
+            vector_mapping_struct(layout)
 
 
-def test_action_decode_shares_small_discrete_values():
-    assert _action_from_jsonable({"d": 2}) is _action_from_jsonable({"d": 2})
-    assert _action_from_jsonable({"d": 2}) == DiscreteV(2)
-    big = 10**6
-    assert _action_from_jsonable({"d": big}) == DiscreteV(big)
+def test_discrete_decode_shares_small_values():
+    assert value_from_jsonable({"d": 2}) is value_from_jsonable({"d": 2})
+    for i in (0, 1, 63, 64, 65, 10**6, 2**64 - 1):
+        v = value_from_jsonable({"d": i})
+        assert type(v) is DiscreteV and v.index == i and v == DiscreteV(i)
+    with pytest.raises(FormatError):  # not the table's last entry
+        value_from_jsonable({"d": -1})

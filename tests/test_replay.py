@@ -258,3 +258,17 @@ def test_render_exits_2_on_an_undecodable_action(replay_lines, tmp_path, capsys)
     assert cli_main(["render", path, "--fps", "0", "--episodes", "1"]) == 2
     assert capsys.readouterr().err == f"error: {path}: bad action record at t=0\n"
     assert cli_main(["verify-replay", path]) == 2
+
+
+def test_atomic_write_leaves_a_colliding_temp_file_alone(tmp_path, monkeypatch):
+    from marlkit import replay
+
+    monkeypatch.setattr(replay.secrets, "token_hex", lambda n: "same")
+    target = tmp_path / "match.jsonl"
+    other = tmp_path / "match.jsonl.same.tmp"  # another writer's temp file
+    other.write_text("theirs\n")
+    with pytest.raises(FileExistsError):
+        with replay.atomic_write(str(target)):
+            pass
+    assert other.read_text() == "theirs\n"
+    assert not target.exists()
