@@ -172,6 +172,12 @@ class BomberEnv(Env):
             "self_id": DiscreteSpec(4),
         })
         self._act_spec = DiscreteSpec(6)
+        # Observation parts that are the same every tick, and the last value
+        # built per changing part with the source it was built from (keyed
+        # by content, so it may outlive an episode without changing a byte).
+        self._teams_value = VectorV(tuple(float(t) for t in self.teams))
+        self._self_ids = tuple(DiscreteV(slot) for slot in range(4))
+        self._obs_memo: dict = {}
 
     @property
     def observation_specs(self) -> list[SpaceSpec]:
@@ -400,34 +406,45 @@ class BomberEnv(Env):
             data[r * n + c] = float(v)
         return GridV((n, n, 1), tuple(data))
 
+    def _reuse(self, name, source, build):
+        """build(source), or the value built last for name if source is equal.
+
+        Sources are copies of the env's int fields, so equal sources build
+        byte-identical values. Comparing sources, not a dirty flag, keeps
+        direct edits of the fields safe.
+        """
+        hit = self._obs_memo.get(name)
+        if hit is not None and hit[0] == source:
+            return hit[1]
+        value = build(source)
+        self._obs_memo[name] = (source, value)
+        return value
+
     def _observe(self) -> Bundle:
+        reuse = self._reuse
+        bombs = self.bombs
+        agents = tuple(
+            reuse(i, (a.row, a.col, a.ammo, a.blast, a.alive), _agent_value)
+            for i, a in enumerate(self.agents)
+        )
         shared = {
             "rigid": self._rigid_grid,
-            "wood": self._grid_from_set(self.wood),
-            "bomb_fuse": self._grid_from_map({(b.row, b.col): b.fuse for b in self.bombs}),
-            "bomb_strength": self._grid_from_map(
-                {(b.row, b.col): b.strength for b in self.bombs}
-            ),
-            "bomb_owner": self._grid_from_map(
-                {(b.row, b.col): b.owner + 1 for b in self.bombs}
-            ),
-            "flames": self._grid_from_map({c: rem for c, rem in self.flames.items()}),
-            "items": self._grid_from_map({c: v for c, v in self.items.items()}),
-            "agents": SeqV(tuple(
-                MappingV({
-                    "row": VectorV((float(a.row),)),
-                    "col": VectorV((float(a.col),)),
-                    "ammo": VectorV((float(a.ammo),)),
-                    "blast": VectorV((float(a.blast),)),
-                    "alive": VectorV((1.0 if a.alive else 0.0,)),
-                })
-                for a in self.agents
-            )),
-            "teams": VectorV(tuple(float(t) for t in self.teams)),
+            "wood": reuse("wood", frozenset(self.wood), self._grid_from_set),
+            "bomb_fuse": reuse("bomb_fuse", {(b.row, b.col): b.fuse for b in bombs},
+                               self._grid_from_map),
+            "bomb_strength": reuse("bomb_strength",
+                                   {(b.row, b.col): b.strength for b in bombs},
+                                   self._grid_from_map),
+            "bomb_owner": reuse("bomb_owner", {(b.row, b.col): b.owner + 1 for b in bombs},
+                                self._grid_from_map),
+            "flames": reuse("flames", dict(self.flames), self._grid_from_map),
+            "items": reuse("items", dict(self.items), self._grid_from_map),
+            "agents": reuse("agents", agents, SeqV),
+            "teams": self._teams_value,
             "tick": VectorV((float(self.tick),)),
         }
         return Bundle(tuple(
-            MappingV({**shared, "self_id": DiscreteV(slot)}) for slot in range(4)
+            MappingV({**shared, "self_id": self_id}) for self_id in self._self_ids
         ))
 
     def state_value(self) -> Value:
@@ -499,6 +516,17 @@ class BomberEnv(Env):
             own_bombs={(b.row, b.col) for b in self.bombs if b.owner == slot},
             slot=slot,
         )
+
+
+def _agent_value(fields: tuple[int, int, int, int, bool]) -> MappingV:
+    row, col, ammo, blast, alive = fields
+    return MappingV({
+        "row": VectorV((float(row),)),
+        "col": VectorV((float(col),)),
+        "ammo": VectorV((float(ammo),)),
+        "blast": VectorV((float(blast),)),
+        "alive": VectorV((1.0 if alive else 0.0,)),
+    })
 
 
 def _phase1_prediction(
@@ -578,6 +606,39 @@ def _obs_cells(view: MappingV, key: str) -> dict[Cell, float]:
     return {divmod(idx, n): entries[idx] for idx in compress(range(len(entries)), entries)}
 
 
+class TickMemo:
+    """Results keyed by the ids of their input values, kept for one tick.
+
+    An entry holds its input values, so their ids cannot be reused while it
+    lives. A lookup finds what this tick or the previous one made; end_tick()
+    then keeps only this tick's entries. So a value that a node receives again
+    on the next tick (an env or an inner node may return the same object
+    while its source is unchanged) is transformed once, and between ticks the
+    memo holds one tick's entries. clear() at reset drops everything: no state
+    crosses episodes.
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self._prev: dict = {}
+        self._cur: dict = {}
+
+    def end_tick(self) -> None:
+        self._prev, self._cur = self._cur, {}
+
+    def get(self, key, inputs, build):
+        """The result for key, or build()'s, stored with the inputs whose ids key holds."""
+        hit = self._cur.get(key)
+        if hit is None:
+            hit = self._prev.get(key)
+            if hit is None:
+                hit = (inputs, build())
+            self._cur[key] = hit
+        return hit[1]
+
+
 class BoardMapObs(Interface):
     """Appends "board_map": an (N, N, 8) one-hot feature grid.
 
@@ -592,6 +653,7 @@ class BoardMapObs(Interface):
         spec = _require_bomber_obs(obs_specs)
         n = spec["rigid"].shape[0]
         self._n = n
+        self._memo = TickMemo()
         feature = BoxSpec((n, n, self.CHANNELS), 0.0, 1.0)
         outer = [
             MappingSpec(s.entries + (("board_map", feature),)) for s in obs_specs
@@ -628,19 +690,29 @@ class BoardMapObs(Interface):
             cells[(r * n + c) * ch + plane] = 1.0
         return GridV((n, n, ch), tuple(cells))
 
+    def _reset(self, obs: Bundle) -> Bundle:
+        self._memo.clear()
+        return super()._reset(obs)
+
     def _obs(self, obs, rewards):
         # Views that hold the same terrain grid objects (every raw bomber
-        # tick) share one terrain computation. The memo keeps the grids
-        # alive, so their ids cannot be reused within this call.
-        memo: dict[tuple[int, ...], tuple[tuple[GridV, ...], list[float]]] = {}
+        # tick, and later ticks while the terrain is unchanged) share one
+        # terrain computation; views that also hold the same agents and
+        # teams values and self_id share one board map.
+        memo = self._memo
         out = []
         for v in obs:
             grids = tuple(v[key] for key in self.TERRAIN)
-            key = tuple(map(id, grids))
-            hit = memo.get(key)
-            if hit is None:
-                hit = memo[key] = (grids, self._terrain(v))
-            out.append(MappingV(v.entries + (("board_map", self._encode(v, hit[1])),)))
+            terrain_key = tuple(map(id, grids))
+            terrain = memo.get(terrain_key, grids, lambda: self._terrain(v))
+            agents, teams, self_id = v["agents"], v["teams"], v["self_id"]
+            board = memo.get(
+                (terrain_key, id(agents), id(teams), self_id.index),
+                (grids, agents, teams),
+                lambda: self._encode(v, terrain),
+            )
+            out.append(MappingV(v.entries + (("board_map", board),)))
+        memo.end_tick()
         return Bundle(tuple(out)), rewards
 
 
@@ -787,31 +859,39 @@ class RotateView(Interface):
         spec = _require_bomber_obs(obs_specs)
         self._n = spec["rigid"].shape[0]
         self._turns: list[int] | None = None
+        self._memo = TickMemo()
         return obs_specs, act_specs
 
-    def _rotate_view(self, view: MappingV, k: int) -> MappingV:
+    def _rotate_agents(self, agents: SeqV, k: int) -> SeqV:
         n = self._n
+        rotated = []
+        for agent in agents:
+            r, c = _rotate_pos(int(agent["row"].entries[0]),
+                               int(agent["col"].entries[0]), n, k)
+            rotated.append(MappingV(tuple(
+                (ak, VectorV((float(r),)) if ak == "row"
+                 else VectorV((float(c),)) if ak == "col" else av)
+                for ak, av in agent.entries
+            )))
+        return SeqV(tuple(rotated))
+
+    def _rotate_view(self, view: MappingV, k: int) -> MappingV:
+        # A grid or agents value seen before (this tick by another view, or
+        # last tick while its source was unchanged) is rotated once per k.
+        n = self._n
+        memo = self._memo
         entries = []
         for key, v in view.entries:
             if isinstance(v, GridV) and v.shape[0] == v.shape[1] == n:
-                entries.append((key, _rotate_grid(v, k)))
+                v = memo.get((id(v), k), v, lambda: _rotate_grid(v, k))
             elif key == "agents":
-                rotated = []
-                for agent in v:
-                    r, c = _rotate_pos(int(agent["row"].entries[0]),
-                                       int(agent["col"].entries[0]), n, k)
-                    rotated.append(MappingV(tuple(
-                        (ak, VectorV((float(r),)) if ak == "row"
-                         else VectorV((float(c),)) if ak == "col" else av)
-                        for ak, av in agent.entries
-                    )))
-                entries.append((key, SeqV(tuple(rotated))))
-            else:
-                entries.append((key, v))
+                v = memo.get((id(v), k), v, lambda: self._rotate_agents(v, k))
+            entries.append((key, v))
         return MappingV(tuple(entries))
 
     def _reset(self, obs: Bundle) -> Bundle:
         self._turns = [view["self_id"].index % 4 for view in obs]
+        self._memo.clear()
         out, _ = self._obs(obs, (0.0,) * len(obs))
         return out
 
@@ -820,6 +900,7 @@ class RotateView(Interface):
         out = tuple(
             self._rotate_view(view, k) for view, k in zip(obs, self._turns)
         )
+        self._memo.end_tick()
         return Bundle(out), rewards
 
     def _act(self, actions: Bundle) -> Bundle:
@@ -847,6 +928,13 @@ class SimpleBomberAgent(Agent):
 
     All searches are breadth-first with neighbor order Up, Down, Left, Right;
     ties resolve toward the smallest action index.
+
+    It bombs only what is next to its own cell and moves only toward an enemy
+    it can reach without crossing wood. The two pocket cells next to its start
+    corner are never wood, so where wood seals the pocket off it never leaves
+    the corner, and four of these agents draw at the step limit on every seed
+    tried. perfbench/expected.json pins those outcomes, so a fix waits for a
+    change to the benchmark.
     """
 
     DANGER_HORIZON = 2

@@ -11,6 +11,12 @@ Lifecycle: setup(inner_obs_specs, inner_act_specs) exactly once, then
 reset(first_obs) at each episode start (which clears transform-local state),
 then obs_trans/act_trans per tick. Cross-episode state is forbidden.
 
+Values are immutable, and an env or inner node may return the same value
+object on a later tick while its source is unchanged. A node may therefore
+keep an identity-keyed memo of the last tick's inputs (bomber's TickMemo):
+each entry holds the input values whose ids key it, so the ids cannot be
+reused while it lives, and the memo is cleared in _reset.
+
 Stacking order follows the wrapper convention: in stack(outer, inner) the
 observation is processed by inner first, then outer; the action is processed
 by outer first, then inner.

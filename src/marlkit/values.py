@@ -70,14 +70,15 @@ def _pack_floats(values: Sequence[float]) -> bytes:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class DiscreteV(Value):
-    """A single non-negative index."""
+    """A single non-negative index below 2**64 (its canonical bytes hold a u64)."""
 
     index: int
     _cb: bytes | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.index, int) or isinstance(self.index, bool) or self.index < 0:
-            raise ValueError(f"discrete index must be a non-negative int, got {self.index!r}")
+        index = self.index
+        if not isinstance(index, int) or isinstance(index, bool) or not 0 <= index < 2**64:
+            raise ValueError(f"discrete index must be an int in [0, 2**64), got {index!r}")
 
     def _encode(self, out: list[bytes]) -> None:
         out.append(b"\x01" + _U64.pack(self.index))

@@ -7,6 +7,7 @@ bit for bit, including on -0.0, NaN, negative values and non-float entries.
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import math
@@ -31,6 +32,7 @@ from marlkit import (
     RngStream,
     SeqV,
     VectorV,
+    build_pipeline,
     identity,
     make_env,
     state_hash,
@@ -39,7 +41,7 @@ from marlkit import (
     value_to_jsonable,
     wrap_env,
 )
-from marlkit.envs.bomber import BoardMapObs, _obs_cells, _rotate_grid
+from marlkit.envs.bomber import BoardMapObs, Bomb, _obs_cells, _rotate_grid
 from marlkit.envs.gridbattle import _any_nonzero
 from marlkit.envs.pong import PongConfig, PongEnv
 from marlkit.replay import ReplayWriter
@@ -224,6 +226,179 @@ def test_board_map_same_output_with_shared_or_separate_grids():
         if result.done:
             episode += 1
             obs = env.reset(5 + episode)
+
+
+# ---------------------------------------------------------------------------
+# Bomber observations that reuse last tick's values: the env's per-part memo
+# and the board_map/rotate tick memos, against the same calls with emptied
+# memos
+
+
+def bomber_chain():
+    """rotate over board_map, set up on raw bomber specs."""
+    env = make_env("bomber", {"mode": "ffa"})
+    chain = build_pipeline([{"name": "bomber.board_map"}, {"name": "bomber.rotate"}])
+    chain.setup(env.observation_specs, env.action_specs)
+    return chain
+
+
+def fresh_observe(env) -> Bundle:
+    """env._observe() with an emptied memo; the env's own memo is left as it was."""
+    kept, env._obs_memo = env._obs_memo, {}
+    try:
+        return env._observe()
+    finally:
+        env._obs_memo = kept
+
+
+def fresh_obs_trans(chain, obs: Bundle) -> Bundle:
+    for node in (chain, chain.inner):
+        node._memo.clear()
+    out, _ = chain.obs_trans(obs, (0.0,) * len(obs))
+    return out
+
+
+def same_bytes(a: Bundle, b: Bundle) -> bool:
+    return [v.canonical_bytes() for v in a] == [v.canonical_bytes() for v in b]
+
+
+def ref_chain_view(view: MappingV, k: int) -> MappingV:
+    """board_map then rotate on one raw view, with no memo at all."""
+    view = MappingV(view.entries + (("board_map", ref_board_map(view)),))
+    n = view["rigid"].shape[0]
+    entries = []
+    for key, v in view.entries:
+        if isinstance(v, GridV):
+            v = _rotate_grid(v, k)
+        elif key == "agents":
+            rotated = []
+            for agent in v:
+                r, c = int(agent["row"].entries[0]), int(agent["col"].entries[0])
+                for _ in range(k):
+                    r, c = c, n - 1 - r
+                rotated.append(MappingV({**dict(agent.entries), "row": VectorV((float(r),)),
+                                         "col": VectorV((float(c),))}))
+            v = SeqV(tuple(rotated))
+        entries.append((key, v))
+    return MappingV(tuple(entries))
+
+
+def check_chain(chain, ref_chain, obs: Bundle, rewards) -> None:
+    out, _ = chain.obs_trans(obs, rewards)
+    assert same_bytes(out, fresh_obs_trans(ref_chain, obs))
+    assert same_bytes(out, Bundle(tuple(ref_chain_view(v, s) for s, v in enumerate(obs))))
+
+
+def edit_env(env, rng: RngStream) -> None:
+    """One direct edit of the env's wood, bombs, flames or agents, in place."""
+    n = env.cfg.size
+    free = [(r, c) for r in range(n) for c in range(n) if (r, c) not in env.rigid]
+    cell = free[rng.randrange(len(free))]
+    what = rng.randrange(7)
+    if what == 0:
+        # Toggle a cell, or move a wood cell there (the count stays).
+        if env.wood and cell not in env.wood and rng.randrange(2):
+            env.wood.discard(sorted(env.wood)[rng.randrange(len(env.wood))])
+        env.wood.symmetric_difference_update({cell})
+    elif what == 1 and env.bombs:
+        env.bombs[rng.randrange(len(env.bombs))].fuse = 1 + rng.randrange(env.cfg.bomb_life)
+    elif what == 2 and env.bombs:
+        bomb = env.bombs[rng.randrange(len(env.bombs))]
+        bomb.strength, bomb.owner = 1 + rng.randrange(4), rng.randrange(4)
+    elif what == 3 and cell not in {(b.row, b.col) for b in env.bombs}:
+        env.bombs.append(Bomb(row=cell[0], col=cell[1], owner=rng.randrange(4),
+                              fuse=1 + rng.randrange(env.cfg.bomb_life), strength=2))
+    elif what == 4:
+        env.flames[cell] = 1 + rng.randrange(env.cfg.flame_life)
+    elif what == 5:
+        # Add or retype an item, or move one there.
+        if env.items and rng.randrange(2):
+            env.items.pop(sorted(env.items)[rng.randrange(len(env.items))])
+        env.items[cell] = 1 + rng.randrange(2)
+    else:
+        agent = env.agents[rng.randrange(4)]
+        agent.row, agent.col = cell
+        agent.ammo += rng.randrange(2)
+        agent.alive = agent.alive != (rng.randrange(4) == 0)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 8])
+def test_bomber_reused_observations_match_emptied_memos(seed):
+    env = make_env("bomber", {"mode": "ffa"})
+    chain, ref_chain = bomber_chain(), bomber_chain()
+    edits = RngStream(seed, ("fastpath", "edits"))
+    ticks = 0
+    for episode in range(6):  # one env, so its memo crosses resets
+        agents = [RandomAgent(rng=RngStream(seed, ("fastpath", str(episode), str(s))))
+                  for s in range(4)]
+        for slot, agent in enumerate(agents):
+            agent.setup(env.observation_specs[slot], env.action_specs[slot])
+        obs = env.reset(seed + episode)
+        assert same_bytes(obs, fresh_observe(env))
+        out = chain.reset(obs)
+        assert same_bytes(out, ref_chain.reset(obs))
+        assert same_bytes(out, Bundle(tuple(ref_chain_view(v, s) for s, v in enumerate(obs))))
+        done = False
+        while not done:
+            if ticks % 3 == 0:
+                # A direct edit, observed at once, then maybe undone: the memo
+                # must follow the fields, not a flag set by step().
+                undo = copy.deepcopy((env.wood, env.bombs, env.flames, env.items, env.agents))
+                edit_env(env, edits)
+                obs = env._observe()
+                assert same_bytes(obs, fresh_observe(env))
+                check_chain(chain, ref_chain, obs, (0.0,) * 4)
+                if edits.randrange(2):
+                    env.wood, env.bombs, env.flames, env.items, env.agents = undo
+                    obs = env._observe()
+            result = env.step(Bundle(tuple(agent.step(obs[s], 0.0, False)
+                                           for s, agent in enumerate(agents))))
+            obs, done = result.obs, result.done
+            ticks += 1
+            assert same_bytes(obs, fresh_observe(env))
+            check_chain(chain, ref_chain, obs, result.rewards)
+    assert ticks > 60
+
+
+def memo_entries(memo) -> list:
+    return [*memo._prev.values(), *memo._cur.values()]
+
+
+def test_bomber_tick_memos_hold_one_tick_and_nothing_across_reset():
+    # Agents that only move (actions 0-4) never bomb, so the episode runs to
+    # its 800-tick limit with the agents value changing on most ticks.
+    env = wrap_env(make_env("bomber", {"mode": "ffa"}),
+                   build_pipeline([{"name": "bomber.board_map"}, {"name": "bomber.rotate"}]))
+    board_map, rotate = env.interface.inner, env.interface
+    agents = [RandomAgent(rng=RngStream(4, ("wander", str(s)))) for s in range(4)]
+    for slot, agent in enumerate(agents):
+        agent.setup(env.observation_specs[slot], DiscreteSpec(5))
+    obs = env.reset(4)
+    ticks, done = 0, False
+    while not done:
+        result = env.step(Bundle(tuple(agent.step(obs[s], 0.0, False)
+                                       for s, agent in enumerate(agents))))
+        obs, done = result.obs, result.done
+        ticks += 1
+    assert ticks == 800
+    # One tick makes at most a terrain and a board map per view (board_map),
+    # and per view 8 rotated grids and one rotated agents value (rotate).
+    assert 0 < len(memo_entries(board_map._memo)) <= 2 * 4
+    assert 0 < len(memo_entries(rotate._memo)) <= 9 * 4
+    before = {id(entry): entry for node in (board_map, rotate)
+              for entry in memo_entries(node._memo)}
+    # A new episode, and an interface reset on the very objects of the last
+    # tick: neither may find an entry made before it.
+    env.reset(5)
+    for node in (board_map, rotate):
+        after = memo_entries(node._memo)
+        assert after and not any(id(entry) in before for entry in after)
+    before = {id(entry): entry for node in (board_map, rotate)
+              for entry in memo_entries(node._memo)}
+    env.interface.reset(env.base._observe())
+    for node in (board_map, rotate):
+        after = memo_entries(node._memo)
+        assert after and not any(id(entry) in before for entry in after)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,16 @@ from marlkit import (
 )
 
 BOMBER_OBS_TICKS = 300
-BOMBER_OBS_SHA256 = "781be85d29d4c3af657615b429640185f49eab1f64c721107b73b199dfdeef8f"
+# agent name, episode seeds, sha256 over every outer view of every tick.
+BOMBER_OBS_CASES = {
+    # Four bomber.simple agents stay in their corner pockets: no cell changes.
+    "simple": ("bomber.simple", (0,),
+               "781be85d29d4c3af657615b429640185f49eab1f64c721107b73b199dfdeef8f"),
+    # Seeded random agents move, bomb, burn wood, uncover items and die, over
+    # eight short episodes of one env.
+    "random": ("random", tuple(range(8)),
+               "74407cb1dc149c2bcd1ce97064cd52932849491f931fbd53bd4cbd19bb0c25ad"),
+}
 
 PONG_OBS_SEED = 3
 PONG_OBS_SHA256 = {
@@ -78,29 +87,34 @@ OUTCOMES = {
 }
 
 
-def test_bomber_interface_observations_pinned():
-    """Every outer observation of a board_map+rotate FFA episode, byte for byte."""
+@pytest.mark.parametrize("case", sorted(BOMBER_OBS_CASES))
+def test_bomber_interface_observations_pinned(case):
+    """Every outer observation of board_map+rotate FFA episodes, byte for byte."""
+    name, seeds, pin = BOMBER_OBS_CASES[case]
     env = wrap_env(make_env("bomber", {"mode": "ffa"}),
                    build_pipeline([{"name": "bomber.board_map"}, {"name": "bomber.rotate"}]))
-    agents = [make_agent("bomber.simple") for _ in range(4)]
-    for slot, agent in enumerate(agents):
-        agent.setup(env.observation_specs[slot], env.action_specs[slot])
     digest = hashlib.sha256()
-    obs = env.reset(0)
-    for slot, agent in enumerate(agents):
-        agent.reset(obs[slot])
-    rewards = (0.0,) * 4
-    for _ in range(BOMBER_OBS_TICKS):
+    for seed in seeds:
+        agents = [make_agent(name, rng=RngStream(seed, ("agents", str(slot))))
+                  for slot in range(4)]
+        for slot, agent in enumerate(agents):
+            agent.setup(env.observation_specs[slot], env.action_specs[slot])
+        obs = env.reset(seed)
+        for slot, agent in enumerate(agents):
+            agent.reset(obs[slot])
+        rewards = (0.0,) * 4
+        for _ in range(BOMBER_OBS_TICKS):
+            for view in obs:
+                digest.update(view.canonical_bytes())
+            actions = tuple(agent.step(obs[s], rewards[s], False)
+                            for s, agent in enumerate(agents))
+            result = env.step(Bundle(actions))
+            obs, rewards = result.obs, result.rewards
+            if result.done:
+                break
         for view in obs:
             digest.update(view.canonical_bytes())
-        actions = tuple(agent.step(obs[s], rewards[s], False) for s, agent in enumerate(agents))
-        result = env.step(Bundle(actions))
-        obs, rewards = result.obs, result.rewards
-        if result.done:
-            break
-    for view in obs:
-        digest.update(view.canonical_bytes())
-    assert digest.hexdigest() == BOMBER_OBS_SHA256
+    assert digest.hexdigest() == pin
 
 
 @pytest.mark.parametrize("mirror_serves", [False, True])

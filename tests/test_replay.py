@@ -114,6 +114,15 @@ def test_action_payload_of_another_json_type_is_format_error(replay_lines, tmp_p
     assert cli_main(["verify-replay", path]) == 2
 
 
+def test_discrete_action_past_u64_is_format_error(replay_lines, tmp_path):
+    records = copy(replay_lines)
+    records[first(records, "step")]["actions"][0] = {"d": 2**64}
+    path = write(tmp_path, records)
+    with pytest.raises(FormatError, match="malformed 'd' payload"):
+        replay_verify(path)
+    assert cli_main(["verify-replay", path]) == 2
+
+
 @pytest.mark.parametrize("env", [None, {}, {"name": 3}, {"name": "pong2p", "params": [1]}])
 def test_match_spec_without_env_name_is_format_error(replay_lines, tmp_path, env):
     records = copy(replay_lines)

@@ -26,6 +26,7 @@ from marlkit import (
     space_contains,
     space_sample,
 )
+from marlkit.errors import FormatError
 from marlkit.serial import value_from_jsonable
 
 from conftest import spec_and_value, value_strategy
@@ -158,6 +159,16 @@ class TestEquality:
     def test_discrete_rejects_negative(self):
         with pytest.raises(ValueError):
             DiscreteV(-1)
+
+    def test_discrete_rejects_indices_past_u64(self):
+        # The canonical bytes hold the index as a u64: one past it cannot be
+        # hashed or compared, so it is never built.
+        assert DiscreteV(2**64 - 1).canonical_bytes() == b"\x01" + b"\xff" * 8
+        for index in (2**64, 2**70):
+            with pytest.raises(ValueError, match="2\\*\\*64"):
+                DiscreteV(index)
+        with pytest.raises(FormatError):
+            value_from_jsonable({"d": 2**64})
 
 
 class TestSpecValidation:
