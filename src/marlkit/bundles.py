@@ -105,6 +105,3 @@ def bundle_merge(parts: Sequence[Bundle]) -> Bundle:
         slots.extend(p.slots)
     return Bundle(tuple(slots))
 
-
-def split_rewards(rewards: Sequence[float], partition: Partition) -> list[tuple[float, ...]]:
-    return [tuple(rewards[i] for i in g) for g in partition]

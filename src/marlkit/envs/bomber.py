@@ -581,10 +581,6 @@ def _legal_actions(
     return legal
 
 
-def bomber_new(config: BomberConfig | None = None) -> BomberEnv:
-    return BomberEnv(config)
-
-
 # ---------------------------------------------------------------------------
 # Interfaces
 
@@ -748,20 +744,32 @@ def attr_obs() -> Interface:
     return AttrObs()
 
 
-def _mask_from_obs(view: MappingV) -> VectorV:
-    grid = view["rigid"]
-    n = grid.shape[0]
-    rigid = set(_obs_cells(view, "rigid"))
-    wood = set(_obs_cells(view, "wood"))
+def _parse_view(view: MappingV) -> tuple:
+    """(size, rigid, wood, bombs, flames, living agents' cells) of a raw view.
+
+    rigid and wood are cell sets, bombs maps a cell to (fuse, strength),
+    flames a cell to its remaining ticks, and the agent cells are keyed by
+    slot in slot order.
+    """
     fuses = _obs_cells(view, "bomb_fuse")
     strengths = _obs_cells(view, "bomb_strength")
-    owners = _obs_cells(view, "bomb_owner")
-    bombs = {cell: (int(f), int(strengths[cell])) for cell, f in fuses.items()}
-    flames = {cell: int(v) for cell, v in _obs_cells(view, "flames").items()}
     agent_cells = {}
     for i, agent in enumerate(view["agents"]):
         if agent["alive"].entries[0] != 0.0:
             agent_cells[i] = (int(agent["row"].entries[0]), int(agent["col"].entries[0]))
+    return (
+        view["rigid"].shape[0],
+        set(_obs_cells(view, "rigid")),
+        set(_obs_cells(view, "wood")),
+        {cell: (int(f), int(strengths[cell])) for cell, f in fuses.items()},
+        {cell: int(v) for cell, v in _obs_cells(view, "flames").items()},
+        agent_cells,
+    )
+
+
+def _mask_from_obs(view: MappingV) -> VectorV:
+    n, rigid, wood, bombs, flames, agent_cells = _parse_view(view)
+    owners = _obs_cells(view, "bomb_owner")
     slot = view["self_id"].index
     me = view["agents"][slot]
     legal = _legal_actions(
@@ -961,28 +969,15 @@ class SimpleBomberAgent(Agent):
         super().setup(obs_spec, act_spec)
 
     def step(self, obs: Value, reward: float, done: bool) -> Value:
-        n = obs["rigid"].shape[0]
         slot = obs["self_id"].index
         me = obs["agents"][slot]
         if me["alive"].entries[0] == 0.0:
             return DiscreteV(IDLE)
-        my_cell = (int(me["row"].entries[0]), int(me["col"].entries[0]))
-        rigid = set(_obs_cells(obs, "rigid"))
-        wood = set(_obs_cells(obs, "wood"))
-        fuses = _obs_cells(obs, "bomb_fuse")
-        strengths = _obs_cells(obs, "bomb_strength")
-        bombs = {cell: (int(f), int(strengths[cell])) for cell, f in fuses.items()}
-        flames = {cell: int(v) for cell, v in _obs_cells(obs, "flames").items()}
+        n, rigid, wood, bombs, flames, agent_cells = _parse_view(obs)
+        my_cell = agent_cells.pop(slot)
         teams = obs["teams"].entries
-        others = set()
-        enemies = []
-        for i, agent in enumerate(obs["agents"]):
-            if i == slot or agent["alive"].entries[0] == 0.0:
-                continue
-            cell = (int(agent["row"].entries[0]), int(agent["col"].entries[0]))
-            others.add(cell)
-            if teams[i] != teams[slot]:
-                enemies.append(cell)
+        others = set(agent_cells.values())
+        enemies = [cell for i, cell in agent_cells.items() if teams[i] != teams[slot]]
         danger = self._danger_cells(n, rigid, wood, bombs, flames)
         passable = lambda cell: (  # noqa: E731
             0 <= cell[0] < n and 0 <= cell[1] < n
@@ -1066,7 +1061,3 @@ class SimpleBomberAgent(Agent):
                 parent_action[nxt] = act if cell == start else parent_action[cell]
                 queue.append((nxt, depth + 1))
         return None
-
-
-def simple_agent() -> Agent:
-    return SimpleBomberAgent()

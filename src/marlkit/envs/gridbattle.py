@@ -288,10 +288,6 @@ class BattleEnv(Env):
         return "\n".join(lines)
 
 
-def battle_new(config: BattleConfig | None = None) -> BattleEnv:
-    return BattleEnv(config)
-
-
 def _expected_kinds(spec: MappingSpec) -> list[int] | None:
     """Per-unit kind flags pinned by the observation spec, or None if foreign."""
     if not isinstance(spec, MappingSpec) or "units" not in spec.keys():
@@ -319,17 +315,12 @@ class _ImgObsBase(Interface):
         kinds = _expected_kinds(obs_specs[0])
         if kinds is None or not self._accepts(kinds):
             raise SetupError(f"{type(self).__name__} does not match this scenario")
-        res = GRID
-        return [BoxSpec((res, res, self.CHANNELS), 0.0, 1.0) for _ in obs_specs], act_specs
+        shape = (GRID, GRID, self.CHANNELS)
+        self._dead_grid = GridV(shape, (0.0,) * (GRID * GRID * self.CHANNELS))
+        return [BoxSpec(shape, 0.0, 1.0) for _ in obs_specs], act_specs
 
     def _accepts(self, kinds: list[int]) -> bool:
         raise NotImplementedError
-
-    def _encode(self, view: MappingV) -> GridV:
-        me = view["units"][view["self_id"].index]
-        if me["alive"].entries[0] == 0.0:
-            return GridV((GRID, GRID, self.CHANNELS), (0.0,) * (GRID * GRID * self.CHANNELS))
-        return self._encode_for_team(view["units"], me["team"].entries[0])
 
     def _encode_for_team(self, units: SeqV, my_team: float) -> GridV:
         cells = [0.0] * (GRID * GRID * self.CHANNELS)
@@ -352,7 +343,7 @@ class _ImgObsBase(Interface):
         for view in obs:
             me = view["units"][view["self_id"].index]
             if me["alive"].entries[0] == 0.0:
-                out.append(self._encode(view))
+                out.append(self._dead_grid)
                 continue
             team = me["team"].entries[0]
             if team not in memo:
@@ -505,7 +496,3 @@ class HitAndRunAgent(Agent):
             if better:
                 best_action, best_score = a, score
         return DiscreteV(best_action if best_action is not None else 0)
-
-
-def hit_and_run_agent() -> Agent:
-    return HitAndRunAgent()

@@ -95,11 +95,13 @@ class PongEnv(Env):
         super().__init__()
         self.cfg = config or PongConfig()
         cfg = self.cfg
-        pos = BoxSpec((1,), 0.0, max(cfg.field_w, cfg.field_h))
+        # The ranges _do_step keeps each coordinate in.
+        half = cfg.paddle_len / 2.0
+        paddle = BoxSpec((1,), half, cfg.field_h - half)
         vel = BoxSpec((1,), -cfg.max_speed, cfg.max_speed)
         self._obs_spec = MappingSpec({
-            "ball_x": pos, "ball_y": pos, "ball_vx": vel, "ball_vy": vel,
-            "own_paddle_y": pos, "opp_paddle_y": pos,
+            "ball_x": BoxSpec((1,), 0.0, cfg.field_w), "ball_y": BoxSpec((1,), 0.0, cfg.field_h),
+            "ball_vx": vel, "ball_vy": vel, "own_paddle_y": paddle, "opp_paddle_y": paddle,
             "own_side": BoxSpec((1,), 0.0, 1.0),
         })
         self._act_spec = DiscreteSpec(3)
@@ -286,15 +288,14 @@ class ScreenObs(Interface):
     The raster keeps the egocentric orientation: the observing player's paddle
     is the left column, the opponent's the right column; the ball is a 2x2
     block. A raster cell lights when its covered interval overlaps the object.
+    The field size and the paddle length come from the input spec.
     """
 
-    def __init__(self, resolution: int = 32, paddle_len: float = 12.0,
-                 inner: Interface | None = None):
-        super().__init__(inner)
+    def __init__(self, resolution: int = 32):
+        super().__init__()
         if resolution < 16:
             raise SetupError("screen resolution must be at least 16")
         self.resolution = int(resolution)
-        self._paddle_half = paddle_len / 2.0
 
     def _setup(self, obs_specs, act_specs):
         for s in obs_specs:
@@ -302,6 +303,7 @@ class ScreenObs(Interface):
                 raise SetupError("screen_obs expects raw pong observations")
         self._field_h = obs_specs[0]["ball_y"].high
         self._field_w = obs_specs[0]["ball_x"].high
+        self._paddle_half = obs_specs[0]["own_paddle_y"].low
         res = self.resolution
         return [BoxSpec((res, res, 1), 0.0, 1.0) for _ in obs_specs], act_specs
 
@@ -356,6 +358,3 @@ class FollowBallAgent(Agent):
             return DiscreteV(DOWN)
         return DiscreteV(STAY)
 
-
-def follow_ball_agent() -> Agent:
-    return FollowBallAgent()

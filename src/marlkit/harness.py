@@ -290,21 +290,15 @@ def _build_actors(env: Env, spec: MatchSpec, assignment: dict[int, AgentSpec],
             pipeline = build_pipeline(entry.interfaces)
             try:
                 pipeline.setup(obs_specs[lo:hi + 1], act_specs[lo:hi + 1])
+                members = [
+                    make_agent(entry.name, entry.params, rng.child(str(lo), str(m)))
+                    for m in range(pipeline.outer_slot_count)
+                ]
+                plan.append((lo, WrappedAgent(members, pipeline)))
             except (SetupError, InvalidPartition) as exc:
                 raise ConfigError(
-                    f"party {party}: agent-side pipeline {list(entry.interfaces)!r} "
-                    f"does not fit its {len(slots)} slots: {exc}"
-                ) from exc
-            members = [
-                make_agent(entry.name, entry.params, rng.child(str(lo), str(m)))
-                for m in range(pipeline.outer_slot_count)
-            ]
-            try:
-                plan.append((lo, WrappedAgent(members, pipeline)))
-            except SetupError as exc:
-                raise ConfigError(
-                    f"party {party}: entrant {entry.name!r} does not fit behind its "
-                    f"agent-side pipeline {list(entry.interfaces)!r}: {exc}"
+                    f"party {party}: entrant {entry.name!r} behind agent-side pipeline "
+                    f"{list(entry.interfaces)!r} does not fit its {len(slots)} slots: {exc}"
                 ) from exc
         else:
             for s in slots:

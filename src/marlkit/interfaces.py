@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .bundles import Bundle, Partition, bundle_merge, bundle_split, check_partition, split_rewards
+from .bundles import Bundle, bundle_merge, check_partition
 from .errors import SetupError, SpaceMismatch
 from .values import (
     BoxSpec,
@@ -56,8 +56,8 @@ class Interface:
     inner chain in the documented order.
     """
 
-    def __init__(self, inner: "Interface | None" = None):
-        self.inner = inner
+    def __init__(self):
+        self.inner: Interface | None = None
         self._setup_done = False
 
     # -- chain-level API ------------------------------------------------------
@@ -96,10 +96,13 @@ class Interface:
             inner_first_obs = self.inner.reset(inner_first_obs)
         return self._reset(inner_first_obs)
 
-    def obs_trans(self, obs: Bundle, rewards: Sequence[float]) -> tuple[Bundle, Rewards]:
-        """Transform observations and rewards inner -> outer."""
+    def obs_trans(self, obs: Bundle, rewards: Rewards) -> tuple[Bundle, Rewards]:
+        """Transform observations and rewards inner -> outer.
+
+        rewards is a tuple of floats, one per input slot, as StepResult holds
+        them; no node converts them again.
+        """
         self._require_setup()
-        rewards = tuple(float(r) for r in rewards)
         if self.inner is not None:
             obs, rewards = self.inner.obs_trans(obs, rewards)
         return self._obs(obs, rewards)
@@ -199,7 +202,39 @@ def stack(outer: Interface, inner: Interface) -> Interface:
     return outer
 
 
-class Combine(Interface):
+class _Partitioned(Interface):
+    """A node over a contiguous partition of its input slots.
+
+    _setup checks the partition once and keeps one slice per group; the
+    per-tick hooks read groups through those slices and check nothing again.
+    Subclasses declare their outer specs in _setup_groups.
+    """
+
+    def __init__(self, partition: Sequence[Sequence[int]]):
+        super().__init__()
+        self._partition_arg = [list(g) for g in partition]
+
+    def _setup(self, obs_specs, act_specs):
+        self._partition = check_partition(self._partition_arg, len(obs_specs))
+        self._slices = [slice(g[0], g[-1] + 1) for g in self._partition]
+        return self._setup_groups(obs_specs, act_specs)
+
+    def _local_groups(self):
+        return [list(g) for g in self._partition]
+
+    def _group_rewards(self, rewards: Rewards) -> Rewards:
+        """Each group's rewards summed in slot order."""
+        return tuple(sum(rewards[s]) for s in self._slices)
+
+    def _check_action_count(self, actions: Bundle) -> None:
+        expected = len(self._outer_act_specs)
+        if len(actions) != expected:
+            raise SpaceMismatch(
+                f"{type(self).__name__} expected {expected} outer actions, got {len(actions)}"
+            )
+
+
+class Combine(_Partitioned):
     """Side-by-side children over a partition of the base interface's outer slots.
 
     Observations pass through the base, are split by the partition, and each
@@ -210,25 +245,24 @@ class Combine(Interface):
 
     def __init__(self, base: Interface | None, children: Sequence[Interface],
                  partition: Sequence[Sequence[int]]):
-        super().__init__(inner=base)
+        super().__init__(partition)
+        self.inner = base
         self.children = list(children)
-        self._partition_arg = [list(g) for g in partition]
         if len(self.children) != len(self._partition_arg):
             raise SetupError(
                 f"combine got {len(self.children)} children for "
                 f"{len(self._partition_arg)} partition groups"
             )
 
-    def _setup(self, obs_specs, act_specs):
-        self._partition: Partition = check_partition(self._partition_arg, len(obs_specs))
+    def _setup_groups(self, obs_specs, act_specs):
         outer_obs: list[SpaceSpec] = []
         outer_act: list[SpaceSpec] = []
-        self._child_outer_counts: list[int] = []
-        for child, group in zip(self.children, self._partition):
-            o, a = child.setup([obs_specs[i] for i in group], [act_specs[i] for i in group])
+        self._child_slices: list[slice] = []
+        for child, s in zip(self.children, self._slices):
+            o, a = child.setup(obs_specs[s], act_specs[s])
+            self._child_slices.append(slice(len(outer_obs), len(outer_obs) + len(o)))
             outer_obs.extend(o)
             outer_act.extend(a)
-            self._child_outer_counts.append(len(o))
         return outer_obs, outer_act
 
     def _local_groups(self):
@@ -240,32 +274,24 @@ class Combine(Interface):
         return groups
 
     def _reset(self, obs: Bundle) -> Bundle:
-        parts = bundle_split(obs, self._partition)
-        return bundle_merge([child.reset(p) for child, p in zip(self.children, parts)])
+        return bundle_merge([
+            child.reset(Bundle(obs.slots[s])) for child, s in zip(self.children, self._slices)
+        ])
 
     def _obs(self, obs, rewards):
-        parts = bundle_split(obs, self._partition)
-        reward_parts = split_rewards(rewards, self._partition)
         out_obs: list[Bundle] = []
         out_rewards: list[float] = []
-        for child, p, r in zip(self.children, parts, reward_parts):
-            o, rr = child.obs_trans(p, r)
+        for child, s in zip(self.children, self._slices):
+            o, r = child.obs_trans(Bundle(obs.slots[s]), rewards[s])
             out_obs.append(o)
-            out_rewards.extend(rr)
+            out_rewards.extend(r)
         return bundle_merge(out_obs), tuple(out_rewards)
 
     def _act(self, actions: Bundle) -> Bundle:
-        if len(actions) != sum(self._child_outer_counts):
-            raise SpaceMismatch(
-                f"combine expected {sum(self._child_outer_counts)} outer actions, "
-                f"got {len(actions)}"
-            )
+        self._check_action_count(actions)
         merged: list[Value] = []
-        pos = 0
-        for child, count in zip(self.children, self._child_outer_counts):
-            part = Bundle(actions.slots[pos:pos + count])
-            merged.extend(child.act_trans(part).slots)
-            pos += count
+        for child, s in zip(self.children, self._child_slices):
+            merged.extend(child.act_trans(Bundle(actions.slots[s])).slots)
         return Bundle(tuple(merged))
 
 
@@ -294,7 +320,7 @@ def map_to_vector() -> Interface:
     return MapToVector()
 
 
-class MakeTeam(Interface):
+class MakeTeam(_Partitioned):
     """Groups slots into teams: one outer slot per group.
 
     Each outer observation is a SeqV of the member observations, each outer
@@ -302,31 +328,17 @@ class MakeTeam(Interface):
     group's rewards are summed into the team slot.
     """
 
-    def __init__(self, partition: Sequence[Sequence[int]], inner: Interface | None = None):
-        super().__init__(inner)
-        self._partition_arg = [list(g) for g in partition]
-
-    def _setup(self, obs_specs, act_specs):
-        self._partition = check_partition(self._partition_arg, len(obs_specs))
-        outer_obs = [SeqSpec(tuple(obs_specs[i] for i in g)) for g in self._partition]
-        outer_act = [SeqSpec(tuple(act_specs[i] for i in g)) for g in self._partition]
+    def _setup_groups(self, obs_specs, act_specs):
+        outer_obs = [SeqSpec(tuple(obs_specs[s])) for s in self._slices]
+        outer_act = [SeqSpec(tuple(act_specs[s])) for s in self._slices]
         return outer_obs, outer_act
 
-    def _local_groups(self):
-        return [list(g) for g in self._partition]
-
     def _obs(self, obs, rewards):
-        grouped = tuple(
-            SeqV(tuple(obs[i] for i in g)) for g in self._partition
-        )
-        team_rewards = tuple(sum(rewards[i] for i in g) for g in self._partition)
-        return Bundle(grouped), team_rewards
+        grouped = tuple(SeqV(obs.slots[s]) for s in self._slices)
+        return Bundle(grouped), self._group_rewards(rewards)
 
     def _act(self, actions: Bundle) -> Bundle:
-        if len(actions) != len(self._partition):
-            raise SpaceMismatch(
-                f"expected {len(self._partition)} team actions, got {len(actions)}"
-            )
+        self._check_action_count(actions)
         flat: list[Value] = []
         for act, g in zip(actions, self._partition):
             if not isinstance(act, SeqV) or len(act) != len(g):
@@ -342,7 +354,7 @@ def make_team(partition: Sequence[Sequence[int]]) -> Interface:
     return MakeTeam(partition)
 
 
-class ConcatObsAct(Interface):
+class ConcatObsAct(_Partitioned):
     """Concatenates member observations and actions into one vector per group.
 
     Inner observations must already be vectors (stack map_to_vector below
@@ -354,48 +366,34 @@ class ConcatObsAct(Interface):
     inner actions. Group rewards are summed, as for teams.
     """
 
-    def __init__(self, partition: Sequence[Sequence[int]], inner: Interface | None = None):
-        super().__init__(inner)
-        self._partition_arg = [list(g) for g in partition]
-
-    def _setup(self, obs_specs, act_specs):
-        self._partition = check_partition(self._partition_arg, len(obs_specs))
+    def _setup_groups(self, obs_specs, act_specs):
         for i, s in enumerate(obs_specs):
             if not (isinstance(s, BoxSpec) and len(s.shape) == 1):
                 raise SetupError(
                     f"slot {i}: concat_obs_act needs vector observations, got {s!r} "
                     "(stack map_to_vector below)"
                 )
-        self._act_lens: list[int] = []
+        lanes: list[tuple[int, float, float]] = []  # each slot's action length and bounds
         for i, s in enumerate(act_specs):
             if isinstance(s, BoxSpec) and len(s.shape) == 1:
-                self._act_lens.append(s.shape[0])
+                lanes.append((s.shape[0], s.low, s.high))
             elif isinstance(s, DiscreteSpec):
-                self._act_lens.append(1)
+                lanes.append((1, 0.0, float(s.n - 1)))
             else:
                 raise SetupError(
                     f"slot {i}: concat_obs_act needs vector or discrete actions, got {s!r}"
                 )
+        self._act_lens = [length for length, _, _ in lanes]
         outer_obs: list[SpaceSpec] = []
         outer_act: list[SpaceSpec] = []
-        for g in self._partition:
-            o_len = sum(obs_specs[i].shape[0] for i in g)
-            o_lo = min(obs_specs[i].low for i in g)
-            o_hi = max(obs_specs[i].high for i in g)
-            outer_obs.append(BoxSpec((o_len,), o_lo, o_hi))
-            bounds = [
-                (s.low, s.high) if isinstance(s, BoxSpec) else (0.0, float(s.n - 1))
-                for s in (act_specs[i] for i in g)
-            ]
-            outer_act.append(BoxSpec(
-                (sum(self._act_lens[i] for i in g),),
-                min(lo for lo, _ in bounds),
-                max(hi for _, hi in bounds),
-            ))
+        for sl in self._slices:
+            members = obs_specs[sl]
+            outer_obs.append(BoxSpec((sum(o.shape[0] for o in members),),
+                                     min(o.low for o in members), max(o.high for o in members)))
+            outer_act.append(BoxSpec((sum(length for length, _, _ in lanes[sl]),),
+                                     min(lo for _, lo, _ in lanes[sl]),
+                                     max(hi for _, _, hi in lanes[sl])))
         return outer_obs, outer_act
-
-    def _local_groups(self):
-        return [list(g) for g in self._partition]
 
     def _obs(self, obs, rewards):
         grouped = []
@@ -404,17 +402,13 @@ class ConcatObsAct(Interface):
             for i in g:
                 entries.extend(obs[i].entries)
             grouped.append(VectorV(tuple(entries)))
-        team_rewards = tuple(sum(rewards[i] for i in g) for g in self._partition)
-        return Bundle(tuple(grouped)), team_rewards
+        return Bundle(tuple(grouped)), self._group_rewards(rewards)
 
     def _act(self, actions: Bundle) -> Bundle:
-        if len(actions) != len(self._partition):
-            raise SpaceMismatch(
-                f"expected {len(self._partition)} concatenated actions, got {len(actions)}"
-            )
+        self._check_action_count(actions)
         flat: list[Value] = []
-        for act, g in zip(actions, self._partition):
-            total = sum(self._act_lens[i] for i in g)
+        for act, g, outer in zip(actions, self._partition, self._outer_act_specs):
+            total = outer.shape[0]
             if not isinstance(act, VectorV) or len(act) != total:
                 raise SpaceMismatch(
                     f"group {list(g)} action must be a vector of length {total}, got {act!r}"
@@ -442,9 +436,8 @@ def concat_obs_act(partition: Sequence[Sequence[int]]) -> Interface:
 class AppendFeature(Interface):
     """Adds one computed key to each slot's mapping observation."""
 
-    def __init__(self, key: str, fn: Callable[[Value], Value], feature_spec: SpaceSpec,
-                 inner: Interface | None = None):
-        super().__init__(inner)
+    def __init__(self, key: str, fn: Callable[[Value], Value], feature_spec: SpaceSpec):
+        super().__init__()
         self.key = key
         self.fn = fn
         self.feature_spec = feature_spec

@@ -58,9 +58,6 @@ class RngStream:
     def choice(self, seq):
         return self._rng.choice(seq)
 
-    def shuffle(self, items: list) -> None:
-        self._rng.shuffle(items)
-
     def sample(self, seq, k: int):
         return self._rng.sample(seq, k)
 

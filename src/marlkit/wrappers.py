@@ -30,9 +30,8 @@ class WrappedEnv(Env):
         super().__init__()
         self.base = base
         self.interface = interface
-        interface.setup(base.observation_specs, base.action_specs)
-        self._obs_specs = interface.outer_obs_specs
-        self._act_specs = interface.outer_act_specs
+        self._obs_specs, self._act_specs = interface.setup(base.observation_specs,
+                                                           base.action_specs)
         self._groups = interface.slot_groups
 
     @property
@@ -89,8 +88,8 @@ def wrap_env_per_agent(env: Env, itfs: Sequence[Interface]) -> WrappedEnv:
         )
     partition = [[i] for i in range(env.num_slots)]
     wrapped = WrappedEnv(env, Combine(Identity(), list(itfs), partition))
-    for k, count in enumerate(wrapped.interface._child_outer_counts):
-        if count != 1:
+    for k, itf in enumerate(itfs):
+        if itf.outer_slot_count != 1:
             raise SetupError(f"interface {k} changes its slot count; wrap it explicitly")
     return wrapped
 
@@ -114,8 +113,8 @@ class WrappedAgent:
                 f"{len(self.members)} members"
             )
         self.slots = interface.raw_slot_count
-        for member, o, a in zip(self.members, interface.outer_obs_specs,
-                                interface.outer_act_specs):
+        self._act_specs = interface.outer_act_specs
+        for member, o, a in zip(self.members, interface.outer_obs_specs, self._act_specs):
             member.setup(o, a)
         self._pending_first: Bundle | None = None
 
@@ -144,7 +143,7 @@ class WrappedAgent:
         for member, o, r in zip(self.members, outer_obs, outer_rewards):
             act = member.step(o, r, done)
             actions.append(act)
-        for k, (act, spec) in enumerate(zip(actions, self.interface.outer_act_specs)):
+        for k, (act, spec) in enumerate(zip(actions, self._act_specs)):
             if not space_contains(spec, act):
                 raise SpaceMismatch(f"member {k} action {act!r} not in {spec!r}")
         raw = self.interface.act_trans(Bundle(tuple(actions)))
@@ -184,8 +183,8 @@ class SingleSlotWrapper:
 class LiftedWrapper(Interface):
     """Applies a SingleSlotWrapper independently to every slot."""
 
-    def __init__(self, wrapper: SingleSlotWrapper, inner: Interface | None = None):
-        super().__init__(inner)
+    def __init__(self, wrapper: SingleSlotWrapper):
+        super().__init__()
         self.wrapper = wrapper
 
     def _setup(self, obs_specs, act_specs):

@@ -109,8 +109,8 @@ class ToyVecEnv(Env):
 class SpyItf(Interface):
     """Passthrough node that logs its hook invocations into a shared list."""
 
-    def __init__(self, name: str, log: list, inner: Interface | None = None):
-        super().__init__(inner)
+    def __init__(self, name: str, log: list):
+        super().__init__()
         self.name = name
         self.log = log
 
@@ -134,8 +134,8 @@ class SpyItf(Interface):
 class AddToVectors(Interface):
     """Adds a constant to every entry of every slot's vector observation."""
 
-    def __init__(self, delta: float, inner: Interface | None = None):
-        super().__init__(inner)
+    def __init__(self, delta: float):
+        super().__init__()
         self.delta = delta
 
     def _setup(self, obs_specs, act_specs):

@@ -17,10 +17,11 @@ from operator import itemgetter
 from typing import Mapping
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from marlkit import (
+    BoxSpec,
     Bundle,
     DiscreteSpec,
     DiscreteV,
@@ -33,8 +34,14 @@ from marlkit import (
     SeqV,
     VectorV,
     build_pipeline,
+    bundle_merge,
+    bundle_split,
+    combine,
+    concat_obs_act,
     identity,
     make_env,
+    make_team,
+    space_sample,
     state_hash,
     value_from_jsonable,
     value_hash_hex,
@@ -886,3 +893,79 @@ def test_discrete_decode_shares_small_values():
         assert type(v) is DiscreteV and v.index == i and v == DiscreteV(i)
     with pytest.raises(FormatError):  # not the table's last entry
         value_from_jsonable({"d": -1})
+
+
+# ---------------------------------------------------------------------------
+# Combine reads its groups through slices kept at setup, against a per-group
+# reference built with the public bundle_split/bundle_merge
+
+
+def random_cut(rng: RngStream, n: int) -> list[list[int]]:
+    """A random contiguous partition of range(n)."""
+    groups, start = [], 0
+    for end in range(1, n + 1):
+        if end == n or rng.randrange(2):
+            groups.append(list(range(start, end)))
+            start = end
+    return groups
+
+
+COMBINE_CHILDREN = {
+    "identity": lambda groups: identity(),
+    "make_team": make_team,
+    "concat_obs_act": concat_obs_act,
+}
+
+
+# Magnitudes far apart, so that a sum taken in another order differs.
+team_rewards = st.one_of(st.sampled_from([1e16, -1e16, 1.0, 0.1, 0.2, -0.3, -0.0]),
+                         st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.lists(team_rewards, min_size=8, max_size=8))
+# Seed 41 puts a three-member team where the order of its sum shows.
+@example(41, [1e16, -1e16, 1.0, 1e16, -1e16, 1.0, 1e16, -1e16])
+def test_combine_matches_split_merge_reference(seed, reward_pool):
+    rng = RngStream(seed, ("combine",))
+    n = 1 + rng.randrange(8)
+    obs_specs = [BoxSpec((1 + rng.randrange(3),), -1.0, 1.0) for _ in range(n)]
+    act_specs = [rng.choice([DiscreteSpec(3), BoxSpec((2,), -1.0, 1.0)]) for _ in range(n)]
+    partition = random_cut(rng, n)
+    plan = [(rng.choice(sorted(COMBINE_CHILDREN)), random_cut(rng, len(g))) for g in partition]
+
+    def children():
+        return [COMBINE_CHILDREN[kind](groups) for kind, groups in plan]
+
+    combined = combine(identity(), children(), partition)
+    _, outer_act = combined.setup(obs_specs, act_specs)
+    refs = children()
+    for child, g in zip(refs, partition):
+        child.setup([obs_specs[i] for i in g], [act_specs[i] for i in g])
+    obs = Bundle(tuple(space_sample(s, rng) for s in obs_specs))
+    rewards = tuple(reward_pool[:n])
+
+    parts = bundle_split(obs, partition)
+    assert combined.reset(obs) == bundle_merge([c.reset(p) for c, p in zip(refs, parts)])
+    out, out_rewards = combined.obs_trans(obs, rewards)
+    ref_out = []
+    for child, part, g in zip(refs, parts, partition):
+        ref_out.append(child.obs_trans(part, tuple(rewards[i] for i in g))[0])
+    assert out == bundle_merge(ref_out)
+    # Each team's rewards summed member by member in slot order, bit for bit.
+    ref_rewards = []
+    for g, (kind, groups) in zip(partition, plan):
+        if kind == "identity":
+            ref_rewards.extend(rewards[i] for i in g)
+        else:
+            ref_rewards.extend(sum(rewards[g[0] + j] for j in h) for h in groups)
+    assert bits(out_rewards) == bits(ref_rewards)
+
+    actions = Bundle(tuple(space_sample(s, rng) for s in outer_act))
+    ref_acts, pos = [], 0
+    for child in refs:
+        count = child.outer_slot_count
+        ref_acts.append(child.act_trans(Bundle(actions.slots[pos:pos + count])))
+        pos += count
+    assert pos == len(actions)
+    assert combined.act_trans(actions) == bundle_merge(ref_acts)

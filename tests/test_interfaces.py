@@ -336,3 +336,60 @@ class TestAppendFeature:
         itf = append_feature("k", lambda v: VectorV((1.0,)), BoxSpec((1,), 0, 1))
         with pytest.raises(SetupError):
             itf.setup([BoxSpec((2,), 0, 1)], [DiscreteSpec(2)])
+
+
+class TestSetupGuards:
+    """Each node checks at its first use that it was set up, and a chain
+    reaches every node through the public methods, which perfbench's
+    per-node spans wrap."""
+
+    BUILDERS = {
+        "combine": lambda: combine(identity(), [identity(), make_team([[0]])], [[0], [1]]),
+        "make_team": lambda: make_team([[0, 1]]),
+        "concat_obs_act": lambda: concat_obs_act([[0, 1]]),
+        "stacked": lambda: stack(make_team([[0, 1]]), stack(identity(), map_to_vector())),
+    }
+    CALLS = {
+        "obs_trans": (Bundle((VectorV((0.0,)),) * 2), (0.0, 0.0)),
+        "act_trans": (Bundle((DiscreteV(0),) * 2),),
+        "reset": (Bundle((VectorV((0.0,)),) * 2),),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_first_use_before_setup_raises(self, name, call):
+        itf = self.BUILDERS[name]()
+        with pytest.raises(SetupError, match="before setup"):
+            getattr(itf, call)(*self.CALLS[call])
+
+    def test_registered_chain_reaches_every_node_once_per_call(self, monkeypatch):
+        from marlkit import Interface, build_pipeline
+
+        counts: dict = {}
+        for method in self.CALLS:
+            def counted(self, *args, _run=getattr(Interface, method), _method=method):
+                counts[id(self), _method] = counts.get((id(self), _method), 0) + 1
+                return _run(self, *args)
+
+            monkeypatch.setattr(Interface, method, counted)
+        chain = build_pipeline([
+            {"name": "identity"}, {"name": "map_to_vector"},
+            {"name": "concat_obs_act", "groups": [[0, 1], [2]]},
+            {"name": "make_team", "groups": [[0, 1]]},
+        ])
+        nodes = []
+        node = chain
+        while node is not None:
+            nodes.append(node)
+            node = node.inner
+        assert len(nodes) == 4
+        o, a = vec_specs(3)
+        _, outer_act = chain.setup(o, a)
+        rng = RngStream(3, ("chain",))
+        calls = 3
+        for _ in range(calls):
+            obs = Bundle(tuple(space_sample(s, rng) for s in o))
+            chain.reset(obs)
+            chain.obs_trans(obs, (0.0, 1.0, 2.0))
+            chain.act_trans(Bundle(tuple(space_sample(s, rng) for s in outer_act)))
+        assert counts == {(id(n), m): calls for n in nodes for m in self.CALLS}

@@ -209,24 +209,32 @@ class TestScreenObs:
         assert grid.at(0, 0) == 1.0 and grid.at(0, 1) == 1.0
         assert grid.at(1, 0) == 1.0 and grid.at(1, 1) == 1.0
 
-    def test_lit_pixel_count_matches_geometry(self):
+    @pytest.mark.parametrize("cfg", [
+        PongConfig(), PongConfig(paddle_len=20.0), PongConfig(paddle_len=40.0),
+        PongConfig(field_w=120.0, field_h=80.0),
+    ], ids=["default", "paddle_len20", "paddle_len40", "field120x80"])
+    def test_lit_pixel_count_matches_geometry(self, cfg):
         # Oracle: recount lit cells from the raw geometry at the reset state,
         # where the ball block cannot overlap the paddle columns.
         res = 32
-        env = PongEnv()
+        env = PongEnv(cfg)
         obs = env.reset(2)
         itf = screen_obs(res)
         itf.setup(env.observation_specs, env.action_specs)
         grids = itf.obs_trans(obs, (0.0, 0.0))[0]
+        half = cfg.paddle_len / 2.0
         for slot in range(2):
             view = obs[slot]
+            ball_row = int(view["ball_y"].entries[0] * res / cfg.field_h)
+            ball_col = int(view["ball_x"].entries[0] * res / cfg.field_w)
+            assert grids[slot].at(ball_row, ball_col) == 1.0
             expected = 4  # 2x2 ball block away from edges
             for key in ("own_paddle_y", "opp_paddle_y"):
                 py = view[key].entries[0]
-                lo, hi = py - 6.0, py + 6.0
+                lo, hi = py - half, py + half
                 expected += sum(
                     1 for r in range(res)
-                    if r * 80.0 / res < hi and (r + 1) * 80.0 / res > lo
+                    if r * cfg.field_h / res < hi and (r + 1) * cfg.field_h / res > lo
                 )
             assert sum(grids[slot].entries) == expected
 
