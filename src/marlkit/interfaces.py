@@ -206,8 +206,8 @@ class _Partitioned(Interface):
     """A node over a contiguous partition of its input slots.
 
     _setup checks the partition once and keeps one slice per group; the
-    per-tick hooks read groups through those slices and check nothing again.
-    Subclasses declare their outer specs in _setup_groups.
+    per-tick hooks read groups through those slices and never check the
+    partition again. Subclasses declare their outer specs in _setup_groups.
     """
 
     def __init__(self, partition: Sequence[Sequence[int]]):
