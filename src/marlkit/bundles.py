@@ -73,12 +73,15 @@ def check_partition(partition: Sequence[Sequence[int]], slot_count: int) -> Part
 
     Returns the normalized tuple-of-tuples form; raises InvalidPartition otherwise.
     """
-    groups = tuple(tuple(int(i) for i in g) for g in partition)
+    groups = tuple(tuple(g) for g in partition)
     expect = 0
     for g in groups:
         if not g:
             raise InvalidPartition("empty group in partition")
         for i in g:
+            if type(i) is not int:
+                raise InvalidPartition(f"slot index {i!r} in partition {partition!r} "
+                                       "is not an integer")
             if i != expect:
                 raise InvalidPartition(
                     f"partition {list(map(list, groups))} is not a contiguous in-order "

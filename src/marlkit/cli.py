@@ -16,15 +16,15 @@ from typing import Any, Sequence
 
 from .errors import MarlkitError
 from .harness import (
-    ENV_KEYS,
     AgentSpec,
     MatchSpec,
+    env_entry,
     require_known_keys,
     round_robin,
     run_match,
     toolkit_version,
 )
-from .registry import list_agents, list_envs, list_interfaces, make_env
+from .registry import config_value, list_agents, list_envs, list_interfaces, make_env
 from .replay import read_replay, replay_verify, step_actions
 
 
@@ -71,11 +71,13 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=toolkit_version())
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list-envs", help="list registered environments")
-    sub.add_parser("list-agents", help="list registered agents")
-    sub.add_parser("list-interfaces", help="list registered interfaces")
+    for noun, names in (("envs", list_envs), ("agents", list_agents),
+                        ("interfaces", list_interfaces)):
+        listing = sub.add_parser(f"list-{noun}", help=f"list registered {noun}")
+        listing.set_defaults(func=_cmd_list, names=names)
 
     run = sub.add_parser("run", help="run a seeded match")
+    run.set_defaults(func=_cmd_run)
     run.add_argument("--env", required=True, help="environment registry name")
     run.add_argument("--mode", default=None,
                      help="shorthand for --env-param mode=..., e.g. 2v2")
@@ -97,9 +99,11 @@ def _build_parser() -> _Parser:
     tourney = sub.add_parser("tourney", help="round-robin tournament from a config file")
     tourney.add_argument("--config", required=True, metavar="PATH")
     tourney.add_argument("--json", action="store_true")
+    tourney.set_defaults(func=_cmd_tourney)
 
     verify = sub.add_parser("verify-replay", help="re-simulate a replay and check every record")
     verify.add_argument("path", metavar="PATH")
+    verify.set_defaults(func=_cmd_verify)
 
     render = sub.add_parser("render", help="ASCII animation of a replay")
     render.add_argument("path", metavar="PATH")
@@ -107,7 +111,13 @@ def _build_parser() -> _Parser:
                         help="frames per second; 0 disables sleeping")
     render.add_argument("--episodes", type=int, default=None,
                         help="render at most this many episodes")
+    render.set_defaults(func=_cmd_render)
     return parser
+
+
+def _cmd_list(args) -> int:
+    print("\n".join(args.names()))
+    return 0
 
 
 def _cmd_run(args) -> int:
@@ -156,17 +166,16 @@ def _cmd_tourney(args) -> int:
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise MarlkitError(f"cannot read config {args.config!r}: {exc}") from exc
-    require_known_keys(config, TOURNEY_KEYS, f"tourney config {args.config!r}")
-    env = config.get("env") or {}
-    require_known_keys(env, ENV_KEYS, f"tourney config {args.config!r} env")
-    entrants = [AgentSpec.from_jsonable(e) for e in config.get("entrants") or []]
+    what = f"tourney config {args.config!r}"
+    require_known_keys(config, TOURNEY_KEYS, what)
+    env_name, env_params = env_entry(config, what)
     board = round_robin(
-        entrants,
-        env_name=env.get("name"),
-        env_params=env.get("params") or {},
-        env_interfaces=tuple(config.get("env_interfaces") or ()),
-        episodes_per_pair=int(config.get("episodes_per_pair", 2)),
-        base_seed=int(config.get("seed", 0)),
+        [AgentSpec.from_jsonable(e) for e in config_value(config, "entrants", list, (), what)],
+        env_name=env_name,
+        env_params=env_params,
+        env_interfaces=tuple(config_value(config, "env_interfaces", list, (), what)),
+        episodes_per_pair=config_value(config, "episodes_per_pair", int, 2, what),
+        base_seed=config_value(config, "seed", int, 0, what),
         replay_dir=config.get("replay_dir"),
     )
     if args.json:
@@ -231,24 +240,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "list-envs":
-            print("\n".join(list_envs()))
-            return 0
-        if args.command == "list-agents":
-            print("\n".join(list_agents()))
-            return 0
-        if args.command == "list-interfaces":
-            print("\n".join(list_interfaces()))
-            return 0
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "tourney":
-            return _cmd_tourney(args)
-        if args.command == "verify-replay":
-            return _cmd_verify(args)
-        if args.command == "render":
-            return _cmd_render(args)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

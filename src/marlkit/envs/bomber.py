@@ -29,7 +29,7 @@ from ..agents import Agent, require_spec
 from ..bundles import NO_INFO, Bundle, StepResult, outcome_info
 from ..env import Env
 from ..errors import ConfigError, SetupError
-from ..interfaces import Interface
+from ..interfaces import Interface, append_key
 from ..rng import RngStream
 from ..values import (
     BoxSpec,
@@ -255,7 +255,7 @@ class BomberEnv(Env):
             for r, c in self._corners()
         ]
         self.tick = 0
-        self._rigid_grid = self._grid_from_set(self.rigid)
+        self._rigid_grid = self._grid_from_map(dict.fromkeys(self.rigid, 1.0))
         return self._observe()
 
     # -- stepping --------------------------------------------------------------
@@ -392,13 +392,6 @@ class BomberEnv(Env):
 
     # -- observations -----------------------------------------------------------
 
-    def _grid_from_set(self, cells: set[Cell], value: float = 1.0) -> GridV:
-        n = self.cfg.size
-        data = [0.0] * (n * n)
-        for r, c in cells:
-            data[r * n + c] = value
-        return GridV((n, n, 1), tuple(data))
-
     def _grid_from_map(self, mapping: dict[Cell, float]) -> GridV:
         n = self.cfg.size
         data = [0.0] * (n * n)
@@ -429,7 +422,7 @@ class BomberEnv(Env):
         )
         shared = {
             "rigid": self._rigid_grid,
-            "wood": reuse("wood", frozenset(self.wood), self._grid_from_set),
+            "wood": reuse("wood", dict.fromkeys(self.wood, 1.0), self._grid_from_map),
             "bomb_fuse": reuse("bomb_fuse", {(b.row, b.col): b.fuse for b in bombs},
                                self._grid_from_map),
             "bomb_strength": reuse("bomb_strength",
@@ -585,12 +578,23 @@ def _legal_actions(
 # Interfaces
 
 
+# The raw view's structure (see require_spec): the bomber interfaces read
+# all of it, SimpleBomberAgent a part.
+_VIEW = {
+    **dict.fromkeys(("rigid", "wood", "bomb_fuse", "bomb_strength", "bomb_owner", "flames",
+                     "items"), (None, None, 1)),
+    "agents": [dict.fromkeys(("row", "col", "ammo", "blast", "alive"), (1,))],
+    "teams": (None,),
+    "tick": (1,),
+    "self_id": DiscreteSpec,
+}
+
+
 def _require_bomber_obs(obs_specs) -> MappingSpec:
-    spec = obs_specs[0]
-    needed = {"rigid", "wood", "bomb_fuse", "flames", "agents", "teams", "self_id", "tick"}
-    if not isinstance(spec, MappingSpec) or not needed <= set(spec.keys()):
-        raise SetupError("this interface expects raw bomber observations")
-    return spec
+    """Slot 0's spec, once every slot's spec holds what the bomber interfaces read."""
+    for i, spec in enumerate(obs_specs):
+        require_spec(spec, _VIEW, f"slot {i}: bomber observation")
+    return obs_specs[0]
 
 
 def _obs_cells(view: MappingV, key: str) -> dict[Cell, float]:
@@ -651,10 +655,7 @@ class BoardMapObs(Interface):
         self._n = n
         self._memo = TickMemo()
         feature = BoxSpec((n, n, self.CHANNELS), 0.0, 1.0)
-        outer = [
-            MappingSpec(s.entries + (("board_map", feature),)) for s in obs_specs
-        ]
-        return outer, act_specs
+        return append_key(obs_specs, "board_map", feature), act_specs
 
     def _terrain(self, view: MappingV) -> list[float]:
         """Channels 0-4 (the terrain planes) with every agent channel zero."""
@@ -712,10 +713,6 @@ class BoardMapObs(Interface):
         return Bundle(tuple(out)), rewards
 
 
-def board_map_obs() -> Interface:
-    return BoardMapObs()
-
-
 class AttrObs(Interface):
     """Appends "attrs": [ammo/10, blast/10, alive, tick/step_limit] per slot."""
 
@@ -723,8 +720,7 @@ class AttrObs(Interface):
         spec = _require_bomber_obs(obs_specs)
         self._limit = spec["tick"].high
         feature = BoxSpec((4,), 0.0, max(1.0, STAT_BOUND / ATTR_CAP))
-        outer = [MappingSpec(s.entries + (("attrs", feature),)) for s in obs_specs]
-        return outer, act_specs
+        return append_key(obs_specs, "attrs", feature), act_specs
 
     def _obs(self, obs, rewards):
         out = []
@@ -738,10 +734,6 @@ class AttrObs(Interface):
             ))
             out.append(MappingV(view.entries + (("attrs", attrs),)))
         return Bundle(tuple(out)), rewards
-
-
-def attr_obs() -> Interface:
-    return AttrObs()
 
 
 def _parse_view(view: MappingV) -> tuple:
@@ -786,9 +778,7 @@ class ActMaskObs(Interface):
 
     def _setup(self, obs_specs, act_specs):
         _require_bomber_obs(obs_specs)
-        feature = BoxSpec((6,), 0.0, 1.0)
-        outer = [MappingSpec(s.entries + (("act_mask", feature),)) for s in obs_specs]
-        return outer, act_specs
+        return append_key(obs_specs, "act_mask", BoxSpec((6,), 0.0, 1.0)), act_specs
 
     def _obs(self, obs, rewards):
         out = tuple(
@@ -797,13 +787,9 @@ class ActMaskObs(Interface):
         return Bundle(out), rewards
 
 
-def act_mask_obs() -> Interface:
-    return ActMaskObs()
-
-
 @lru_cache(maxsize=None)
-def _rotation_permutation(n: int, ch: int, k: int) -> tuple[int, ...]:
-    """Flat source index for each destination index of a k-quarter-turn."""
+def _rotation_getter(n: int, ch: int, k: int) -> itemgetter:
+    """Maps an (n, n, ch) entries tuple to its k-quarter-turn rotation, in C."""
     size = n * n * ch
     perm = list(range(size))
     for _ in range(k):
@@ -816,13 +802,7 @@ def _rotation_permutation(n: int, ch: int, k: int) -> tuple[int, ...]:
                 for p in range(ch):
                     step[dst + p] = perm[src + p]
         perm = step
-    return tuple(perm)
-
-
-@lru_cache(maxsize=None)
-def _rotation_getter(n: int, ch: int, k: int) -> itemgetter:
-    """Applies _rotation_permutation(n, ch, k) to an entries tuple in C."""
-    return itemgetter(*_rotation_permutation(n, ch, k))
+    return itemgetter(*perm)
 
 
 def _rotate_grid(grid: GridV, quarter_turns: int) -> GridV:
@@ -900,8 +880,7 @@ class RotateView(Interface):
     def _reset(self, obs: Bundle) -> Bundle:
         self._turns = [view["self_id"].index % 4 for view in obs]
         self._memo.clear()
-        out, _ = self._obs(obs, (0.0,) * len(obs))
-        return out
+        return super()._reset(obs)
 
     def _obs(self, obs, rewards):
         assert self._turns is not None, "rotate used before reset"
@@ -920,10 +899,6 @@ class RotateView(Interface):
                 idx = _VIEW_TO_WORLD[k][idx]
             out.append(DiscreteV(idx))
         return Bundle(tuple(out))
-
-
-def rotate_itf() -> Interface:
-    return RotateView()
 
 
 # ---------------------------------------------------------------------------
@@ -948,12 +923,7 @@ class SimpleBomberAgent(Agent):
     DANGER_HORIZON = 2
     RETREAT_DEPTH = 9
     GRIDS = ("rigid", "wood", "bomb_fuse", "bomb_strength", "flames")
-    OBS = {
-        **{key: (None, None, 1) for key in GRIDS},
-        "agents": [{key: (1,) for key in ("row", "col", "ammo", "blast", "alive")}],
-        "teams": (None,),
-        "self_id": DiscreteSpec,
-    }
+    OBS = {key: _VIEW[key] for key in (*GRIDS, "agents", "teams", "self_id")}
 
     def setup(self, obs_spec: SpaceSpec, act_spec: SpaceSpec) -> None:
         what = "bomber.simple observation"

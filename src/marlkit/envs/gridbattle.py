@@ -384,14 +384,6 @@ class Img3I2ZObs(_ImgObsBase):
         cells[base + off + 3] = kind.damage / MAX_DAMAGE
 
 
-def img_obs_5i() -> Interface:
-    return Img5IObs()
-
-
-def img_obs_3i2z() -> Interface:
-    return Img3I2ZObs()
-
-
 def _any_nonzero(v: Value) -> bool:
     if isinstance(v, DiscreteV):
         return v.index != 0
@@ -426,10 +418,6 @@ class DeadPadding(Interface):
             for v in obs
         )
         return Bundle(out), rewards
-
-
-def dead_padding() -> Interface:
-    return DeadPadding()
 
 
 class HitAndRunAgent(Agent):

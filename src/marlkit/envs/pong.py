@@ -114,10 +114,6 @@ class PongEnv(Env):
     def action_specs(self) -> list[SpaceSpec]:
         return [self._act_spec, self._act_spec]
 
-    @property
-    def parties(self) -> list[int]:
-        return [0, 1]
-
     def _do_reset(self, seed: int) -> Bundle:
         cfg = self.cfg
         self._serve_rng = RngStream(seed, ("pong", "serve"))
@@ -331,11 +327,6 @@ class ScreenObs(Interface):
 
     def _obs(self, obs, rewards):
         return Bundle(tuple(self._rasterize(v) for v in obs)), rewards
-
-
-def screen_obs(resolution: int = 32) -> Interface:
-    """Per-slot binary screen raster of the pong field."""
-    return ScreenObs(resolution)
 
 
 class FollowBallAgent(Agent):

@@ -23,7 +23,7 @@ from .agents import Agent
 from .bundles import Bundle
 from .env import Env
 from .errors import ConfigError, InvalidPartition, SetupError
-from .registry import build_pipeline, make_agent, make_env
+from .registry import build_pipeline, config_value, make_agent, make_env
 from .replay import ReplayWriter, atomic_write, state_hash
 from .rng import RngStream
 from .values import MappingV
@@ -71,21 +71,31 @@ class AgentSpec:
 
     @staticmethod
     def from_jsonable(obj: Mapping[str, Any]) -> "AgentSpec":
-        if "name" not in obj:
-            raise ConfigError(f"agent entry without a name: {obj!r}")
-        require_known_keys(obj, [f.name for f in fields(AgentSpec)], f"agent entry {obj!r}")
-        pipeline = obj.get("interfaces") or ()
-        if isinstance(pipeline, Mapping):
-            pipeline = (pipeline,)
+        what = f"agent entry {obj!r}"
+        require_known_keys(obj, [f.name for f in fields(AgentSpec)], what)
+        if type(obj.get("name")) is not str:
+            raise ConfigError(f"{what} needs a string name")
+        pipeline = obj.get("interfaces")
         return AgentSpec(
-            name=obj["name"], params=dict(obj.get("params") or {}),
-            interfaces=tuple(pipeline), label=obj.get("label"),
+            name=obj["name"], params=dict(config_value(obj, "params", dict, {}, what)),
+            interfaces=((pipeline,) if isinstance(pipeline, Mapping)
+                        else tuple(config_value(obj, "interfaces", list, (), what))),
+            label=obj.get("label"),
         )
 
 
 # Keys of a match config: what MatchSpec.to_jsonable writes, plus "replay".
 MATCH_KEYS = ("env", "env_interfaces", "agents", "episodes", "seed", "replay")
 ENV_KEYS = ("name", "params")
+
+
+def env_entry(config: Mapping[str, Any], what: str) -> tuple[str, dict[str, Any]]:
+    """The name and params of a config's "env" object; ConfigError if malformed."""
+    env = config.get("env") or {}
+    require_known_keys(env, ENV_KEYS, f"{what} env")
+    if type(env.get("name")) is not str:
+        raise ConfigError(f"{what} needs a string env.name")
+    return env["name"], dict(config_value(env, "params", dict, {}, f"{what} env"))
 
 
 @dataclass(frozen=True)
@@ -109,18 +119,16 @@ class MatchSpec:
 
     @staticmethod
     def from_jsonable(obj: Mapping[str, Any]) -> "MatchSpec":
-        require_known_keys(obj, MATCH_KEYS, "match config")
-        env = obj.get("env") or {}
-        require_known_keys(env, ENV_KEYS, "match config env")
-        if "name" not in env:
-            raise ConfigError("match config needs env.name")
+        what = "match config"
+        require_known_keys(obj, MATCH_KEYS, what)
+        env_name, env_params = env_entry(obj, what)
         return MatchSpec(
-            env_name=env["name"],
-            env_params=dict(env.get("params") or {}),
-            env_interfaces=tuple(obj.get("env_interfaces") or ()),
-            agents=tuple(AgentSpec.from_jsonable(a) for a in obj.get("agents") or ()),
-            episodes=int(obj.get("episodes", 1)),
-            base_seed=int(obj.get("seed", 0)),
+            env_name=env_name,
+            env_params=env_params,
+            env_interfaces=tuple(config_value(obj, "env_interfaces", list, (), what)),
+            agents=tuple(map(AgentSpec.from_jsonable, config_value(obj, "agents", list, (), what))),
+            episodes=config_value(obj, "episodes", int, 1, what),
+            base_seed=config_value(obj, "seed", int, 0, what),
             replay_path=obj.get("replay"),
         )
 
@@ -415,16 +423,9 @@ def round_robin(entrants: Sequence[AgentSpec], env_name: str,
                 env_interfaces: Sequence[Mapping[str, Any]] = (),
                 episodes_per_pair: int = 2, base_seed: int = 0,
                 replay_dir: str | None = None) -> Scoreboard:
-    """All-pairs evaluation; each pair alternates sides across its episodes."""
+    """All-pairs evaluation of a 2-party environment; each pair alternates sides."""
     if len(entrants) < 2:
         raise ConfigError("a round robin needs at least 2 entrants")
-    probe = _build_env(MatchSpec(env_name=env_name, env_params=dict(env_params or {}),
-                                 env_interfaces=tuple(env_interfaces)))
-    ids, _ = _party_layout(probe)
-    if len(ids) != 2:
-        raise ConfigError(
-            f"round robin needs a 2-party environment; {env_name} has {len(ids)}"
-        )
     labels = [e.display for e in entrants]
     if len(set(labels)) != len(labels):
         raise ConfigError(f"entrant labels must be unique, got {labels}")

@@ -433,6 +433,22 @@ def concat_obs_act(partition: Sequence[Sequence[int]]) -> Interface:
     return ConcatObsAct(partition)
 
 
+def append_key(obs_specs: Sequence[SpaceSpec], key: str,
+               feature_spec: SpaceSpec) -> list[SpaceSpec]:
+    """Each slot's mapping spec with (key, feature_spec) appended.
+
+    Raises SetupError if a slot's spec is not a mapping or already has key.
+    """
+    outer: list[SpaceSpec] = []
+    for i, s in enumerate(obs_specs):
+        if not isinstance(s, MappingSpec):
+            raise SetupError(f"slot {i}: appending {key!r} needs mapping observations, got {s!r}")
+        if key in s.keys():
+            raise SetupError(f"slot {i}: key {key!r} already present")
+        outer.append(MappingSpec(s.entries + ((key, feature_spec),)))
+    return outer
+
+
 class AppendFeature(Interface):
     """Adds one computed key to each slot's mapping observation."""
 
@@ -443,14 +459,7 @@ class AppendFeature(Interface):
         self.feature_spec = feature_spec
 
     def _setup(self, obs_specs, act_specs):
-        outer_obs: list[SpaceSpec] = []
-        for i, s in enumerate(obs_specs):
-            if not isinstance(s, MappingSpec):
-                raise SetupError(f"slot {i}: append_feature needs mapping observations, got {s!r}")
-            if self.key in s.keys():
-                raise SetupError(f"slot {i}: key {self.key!r} already present")
-            outer_obs.append(MappingSpec(s.entries + ((self.key, self.feature_spec),)))
-        return outer_obs, act_specs
+        return append_key(obs_specs, self.key, self.feature_spec), act_specs
 
     def _obs(self, obs, rewards):
         out = []

@@ -70,6 +70,23 @@ def make_interface(name: str, params: Mapping[str, Any] | None = None) -> Interf
     return _INTERFACES[name](dict(params or {}))
 
 
+_JSON_TYPES = {int: "an integer", dict: "a JSON object", list: "a JSON list"}
+
+
+def config_value(obj: Mapping[str, Any], key: str, kind: type, default: Any, what: str) -> Any:
+    """obj[key], or default when it is absent or null.
+
+    ConfigError unless the value's type is exactly kind (int, dict or list):
+    nothing is coerced, and a bool is not an int.
+    """
+    value = obj.get(key)
+    if value is None:
+        return default
+    if type(value) is not kind:
+        raise ConfigError(f"{what}: {key!r} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
 def build_pipeline(specs: Sequence[Mapping[str, Any]]) -> Interface | None:
     """Stack pipeline entries, listed inner to outer; None for an empty list.
 
@@ -78,7 +95,9 @@ def build_pipeline(specs: Sequence[Mapping[str, Any]]) -> Interface | None:
     """
     itf: Interface | None = None
     for entry in specs:
-        params = dict(entry.get("params") or {})
+        if not isinstance(entry, Mapping) or type(entry.get("name")) is not str:
+            raise ConfigError(f"pipeline entry {entry!r} must be an object with a string name")
+        params = dict(config_value(entry, "params", dict, {}, f"pipeline entry {entry['name']!r}"))
         for key, value in entry.items():
             if key not in ("name", "params"):
                 params.setdefault(key, value)
@@ -104,9 +123,8 @@ register_env("bomber", lambda p: bomber.BomberEnv(_config_from(p, bomber.BomberC
 
 
 def _random_agent(params: Mapping[str, Any], rng: RngStream) -> Agent:
-    if "seed" in params:
-        return RandomAgent(seed=int(params["seed"]))
-    return RandomAgent(rng=rng)
+    seed = config_value(params, "seed", int, None, "random agent")
+    return RandomAgent(rng=rng) if seed is None else RandomAgent(seed=seed)
 
 
 def _constant_agent(params: Mapping[str, Any], rng: RngStream) -> Agent:
@@ -124,7 +142,8 @@ register_agent("bomber.simple", lambda p, r: bomber.SimpleBomberAgent())
 
 def _groups_of(params: Mapping[str, Any]) -> list[list[int]]:
     groups = params.get("groups")
-    if not isinstance(groups, (list, tuple)) or not groups:
+    if (not isinstance(groups, (list, tuple)) or not groups
+            or not all(isinstance(g, (list, tuple)) for g in groups)):
         raise ConfigError('this interface needs a "groups" parameter, e.g. [[0, 1], [2, 3]]')
     return [list(g) for g in groups]
 
@@ -135,12 +154,12 @@ register_interface("make_team", lambda p: make_team(_groups_of(p)))
 register_interface("concat_obs_act", lambda p: concat_obs_act(_groups_of(p)))
 register_interface(
     "pong.screen_obs",
-    lambda p: pong.ScreenObs(resolution=int(p.get("resolution", 32))),
+    lambda p: pong.ScreenObs(config_value(p, "resolution", int, 32, "pong.screen_obs")),
 )
-register_interface("battle.img5i", lambda p: gridbattle.img_obs_5i())
-register_interface("battle.img3i2z", lambda p: gridbattle.img_obs_3i2z())
-register_interface("battle.dead_pad", lambda p: gridbattle.dead_padding())
-register_interface("bomber.board_map", lambda p: bomber.board_map_obs())
-register_interface("bomber.attr", lambda p: bomber.attr_obs())
-register_interface("bomber.act_mask", lambda p: bomber.act_mask_obs())
-register_interface("bomber.rotate", lambda p: bomber.rotate_itf())
+register_interface("battle.img5i", lambda p: gridbattle.Img5IObs())
+register_interface("battle.img3i2z", lambda p: gridbattle.Img3I2ZObs())
+register_interface("battle.dead_pad", lambda p: gridbattle.DeadPadding())
+register_interface("bomber.board_map", lambda p: bomber.BoardMapObs())
+register_interface("bomber.attr", lambda p: bomber.AttrObs())
+register_interface("bomber.act_mask", lambda p: bomber.ActMaskObs())
+register_interface("bomber.rotate", lambda p: bomber.RotateView())

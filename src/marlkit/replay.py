@@ -92,16 +92,12 @@ class ReplayWriter:
 
         Rewards are floats (StepResult makes them so), written with
         float.__repr__ as json.dumps does. Only a non-finite repr holds an
-        "n" ("inf", "nan"); json.dumps spells those Infinity/NaN, so _dump.
+        "n" ("inf", "-inf", "nan"), which json.dumps spells Infinity,
+        -Infinity and NaN.
         """
         rewards_text = ",".join(map(float.__repr__, rewards))
         if "n" in rewards_text:
-            self._stream.write(_dump({
-                "kind": "step", "t": t,
-                "actions": [value_to_jsonable(a) for a in raw_actions],
-                "rewards": list(rewards), "done": done, "hash": digest,
-            }) + "\n")
-            return
+            rewards_text = rewards_text.replace("inf", "Infinity").replace("nan", "NaN")
         actions_text = ",".join([
             '{"d":%d}' % a.index if type(a) is DiscreteV else _dump(value_to_jsonable(a))
             for a in raw_actions

@@ -51,10 +51,6 @@ class Value:
             return NotImplemented
         return self.canonical_bytes() == other.canonical_bytes()
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __hash__(self) -> int:
         return hash(self.canonical_bytes())
 

@@ -19,7 +19,7 @@ from .agents import Agent
 from .bundles import Bundle, StepResult
 from .env import Env
 from .errors import SetupError, SpaceMismatch
-from .interfaces import Combine, Identity, Interface
+from .interfaces import Combine, Interface
 from .values import SpaceSpec, Value, space_contains
 
 
@@ -87,7 +87,7 @@ def wrap_env_per_agent(env: Env, itfs: Sequence[Interface]) -> WrappedEnv:
             f"need one interface per slot: got {len(itfs)} for {env.num_slots} slots"
         )
     partition = [[i] for i in range(env.num_slots)]
-    wrapped = WrappedEnv(env, Combine(Identity(), list(itfs), partition))
+    wrapped = WrappedEnv(env, Combine(None, list(itfs), partition))
     for k, itf in enumerate(itfs):
         if itf.outer_slot_count != 1:
             raise SetupError(f"interface {k} changes its slot count; wrap it explicitly")

@@ -37,7 +37,7 @@ from marlkit import (
     wrap_env,
 )
 from marlkit.envs.bomber import _VIEW_TO_WORLD, BomberConfig, BomberEnv, MOVE_DELTAS
-from marlkit.envs.bomber import rotate_itf
+from marlkit.envs.bomber import RotateView
 from marlkit.envs.gridbattle import BattleConfig, BattleEnv
 from marlkit.envs.pong import PongConfig, PongEnv
 from marlkit.registry import make_env
@@ -357,7 +357,7 @@ def test_criterion_6_rotation_soundness():
         while steps < 100:
             raw = BomberEnv(BomberConfig())
             raw.reset(seed)
-            wrapped = wrap_env(BomberEnv(BomberConfig()), rotate_itf())
+            wrapped = wrap_env(BomberEnv(BomberConfig()), RotateView())
             wrapped.reset(seed)
             acts_rng = RngStream(seed, ("rot-acts",))
             while steps < 100:

@@ -28,16 +28,18 @@ from marlkit.envs.bomber import (
     Bomb,
     BomberConfig,
     BomberEnv,
+    ActMaskObs,
+    AttrObs,
+    BoardMapObs,
+    RotateView,
     SimpleBomberAgent,
-    act_mask_obs,
-    attr_obs,
-    board_map_obs,
     detonate,
-    rotate_itf,
     _rotate_grid,
     _rotate_pos,
     _VIEW_TO_WORLD,
 )
+from marlkit import BoxSpec, MappingSpec, SetupError, VectorV, append_feature, stack
+from marlkit.cli import main as cli_main
 from marlkit.values import GridV
 
 
@@ -322,7 +324,7 @@ class TestBoardMapObs:
                 env.step(Bundle(tuple(DiscreteV(rng.randrange(6)) for _ in range(4))))
                 if env._done:
                     break
-            itf = board_map_obs()
+            itf = BoardMapObs()
             itf.setup(env.observation_specs, env.action_specs)
             views, _ = itf.obs_trans(env._observe(), (0.0,) * 4)
             for slot in range(4):
@@ -353,7 +355,7 @@ class TestBoardMapObs:
 
     def test_self_channel_single_cell_while_alive(self):
         env = fresh_env()
-        itf = board_map_obs()
+        itf = BoardMapObs()
         itf.setup(env.observation_specs, env.action_specs)
         views, _ = itf.obs_trans(env._observe(), (0.0,) * 4)
         grid = views[2]["board_map"]
@@ -362,7 +364,7 @@ class TestBoardMapObs:
 
     def test_rigid_channel_constant_across_episode(self):
         env = fresh_env()
-        itf = board_map_obs()
+        itf = BoardMapObs()
         itf.setup(env.observation_specs, env.action_specs)
 
         def rigid_plane():
@@ -381,7 +383,7 @@ class TestBoardMapObs:
 
 class TestAttrObs:
     def pipeline(self, env):
-        itf = attr_obs()
+        itf = AttrObs()
         itf.setup(env.observation_specs, env.action_specs)
         return itf
 
@@ -473,7 +475,7 @@ class TestActMask:
 
     def test_interface_matches_env_function(self):
         env = fresh_env()
-        itf = act_mask_obs()
+        itf = ActMaskObs()
         itf.setup(env.observation_specs, env.action_specs)
         rng = RngStream(5, ("mask",))
         for _ in range(40):
@@ -527,7 +529,7 @@ class TestRotate:
 
     def test_slot0_unchanged(self):
         env = fresh_env()
-        itf = rotate_itf()
+        itf = RotateView()
         itf.setup(env.observation_specs, env.action_specs)
         raw = env._observe()
         rotated = itf.reset(raw)
@@ -535,7 +537,7 @@ class TestRotate:
 
     def test_own_corner_normalizes_to_top_left(self):
         env = fresh_env()
-        itf = rotate_itf()
+        itf = RotateView()
         itf.setup(env.observation_specs, env.action_specs)
         rotated = itf.reset(env._observe())
         for slot in range(4):
@@ -554,7 +556,7 @@ class TestRotate:
         ):
             raw_env = BomberEnv(BomberConfig())
             raw_env.reset(1)
-            wrapped = wrap_env(BomberEnv(BomberConfig()), rotate_itf())
+            wrapped = wrap_env(BomberEnv(BomberConfig()), RotateView())
             first = wrapped.reset(1)
             me = first[slot]["agents"][slot]
             p1 = (me["row"].entries[0], me["col"].entries[0])
@@ -568,7 +570,7 @@ class TestRotate:
 
     def test_grids_rotated_consistently(self):
         env = fresh_env()
-        itf = rotate_itf()
+        itf = RotateView()
         itf.setup(env.observation_specs, env.action_specs)
         rotated = itf.reset(env._observe())
         raw = env._observe()
@@ -605,7 +607,7 @@ class TestSimpleAgent:
         clear_cells(env, [(0, 1), (1, 0)])
         env.rigid.add((0, 1))
         env.rigid.add((1, 0))
-        env._rigid_grid = env._grid_from_set(env.rigid)
+        env._rigid_grid = env._grid_from_map(dict.fromkeys(env.rigid, 1.0))
         action = self.agent_action(env)
         assert action == IDLE
 
@@ -649,3 +651,39 @@ class TestObsConformance:
                 assert space_contains(specs[slot], result.obs[slot])
             if result.done:
                 break
+
+
+class TestInterfaceSetupChecks:
+    """Each bomber interface checks at setup, on every slot, the keys it reads,
+    and no node appends a feature key that a slot already has."""
+
+    FEATURES = {
+        "bomber.board_map": (BoardMapObs, "board_map"),
+        "bomber.attr": (AttrObs, "attrs"),
+        "bomber.act_mask": (ActMaskObs, "act_mask"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FEATURES))
+    def test_feature_key_collision_is_setup_error(self, name, capsys):
+        cls, key = self.FEATURES[name]
+        env = fresh_env()
+
+        def appended():
+            return append_feature(key, lambda v: VectorV((0.0,)), BoxSpec((1,), 0.0, 1.0))
+
+        for chain in (stack(cls(), cls()), stack(cls(), appended()), stack(appended(), cls())):
+            with pytest.raises(SetupError, match=f"slot 0: key {key!r} already present"):
+                chain.setup(env.observation_specs, env.action_specs)
+        assert cli_main(["run", "--env", "bomber", "--agents", "random,random,random,random",
+                         "--env-itf", f"{name},{name}"]) == 2
+        assert f"key {key!r} already present" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("missing", ["items", "bomb_strength", "bomb_owner", "tick"])
+    @pytest.mark.parametrize("cls", [BoardMapObs, AttrObs, ActMaskObs, RotateView])
+    def test_every_slot_must_hold_what_the_interfaces_read(self, cls, missing):
+        env = fresh_env()
+        raw = env.observation_specs[0]
+        hand_built = MappingSpec(tuple((k, s) for k, s in raw.entries if k != missing))
+        specs = [raw, hand_built, raw, raw]
+        with pytest.raises(SetupError, match=rf"slot 1: .*lacks keys \['{missing}'\]"):
+            cls().setup(specs, env.action_specs)

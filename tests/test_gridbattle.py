@@ -22,10 +22,10 @@ from marlkit.envs.gridbattle import (
     RANGED,
     BattleConfig,
     BattleEnv,
+    DeadPadding,
     HitAndRunAgent,
-    dead_padding,
-    img_obs_3i2z,
-    img_obs_5i,
+    Img3I2ZObs,
+    Img5IObs,
 )
 
 
@@ -242,23 +242,23 @@ class TestStepRules:
 class TestImgEncoders:
     def test_5i_shape(self):
         env = fresh_env()
-        itf = img_obs_5i()
+        itf = Img5IObs()
         obs_specs, _ = itf.setup(env.observation_specs, env.action_specs)
         assert obs_specs[0].shape == (8, 8, 6)
 
     def test_5i_rejects_3i2z(self):
         env = fresh_env("3I2Z")
         with pytest.raises(SetupError):
-            img_obs_5i().setup(env.observation_specs, env.action_specs)
+            Img5IObs().setup(env.observation_specs, env.action_specs)
 
     def test_3i2z_rejects_5i(self):
         env = fresh_env()
         with pytest.raises(SetupError):
-            img_obs_3i2z().setup(env.observation_specs, env.action_specs)
+            Img3I2ZObs().setup(env.observation_specs, env.action_specs)
 
     def test_empty_cells_all_zero(self):
         env = fresh_env()
-        itf = img_obs_5i()
+        itf = Img5IObs()
         itf.setup(env.observation_specs, env.action_specs)
         grids, _ = itf.obs_trans(env._observe(), (0.0,) * 10)
         occupied = {(u.row, u.col) for u in env.units if u.alive}
@@ -274,7 +274,7 @@ class TestImgEncoders:
         for seed in range(10):
             env = fresh_env()
             env.reset(seed)
-            itf = img_obs_5i()
+            itf = Img5IObs()
             itf.setup(env.observation_specs, env.action_specs)
             grids, _ = itf.obs_trans(env._observe(), (0.0,) * 10)
             for slot in (0, 7):
@@ -292,7 +292,7 @@ class TestImgEncoders:
 
     def test_3i2z_shape_and_kind_channels(self):
         env = fresh_env("3I2Z", randomize_positions=False)
-        itf = img_obs_3i2z()
+        itf = Img3I2ZObs()
         obs_specs, _ = itf.setup(env.observation_specs, env.action_specs)
         assert obs_specs[0].shape == (8, 8, 16)
         grids, _ = itf.obs_trans(env._observe(), (0.0,) * 10)
@@ -316,7 +316,7 @@ class TestImgEncoders:
             for slot in range(10):
                 if (seed + slot) % 3 == 0:
                     env.units[slot].alive = False
-            itf = img_obs_3i2z()
+            itf = Img3I2ZObs()
             itf.setup(env.observation_specs, env.action_specs)
             grids, _ = itf.obs_trans(env._observe(), (0.0,) * 10)
             for slot in (1, 6):
@@ -338,7 +338,7 @@ class TestImgEncoders:
 
     def test_damage_channel_distinguishes_kinds(self):
         env = fresh_env("3I2Z", randomize_positions=False)
-        itf = img_obs_3i2z()
+        itf = Img3I2ZObs()
         itf.setup(env.observation_specs, env.action_specs)
         grids, _ = itf.obs_trans(env._observe(), (0.0,) * 10)
         grid = grids[0]
@@ -351,14 +351,14 @@ class TestDeadPadding:
     def pipeline(self, env):
         from marlkit import stack
 
-        itf = stack(dead_padding(), img_obs_5i())
+        itf = stack(DeadPadding(), Img5IObs())
         itf.setup(env.observation_specs, env.action_specs)
         return itf
 
     def test_living_slot_flag_one_obs_unchanged(self):
         env = fresh_env()
         itf = self.pipeline(env)
-        plain = img_obs_5i()
+        plain = Img5IObs()
         plain.setup(env.observation_specs, env.action_specs)
         padded, _ = itf.obs_trans(env._observe(), (0.0,) * 10)
         raw, _ = plain.obs_trans(env._observe(), (0.0,) * 10)
@@ -449,7 +449,7 @@ class TestConformanceAndPurity:
 
     def test_encoders_pure_functions_of_state(self):
         env = fresh_env()
-        itf = img_obs_5i()
+        itf = Img5IObs()
         itf.setup(env.observation_specs, env.action_specs)
         rng = RngStream(5, ("pure",))
         for _ in range(10):

@@ -290,6 +290,12 @@ class TestRoundRobin:
         with pytest.raises(ConfigError):
             round_robin(self.entrants()[:1], "pong2p")
 
+    def test_four_party_env_is_config_error_without_replays(self, tmp_path):
+        with pytest.raises(ConfigError, match="4 parties"):
+            round_robin(self.entrants(), "bomber", {"mode": "ffa"},
+                        episodes_per_pair=1, replay_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestConfigExpressiveness:
     """The train-style vs test-style composition is a pure config change."""
@@ -554,3 +560,75 @@ class TestConfigAliases:
             assert cli_main(["tourney", "--config", str(path)]) == 2
             err = capsys.readouterr().err
             assert f"unknown keys {unknown}; known:" in err
+
+
+def _tourney_case(**override):
+    config = {
+        "env": {"name": "pong2p", "params": {"step_limit": 20}},
+        "entrants": [{"name": "random", "label": "a"}, {"name": "random", "label": "b"}],
+        "episodes_per_pair": 1,
+    }
+    return {**config, **override}
+
+
+def _entrant(**entry):
+    return {"entrants": [{"name": "random", "label": "a", **entry},
+                         {"name": "random", "label": "b"}]}
+
+
+def _groups(second):
+    return {"env_interfaces": [{"name": "make_team", "groups": [[0], [second]]}]}
+
+
+class TestStrictConfig:
+    """Config integers are exact JSON integers, and a malformed config shape is
+    a runtime error (exit 2) naming the key and value, never a traceback."""
+
+    CASES = {
+        "episodes_per_pair float": ({"episodes_per_pair": 1.5}, "1.5"),
+        "episodes_per_pair str": ({"episodes_per_pair": "3"}, "'3'"),
+        "episodes_per_pair bool": ({"episodes_per_pair": True}, "True"),
+        "seed float": ({"seed": 1.9}, "1.9"),
+        "seed str": ({"seed": "x"}, "'x'"),
+        "random seed float": (_entrant(params={"seed": 20.7}), "20.7"),
+        "random seed str": (_entrant(params={"seed": "x"}), "'x'"),
+        "resolution float": (
+            _entrant(interfaces=[{"name": "pong.screen_obs", "resolution": 20.7}]), "20.7"),
+        "resolution str": (
+            _entrant(interfaces=[{"name": "pong.screen_obs", "resolution": "x"}]), "'x'"),
+        "partition float": (_groups(1.5), "1.5"),
+        "partition bool": (_groups(True), "True"),
+        "partition str": (_groups("1"), "'1'"),
+        "partition letter": (_groups("a"), "'a'"),
+        "agent params list": (_entrant(params=[1]), "[1]"),
+        "env params list": ({"env": {"name": "pong2p", "params": [1]}}, "[1]"),
+        "env_interfaces str": ({"env_interfaces": "pong.screen_obs"}, "'pong.screen_obs'"),
+        "pipeline entry int": ({"env_interfaces": [1]}, "1"),
+        "agent pipeline entry int": (_entrant(interfaces=[1]), "1"),
+        "pipeline entry without name": ({"env_interfaces": [{"params": {}}]}, "{'params': {}}"),
+        "pipeline params list": (
+            {"env_interfaces": [{"name": "identity", "params": [1]}]}, "[1]"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bad_config_exits_2(self, case, tmp_path, capsys):
+        override, shown = self.CASES[case]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_tourney_case(**override)))
+        assert cli_main(["tourney", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and shown in err
+
+    @pytest.mark.parametrize("override", [
+        {"episodes": 2.7}, {"episodes": "3"}, {"episodes": True},
+        {"seed": 1.9}, {"seed": "x"},
+        {"env": {"name": "pong2p", "params": [1]}},
+        {"env_interfaces": "pong.screen_obs"},
+        {"agents": [{"name": "random", "params": [1]}]},
+        {"agents": [{"name": "random", "interfaces": "pong.screen_obs"}]},
+        {"agents": [1]},
+    ])
+    def test_match_config_is_strict(self, override):
+        config = {"env": {"name": "pong2p"}, "agents": [{"name": "random"}] * 2, **override}
+        with pytest.raises(ConfigError):
+            MatchSpec.from_jsonable(config)

@@ -393,3 +393,21 @@ class TestSetupGuards:
             chain.obs_trans(obs, (0.0, 1.0, 2.0))
             chain.act_trans(Bundle(tuple(space_sample(s, rng) for s in outer_act)))
         assert counts == {(id(n), m): calls for n in nodes for m in self.CALLS}
+
+
+def test_each_registered_interface_builds_its_module_class():
+    from marlkit import list_interfaces, make_interface
+    from marlkit.envs import bomber, gridbattle, pong
+    from marlkit.interfaces import ConcatObsAct, Identity, MakeTeam, MapToVector
+
+    expected = {
+        "identity": Identity, "map_to_vector": MapToVector, "make_team": MakeTeam,
+        "concat_obs_act": ConcatObsAct, "pong.screen_obs": pong.ScreenObs,
+        "battle.img5i": gridbattle.Img5IObs, "battle.img3i2z": gridbattle.Img3I2ZObs,
+        "battle.dead_pad": gridbattle.DeadPadding, "bomber.board_map": bomber.BoardMapObs,
+        "bomber.attr": bomber.AttrObs, "bomber.act_mask": bomber.ActMaskObs,
+        "bomber.rotate": bomber.RotateView,
+    }
+    assert list_interfaces() == sorted(expected)
+    for name, cls in expected.items():
+        assert type(make_interface(name, {"groups": [[0]]})) is cls

@@ -26,8 +26,8 @@ from marlkit.envs.pong import (
     FollowBallAgent,
     PongConfig,
     PongEnv,
+    ScreenObs,
     bounce,
-    screen_obs,
 )
 
 
@@ -196,14 +196,14 @@ class TestDeterminismAndRules:
 
 class TestScreenObs:
     def test_spec_shape(self):
-        env = wrap_env(PongEnv(), screen_obs(32))
+        env = wrap_env(PongEnv(), ScreenObs(32))
         assert env.observation_specs[0].shape == (32, 32, 1)
 
     def test_ball_at_origin_rasterizes_top_left(self):
         env = PongEnv()
         env.reset(1)
         env.ball_x, env.ball_y = 0.0, 0.0
-        itf = screen_obs(16)
+        itf = ScreenObs(16)
         itf.setup(env.observation_specs, env.action_specs)
         grid = itf.obs_trans(env._observe(), (0.0, 0.0))[0][0]
         assert grid.at(0, 0) == 1.0 and grid.at(0, 1) == 1.0
@@ -219,7 +219,7 @@ class TestScreenObs:
         res = 32
         env = PongEnv(cfg)
         obs = env.reset(2)
-        itf = screen_obs(res)
+        itf = ScreenObs(res)
         itf.setup(env.observation_specs, env.action_specs)
         grids = itf.obs_trans(obs, (0.0, 0.0))[0]
         half = cfg.paddle_len / 2.0
@@ -242,13 +242,13 @@ class TestScreenObs:
         from marlkit import SetupError
 
         with pytest.raises(SetupError):
-            screen_obs(8)
+            ScreenObs(8)
 
     def test_egocentric_orientation_preserved(self):
         env = PongEnv()
         env.reset(3)
         env.ball_x = 10.0  # near the left player's plane
-        itf = screen_obs(16)
+        itf = ScreenObs(16)
         itf.setup(env.observation_specs, env.action_specs)
         grids = itf.obs_trans(env._observe(), (0.0, 0.0))[0]
         ball_cols_0 = {i % 16 for i, e in enumerate(grids[0].entries) if e == 1.0}

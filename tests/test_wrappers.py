@@ -25,7 +25,7 @@ from marlkit import (
     wrap_env,
     wrap_env_per_agent,
 )
-from marlkit.envs.pong import PongEnv, screen_obs
+from marlkit.envs.pong import PongEnv, ScreenObs
 
 from conftest import AddToVectors, ToyVecEnv
 
@@ -52,7 +52,7 @@ class TestWrapEnv:
         assert env.observation_specs == [BoxSpec((3,), 1.0, 3.0)] * 2
 
     def test_pong_screen_obs_shapes(self):
-        env = wrap_env(PongEnv(), screen_obs(32))
+        env = wrap_env(PongEnv(), ScreenObs(32))
         obs = env.reset(1)
         for slot in range(2):
             assert obs[slot].shape == (32, 32, 1)
