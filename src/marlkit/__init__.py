@@ -8,7 +8,7 @@ agents can be evaluated against each other in a shared raw environment.
 """
 
 from .agents import Agent, ConstantAgent, RandomAgent, TeamAgent
-from .bundles import Bundle, StepResult, bundle_merge, bundle_split
+from .bundles import Bundle, EpisodeResult, StepResult, bundle_merge, bundle_split
 from .env import Env
 from .errors import (
     ConfigError,
@@ -20,16 +20,7 @@ from .errors import (
     SetupError,
     SpaceMismatch,
 )
-from .harness import (
-    AgentSpec,
-    EpisodeResult,
-    MatchResult,
-    MatchSpec,
-    Scoreboard,
-    round_robin,
-    run_episode,
-    run_match,
-)
+from .harness import MatchResult, Scoreboard, round_robin, run_episode, run_match
 from .interfaces import (
     Interface,
     append_feature,
@@ -41,6 +32,8 @@ from .interfaces import (
     stack,
 )
 from .registry import (
+    AgentSpec,
+    MatchSpec,
     build_pipeline,
     list_agents,
     list_envs,

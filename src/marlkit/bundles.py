@@ -1,8 +1,9 @@
-"""Per-agent-slot tuples: bundles of values and environment step results."""
+"""Per-agent-slot tuples: bundles of values, environment step results and outcomes."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Sequence
 
 from .errors import InvalidPartition
@@ -66,6 +67,38 @@ def outcome_info(winner: int | None) -> MappingV:
     if winner is None:
         return MappingV((("draw", DiscreteV(1)),))
     return MappingV((("winner", DiscreteV(winner)),))
+
+
+@dataclass(frozen=True)
+class EpisodeResult:
+    winner_party: int | None
+    draw: bool
+    returns: tuple[float, ...]  # per raw env slot
+    length: int
+
+
+class EpisodeTally:
+    """An episode's length and per-raw-slot returns, summed step by step.
+
+    run_episode and replay_verify both compute outcomes here, so a replay's
+    outcome record is checked with the arithmetic that wrote it.
+    """
+
+    def __init__(self, slots: int):
+        self.returns = [0.0] * slots
+        self.length = 0
+
+    def add(self, raw_rewards: Sequence[float]) -> None:
+        self.returns = list(map(add, self.returns, raw_rewards))
+        self.length += 1
+
+    def result(self, last_info: MappingV) -> EpisodeResult:
+        """The outcome, read from the info of the episode's last raw step."""
+        winner = last_info.get("winner")
+        return EpisodeResult(
+            winner_party=None if winner is None else winner.index,
+            draw="draw" in last_info, returns=tuple(self.returns), length=self.length,
+        )
 
 
 def check_partition(partition: Sequence[Sequence[int]], slot_count: int) -> Partition:

@@ -15,16 +15,9 @@ import time
 from typing import Any, Sequence
 
 from .errors import MarlkitError
-from .harness import (
-    AgentSpec,
-    MatchSpec,
-    env_entry,
-    require_known_keys,
-    round_robin,
-    run_match,
-    toolkit_version,
-)
-from .registry import config_value, list_agents, list_envs, list_interfaces, make_env
+from .harness import round_robin, run_match, toolkit_version
+from .registry import (AgentSpec, MatchSpec, config_value, env_entry, list_agents, list_envs,
+                       list_interfaces, make_env, require_known_keys)
 from .replay import read_replay, replay_verify, step_actions
 
 
@@ -176,7 +169,7 @@ def _cmd_tourney(args) -> int:
         env_interfaces=tuple(config_value(config, "env_interfaces", list, (), what)),
         episodes_per_pair=config_value(config, "episodes_per_pair", int, 2, what),
         base_seed=config_value(config, "seed", int, 0, what),
-        replay_dir=config.get("replay_dir"),
+        replay_dir=config_value(config, "replay_dir", str, None, what),
     )
     if args.json:
         print(json.dumps(board.to_jsonable(), sort_keys=True))
@@ -211,13 +204,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_render(args) -> int:
     replay = read_replay(args.path)
-    env_spec = replay.header["spec"]["env"]
     delay = 1.0 / args.fps if args.fps and args.fps > 0 else 0.0
     episodes = replay.episodes
     if args.episodes is not None:
         episodes = episodes[: args.episodes]
     for ep in episodes:
-        env = make_env(env_spec["name"], env_spec.get("params") or {})
+        env = make_env(replay.spec.env_name, replay.spec.env_params)
         env.reset(ep.seed)
         print(f"=== episode {ep.index} (seed {ep.seed}) ===")
         print(env.render_ascii())

@@ -288,17 +288,17 @@ class BattleEnv(Env):
         return "\n".join(lines)
 
 
+# What the grid encoders read of every slot (see require_spec).
+_UNITS_VIEW = {
+    "self_id": DiscreteSpec,
+    "units": [dict.fromkeys(("team", "kind", "row", "col", "hp", "shield", "cd", "alive"), (1,))],
+}
+
+
 def _expected_kinds(spec: MappingSpec) -> list[int] | None:
-    """Per-unit kind flags pinned by the observation spec, or None if foreign."""
-    if not isinstance(spec, MappingSpec) or "units" not in spec.keys():
-        return None
-    kinds = []
-    for unit_spec in spec["units"].items:
-        k = unit_spec["kind"]
-        if k.low != k.high:
-            return None
-        kinds.append(int(k.low))
-    return kinds
+    """Per-unit kind flags pinned by the observation spec, or None if one is not pinned."""
+    bounds = [(unit["kind"].low, unit["kind"].high) for unit in spec["units"].items]
+    return None if any(lo != hi for lo, hi in bounds) else [int(lo) for lo, _ in bounds]
 
 
 class _ImgObsBase(Interface):
@@ -312,9 +312,11 @@ class _ImgObsBase(Interface):
     CHANNELS: int
 
     def _setup(self, obs_specs, act_specs):
-        kinds = _expected_kinds(obs_specs[0])
-        if kinds is None or not self._accepts(kinds):
-            raise SetupError(f"{type(self).__name__} does not match this scenario")
+        for i, spec in enumerate(obs_specs):
+            require_spec(spec, _UNITS_VIEW, f"slot {i}: {type(self).__name__} observation")
+            kinds = _expected_kinds(spec)
+            if kinds is None or not self._accepts(kinds):
+                raise SetupError(f"slot {i}: {type(self).__name__} does not match this scenario")
         shape = (GRID, GRID, self.CHANNELS)
         self._dead_grid = GridV(shape, (0.0,) * (GRID * GRID * self.CHANNELS))
         return [BoxSpec(shape, 0.0, 1.0) for _ in obs_specs], act_specs

@@ -284,8 +284,11 @@ class ScreenObs(Interface):
     The raster keeps the egocentric orientation: the observing player's paddle
     is the left column, the opponent's the right column; the ball is a 2x2
     block. A raster cell lights when its covered interval overlaps the object.
-    The field size and the paddle length come from the input spec.
+    Each slot's field size and paddle length come from its input spec.
     """
+
+    # What _rasterize reads of every slot (see require_spec).
+    VIEW = dict.fromkeys(("ball_x", "ball_y", "own_paddle_y", "opp_paddle_y"), (1,))
 
     def __init__(self, resolution: int = 32):
         super().__init__()
@@ -294,39 +297,39 @@ class ScreenObs(Interface):
         self.resolution = int(resolution)
 
     def _setup(self, obs_specs, act_specs):
-        for s in obs_specs:
-            if not isinstance(s, MappingSpec) or "ball_x" not in s.keys():
-                raise SetupError("screen_obs expects raw pong observations")
-        self._field_h = obs_specs[0]["ball_y"].high
-        self._field_w = obs_specs[0]["ball_x"].high
-        self._paddle_half = obs_specs[0]["own_paddle_y"].low
+        for i, s in enumerate(obs_specs):
+            require_spec(s, self.VIEW, f"slot {i}: pong.screen_obs observation")
+        # Per slot: field height, field width, half the paddle length.
+        self._fields = [(s["ball_y"].high, s["ball_x"].high, s["own_paddle_y"].low)
+                        for s in obs_specs]
         res = self.resolution
         return [BoxSpec((res, res, 1), 0.0, 1.0) for _ in obs_specs], act_specs
 
-    def _rasterize(self, view: MappingV) -> GridV:
+    def _rasterize(self, view: MappingV, field: tuple[float, float, float]) -> GridV:
         res = self.resolution
+        field_h, field_w, paddle_half = field
         cells = [0.0] * (res * res)
 
         def cell_of(v: float, extent: float) -> int:
             return min(res - 1, max(0, int(v * res / extent)))
 
-        br = cell_of(view["ball_y"].entries[0], self._field_h)
-        bc = cell_of(view["ball_x"].entries[0], self._field_w)
+        br = cell_of(view["ball_y"].entries[0], field_h)
+        bc = cell_of(view["ball_x"].entries[0], field_w)
         for r in (br, min(res - 1, br + 1)):
             for c in (bc, min(res - 1, bc + 1)):
                 cells[r * res + c] = 1.0
         for key, col in (("own_paddle_y", 0), ("opp_paddle_y", res - 1)):
             py = view[key].entries[0]
-            lo, hi = py - self._paddle_half, py + self._paddle_half
+            lo, hi = py - paddle_half, py + paddle_half
             for r in range(res):
-                c0 = r * self._field_h / res
-                c1 = (r + 1) * self._field_h / res
+                c0 = r * field_h / res
+                c1 = (r + 1) * field_h / res
                 if c0 < hi and c1 > lo:
                     cells[r * res + col] = 1.0
         return GridV((res, res, 1), tuple(cells))
 
     def _obs(self, obs, rewards):
-        return Bundle(tuple(self._rasterize(v) for v in obs)), rewards
+        return Bundle(tuple(map(self._rasterize, obs, self._fields))), rewards
 
 
 class FollowBallAgent(Agent):

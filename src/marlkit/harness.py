@@ -14,29 +14,18 @@ win_rate = (wins + 0.5 * draws) / episodes.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from importlib import metadata
-from operator import add
 from typing import Any, Mapping, Sequence
 
 from .agents import Agent
-from .bundles import Bundle
+from .bundles import Bundle, EpisodeResult, EpisodeTally
 from .env import Env
 from .errors import ConfigError, InvalidPartition, SetupError
-from .registry import build_pipeline, config_value, make_agent, make_env
+from .registry import AgentSpec, MatchSpec, build_pipeline, make_agent, make_env
 from .replay import ReplayWriter, atomic_write, state_hash
 from .rng import RngStream
-from .values import MappingV
 from .wrappers import WrappedAgent, wrap_env
-
-
-def require_known_keys(obj: Mapping[str, Any], known: Sequence[str], what: str) -> None:
-    """Raise ConfigError naming every key of obj outside known (a typo never passes)."""
-    if not isinstance(obj, Mapping):
-        raise ConfigError(f"{what} must be a JSON object, got {obj!r}")
-    unknown = sorted(set(obj) - set(known))
-    if unknown:
-        raise ConfigError(f"{what} has unknown keys {unknown}; known: {list(known)}")
 
 
 def toolkit_version() -> str:
@@ -47,126 +36,7 @@ def toolkit_version() -> str:
 
 
 # ---------------------------------------------------------------------------
-# Specs
-
-
-@dataclass(frozen=True)
-class AgentSpec:
-    """One match entrant: registry name, params, agent-side pipeline, label."""
-
-    name: str
-    params: Mapping[str, Any] = field(default_factory=dict)
-    interfaces: tuple[Mapping[str, Any], ...] = ()
-    label: str | None = None
-
-    @property
-    def display(self) -> str:
-        return self.label or self.name
-
-    def to_jsonable(self) -> dict[str, Any]:
-        return {
-            "name": self.name, "params": dict(self.params),
-            "interfaces": [dict(e) for e in self.interfaces], "label": self.label,
-        }
-
-    @staticmethod
-    def from_jsonable(obj: Mapping[str, Any]) -> "AgentSpec":
-        what = f"agent entry {obj!r}"
-        require_known_keys(obj, [f.name for f in fields(AgentSpec)], what)
-        if type(obj.get("name")) is not str:
-            raise ConfigError(f"{what} needs a string name")
-        pipeline = obj.get("interfaces")
-        return AgentSpec(
-            name=obj["name"], params=dict(config_value(obj, "params", dict, {}, what)),
-            interfaces=((pipeline,) if isinstance(pipeline, Mapping)
-                        else tuple(config_value(obj, "interfaces", list, (), what))),
-            label=obj.get("label"),
-        )
-
-
-# Keys of a match config: what MatchSpec.to_jsonable writes, plus "replay".
-MATCH_KEYS = ("env", "env_interfaces", "agents", "episodes", "seed", "replay")
-ENV_KEYS = ("name", "params")
-
-
-def env_entry(config: Mapping[str, Any], what: str) -> tuple[str, dict[str, Any]]:
-    """The name and params of a config's "env" object; ConfigError if malformed."""
-    env = config.get("env") or {}
-    require_known_keys(env, ENV_KEYS, f"{what} env")
-    if type(env.get("name")) is not str:
-        raise ConfigError(f"{what} needs a string env.name")
-    return env["name"], dict(config_value(env, "params", dict, {}, f"{what} env"))
-
-
-@dataclass(frozen=True)
-class MatchSpec:
-    env_name: str
-    env_params: Mapping[str, Any] = field(default_factory=dict)
-    env_interfaces: tuple[Mapping[str, Any], ...] = ()
-    agents: tuple[AgentSpec, ...] = ()
-    episodes: int = 1
-    base_seed: int = 0
-    replay_path: str | None = None
-
-    def to_jsonable(self) -> dict[str, Any]:
-        return {
-            "env": {"name": self.env_name, "params": dict(self.env_params)},
-            "env_interfaces": [dict(e) for e in self.env_interfaces],
-            "agents": [a.to_jsonable() for a in self.agents],
-            "episodes": self.episodes,
-            "seed": self.base_seed,
-        }
-
-    @staticmethod
-    def from_jsonable(obj: Mapping[str, Any]) -> "MatchSpec":
-        what = "match config"
-        require_known_keys(obj, MATCH_KEYS, what)
-        env_name, env_params = env_entry(obj, what)
-        return MatchSpec(
-            env_name=env_name,
-            env_params=env_params,
-            env_interfaces=tuple(config_value(obj, "env_interfaces", list, (), what)),
-            agents=tuple(map(AgentSpec.from_jsonable, config_value(obj, "agents", list, (), what))),
-            episodes=config_value(obj, "episodes", int, 1, what),
-            base_seed=config_value(obj, "seed", int, 0, what),
-            replay_path=obj.get("replay"),
-        )
-
-
-# ---------------------------------------------------------------------------
 # Episode loop
-
-
-@dataclass(frozen=True)
-class EpisodeResult:
-    winner_party: int | None
-    draw: bool
-    returns: tuple[float, ...]  # per raw env slot
-    length: int
-
-
-class EpisodeTally:
-    """An episode's length and per-raw-slot returns, summed step by step.
-
-    run_episode and replay_verify both compute outcomes here, so a replay's
-    outcome record is checked with the arithmetic that wrote it.
-    """
-
-    def __init__(self, slots: int):
-        self.returns = [0.0] * slots
-        self.length = 0
-
-    def add(self, raw_rewards: Sequence[float]) -> None:
-        self.returns = list(map(add, self.returns, raw_rewards))
-        self.length += 1
-
-    def result(self, last_info: MappingV) -> EpisodeResult:
-        """The outcome, read from the info of the episode's last raw step."""
-        winner = last_info.get("winner")
-        return EpisodeResult(
-            winner_party=None if winner is None else winner.index,
-            draw="draw" in last_info, returns=tuple(self.returns), length=self.length,
-        )
 
 
 def run_episode(env: Env, actors: Sequence[Agent | WrappedAgent], seed: int,
@@ -228,8 +98,7 @@ def run_episode(env: Env, actors: Sequence[Agent | WrappedAgent], seed: int,
         if result.done:
             episode = tally.result(raw_result.info)
             if writer is not None:
-                writer.outcome(episode.winner_party, episode.draw, episode.returns,
-                               episode.length)
+                writer.outcome(episode)
             return episode
 
 
@@ -269,25 +138,27 @@ def _build_env(spec: MatchSpec) -> Env:
     return wrap_env(env, pipeline) if pipeline is not None else env
 
 
-def _party_layout(env: Env) -> tuple[list[int], dict[int, list[int]]]:
+def _party_layout(env: Env, spec: MatchSpec) -> dict[int, list[int]]:
+    """Each party's slots by ascending party id; ConfigError unless spec has an agent per party."""
     parties = env.parties
     if any(p < 0 for p in parties):
         raise ConfigError("environment slots without a well-defined party cannot be matched")
-    ids = sorted(set(parties))
-    slots_of = {p: [i for i, q in enumerate(parties) if q == p] for p in ids}
-    return ids, slots_of
+    slots_of = {p: [i for i, q in enumerate(parties) if q == p] for p in sorted(set(parties))}
+    if len(spec.agents) != len(slots_of):
+        raise ConfigError(
+            f"{spec.env_name} has {len(slots_of)} parties, spec provides {len(spec.agents)} agents"
+        )
+    return slots_of
 
 
-def _build_actors(env: Env, spec: MatchSpec, assignment: dict[int, AgentSpec],
+def _build_actors(env: Env, slots_of: dict[int, list[int]], assignment: dict[int, AgentSpec],
                   episode_seed: int) -> list[Agent | WrappedAgent]:
     """One actor per covered slot block, ordered by first slot."""
-    ids, slots_of = _party_layout(env)
     obs_specs, act_specs = env.observation_specs, env.action_specs
     rng = RngStream(episode_seed, ("agents",))
     plan: list[tuple[int, Agent | WrappedAgent]] = []  # (first_slot, actor)
-    for party in ids:
+    for party, slots in slots_of.items():
         entry = assignment[party]
-        slots = slots_of[party]
         if entry.interfaces:
             lo, hi = min(slots), max(slots)
             if slots != list(range(lo, hi + 1)):
@@ -323,27 +194,20 @@ def run_match(spec: MatchSpec) -> MatchResult:
     """
     if spec.episodes < 1:
         raise ConfigError("a match needs at least one episode (win-rate is undefined on 0)")
-    probe = _build_env(spec)
-    ids, _ = _party_layout(probe)
-    if len(spec.agents) != len(ids):
-        raise ConfigError(
-            f"{spec.env_name} has {len(ids)} parties, spec provides {len(spec.agents)} agents"
-        )
-    n_parties = len(ids)
     wins = draws = losses = 0
     outcomes: list[EpisodeResult] = []
     with atomic_write(spec.replay_path) if spec.replay_path else nullcontext() as replay_file:
         writer = None
         if replay_file is not None:
             writer = ReplayWriter(replay_file)
-            writer.match_header(spec.to_jsonable(), toolkit_version())
+            writer.match_header(spec, toolkit_version())
         for k in range(spec.episodes):
             seed = spec.base_seed + k
             env = _build_env(spec)
-            assignment = {
-                ids[(e + k) % n_parties]: spec.agents[e] for e in range(len(spec.agents))
-            }
-            actors = _build_actors(env, spec, assignment, seed)
+            slots_of = _party_layout(env, spec)
+            ids, n_parties = list(slots_of), len(slots_of)
+            assignment = {ids[(e + k) % n_parties]: spec.agents[e] for e in range(n_parties)}
+            actors = _build_actors(env, slots_of, assignment, seed)
             episode = run_episode(env, actors, seed, writer=writer, episode_index=k)
             outcomes.append(episode)
             if episode.draw or episode.winner_party is None:

@@ -24,9 +24,11 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Any, IO, Iterator
 
-from .bundles import Bundle
+from . import registry
+from .bundles import Bundle, EpisodeResult, EpisodeTally
 from .env import Env
-from .errors import FormatError
+from .errors import ConfigError, FormatError
+from .registry import MatchSpec
 # value_hash_hex is the reference state_hash must agree with; it stays importable here.
 from .serial import bytes_hash_hex, value_from_jsonable, value_to_jsonable, value_hash_hex
 from .values import DiscreteV
@@ -75,10 +77,10 @@ class ReplayWriter:
     def __init__(self, stream: IO[str]):
         self._stream = stream
 
-    def match_header(self, spec_jsonable: dict[str, Any], version: str) -> None:
+    def match_header(self, spec: MatchSpec, version: str) -> None:
         self._stream.write(_dump({
             "kind": "match", "format": FORMAT_VERSION,
-            "version": version, "spec": spec_jsonable,
+            "version": version, "spec": spec.to_jsonable(),
         }) + "\n")
 
     def episode_header(self, index: int, seed: int, reset_hash: str) -> None:
@@ -105,12 +107,14 @@ class ReplayWriter:
         self._stream.write(_STEP_LINE % (actions_text, "true" if done else "false",
                                          encode_basestring_ascii(digest), rewards_text, t))
 
-    def outcome(self, winner: int | None, draw: bool,
-                returns: tuple[float, ...], length: int) -> None:
-        self._stream.write(_dump({
-            "kind": "outcome", "winner": winner, "draw": draw,
-            "returns": list(returns), "length": length,
-        }) + "\n")
+    def outcome(self, episode: EpisodeResult) -> None:
+        self._stream.write(_dump({"kind": "outcome", **outcome_record(episode)}) + "\n")
+
+
+def outcome_record(episode: EpisodeResult) -> dict[str, Any]:
+    """An outcome record's fields, in the order replay_verify compares them."""
+    return {"winner": episode.winner_party, "draw": episode.draw,
+            "returns": list(episode.returns), "length": episode.length}
 
 
 @dataclass
@@ -125,6 +129,7 @@ class ReplayEpisode:
 @dataclass
 class Replay:
     header: dict[str, Any]
+    spec: MatchSpec  # the header's spec, exactly as MatchSpec.to_jsonable writes it
     episodes: list[ReplayEpisode]
 
 
@@ -188,11 +193,15 @@ def read_replay(path: str) -> Replay:
                 raise FormatError(f"{where}: duplicate match header")
             if obj["format"] != FORMAT_VERSION:
                 raise FormatError(f"{where}: unsupported format {obj['format']!r}")
-            env = obj["spec"].get("env")
-            if not (isinstance(env, dict) and type(env.get("name")) is str
-                    and isinstance(env.get("params") or {}, dict)):
-                raise FormatError(f"{where}: match spec needs an env with a name "
-                                  f"and object params, got {env!r}")
+            recorded = obj["spec"]
+            try:
+                spec = MatchSpec.from_jsonable(recorded)
+            except ConfigError as exc:
+                raise FormatError(f"{where}: bad match spec: {exc}") from exc
+            written = spec.to_jsonable()
+            if written != recorded:  # from_jsonable fills in defaults; a header holds none
+                diff = sorted(k for k in {*written, *recorded} if written.get(k) != recorded.get(k))
+                raise FormatError(f"{where}: match spec keys {diff} differ from to_jsonable's")
             header = obj
         elif header is None:
             raise FormatError(f"{where}: {kind} record before the match header")
@@ -212,7 +221,7 @@ def read_replay(path: str) -> Replay:
             episodes[-1].outcome = obj
     if header is None:
         raise FormatError(f"{path}: missing match header")
-    return Replay(header=header, episodes=episodes)
+    return Replay(header=header, spec=spec, episodes=episodes)
 
 
 def step_actions(rec: dict[str, Any], path: str) -> Bundle:
@@ -249,17 +258,13 @@ def replay_verify(path: str) -> VerifyResult:
     end with its first done step, followed by an outcome. Returns the first
     divergent (episode, step), if any, with the field that diverged.
     """
-    from .harness import EpisodeTally  # deferred: harness imports this module
-    from .registry import make_env  # deferred: registry pulls in all envs
-
     replay = read_replay(path)
-    spec = replay.header["spec"]
-    env_spec = spec["env"]
+    spec = replay.spec
     for k, ep in enumerate(replay.episodes):
         if ep.index != k:
             return VerifyResult(False, ep.index, None,
                                 f"episode index {ep.index} is episode {k} of the file")
-        env = make_env(env_spec["name"], env_spec.get("params") or {})
+        env = registry.make_env(spec.env_name, spec.env_params)
         env.reset(ep.seed)
         if state_hash(env) != ep.reset_hash:
             return VerifyResult(False, ep.index, None, "reset state diverged")
@@ -284,19 +289,15 @@ def replay_verify(path: str) -> VerifyResult:
             return VerifyResult(False, ep.index, None, "episode ends without a done step")
         if ep.outcome is None:
             return VerifyResult(False, ep.index, None, "episode has no outcome record")
-        outcome = tally.result(result.info)
-        for field, actual in (("winner", outcome.winner_party), ("draw", outcome.draw),
-                              ("returns", list(outcome.returns)),
-                              ("length", outcome.length)):
+        for field, actual in outcome_record(tally.result(result.info)).items():
             if ep.outcome[field] != actual:
                 return _diverged(ep.index, None, f"outcome {field}", ep.outcome[field], actual)
-    count, base = spec.get("episodes"), spec.get("seed")
-    if count != len(replay.episodes):
+    if spec.episodes != len(replay.episodes):
         return VerifyResult(False, None, None, f"episode count: the header's spec has "
-                                               f"{count!r}, the file {len(replay.episodes)}")
+                                               f"{spec.episodes}, the file {len(replay.episodes)}")
     for ep in replay.episodes:
-        if type(base) is not int or ep.seed != base + ep.index:
+        if ep.seed != spec.base_seed + ep.index:
             return VerifyResult(False, ep.index, None,
-                                f"seed {ep.seed} is not the header's base seed {base!r} "
+                                f"seed {ep.seed} is not the header's base seed {spec.base_seed} "
                                 f"+ episode index {ep.index}")
     return VerifyResult(True)

@@ -220,12 +220,42 @@ class TestReplay:
         path = tmp_path / "alien.jsonl"
         path.write_text(json.dumps({
             "kind": "match", "format": 1, "version": "x",
-            "spec": {"env": {"name": "marsopoly", "params": {}}},
+            "spec": {"env": {"name": "marsopoly", "params": {}}, "env_interfaces": [],
+                     "agents": [], "episodes": 1, "seed": 0},
         }) + "\n" + json.dumps({
             "kind": "episode", "index": 0, "seed": 0, "reset_hash": "0" * 16,
         }) + "\n")
         with pytest.raises(RegistryError):
             replay_verify(str(path))
+
+
+class TestRunMatchEnvs:
+    def test_one_env_per_episode(self, monkeypatch):
+        from marlkit import harness
+
+        built = []
+        make = harness.make_env
+        monkeypatch.setattr(harness, "make_env", lambda *a: built.append(a) or make(*a))
+        run_match(MatchSpec(env_name="pong2p", env_params={"step_limit": 5},
+                            agents=(AgentSpec("random"),) * 2, episodes=3))
+        assert len(built) == 3
+
+    def test_party_count_checked_before_any_file(self, tmp_path):
+        path = tmp_path / "match.jsonl"
+        with pytest.raises(ConfigError, match="bomber has 4 parties, spec provides 2 agents"):
+            run_match(MatchSpec(env_name="bomber", agents=(AgentSpec("random"),) * 2,
+                                replay_path=str(path)))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--env-itf", "--agent-itf"])
+    def test_pipeline_entry_checked_before_any_file(self, tmp_path, capsys, flag):
+        path = tmp_path / "match.jsonl"
+        argv = ["run", "--env", "pong2p", "--agents", "random,random", flag, '["x"]',
+                "--replay", str(path)]
+        assert cli_main(argv + ["--agent-itf", "-"] * (flag == "--agent-itf")) == 2
+        err = capsys.readouterr().err
+        assert err == "error: pipeline entry 'x' must be an object with a string name\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRoundRobin:

@@ -8,6 +8,7 @@ a file cut mid-match, steps after done and outcome fields that do not add up.
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -127,8 +128,50 @@ def test_discrete_action_past_u64_is_format_error(replay_lines, tmp_path):
 def test_match_spec_without_env_name_is_format_error(replay_lines, tmp_path, env):
     records = copy(replay_lines)
     records[0]["spec"]["env"] = env
-    with pytest.raises(FormatError, match=r":1: match spec needs an env"):
+    with pytest.raises(FormatError, match=r":1: bad match spec: match config (needs a string "
+                                          r"env\.name|env: 'params' must be a JSON object)"):
         read_replay(write(tmp_path, records))
+
+
+HEADER_TAMPERS = {
+    "episodes_float": (lambda spec: spec.update(episodes=2.0),
+                       "'episodes' must be an integer, got 2.0"),
+    # from_jsonable would fill in the default 1; the round trip rejects it.
+    "episodes_missing": (lambda spec: spec.pop("episodes"),
+                         "match spec keys ['episodes'] differ from to_jsonable's"),
+    "unknown_key": (lambda spec: spec.update(sed=20), "unknown keys ['sed']"),
+    "env_interfaces_string": (lambda spec: spec.update(env_interfaces="x"),
+                              "'env_interfaces' must be a JSON list, got 'x'"),
+    "env_interface_not_an_object": (lambda spec: spec.update(env_interfaces=["x"]),
+                                    "pipeline entry 'x' must be an object"),
+    "bad_agent_entry": (lambda spec: spec["agents"].__setitem__(0, {"name": 3, "bogus": 1}),
+                        "unknown keys ['bogus']"),
+    # A match config may name its replay file; to_jsonable never writes it.
+    "replay_key": (lambda spec: spec.update(replay="elsewhere.jsonl"),
+                   "match spec keys ['replay'] differ from to_jsonable's"),
+}
+
+
+@pytest.mark.parametrize("tamper, message", HEADER_TAMPERS.values(), ids=HEADER_TAMPERS)
+def test_header_spec_must_be_what_to_jsonable_writes(replay_lines, tmp_path, capsys,
+                                                     tamper, message):
+    records = copy(replay_lines)
+    tamper(records[0]["spec"])
+    path = write(tmp_path, records)
+    with pytest.raises(FormatError, match=rf"^{re.escape(path)}:1: .*{re.escape(message)}"):
+        read_replay(path)
+    assert cli_main(["verify-replay", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:1: ") and "Traceback" not in err
+
+
+def test_read_replay_gives_the_header_spec(replay_lines, tmp_path):
+    spec = read_replay(write(tmp_path, copy(replay_lines))).spec
+    assert spec == MatchSpec(
+        env_name="pong2p", env_params={"win_score": 2},
+        agents=(AgentSpec("pong.follow_ball"), AgentSpec("random")),
+        episodes=2, base_seed=20,
+    )
 
 
 def test_records_out_of_place_are_format_errors(replay_lines, tmp_path):
@@ -249,6 +292,17 @@ def test_step_index_and_episode_seed_checked(replay_lines, tmp_path):
     result = verify(tmp_path, records)
     assert (result.ok, result.episode) == (False, 0)
     assert result.message.startswith("seed 20 is not the header's base seed 21")
+
+
+def test_verify_builds_envs_through_the_registry_module(replay_lines, tmp_path, monkeypatch):
+    # Looked up at call time, so a wrapper set on registry.make_env sees every build.
+    from marlkit import registry
+
+    built = []
+    make_env = registry.make_env
+    monkeypatch.setattr(registry, "make_env", lambda *a: built.append(a[0]) or make_env(*a))
+    assert verify(tmp_path, copy(replay_lines)).ok
+    assert built == ["pong2p", "pong2p"]
 
 
 def test_cli_names_the_diverged_field(replay_lines, tmp_path, capsys):
