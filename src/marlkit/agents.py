@@ -66,8 +66,13 @@ def require_spec(spec: SpaceSpec, pattern: Any, what: str) -> None:
     elif isinstance(pattern, list):
         if not isinstance(spec, SeqSpec):
             raise SetupError(f"{what} must be a sequence, got {spec!r}")
+        # Specs are immutable, so an item object repeated in the sequence is
+        # checked at its first index only (spec.items holds them all alive).
+        checked = set()
         for i, item in enumerate(spec.items):
-            require_spec(item, pattern[0], f"{what}[{i}]")
+            if id(item) not in checked:
+                require_spec(item, pattern[0], f"{what}[{i}]")
+                checked.add(id(item))
     elif isinstance(pattern, tuple):
         if (not isinstance(spec, BoxSpec) or len(spec.shape) != len(pattern)
                 or any(p is not None and p != s for p, s in zip(pattern, spec.shape))):

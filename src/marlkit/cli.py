@@ -203,6 +203,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    if args.episodes is not None and args.episodes < 1:
+        raise _UsageError(f"--episodes must be at least 1, got {args.episodes}")
     replay = read_replay(args.path)
     delay = 1.0 / args.fps if args.fps and args.fps > 0 else 0.0
     episodes = replay.episodes

@@ -172,12 +172,10 @@ class BomberEnv(Env):
             "self_id": DiscreteSpec(4),
         })
         self._act_spec = DiscreteSpec(6)
-        # Observation parts that are the same every tick, and the last value
-        # built per changing part with the source it was built from (keyed
-        # by content, so it may outlive an episode without changing a byte).
+        # Observation parts that are the same every tick; the changing ones
+        # go through Env._reuse.
         self._teams_value = VectorV(tuple(float(t) for t in self.teams))
         self._self_ids = tuple(DiscreteV(slot) for slot in range(4))
-        self._obs_memo: dict = {}
 
     @property
     def observation_specs(self) -> list[SpaceSpec]:
@@ -398,20 +396,6 @@ class BomberEnv(Env):
         for (r, c), v in mapping.items():
             data[r * n + c] = float(v)
         return GridV((n, n, 1), tuple(data))
-
-    def _reuse(self, name, source, build):
-        """build(source), or the value built last for name if source is equal.
-
-        Sources are copies of the env's int fields, so equal sources build
-        byte-identical values. Comparing sources, not a dirty flag, keeps
-        direct edits of the fields safe.
-        """
-        hit = self._obs_memo.get(name)
-        if hit is not None and hit[0] == source:
-            return hit[1]
-        value = build(source)
-        self._obs_memo[name] = (source, value)
-        return value
 
     def _observe(self) -> Bundle:
         reuse = self._reuse

@@ -15,6 +15,7 @@ must keep submitting actions, which the engine ignores.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..agents import Agent, require_spec
 from ..bundles import NO_INFO, Bundle, StepResult, outcome_info
@@ -96,32 +97,72 @@ class BattleConfig:
             raise ConfigError("unit count does not fit the grid")
 
 
+@lru_cache(maxsize=None)
+def _unit_spec(kind: UnitKind) -> MappingSpec:
+    return MappingSpec({
+        "team": BoxSpec((1,), 0.0, 1.0),
+        # Degenerate bounds pin each slot's kind, so scenario-specific
+        # encoders can verify the composition at setup time.
+        "kind": BoxSpec((1,), float(kind is MELEE), float(kind is MELEE)),
+        "row": BoxSpec((1,), 0.0, GRID - 1),
+        "col": BoxSpec((1,), 0.0, GRID - 1),
+        "hp": BoxSpec((1,), 0.0, kind.max_hp),
+        "shield": BoxSpec((1,), 0.0, kind.max_shield),
+        "cd": BoxSpec((1,), 0.0, kind.cooldown),
+        "alive": BoxSpec((1,), 0.0, 1.0),
+    })
+
+
+@lru_cache(maxsize=None)
+def _observation_spec(kinds: tuple[UnitKind, ...]) -> MappingSpec:
+    """One spec object per unit list, so envs of one scenario share their specs."""
+    return MappingSpec({
+        "self_id": DiscreteSpec(len(kinds)),
+        "units": SeqSpec(tuple(_unit_spec(kind) for kind in kinds)),
+    })
+
+
+# The one-element vectors of small whole numbers: every team, kind and alive
+# flag, and every row, col and cd the rules produce. Values are immutable, so
+# every view of every tick shares them.
+_SMALL = {i: VectorV((float(i),)) for i in range(GRID)}
+_ZERO, _ONE = _SMALL[0], _SMALL[1]
+
+
+def _small(x: int) -> VectorV:
+    v = _SMALL.get(x)
+    return VectorV((float(x),)) if v is None else v
+
+
+def _unit_value(fields: tuple) -> MappingV:
+    """A unit's observed mapping from its fields, in the order of its sorted keys.
+
+    row, col, cd and team hold ints, so the shared small-number vectors serve
+    them. hp and shield are clamped at 0.0: max(0.0, x) is x when x > 0.0 and
+    0.0 otherwise (-0.0 and NaN included).
+    """
+    alive, cd, col, hp, melee, row, shield, team = fields
+    return MappingV((
+        ("alive", _ONE if alive else _ZERO),
+        ("cd", _small(cd)),
+        ("col", _small(col)),
+        ("hp", VectorV((hp,)) if hp > 0.0 else _ZERO),
+        ("kind", _ONE if melee else _ZERO),
+        ("row", _small(row)),
+        ("shield", VectorV((shield,)) if shield > 0.0 else _ZERO),
+        ("team", _small(team)),
+    ))
+
+
 class BattleEnv(Env):
     def __init__(self, config: BattleConfig | None = None):
         super().__init__()
         self.cfg = config or BattleConfig()
         self.side_kinds = SCENARIOS[self.cfg.scenario]
         self.kinds = self.side_kinds + self.side_kinds
-        n = len(self.kinds)
-        unit_specs = []
-        for kind in self.kinds:
-            unit_specs.append(MappingSpec({
-                "team": BoxSpec((1,), 0.0, 1.0),
-                # Degenerate bounds pin each slot's kind, so scenario-specific
-                # encoders can verify the composition at setup time.
-                "kind": BoxSpec((1,), float(kind is MELEE), float(kind is MELEE)),
-                "row": BoxSpec((1,), 0.0, GRID - 1),
-                "col": BoxSpec((1,), 0.0, GRID - 1),
-                "hp": BoxSpec((1,), 0.0, kind.max_hp),
-                "shield": BoxSpec((1,), 0.0, kind.max_shield),
-                "cd": BoxSpec((1,), 0.0, kind.cooldown),
-                "alive": BoxSpec((1,), 0.0, 1.0),
-            }))
-        self._obs_spec = MappingSpec({
-            "self_id": DiscreteSpec(n),
-            "units": SeqSpec(tuple(unit_specs)),
-        })
+        self._obs_spec = _observation_spec(self.kinds)
         self._act_spec = DiscreteSpec(9)
+        self._self_ids = tuple(DiscreteV(slot) for slot in range(len(self.kinds)))
 
     @property
     def observation_specs(self) -> list[SpaceSpec]:
@@ -248,22 +289,21 @@ class BattleEnv(Env):
         return None if best is None else best[1]
 
     def _observe(self) -> Bundle:
+        """One view per slot: its self_id and the same units sequence.
+
+        Views and ticks share unit sub-values (see _unit_value), and a unit's
+        mapping is kept while its fields are unchanged; a value is never
+        mutated.
+        """
+        reuse = self._reuse
         units_value = SeqV(tuple(
-            MappingV({
-                "team": VectorV((float(u.team),)),
-                "kind": VectorV((float(u.kind is MELEE),)),
-                "row": VectorV((float(u.row),)),
-                "col": VectorV((float(u.col),)),
-                "hp": VectorV((max(0.0, u.hp),)),
-                "shield": VectorV((max(0.0, u.shield),)),
-                "cd": VectorV((float(u.cd),)),
-                "alive": VectorV((1.0 if u.alive else 0.0,)),
-            })
-            for u in self.units
+            reuse(slot, (u.alive, u.cd, u.col, u.hp, u.kind is MELEE, u.row, u.shield, u.team),
+                  _unit_value)
+            for slot, u in enumerate(self.units)
         ))
         return Bundle(tuple(
-            MappingV({"self_id": DiscreteV(slot), "units": units_value})
-            for slot in range(len(self.units))
+            MappingV((("self_id", self_id), ("units", units_value)))
+            for self_id in self._self_ids
         ))
 
     def state_value(self) -> Value:
@@ -312,11 +352,15 @@ class _ImgObsBase(Interface):
     CHANNELS: int
 
     def _setup(self, obs_specs, act_specs):
+        checked = set()
         for i, spec in enumerate(obs_specs):
+            if id(spec) in checked:  # obs_specs holds every spec object alive
+                continue
             require_spec(spec, _UNITS_VIEW, f"slot {i}: {type(self).__name__} observation")
             kinds = _expected_kinds(spec)
             if kinds is None or not self._accepts(kinds):
                 raise SetupError(f"slot {i}: {type(self).__name__} does not match this scenario")
+            checked.add(id(spec))
         shape = (GRID, GRID, self.CHANNELS)
         self._dead_grid = GridV(shape, (0.0,) * (GRID * GRID * self.CHANNELS))
         return [BoxSpec(shape, 0.0, 1.0) for _ in obs_specs], act_specs
@@ -415,11 +459,51 @@ class DeadPadding(Interface):
         return outer, act_specs
 
     def _obs(self, obs, rewards):
-        out = tuple(
-            MappingV({"obs": v, "alive": VectorV((1.0 if _any_nonzero(v) else 0.0,))})
-            for v in obs
-        )
-        return Bundle(out), rewards
+        # The img encoders hand one grid object to every viewer of a team, so
+        # each distinct object is tested once (obs holds them all alive).
+        flags: dict[int, VectorV] = {}
+        out = []
+        for v in obs:
+            flag = flags.get(id(v))
+            if flag is None:
+                flag = flags[id(v)] = _ONE if _any_nonzero(v) else _ZERO
+            out.append(MappingV((("alive", flag), ("obs", v))))
+        return Bundle(tuple(out)), rewards
+
+
+_ACTIONS = tuple(DiscreteV(a) for a in range(ATTACK + 1))
+
+# The last units sequence parsed and its table; see _unit_table.
+_last_table: tuple[Value | None, tuple] = (None, ())
+
+
+def _unit_table(units: SeqV) -> tuple:
+    """(row, col, team, alive, melee, on_cooldown) per unit of one units value.
+
+    The members of one side read the same units object on a tick, so the
+    table of the last object parsed is kept, tested by identity. The entry
+    holds that object, so its id cannot be reused while the entry lives, and
+    values are immutable, so the table stays true. row and col are None for
+    a dead unit, which is never read for its position.
+    """
+    global _last_table
+    last = _last_table
+    if last[0] is units:
+        return last[1]
+    table = []
+    for u in units:
+        alive = u["alive"].entries[0] != 0.0
+        table.append((
+            int(u["row"].entries[0]) if alive else None,
+            int(u["col"].entries[0]) if alive else None,
+            u["team"].entries[0],
+            alive,
+            u["kind"].entries[0] != 0.0,
+            u["cd"].entries[0] != 0.0,
+        ))
+    table = tuple(table)
+    _last_table = (units, table)
+    return table
 
 
 class HitAndRunAgent(Agent):
@@ -429,6 +513,11 @@ class HitAndRunAgent(Agent):
     to the free neighboring cell maximizing distance to the nearest enemy;
     otherwise step to the one minimizing it. Ties break toward the smallest
     action index.
+
+    Every member of a side reads the same units value on a tick, so the
+    per-unit table parsed from it is kept in a one-entry module-level cache
+    keyed by the value's identity (see _unit_table): the first member of a
+    tick parses it, the others reuse it.
     """
 
     OBS = {
@@ -444,30 +533,19 @@ class HitAndRunAgent(Agent):
         super().setup(obs_spec, act_spec)
 
     def step(self, obs: Value, reward: float, done: bool) -> Value:
-        units = obs["units"]
-        me = units[obs["self_id"].index]
-        if me["alive"].entries[0] == 0.0:
-            return DiscreteV(0)
-        my_row = int(me["row"].entries[0])
-        my_col = int(me["col"].entries[0])
-        my_team = me["team"].entries[0]
-        my_range = MELEE.range if me["kind"].entries[0] != 0.0 else RANGED.range
-        enemies = [
-            (int(u["row"].entries[0]), int(u["col"].entries[0]))
-            for u in units
-            if u["alive"].entries[0] != 0.0 and u["team"].entries[0] != my_team
-        ]
+        table = _unit_table(obs["units"])
+        my_row, my_col, my_team, my_alive, my_melee, on_cooldown = table[obs["self_id"].index]
+        if not my_alive:
+            return _ACTIONS[0]
+        my_range = MELEE.range if my_melee else RANGED.range
+        enemies = [(r, c) for r, c, team, alive, _, _ in table if alive and team != my_team]
         if not enemies:
-            return DiscreteV(0)
-        occupied = {
-            (int(u["row"].entries[0]), int(u["col"].entries[0]))
-            for u in units if u["alive"].entries[0] != 0.0
-        }
+            return _ACTIONS[0]
+        occupied = {(r, c) for r, c, _, alive, _, _ in table if alive}
         nearest = min(enemies, key=lambda e: (e[0] - my_row) ** 2 + (e[1] - my_col) ** 2)
         cheb = max(abs(nearest[0] - my_row), abs(nearest[1] - my_col))
-        on_cooldown = me["cd"].entries[0] != 0.0
         if not on_cooldown and cheb <= my_range:
-            return DiscreteV(ATTACK)
+            return _ACTIONS[ATTACK]
 
         def clearance(cell: tuple[int, int]) -> float:
             return min((cell[0] - e[0]) ** 2 + (cell[1] - e[1]) ** 2 for e in enemies)
@@ -485,4 +563,4 @@ class HitAndRunAgent(Agent):
             )
             if better:
                 best_action, best_score = a, score
-        return DiscreteV(best_action if best_action is not None else 0)
+        return _ACTIONS[best_action if best_action is not None else 0]

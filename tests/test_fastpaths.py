@@ -49,7 +49,18 @@ from marlkit import (
     wrap_env,
 )
 from marlkit.envs.bomber import BoardMapObs, Bomb, _obs_cells, _rotate_grid
-from marlkit.envs.gridbattle import _any_nonzero
+from marlkit.envs import gridbattle
+from marlkit.envs.gridbattle import (
+    ATTACK,
+    DIRS8,
+    GRID,
+    MELEE,
+    RANGED,
+    BattleConfig,
+    BattleEnv,
+    HitAndRunAgent,
+    _any_nonzero,
+)
 from marlkit.envs.pong import PongConfig, PongEnv
 from marlkit.replay import ReplayWriter
 from marlkit.values import SpaceSpec, Value, _float_tuple, vector_mapping_struct
@@ -714,6 +725,263 @@ def test_pong_observe_on_signed_zero_and_nan_velocities():
             env.ball_vx, env.ball_vy = vx, vy
             env.ball_x, env.ball_y = -0.0, vy
             assert_same_observation(env)
+
+
+# ---------------------------------------------------------------------------
+# Gridbattle: units built from shared sub-values and kept while their fields
+# hold, hit_and_run's one-entry table cache and dead_pad's per-object flags,
+# against the per-field, per-lookup and per-view code they replaced
+
+
+def ref_battle_observe(env: BattleEnv) -> Bundle:
+    """Every unit builds its eight vectors, every view its self_id, every tick."""
+    units_value = SeqV(tuple(
+        MappingV({
+            "team": VectorV((float(u.team),)),
+            "kind": VectorV((float(u.kind is MELEE),)),
+            "row": VectorV((float(u.row),)),
+            "col": VectorV((float(u.col),)),
+            "hp": VectorV((max(0.0, u.hp),)),
+            "shield": VectorV((max(0.0, u.shield),)),
+            "cd": VectorV((float(u.cd),)),
+            "alive": VectorV((1.0 if u.alive else 0.0,)),
+        })
+        for u in env.units
+    ))
+    return Bundle(tuple(
+        MappingV({"self_id": DiscreteV(slot), "units": units_value})
+        for slot in range(len(env.units))
+    ))
+
+
+def ref_hit_and_run_step(obs: MappingV) -> DiscreteV:
+    """HitAndRunAgent.step reading every field through its mapping, per member."""
+    units = obs["units"]
+    me = units[obs["self_id"].index]
+    if me["alive"].entries[0] == 0.0:
+        return DiscreteV(0)
+    my_row = int(me["row"].entries[0])
+    my_col = int(me["col"].entries[0])
+    my_team = me["team"].entries[0]
+    my_range = MELEE.range if me["kind"].entries[0] != 0.0 else RANGED.range
+    enemies = [
+        (int(u["row"].entries[0]), int(u["col"].entries[0]))
+        for u in units
+        if u["alive"].entries[0] != 0.0 and u["team"].entries[0] != my_team
+    ]
+    if not enemies:
+        return DiscreteV(0)
+    occupied = {
+        (int(u["row"].entries[0]), int(u["col"].entries[0]))
+        for u in units if u["alive"].entries[0] != 0.0
+    }
+    nearest = min(enemies, key=lambda e: (e[0] - my_row) ** 2 + (e[1] - my_col) ** 2)
+    cheb = max(abs(nearest[0] - my_row), abs(nearest[1] - my_col))
+    on_cooldown = me["cd"].entries[0] != 0.0
+    if not on_cooldown and cheb <= my_range:
+        return DiscreteV(ATTACK)
+
+    def clearance(cell):
+        return min((cell[0] - e[0]) ** 2 + (cell[1] - e[1]) ** 2 for e in enemies)
+
+    best_action, best_score = None, None
+    for a, (dr, dc) in enumerate(DIRS8):
+        cell = (my_row + dr, my_col + dc)
+        if not (0 <= cell[0] < GRID and 0 <= cell[1] < GRID) or cell in occupied:
+            continue
+        score = clearance(cell)
+        better = (
+            best_score is None
+            or (on_cooldown and score > best_score)
+            or (not on_cooldown and score < best_score)
+        )
+        if better:
+            best_action, best_score = a, score
+    return DiscreteV(best_action if best_action is not None else 0)
+
+
+def ref_dead_pad(obs: Bundle) -> Bundle:
+    return Bundle(tuple(
+        MappingV({"obs": v, "alive": VectorV((1.0 if ref_any_nonzero(v) else 0.0,))})
+        for v in obs
+    ))
+
+
+SPECIAL_STATS = [0.0, -0.0, math.nan, -math.nan, -5.0, 5e-324, math.inf]
+
+
+def edit_battle(env: BattleEnv, rng: RngStream) -> None:
+    """One direct edit of a unit's row, col, hp, shield, cd or alive, in place."""
+    u = env.units[rng.randrange(len(env.units))]
+    what = rng.randrange(6)
+    if what < 2:
+        taken = {(o.row, o.col) for o in env.units if o.alive}
+        free = [(r, c) for r in range(GRID) for c in range(GRID) if (r, c) not in taken]
+        cell = free[rng.randrange(len(free))]
+        if what == 0:
+            u.row = cell[0]
+        else:
+            u.col = cell[1]
+    elif what < 4:
+        stat = "hp" if what == 2 else "shield"
+        top = u.kind.max_hp if stat == "hp" else u.kind.max_shield
+        pick = rng.randrange(len(SPECIAL_STATS) + 2)
+        value = SPECIAL_STATS[pick] if pick < len(SPECIAL_STATS) else rng.uniform(0.0, top)
+        setattr(u, stat, value)
+    elif what == 4:
+        u.cd = rng.randrange(u.kind.cooldown + 1)
+    else:
+        u.alive = not u.alive
+
+
+BATTLE_PIPES = {"5I": "battle.img5i", "3I2Z": "battle.img3i2z"}
+
+
+def battle_chain(scenario: str, env: BattleEnv):
+    chain = build_pipeline([{"name": BATTLE_PIPES[scenario]}, {"name": "battle.dead_pad"}])
+    chain.setup(env.observation_specs, env.action_specs)
+    return chain
+
+
+def check_battle_view(env: BattleEnv, chain, obs: Bundle) -> None:
+    """obs against the reference and an emptied memo; dead_pad against its reference."""
+    ref = ref_battle_observe(env)
+    assert same_bytes(obs, ref)
+    assert same_bytes(obs, fresh_observe(env))
+    assert all(view["units"] is obs[0]["units"] for view in obs)
+    # Unchanged fields give the very unit mappings built before.
+    assert all(a is b for a, b in zip(env._observe()[0]["units"], obs[0]["units"]))
+    out, _ = chain.obs_trans(obs, (0.0,) * len(obs))
+    grids, _ = chain.inner.obs_trans(obs, (0.0,) * len(obs))
+    assert same_bytes(out, ref_dead_pad(grids))
+
+
+@pytest.mark.parametrize("scenario, seed", [("5I", 0), ("5I", 5), ("3I2Z", 2), ("3I2Z", 9)])
+def test_battle_observations_match_reference_under_direct_edits(scenario, seed):
+    env = BattleEnv(BattleConfig(scenario=scenario, randomize_status=seed % 2 == 1,
+                                 step_limit=60))
+    chain = battle_chain(scenario, env)
+    edits = RngStream(seed, ("fastpath", "battle-edits"))
+    ticks = 0
+    for episode in range(4):  # one env, so its unit memo crosses resets
+        agents = [RandomAgent(rng=RngStream(seed, ("fastpath", str(episode), str(s))))
+                  if episode % 2 else HitAndRunAgent() for s in range(env.num_slots)]
+        for slot, agent in enumerate(agents):
+            agent.setup(env.observation_specs[slot], env.action_specs[slot])
+        obs = env.reset(seed + episode)
+        chain.reset(obs)
+        check_battle_view(env, chain, obs)
+        done = False
+        while not done:
+            if ticks % 3 == 0:
+                # A direct edit, observed at once, then maybe undone: the memo
+                # must follow the fields, not a flag set by step().
+                undo = copy.deepcopy(env.units)
+                edit_battle(env, edits)
+                obs = env._observe()
+                check_battle_view(env, chain, obs)
+                if edits.randrange(2):
+                    env.units = undo
+                    obs = env._observe()
+            result = env.step(Bundle(tuple(agent.step(obs[s], 0.0, False)
+                                           for s, agent in enumerate(agents))))
+            obs, done = result.obs, result.done
+            ticks += 1
+            check_battle_view(env, chain, obs)
+    assert ticks > 60
+
+
+def test_battle_observe_on_signed_zero_nan_and_out_of_table_ints():
+    env = BattleEnv(BattleConfig(scenario="3I2Z"))
+    env.reset(1)
+    for i, x in enumerate(SPECIAL_STATS + [1e300, 3]):
+        u = env.units[i % len(env.units)]
+        u.hp, u.shield = x, -x
+        assert same_bytes(env._observe(), ref_battle_observe(env))
+    # Ints the shared small-number table does not hold are built fresh.
+    u = env.units[0]
+    u.row, u.col, u.cd = 9, -1, 12
+    assert same_bytes(env._observe(), ref_battle_observe(env))
+
+
+def test_dead_pad_tests_each_distinct_object_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gridbattle, "_any_nonzero", lambda v: calls.append(v) or ref_any_nonzero(v))
+    pad = build_pipeline([{"name": "battle.dead_pad"}])
+    pad.setup([BoxSpec((2,), 0.0, 1.0)] * 6, [DiscreteSpec(9)] * 6)
+    live, dead = VectorV((0.5, 0.0)), VectorV((0.0, -0.0))
+    obs = Bundle((live, dead, live, live, dead, VectorV((0.5, 0.0))))
+    out, _ = pad.obs_trans(obs, (0.0,) * 6)
+    assert same_bytes(out, ref_dead_pad(obs))
+    assert list(map(id, calls)) == [id(live), id(dead), id(obs[5])]
+
+
+def test_hit_and_run_matches_reference_across_interleaved_envs():
+    envs = [BattleEnv(BattleConfig(step_limit=80)),
+            BattleEnv(BattleConfig(scenario="3I2Z", randomize_status=True, step_limit=80))]
+    agents = [[HitAndRunAgent() for _ in range(env.num_slots)] for env in envs]
+    for env, team in zip(envs, agents):
+        for slot, agent in enumerate(team):
+            agent.setup(env.observation_specs[slot], env.action_specs[slot])
+    edits = RngStream(6, ("fastpath", "hit-and-run-edits"))
+    checked = 0
+    for episode in range(3):
+        obs = [env.reset(10 + episode) for env in envs]
+        done = [False, False]
+        tick = 0
+        while not all(done):
+            live = [e for e in (0, 1) if not done[e]]
+            if tick % 3 == 0:
+                for e in live:
+                    edit_battle(envs[e], edits)
+                    obs[e] = envs[e]._observe()
+            actions = {e: [] for e in live}
+            # Members of the two envs take turns, so the cache changes hands
+            # between every call.
+            for slot in range(envs[0].num_slots):
+                for e in live:
+                    act = agents[e][slot].step(obs[e][slot], 0.0, False)
+                    assert act == ref_hit_and_run_step(obs[e][slot])
+                    actions[e].append(act)
+                    checked += 1
+            for e in live:
+                result = envs[e].step(Bundle(tuple(actions[e])))
+                obs[e], done[e] = result.obs, result.done
+            tick += 1
+    assert checked > 500
+
+
+def test_hit_and_run_reparses_an_equal_but_not_identical_units_value():
+    env = BattleEnv(BattleConfig(scenario="3I2Z", randomize_status=True))
+    agent = HitAndRunAgent()
+    agent.setup(env.observation_specs[0], env.action_specs[0])
+    obs = env.reset(4)
+    for tick in range(40):
+        view = obs[tick % env.num_slots]
+        copy_view = MappingV({"self_id": view["self_id"],
+                              "units": SeqV(tuple(view["units"].items))})
+        assert copy_view == view and copy_view["units"] is not view["units"]
+        for v in (view, copy_view):
+            assert agent.step(v, 0.0, False) == ref_hit_and_run_step(v)
+            assert gridbattle._last_table[0] is v["units"]
+        result = env.step(Bundle(tuple(ref_hit_and_run_step(v) for v in obs)))
+        if result.done:
+            break
+        obs = result.obs
+
+
+def test_hit_and_run_on_short_lived_units_values():
+    """Fresh units values, each passed once and then dropped: an id may repeat."""
+    env = BattleEnv(BattleConfig(scenario="3I2Z", randomize_status=True))
+    agent = HitAndRunAgent()
+    agent.setup(env.observation_specs[0], env.action_specs[0])
+    rng = RngStream(8, ("fastpath", "short-lived"))
+    env.reset(8)
+    for _ in range(300):
+        edit_battle(env, rng)
+        slot = rng.randrange(env.num_slots)
+        assert (agent.step(ref_battle_observe(env)[slot], 0.0, False)
+                == ref_hit_and_run_step(ref_battle_observe(env)[slot]))
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,24 @@ BOMBER_OBS_CASES = {
                "74407cb1dc149c2bcd1ce97064cd52932849491f931fbd53bd4cbd19bb0c25ad"),
 }
 
+# scenario params, pipeline, agent name, episode seeds, sha256 over every raw
+# view and every outer view of every tick. One env plays all of a case's
+# episodes, so the pins also cover what an env keeps across reset.
+_PIPE_5I = [{"name": "battle.img5i"}, {"name": "battle.dead_pad"}]
+_PIPE_3I2Z = [{"name": "battle.img3i2z"}]
+_5I = {"scenario": "5I"}
+_3I2Z = {"scenario": "3I2Z", "randomize_status": True}
+GRIDBATTLE_OBS_CASES = {
+    "5I-hit_and_run": (_5I, _PIPE_5I, "battle.hit_and_run", tuple(range(6)),
+                       "913536cc6146fd638e9df230777e39a1484da97f48ab779ee99846db665931e2"),
+    "5I-random": (_5I, _PIPE_5I, "random", tuple(range(3)),
+                  "e327e0e623d1a0265fa40f76cd2178d70fd98372a69778a0746016c519144588"),
+    "3I2Z-hit_and_run": (_3I2Z, _PIPE_3I2Z, "battle.hit_and_run", tuple(range(6)),
+                         "e2093f6546a79c96fbfa91fc2c8c66070c63469d14c02d4fe3b752fd310b3cef"),
+    "3I2Z-random": (_3I2Z, _PIPE_3I2Z, "random", tuple(range(3)),
+                    "c67d6325291d2c6b2c3c87b2c3713eeae91aaeaf1d022a50b1502a08c8579678"),
+}
+
 PONG_OBS_SEED = 3
 PONG_OBS_SHA256 = {
     False: "deaa3146472186e26922e52e0de9ffde0ac8a48713dd1ff6c8aad67b57a92ae1",
@@ -114,6 +132,47 @@ def test_bomber_interface_observations_pinned(case):
                 break
         for view in obs:
             digest.update(view.canonical_bytes())
+    assert digest.hexdigest() == pin
+
+
+@pytest.mark.parametrize("case", sorted(GRIDBATTLE_OBS_CASES))
+def test_gridbattle_observations_pinned(case):
+    """Every raw view and every encoder output of seeded gridbattle episodes.
+
+    The agents read the raw views, so hit_and_run's actions follow them; the
+    pipeline's outputs are hashed alongside, as an agent-side stack sees them.
+    """
+    params, itfs, name, seeds, pin = GRIDBATTLE_OBS_CASES[case]
+    env = make_env("gridbattle", params)
+    pipeline = build_pipeline(itfs)
+    pipeline.setup(env.observation_specs, env.action_specs)
+    n = env.num_slots
+    digest = hashlib.sha256()
+
+    def absorb(raw: Bundle, outer: Bundle) -> None:
+        for view in raw:
+            digest.update(view.canonical_bytes())
+        for view in outer:
+            digest.update(view.canonical_bytes())
+
+    for seed in seeds:
+        agents = [make_agent(name, rng=RngStream(seed, ("agents", str(slot))))
+                  for slot in range(n)]
+        for slot, agent in enumerate(agents):
+            agent.setup(env.observation_specs[slot], env.action_specs[slot])
+        obs = env.reset(seed)
+        absorb(obs, pipeline.reset(obs))
+        for slot, agent in enumerate(agents):
+            agent.reset(obs[slot])
+        rewards = (0.0,) * n
+        while True:
+            actions = tuple(agent.step(obs[s], rewards[s], False)
+                            for s, agent in enumerate(agents))
+            result = env.step(Bundle(actions))
+            obs, rewards = result.obs, result.rewards
+            absorb(obs, pipeline.obs_trans(obs, rewards)[0])
+            if result.done:
+                break
     assert digest.hexdigest() == pin
 
 

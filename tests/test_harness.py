@@ -496,6 +496,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "episode 0" in out and "#" in out
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_render_episode_count_below_one_is_a_usage_error(self, count, tmp_path, capsys):
+        replay = tmp_path / "render.jsonl"
+        assert cli_main(["run", "--env", "pong2p", "--agents", "random,random",
+                         "--episodes", "2", "--seed", "4", "--replay", str(replay)]) == 0
+        capsys.readouterr()
+        assert cli_main(["render", str(replay), "--fps", "0", "--episodes", count]) == 1
+        captured = capsys.readouterr()
+        assert "--episodes must be at least 1" in captured.err
+        assert "episode 0" not in captured.out
+
     def test_env_itf_flag(self, capsys):
         code = cli_main([
             "run", "--env", "gridbattle", "--env-param", "step_limit=30",

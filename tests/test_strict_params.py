@@ -9,21 +9,25 @@ read on every slot at setup.
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from marlkit import (
     BoxSpec,
     ConfigError,
+    DiscreteSpec,
     MappingSpec,
     MatchSpec,
     RandomAgent,
     SeqSpec,
+    SetupError,
     build_pipeline,
     make_agent,
     make_interface,
     registry,
 )
+from marlkit import agents as agents_module
 from marlkit.cli import main as cli_main
 from marlkit.envs.gridbattle import BattleConfig, BattleEnv
 from marlkit.envs.pong import PongConfig, PongEnv
@@ -142,6 +146,14 @@ def _units_kindless_specs(specs):
             for s in specs]
 
 
+def _units_kindless_at_3(specs):
+    """Unit 3 without "kind", after three units that share one spec object."""
+    units = specs[0]["units"].items
+    assert units[0] is units[1] is units[2]
+    bad = SeqSpec(units[:3] + (_without(units[3], "kind"),) + units[4:])
+    return [MappingSpec({"self_id": s["self_id"], "units": bad}) for s in specs]
+
+
 def _foreign_slot1(scenario: str):
     def specs_of(specs):
         other = BattleEnv(BattleConfig(scenario=scenario)).observation_specs[0]
@@ -167,6 +179,9 @@ SPEC_CASES = {
                                    "battle.img5i", "observation['units'] must be a sequence"),
     "img5i_units_without_kind": (BattleEnv, BattleConfig(step_limit=20), _units_kindless_specs,
                                  "battle.img5i", "observation['units'][0] lacks keys ['kind']"),
+    "img5i_units_without_kind_after_shared": (
+        BattleEnv, BattleConfig(step_limit=20), _units_kindless_at_3, "battle.img5i",
+        "slot 0: Img5IObs observation['units'][3] lacks keys ['kind']"),
     "img5i_foreign_slot1": (BattleEnv, BattleConfig(step_limit=20), _foreign_slot1("3I2Z"),
                             "battle.img5i", "slot 1: Img5IObs does not match this scenario"),
     "img3i2z_foreign_slot1": (BattleEnv, BattleConfig(scenario="3I2Z", step_limit=20),
@@ -181,3 +196,62 @@ def test_encoder_setup_checks_every_slot(monkeypatch, capsys, env_cls, config, s
                                          message):
     monkeypatch.setitem(registry._ENVS, "respecced", _respecced(env_cls, config, specs_of))
     assert message in run_cli(_run("respecced", 2, "--env-itf", itf), capsys)
+
+
+# ---------------------------------------------------------------------------
+# require_spec checks each distinct item object of a sequence once
+
+
+def _count_require_spec(monkeypatch) -> list:
+    """Record the spec of every require_spec call, recursive ones included."""
+    calls = []
+    inner = agents_module.require_spec
+
+    def counting(spec, pattern, what):
+        calls.append(spec)
+        return inner(spec, pattern, what)
+
+    monkeypatch.setattr(agents_module, "require_spec", counting)
+    return calls
+
+
+_UNIT = {"row": (1,), "col": (1,)}
+
+
+def _unit_spec():
+    return MappingSpec({"row": BoxSpec((1,), 0.0, 7.0), "col": BoxSpec((1,), 0.0, 7.0)})
+
+
+def test_require_spec_checks_equal_but_distinct_items_one_by_one(monkeypatch):
+    items = tuple(_unit_spec() for _ in range(4))
+    assert all(item == items[0] and item is not items[0] for item in items[1:])
+    calls = _count_require_spec(monkeypatch)
+    agents_module.require_spec(SeqSpec(items), [_UNIT], "units")
+    assert [id(c) for c in calls if isinstance(c, MappingSpec)] == list(map(id, items))
+
+
+def test_require_spec_checks_a_shared_item_once(monkeypatch):
+    shared = _unit_spec()
+    calls = _count_require_spec(monkeypatch)
+    agents_module.require_spec(SeqSpec((shared,) * 4), [_UNIT], "units")
+    assert sum(c is shared for c in calls) == 1
+
+
+@pytest.mark.parametrize("bad_at", [1, 3, 5])
+def test_require_spec_names_the_first_bad_item_after_shared_ones(bad_at):
+    shared, bad = _unit_spec(), MappingSpec({"row": BoxSpec((1,), 0.0, 7.0)})
+    items = [shared] * 6
+    items[bad_at] = bad
+    items.append(bad)  # a second bad item, shared with the first: not named
+    with pytest.raises(SetupError, match=re.escape(f"units[{bad_at}] lacks keys ['col']")):
+        agents_module.require_spec(SeqSpec(tuple(items)), [_UNIT], "units")
+
+
+def test_hit_and_run_setup_names_a_bad_unit_after_shared_ones():
+    spec = BattleEnv(BattleConfig()).observation_specs[0]
+    units = spec["units"].items
+    bad = SeqSpec(units[:3] + (_without(units[3], "cd"),) + units[4:])
+    agent = make_agent("battle.hit_and_run")
+    with pytest.raises(SetupError,
+                       match=re.escape("observation['units'][3] lacks keys ['cd']")):
+        agent.setup(MappingSpec({"self_id": spec["self_id"], "units": bad}), DiscreteSpec(9))
