@@ -32,9 +32,6 @@ from .values import (
 class Agent(ABC):
     """A policy for a single environment slot."""
 
-    #: Raw environment slots covered; multi-slot actors (teams) override this.
-    slots: int = 1
-
     def setup(self, obs_spec: SpaceSpec, act_spec: SpaceSpec) -> None:
         self.obs_spec = obs_spec
         self.act_spec = act_spec

@@ -25,7 +25,7 @@ from .errors import ConfigError, InvalidPartition, SetupError
 from .registry import AgentSpec, MatchSpec, build_pipeline, make_agent, make_env
 from .replay import ReplayWriter, atomic_write, state_hash
 from .rng import RngStream
-from .wrappers import WrappedAgent, wrap_env
+from .wrappers import Actors, WrappedAgent, wrap_env
 
 
 def toolkit_version() -> str:
@@ -44,51 +44,25 @@ def run_episode(env: Env, actors: Sequence[Agent | WrappedAgent], seed: int,
                 episode_index: int = 0) -> EpisodeResult:
     """Run one episode: reset, then agent_step/env_step until done.
 
-    Each actor covers actor.slots consecutive env slots; single-slot agents
-    get plain values, multi-slot actors get per-slot lists. The replay writer,
-    when given, records the innermost environment's actions, rewards and state
-    hashes.
+    The actors cover the env's slots in order through one Actors plan: a
+    WrappedAgent takes its interface's raw slots as per-slot sequences, any
+    other agent one slot's value. The replay writer, when given, records the
+    innermost environment's actions, rewards and state hashes.
     """
-    widths = [a.slots for a in actors]
-    if sum(widths) != env.num_slots:
-        raise ConfigError(
-            f"actors cover {sum(widths)} slots, environment has {env.num_slots}"
-        )
-    # Per actor, once per episode: its block of slots and whether it takes
-    # per-slot lists (a WrappedAgent) or one slot's value.
-    plan: list[tuple[Agent | WrappedAgent, int, int, bool]] = []
-    start = 0
-    for actor, w in zip(actors, widths):
-        plan.append((actor, start, start + w, isinstance(actor, WrappedAgent)))
-        start += w
-    obs_specs = env.observation_specs
-    act_specs = env.action_specs
-    for actor, a, b, wrapped in plan:
-        if wrapped:
-            actor.setup(obs_specs[a:b], act_specs[a:b])
-        else:
-            actor.setup(obs_specs[a], act_specs[a])
+    plan = Actors(actors)
+    if plan.slots != env.num_slots:
+        raise ConfigError(f"actors cover {plan.slots} slots, environment has {env.num_slots}")
+    plan.setup(env.observation_specs, env.action_specs)
 
     obs = env.reset(seed)
     if writer is not None:
         writer.episode_header(episode_index, seed, state_hash(env))
-    for actor, a, b, wrapped in plan:
-        if wrapped:
-            actor.reset(list(obs.slots[a:b]))
-        else:
-            actor.reset(obs[a])
+    plan.reset(obs.slots)
 
     tally = EpisodeTally(env.unwrapped.num_slots)
     rewards: tuple[float, ...] = (0.0,) * env.num_slots
     while True:
-        slots = obs.slots
-        actions: list = []
-        for actor, a, b, wrapped in plan:
-            if wrapped:
-                actions += actor.step(list(slots[a:b]), list(rewards[a:b]), False)
-            else:
-                actions.append(actor.step(slots[a], rewards[a], False))
-        result = env.step(Bundle(tuple(actions)))
+        result = env.step(Bundle(tuple(plan.step(obs.slots, rewards, False))))
         raw_actions, raw_result = env.raw_record()
         tally.add(raw_result.rewards)
         if writer is not None:

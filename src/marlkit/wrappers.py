@@ -94,28 +94,61 @@ def wrap_env_per_agent(env: Env, itfs: Sequence[Interface]) -> WrappedEnv:
     return wrapped
 
 
-class WrappedAgent:
-    """A team: member agents behind an interface, covering raw env slots.
+class Actors:
+    """Actors side by side, each driven on its block of consecutive slots.
 
-    The interface must already be set up on the raw specs of the covered
-    slots (wrap_agent does that); its layout fixes the member count. The
-    wrapped agent presents the interface's raw specs to the outside; member k
-    is fed the interface's outer slot k. Rewards reach each member after the
-    interface's reward transform (teams see the group sum).
+    A WrappedAgent covers its interface's raw slots and takes per-slot
+    sequences; any other agent covers one slot and takes that slot's value.
     """
 
-    def __init__(self, members: Sequence[Agent], interface: Interface):
-        self.members = list(members)
+    def __init__(self, actors: Sequence[Agent | WrappedAgent]):
+        # Per actor: the slot index or block slice it reads, and whether its
+        # step returns a block of actions.
+        self._plan: list[tuple[Agent | WrappedAgent, int | slice, bool]] = []
+        self.slots = 0
+        for actor in actors:
+            block = isinstance(actor, WrappedAgent)
+            end = self.slots + (actor.slots if block else 1)
+            self._plan.append((actor, slice(self.slots, end) if block else self.slots, block))
+            self.slots = end
+
+    def setup(self, obs_specs: Sequence[SpaceSpec], act_specs: Sequence[SpaceSpec]) -> None:
+        for actor, key, _ in self._plan:
+            actor.setup(obs_specs[key], act_specs[key])
+
+    def reset(self, first_obs: Sequence[Value]) -> None:
+        for actor, key, _ in self._plan:
+            actor.reset(first_obs[key])
+
+    def step(self, obs: Sequence[Value], rewards: Sequence[float], done: bool) -> list[Value]:
+        actions: list[Value] = []
+        for actor, key, block in self._plan:
+            if block:
+                actions += actor.step(obs[key], rewards[key], done)
+            else:
+                actions.append(actor.step(obs[key], rewards[key], done))
+        return actions
+
+
+class WrappedAgent:
+    """A team: members behind an interface, covering raw env slots.
+
+    The interface must already be set up on the raw specs of the covered
+    slots (wrap_agent does that). The wrapped agent presents the interface's
+    raw specs to the outside; its members, each an agent or a WrappedAgent,
+    cover the interface's outer slots in order. Rewards reach each member
+    after the interface's reward transform (teams see the group sum).
+    """
+
+    def __init__(self, members: Sequence[Agent | WrappedAgent], interface: Interface):
+        self._members = Actors(members)
         self.interface = interface
-        if len(self.members) != interface.outer_slot_count:
-            raise SetupError(
-                f"interface exposes {interface.outer_slot_count} outer slots for "
-                f"{len(self.members)} members"
-            )
+        if self._members.slots != interface.outer_slot_count:
+            raise SetupError(f"interface exposes {interface.outer_slot_count} outer slots; "
+                             f"members cover {self._members.slots}")
         self.slots = interface.raw_slot_count
         self._act_specs = interface.outer_act_specs
-        for member, o, a in zip(self.members, interface.outer_obs_specs, self._act_specs):
-            member.setup(o, a)
+        self._members.setup(interface.outer_obs_specs, self._act_specs)
         self._pending_first: Bundle | None = None
 
     def setup(self, obs_specs: Sequence[SpaceSpec], act_specs: Sequence[SpaceSpec]) -> None:
@@ -125,27 +158,21 @@ class WrappedAgent:
 
     def reset(self, first_obs: Sequence[Value]) -> None:
         outer = self.interface.reset(Bundle(tuple(first_obs)))
-        for member, o in zip(self.members, outer):
-            member.reset(o)
+        self._members.reset(outer.slots)
         self._pending_first = outer
 
     def step(self, obs: Sequence[Value], rewards: Sequence[float], done: bool) -> list[Value]:
         if self._pending_first is not None:
             # The episode's first observation was already transformed by reset.
             outer_obs = self._pending_first
-            outer_rewards = (0.0,) * len(self.members)
+            outer_rewards = (0.0,) * len(outer_obs)
             self._pending_first = None
         else:
-            outer_obs, outer_rewards = self.interface.obs_trans(
-                Bundle(tuple(obs)), tuple(rewards)
-            )
-        actions = []
-        for member, o, r in zip(self.members, outer_obs, outer_rewards):
-            act = member.step(o, r, done)
-            actions.append(act)
+            outer_obs, outer_rewards = self.interface.obs_trans(Bundle(tuple(obs)), tuple(rewards))
+        actions = self._members.step(outer_obs.slots, outer_rewards, done)
         for k, (act, spec) in enumerate(zip(actions, self._act_specs)):
             if not space_contains(spec, act):
-                raise SpaceMismatch(f"member {k} action {act!r} not in {spec!r}")
+                raise SpaceMismatch(f"outer slot {k}: action {act!r} not in {spec!r}")
         raw = self.interface.act_trans(Bundle(tuple(actions)))
         return list(raw.slots)
 

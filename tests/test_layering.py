@@ -1,8 +1,9 @@
 """marlkit's modules import each other at module level only, without a cycle.
 
 An import inside a function hides a dependency from the module's header, and
-it is the usual way to dodge an import cycle. The check reads each module's
-AST, so nothing is imported and no subprocess is started.
+it is the usual way to dodge an import cycle. One more structural rule: only
+the Actors plan tells a WrappedAgent from a one-slot agent. The checks read
+each module's AST, so nothing is imported and no subprocess is started.
 """
 
 from __future__ import annotations
@@ -88,6 +89,26 @@ def _cycle(graph: dict[str, set[str]]) -> list[str] | None:
     return None
 
 
+def _wrapped_agent_checks(tree: ast.Module) -> list[tuple[str | None, int]]:
+    """(enclosing class, line) of each isinstance(..., WrappedAgent) call."""
+    found = []
+
+    def names(node: ast.AST) -> set[str]:
+        return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+    def visit(node: ast.AST, owner: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "isinstance" and len(child.args) == 2
+                    and "WrappedAgent" in names(child.args[1])):
+                found.append((owner, child.lineno))
+            visit(child, child.name if isinstance(child, ast.ClassDef) else owner)
+
+    visit(tree, None)
+    return found
+
+
 def test_no_module_imports_inside_a_function():
     local = {name: found for name, tree in _modules().items()
              if (found := _local_imports(tree))}
@@ -107,3 +128,18 @@ def test_module_level_imports_have_no_cycle():
 def test_cycle_finder_reports_a_cycle():
     assert _cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": set()}) == ["a", "b", "c", "a"]
     assert _cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) is None
+
+
+def test_only_the_actor_plan_dispatches_on_wrapped_agents():
+    checks = [(name, owner) for name, tree in _modules().items()
+              for owner, _ in _wrapped_agent_checks(tree)]
+    assert checks == [("marlkit.wrappers", "Actors")]
+
+
+def test_wrapped_agent_check_finder_sees_every_spelling():
+    tree = ast.parse("class A:\n"
+                     "    def f(self, x):\n"
+                     "        return isinstance(x, (int, WrappedAgent))\n"
+                     "isinstance(y, wrappers.WrappedAgent)\n"
+                     "isinstance(z, WrappedEnv)\n")
+    assert _wrapped_agent_checks(tree) == [("A", 3), (None, 4)]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+
 import pytest
 
 from marlkit import (
@@ -10,14 +12,19 @@ from marlkit import (
     ConstantAgent,
     DiscreteV,
     RandomAgent,
+    ReplayWriter,
+    RngStream,
     SetupError,
     SingleSlotWrapper,
     SpaceMismatch,
     TeamAgent,
     VectorV,
     WrappedAgent,
+    build_pipeline,
+    combine,
     identity,
     lift_single_wrapper,
+    make_env,
     make_team,
     run_episode,
     stack,
@@ -85,8 +92,6 @@ class TestWrapEnvPerAgent:
         assert raw == wrapped
 
     def test_equivalent_to_explicit_combine(self):
-        from marlkit import combine
-
         a = drive(wrap_env_per_agent(ToyVecEnv(), [AddToVectors(1.0), AddToVectors(1.0)]))
         b = drive(wrap_env(
             ToyVecEnv(),
@@ -141,7 +146,7 @@ class TestWrapAgent:
     def test_member_action_validated(self):
         env = ToyVecEnv(slots=1, n_actions=2)
         bad = wrap_slots([ConstantAgent(DiscreteV(7))], identity(), env, 0, 1)
-        with pytest.raises(SpaceMismatch):
+        with pytest.raises(SpaceMismatch, match="outer slot 0"):
             run_episode(env, [bad], 0)
 
     def test_member_count_must_match_outer(self):
@@ -167,6 +172,73 @@ class TestWrapAgent:
         result = run_episode(env, [a1, a2], 3)
         assert result.length == 4
         assert env.trace[:2] == [1, 2]
+
+
+class RewardSteered(RandomAgent):
+    """A random agent whose actions also shift with the reward sum it has seen."""
+
+    def reset(self, first_obs):
+        self._seen = 0.0
+
+    def step(self, obs, reward, done):
+        self._seen += reward
+        act = super().step(obs, reward, done)
+        return DiscreteV((act.index + round(self._seen)) % self.act_spec.n)
+
+
+def _steered(seed, count):
+    return [RewardSteered(rng=RngStream(seed, ("nested", str(i)))) for i in range(count)]
+
+
+def _entrant_among_randoms(seed, obs_specs, act_specs, lo, hi, q):
+    """Reward-steered randoms on every slot; those on slots lo..hi-1 sit behind Q."""
+    agents = _steered(seed, len(obs_specs))
+    entrant = wrap_agent(agents[lo:hi], build_pipeline(q), obs_specs[lo:hi], act_specs[lo:hi])
+    return agents[:lo] + [entrant] + agents[hi:]
+
+
+def _replay_bytes(env, actors, seed):
+    buffer = io.StringIO()
+    run_episode(env, actors, seed, writer=ReplayWriter(buffer))
+    return buffer.getvalue()
+
+
+_NESTED = [  # env, params, env-side pipeline P, entrant pipeline Q, entrant width
+    ("gridbattle", {"step_limit": 30},
+     [{"name": "battle.img5i"}, {"name": "battle.dead_pad"}], [{"name": "map_to_vector"}], 5),
+    ("pong2p", {"step_limit": 120},
+     [{"name": "pong.screen_obs", "resolution": 16}], [{"name": "map_to_vector"}], 1),
+    ("bomber", {"step_limit": 30},
+     [{"name": "bomber.board_map"}, {"name": "bomber.rotate"}], [{"name": "bomber.attr"}], 1),
+]
+
+
+@pytest.mark.parametrize("env_name, params, p, q, width", _NESTED,
+                         ids=[case[0] for case in _NESTED])
+def test_agent_side_pipeline_nests_inside_a_moved_env_side_one(env_name, params, p, q, width):
+    """P on the env with an entrant behind Q == a raw env under WrappedAgent(P) holding it.
+
+    Both equal the run with P and Q on the env side and plain agents on every
+    slot, which pins the slot order that the other two runs share.
+    """
+    for seed in range(20):
+        env = wrap_env(make_env(env_name, params), build_pipeline(p))
+        n = env.num_slots
+        lo = seed % (n // width) * width
+        env_side = _replay_bytes(env, _entrant_among_randoms(
+            seed, env.observation_specs, env.action_specs, lo, lo + width, q), seed)
+
+        raw, p_itf = make_env(env_name, params), build_pipeline(p)
+        outer_obs, outer_act = p_itf.setup(raw.observation_specs, raw.action_specs)
+        members = _entrant_among_randoms(seed, outer_obs, outer_act, lo, lo + width, q)
+        moved = _replay_bytes(raw, [WrappedAgent(members, p_itf)], seed)
+        assert moved == env_side, (env_name, seed)
+
+        groups = [[i] for i in range(lo)] + [list(range(lo, lo + width))]
+        groups += [[i] for i in range(lo + width, n)]
+        children = [build_pipeline(q) if g[0] == lo else identity() for g in groups]
+        flat = wrap_env(make_env(env_name, params), combine(build_pipeline(p), children, groups))
+        assert _replay_bytes(flat, _steered(seed, n), seed) == env_side, (env_name, seed)
 
 
 class ObsScale(SingleSlotWrapper):
