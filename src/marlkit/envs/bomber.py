@@ -19,11 +19,10 @@ slot, 0 to survivors of a step-limit draw. 2v2 (teams are slots {0,2} vs
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
-from operator import itemgetter
+from itertools import compress, product
+from operator import is_, itemgetter
 
 from ..agents import Agent, require_spec
 from ..bundles import NO_INFO, Bundle, StepResult, outcome_info
@@ -47,6 +46,8 @@ from ..values import (
 
 IDLE, UP, DOWN, LEFT, RIGHT, PLACE = range(6)
 MOVE_DELTAS = {UP: (-1, 0), DOWN: (1, 0), LEFT: (0, -1), RIGHT: (0, 1)}
+# The six actions as values, shared by every step that returns one.
+_ACTIONS = tuple(DiscreteV(a) for a in range(6))
 ITEM_AMMO, ITEM_BLAST = 1, 2
 ATTR_CAP = 10.0
 # Loose static bound for ammo/blast in the observation space: initial value
@@ -581,8 +582,8 @@ def _require_bomber_obs(obs_specs) -> MappingSpec:
     return obs_specs[0]
 
 
-def _obs_cells(view: MappingV, key: str) -> dict[Cell, float]:
-    grid = view[key]
+def _grid_cells(grid: GridV) -> dict[Cell, float]:
+    """The nonzero cells of an (N, N, 1) grid with their values, row-major."""
     n = grid.shape[0]
     entries = grid.entries
     # Entries are exact floats, whose truthiness is v != 0.0: -0.0 is
@@ -647,7 +648,7 @@ class BoardMapObs(Interface):
         ch = self.CHANNELS
         cells = [0.0] * (n * n * ch)
         for plane, key in enumerate(self.TERRAIN):
-            for (r, c) in _obs_cells(view, key):
+            for (r, c) in _grid_cells(view[key]):
                 cells[(r * n + c) * ch + plane] = 1.0
         return cells
 
@@ -720,6 +721,28 @@ class AttrObs(Interface):
         return Bundle(tuple(out)), rewards
 
 
+def _cell_set(grid: GridV) -> set[Cell]:
+    return set(_grid_cells(grid))
+
+
+def _bomb_map(fuse: GridV, strength: GridV) -> dict[Cell, tuple[int, int]]:
+    strengths = _grid_cells(strength)
+    return {cell: (int(f), int(strengths[cell])) for cell, f in _grid_cells(fuse).items()}
+
+
+def _flame_map(flames: GridV) -> dict[Cell, int]:
+    return {cell: int(v) for cell, v in _grid_cells(flames).items()}
+
+
+def _agent_cells(agents: SeqV) -> dict[int, Cell]:
+    """The living agents' cells, keyed by slot in slot order."""
+    cells = {}
+    for i, agent in enumerate(agents):
+        if agent["alive"].entries[0] != 0.0:
+            cells[i] = (int(agent["row"].entries[0]), int(agent["col"].entries[0]))
+    return cells
+
+
 def _parse_view(view: MappingV) -> tuple:
     """(size, rigid, wood, bombs, flames, living agents' cells) of a raw view.
 
@@ -727,25 +750,19 @@ def _parse_view(view: MappingV) -> tuple:
     flames a cell to its remaining ticks, and the agent cells are keyed by
     slot in slot order.
     """
-    fuses = _obs_cells(view, "bomb_fuse")
-    strengths = _obs_cells(view, "bomb_strength")
-    agent_cells = {}
-    for i, agent in enumerate(view["agents"]):
-        if agent["alive"].entries[0] != 0.0:
-            agent_cells[i] = (int(agent["row"].entries[0]), int(agent["col"].entries[0]))
     return (
         view["rigid"].shape[0],
-        set(_obs_cells(view, "rigid")),
-        set(_obs_cells(view, "wood")),
-        {cell: (int(f), int(strengths[cell])) for cell, f in fuses.items()},
-        {cell: int(v) for cell, v in _obs_cells(view, "flames").items()},
-        agent_cells,
+        _cell_set(view["rigid"]),
+        _cell_set(view["wood"]),
+        _bomb_map(view["bomb_fuse"], view["bomb_strength"]),
+        _flame_map(view["flames"]),
+        _agent_cells(view["agents"]),
     )
 
 
 def _mask_from_obs(view: MappingV) -> VectorV:
     n, rigid, wood, bombs, flames, agent_cells = _parse_view(view)
-    owners = _obs_cells(view, "bomb_owner")
+    owners = _grid_cells(view["bomb_owner"])
     slot = view["self_id"].index
     me = view["agents"][slot]
     legal = _legal_actions(
@@ -876,17 +893,77 @@ class RotateView(Interface):
 
     def _act(self, actions: Bundle) -> Bundle:
         assert self._turns is not None, "rotate used before reset"
+        # Idle, PlaceBomb and any action outside the moves pass through as
+        # they came, for the env to check.
         out = []
         for act, k in zip(actions, self._turns):
             idx = act.index
-            if idx in MOVE_DELTAS:
-                idx = _VIEW_TO_WORLD[k][idx]
-            out.append(DiscreteV(idx))
+            out.append(_ACTIONS[_VIEW_TO_WORLD[k][idx]] if idx in MOVE_DELTAS else act)
         return Bundle(tuple(out))
 
 
 # ---------------------------------------------------------------------------
 # Baseline agent
+
+
+# Neighbor order of every search: Up, Down, Left, Right.
+_STEPS = tuple((act, dr, dc) for act, (dr, dc) in MOVE_DELTAS.items())
+
+
+def _board_part(rigid: GridV) -> tuple[int, set[Cell]]:
+    """(size, rigid cells) of a rigid grid."""
+    return rigid.shape[0], _cell_set(rigid)
+
+
+@lru_cache(maxsize=None)
+def _board_cells(n: int) -> frozenset[Cell]:
+    return frozenset(product(range(n), repeat=2))
+
+
+def _blocked_cells(board: tuple[int, set[Cell]], wood: set[Cell],
+                   bombs: dict[Cell, tuple[int, int]]) -> set[Cell]:
+    """Rigid, wood and bomb cells, plus the ring of cells just off the board."""
+    n, rigid = board
+    ring = set(product(range(-1, n + 1), repeat=2)) - _board_cells(n)
+    return ring.union(rigid, wood, bombs)
+
+
+def _bfs_step(start: Cell, goals, blocked: set[Cell], flames: dict[Cell, int],
+              limit: int | None = None) -> int | None:
+    """First move of a shortest path from start to a goal cell, or None.
+
+    Paths cross no blocked and no flaming cell, but a goal counts as reached
+    even where it is blocked. Only paths of at most limit moves count.
+    """
+    first = {start: None}
+    frontier = [start]
+    depth = 0
+    while frontier and depth != limit:
+        reached = []
+        for cell in frontier:
+            via = first[cell]
+            r, c = cell
+            for act, dr, dc in _STEPS:
+                nxt = (r + dr, c + dc)
+                if nxt in first:
+                    continue
+                if nxt in goals:
+                    return act if via is None else via
+                if nxt in blocked or nxt in flames:
+                    continue
+                first[nxt] = act if via is None else via
+                reached.append(nxt)
+        frontier = reached
+        depth += 1
+    return None
+
+
+def _escape_step(start: Cell, n: int, blocked: set[Cell], unsafe: set[Cell],
+                 flames: dict[Cell, int], limit: int | None = None) -> int | None:
+    """_bfs_step to an unblocked cell outside unsafe; IDLE if start is outside unsafe."""
+    if start not in unsafe:
+        return IDLE
+    return _bfs_step(start, _board_cells(n).difference(blocked, unsafe), blocked, flames, limit)
 
 
 class SimpleBomberAgent(Agent):
@@ -895,6 +972,13 @@ class SimpleBomberAgent(Agent):
 
     All searches are breadth-first with neighbor order Up, Down, Left, Right;
     ties resolve toward the smallest action index.
+
+    The instance keeps each part it parses (the rigid set, the wood set, the
+    bombs, the flames, the living agents' cells) and each set derived from
+    them (the cells in danger, the blocked cells) with the values it was
+    made from, and reuses it while a view holds the same objects: an env
+    passes the same grid objects while they are unchanged. The rules run on
+    every step.
 
     It bombs only what is next to its own cell and moves only toward an enemy
     it can reach without crossing wood. The two pocket cells next to its start
@@ -909,6 +993,10 @@ class SimpleBomberAgent(Agent):
     GRIDS = ("rigid", "wood", "bomb_fuse", "bomb_strength", "flames")
     OBS = {key: _VIEW[key] for key in (*GRIDS, "agents", "teams", "self_id")}
 
+    def __init__(self):
+        # name -> (inputs, result); see _kept.
+        self._memo: dict = {}
+
     def setup(self, obs_spec: SpaceSpec, act_spec: SpaceSpec) -> None:
         what = "bomber.simple observation"
         require_spec(obs_spec, self.OBS, what)
@@ -922,64 +1010,65 @@ class SimpleBomberAgent(Agent):
         require_spec(act_spec, DiscreteSpec(6), "bomber.simple action")
         super().setup(obs_spec, act_spec)
 
+    def _kept(self, name: str, inputs: tuple, build):
+        """build(*inputs), or the result kept for name while inputs are the same objects.
+
+        The entry holds its inputs, so their ids cannot be reused while it
+        lives; values are immutable and no step mutates a kept result.
+        """
+        hit = self._memo.get(name)
+        if hit is not None and all(map(is_, hit[0], inputs)):
+            return hit[1]
+        result = build(*inputs)
+        self._memo[name] = (inputs, result)
+        return result
+
     def step(self, obs: Value, reward: float, done: bool) -> Value:
         slot = obs["self_id"].index
         me = obs["agents"][slot]
         if me["alive"].entries[0] == 0.0:
-            return DiscreteV(IDLE)
-        n, rigid, wood, bombs, flames, agent_cells = _parse_view(obs)
-        my_cell = agent_cells.pop(slot)
+            return _ACTIONS[IDLE]
+        kept = self._kept
+        board = kept("rigid", (obs["rigid"],), _board_part)
+        wood = kept("wood", (obs["wood"],), _cell_set)
+        bombs = kept("bombs", (obs["bomb_fuse"], obs["bomb_strength"]), _bomb_map)
+        flames = kept("flames", (obs["flames"],), _flame_map)
+        cells = kept("agents", (obs["agents"],), _agent_cells)
+        danger = kept("danger", (board, wood, bombs, flames), self._danger_cells)
+        blocked = kept("blocked", (board, wood, bombs), _blocked_cells)
+        n, rigid = board
+
+        my_cell = cells[slot]
         teams = obs["teams"].entries
-        others = set(agent_cells.values())
-        enemies = [cell for i, cell in agent_cells.items() if teams[i] != teams[slot]]
-        danger = self._danger_cells(n, rigid, wood, bombs, flames)
-        passable = lambda cell: (  # noqa: E731
-            0 <= cell[0] < n and 0 <= cell[1] < n
-            and cell not in rigid and cell not in wood
-            and cell not in bombs and cell not in others
-        )
+        others = {cell for i, cell in cells.items() if i != slot}
+        enemies = {cell for i, cell in cells.items() if i != slot and teams[i] != teams[slot]}
+        blocked = blocked | others
+        adjacent = [(my_cell[0] + dr, my_cell[1] + dc) for _, dr, dc in _STEPS]
 
         # Rule 1: flee if the current or an adjacent cell is about to burn.
-        neighborhood = [my_cell] + [
-            (my_cell[0] + dr, my_cell[1] + dc) for dr, dc in MOVE_DELTAS.values()
-        ]
-        if any(cell in danger for cell in neighborhood):
-            step = self._bfs_step(my_cell, lambda cell: cell not in danger,
-                                  passable, flames, limit=None)
-            return DiscreteV(step if step is not None else IDLE)
+        if my_cell in danger or any(cell in danger for cell in adjacent):
+            step = _escape_step(my_cell, n, blocked, danger, flames)
+            return _ACTIONS[step if step is not None else IDLE]
 
         # Rule 2: bomb adjacent wood or enemies when legal and escapable.
-        adjacent = [(my_cell[0] + dr, my_cell[1] + dc) for dr, dc in MOVE_DELTAS.values()]
-        worth_it = any(cell in wood for cell in adjacent) or any(
-            cell in enemies for cell in adjacent
-        )
+        worth_it = any(cell in wood or cell in enemies for cell in adjacent)
         if worth_it and me["ammo"].entries[0] > 0 and my_cell not in bombs:
-            hypo = dict(bombs)
-            hypo[my_cell] = (0, int(me["blast"].entries[0]))
-            flamed, _, _ = detonate([my_cell], {c: s for c, (_, s) in hypo.items()},
-                                    rigid, wood, n)
-            hypo_danger = danger | flamed
-            escape = self._bfs_step(my_cell, lambda cell: cell not in hypo_danger,
-                                    passable, flames, limit=self.RETREAT_DEPTH)
-            if escape is not None:
-                return DiscreteV(PLACE)
+            strengths = {cell: s for cell, (_, s) in bombs.items()}
+            strengths[my_cell] = int(me["blast"].entries[0])
+            flamed, _, _ = detonate([my_cell], strengths, rigid, wood, n)
+            if _escape_step(my_cell, n, blocked, danger | flamed, flames,
+                            self.RETREAT_DEPTH) is not None:
+                return _ACTIONS[PLACE]
 
         # Rule 3: approach the nearest enemy along safe passable cells.
         if enemies:
-            enemy_set = set(enemies)
-            step = self._bfs_step(
-                my_cell,
-                lambda cell: cell in enemy_set,
-                lambda cell: passable(cell) and cell not in danger,
-                flames,
-                limit=None,
-                goals_blocked=enemy_set,
-            )
+            step = _bfs_step(my_cell, enemies, blocked | danger, flames)
             if step is not None:
-                return DiscreteV(step)
-        return DiscreteV(IDLE)
+                return _ACTIONS[step]
+        return _ACTIONS[IDLE]
 
-    def _danger_cells(self, n, rigid, wood, bombs, flames) -> set[Cell]:
+    def _danger_cells(self, board, wood, bombs, flames) -> set[Cell]:
+        n, rigid = board
         lethal = set(flames)
         due = [cell for cell, (fuse, _) in bombs.items() if fuse <= self.DANGER_HORIZON]
         if due:
@@ -987,31 +1076,3 @@ class SimpleBomberAgent(Agent):
                                     rigid, wood, n)
             lethal |= flamed
         return lethal
-
-    def _bfs_step(self, start, is_goal, passable, flames, limit,
-                  goals_blocked: set[Cell] = frozenset()) -> int | None:
-        """First move action of a shortest path to a goal cell.
-
-        Returns IDLE when the start cell itself is a goal, None when no goal is
-        reachable. Never steps into a currently flaming cell.
-        """
-        if is_goal(start) and start not in goals_blocked:
-            return IDLE
-        parent_action: dict[Cell, int] = {start: IDLE}
-        queue = deque([(start, 0)])
-        while queue:
-            cell, depth = queue.popleft()
-            if limit is not None and depth >= limit:
-                continue
-            for act, (dr, dc) in MOVE_DELTAS.items():
-                nxt = (cell[0] + dr, cell[1] + dc)
-                if nxt in parent_action:
-                    continue
-                if is_goal(nxt) and (passable(nxt) or nxt in goals_blocked):
-                    first = act if cell == start else parent_action[cell]
-                    return first
-                if not passable(nxt) or nxt in flames:
-                    continue
-                parent_action[nxt] = act if cell == start else parent_action[cell]
-                queue.append((nxt, depth + 1))
-        return None

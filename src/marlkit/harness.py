@@ -21,7 +21,7 @@ from typing import Any, Mapping, Sequence
 from .agents import Agent
 from .bundles import Bundle, EpisodeResult, EpisodeTally
 from .env import Env
-from .errors import ConfigError, InvalidPartition, SetupError
+from .errors import ConfigError, InvalidPartition, MarlkitError, SetupError
 from .registry import AgentSpec, MatchSpec, build_pipeline, make_agent, make_env
 from .replay import ReplayWriter, atomic_write, state_hash
 from .rng import RngStream
@@ -48,32 +48,39 @@ def run_episode(env: Env, actors: Sequence[Agent | WrappedAgent], seed: int,
     WrappedAgent takes its interface's raw slots as per-slot sequences, any
     other agent one slot's value. The replay writer, when given, records the
     innermost environment's actions, rewards and state hashes.
+
+    Any MarlkitError raised here comes out as an error of the same class
+    whose message starts with the episode index, the seed and the tick (the
+    number of steps taken), raised from the original.
     """
-    plan = Actors(actors)
-    if plan.slots != env.num_slots:
-        raise ConfigError(f"actors cover {plan.slots} slots, environment has {env.num_slots}")
-    plan.setup(env.observation_specs, env.action_specs)
-
-    obs = env.reset(seed)
-    if writer is not None:
-        writer.episode_header(episode_index, seed, state_hash(env))
-    plan.reset(obs.slots)
-
     tally = EpisodeTally(env.unwrapped.num_slots)
-    rewards: tuple[float, ...] = (0.0,) * env.num_slots
-    while True:
-        result = env.step(Bundle(tuple(plan.step(obs.slots, rewards, False))))
-        raw_actions, raw_result = env.raw_record()
-        tally.add(raw_result.rewards)
+    try:
+        plan = Actors(actors)
+        if plan.slots != env.num_slots:
+            raise ConfigError(f"actors cover {plan.slots} slots, environment has {env.num_slots}")
+        plan.setup(env.observation_specs, env.action_specs)
+        obs = env.reset(seed)
         if writer is not None:
-            writer.step(tally.length - 1, raw_actions, raw_result.rewards,
-                        raw_result.done, state_hash(env))
-        obs, rewards = result.obs, result.rewards
-        if result.done:
-            episode = tally.result(raw_result.info)
+            writer.episode_header(episode_index, seed, state_hash(env))
+        plan.reset(obs.slots)
+
+        rewards: tuple[float, ...] = (0.0,) * env.num_slots
+        while True:
+            result = env.step(Bundle(tuple(plan.step(obs.slots, rewards, False))))
+            raw_actions, raw_result = env.raw_record()
+            tally.add(raw_result.rewards)
             if writer is not None:
-                writer.outcome(episode)
-            return episode
+                writer.step(tally.length - 1, raw_actions, raw_result.rewards,
+                            raw_result.done, state_hash(env))
+            obs, rewards = result.obs, result.rewards
+            if result.done:
+                episode = tally.result(raw_result.info)
+                if writer is not None:
+                    writer.outcome(episode)
+                return episode
+    except MarlkitError as exc:
+        where = f"episode {episode_index} (seed {seed}), tick {tally.length}"
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +189,13 @@ def run_match(spec: MatchSpec) -> MatchResult:
             ids, n_parties = list(slots_of), len(slots_of)
             assignment = {ids[(e + k) % n_parties]: spec.agents[e] for e in range(n_parties)}
             actors = _build_actors(env, slots_of, assignment, seed)
-            episode = run_episode(env, actors, seed, writer=writer, episode_index=k)
+            try:
+                episode = run_episode(env, actors, seed, writer=writer, episode_index=k)
+            except MarlkitError as exc:
+                # run_episode's error names the episode, seed and tick and
+                # holds the original as its cause; add who played where.
+                entrants = ", ".join(f"{p} {a.display!r}" for p, a in sorted(assignment.items()))
+                raise type(exc)(f"{exc} (entrants by party: {entrants})") from exc.__cause__
             outcomes.append(episode)
             if episode.draw or episode.winner_party is None:
                 draws += 1

@@ -12,7 +12,9 @@ import io
 import json
 import math
 import struct
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import product
 from operator import itemgetter
 from typing import Mapping
 
@@ -48,7 +50,20 @@ from marlkit import (
     value_to_jsonable,
     wrap_env,
 )
-from marlkit.envs.bomber import BoardMapObs, Bomb, _obs_cells, _rotate_grid
+from marlkit.envs.bomber import (
+    IDLE,
+    MOVE_DELTAS,
+    PLACE,
+    BoardMapObs,
+    Bomb,
+    SimpleBomberAgent,
+    _bfs_step,
+    _blocked_cells,
+    _escape_step,
+    _grid_cells,
+    _rotate_grid,
+    detonate,
+)
 from marlkit.envs import gridbattle
 from marlkit.envs.gridbattle import (
     ATTACK,
@@ -148,7 +163,7 @@ def test_rotate_grid_matches_reference_loop():
 
 
 # ---------------------------------------------------------------------------
-# _obs_cells
+# _grid_cells
 
 
 def ref_obs_cells(view: MappingV, key: str) -> dict:
@@ -170,7 +185,7 @@ def ref_obs_cells(view: MappingV, key: str) -> dict:
 def test_obs_cells_matches_reference(case):
     n, entries = case
     view = MappingV({"g": GridV((n, n, 1), tuple(entries))})
-    fast, ref = _obs_cells(view, "g"), ref_obs_cells(view, "g")
+    fast, ref = _grid_cells(view["g"]), ref_obs_cells(view, "g")
     assert list(fast) == list(ref)
     assert bits(list(fast.values())) == bits(list(ref.values()))
 
@@ -417,6 +432,288 @@ def test_bomber_tick_memos_hold_one_tick_and_nothing_across_reset():
     for node in (board_map, rotate):
         after = memo_entries(node._memo)
         assert after and not any(id(entry) in before for entry in after)
+
+
+# ---------------------------------------------------------------------------
+# SimpleBomberAgent: parts kept by identity and set-based searches, against
+# the per-step parse and the predicate search it replaced
+
+
+def ref_parse_view(view: MappingV) -> tuple:
+    fuses = ref_obs_cells(view, "bomb_fuse")
+    strengths = ref_obs_cells(view, "bomb_strength")
+    agent_cells = {}
+    for i, agent in enumerate(view["agents"]):
+        if agent["alive"].entries[0] != 0.0:
+            agent_cells[i] = (int(agent["row"].entries[0]), int(agent["col"].entries[0]))
+    return (
+        view["rigid"].shape[0],
+        set(ref_obs_cells(view, "rigid")),
+        set(ref_obs_cells(view, "wood")),
+        {cell: (int(f), int(strengths[cell])) for cell, f in fuses.items()},
+        {cell: int(v) for cell, v in ref_obs_cells(view, "flames").items()},
+        agent_cells,
+    )
+
+
+def ref_bfs_step(start, is_goal, passable, flames, limit, goals_blocked=frozenset()):
+    if is_goal(start) and start not in goals_blocked:
+        return IDLE
+    parent_action = {start: IDLE}
+    queue = deque([(start, 0)])
+    while queue:
+        cell, depth = queue.popleft()
+        if limit is not None and depth >= limit:
+            continue
+        for act, (dr, dc) in MOVE_DELTAS.items():
+            nxt = (cell[0] + dr, cell[1] + dc)
+            if nxt in parent_action:
+                continue
+            if is_goal(nxt) and (passable(nxt) or nxt in goals_blocked):
+                return act if cell == start else parent_action[cell]
+            if not passable(nxt) or nxt in flames:
+                continue
+            parent_action[nxt] = act if cell == start else parent_action[cell]
+            queue.append((nxt, depth + 1))
+    return None
+
+
+def ref_danger_cells(n, rigid, wood, bombs, flames):
+    lethal = set(flames)
+    due = [cell for cell, (fuse, _) in bombs.items() if fuse <= 2]
+    if due:
+        flamed, _, _ = detonate(due, {c: s for c, (_, s) in bombs.items()}, rigid, wood, n)
+        lethal |= flamed
+    return lethal
+
+
+def ref_simple_step(obs: MappingV) -> DiscreteV:
+    slot = obs["self_id"].index
+    me = obs["agents"][slot]
+    if me["alive"].entries[0] == 0.0:
+        return DiscreteV(IDLE)
+    n, rigid, wood, bombs, flames, agent_cells = ref_parse_view(obs)
+    my_cell = agent_cells.pop(slot)
+    teams = obs["teams"].entries
+    others = set(agent_cells.values())
+    enemies = [cell for i, cell in agent_cells.items() if teams[i] != teams[slot]]
+    danger = ref_danger_cells(n, rigid, wood, bombs, flames)
+
+    def passable(cell):
+        return (0 <= cell[0] < n and 0 <= cell[1] < n and cell not in rigid
+                and cell not in wood and cell not in bombs and cell not in others)
+
+    adjacent = [(my_cell[0] + dr, my_cell[1] + dc) for dr, dc in MOVE_DELTAS.values()]
+    if any(cell in danger for cell in [my_cell] + adjacent):
+        step = ref_bfs_step(my_cell, lambda cell: cell not in danger, passable, flames, None)
+        return DiscreteV(step if step is not None else IDLE)
+    worth_it = any(cell in wood for cell in adjacent) or any(cell in enemies for cell in adjacent)
+    if worth_it and me["ammo"].entries[0] > 0 and my_cell not in bombs:
+        hypo = dict(bombs)
+        hypo[my_cell] = (0, int(me["blast"].entries[0]))
+        flamed, _, _ = detonate([my_cell], {c: s for c, (_, s) in hypo.items()}, rigid, wood, n)
+        hypo_danger = danger | flamed
+        if ref_bfs_step(my_cell, lambda cell: cell not in hypo_danger, passable, flames,
+                        9) is not None:
+            return DiscreteV(PLACE)
+    if enemies:
+        enemy_set = set(enemies)
+        step = ref_bfs_step(my_cell, lambda cell: cell in enemy_set,
+                            lambda cell: passable(cell) and cell not in danger,
+                            flames, None, goals_blocked=enemy_set)
+        if step is not None:
+            return DiscreteV(step)
+    return DiscreteV(IDLE)
+
+
+BOMBER_BOARDS = [
+    ({"mode": "ffa"}, ("bomber.simple",) * 4),
+    ({"mode": "2v2", "wood_density": 0.1}, ("bomber.simple", "random") * 2),
+    ({"mode": "ffa", "size": 7, "wood_density": 0.0}, ("random", "bomber.simple") * 2),
+    ({"mode": "2v2", "size": 7}, ("bomber.simple", "random", "random", "bomber.simple")),
+]
+
+
+def bomber_observe(env, raw: Bundle) -> Bundle:
+    """What the actors see of the raw views: as they are, or through rotate."""
+    if env is env.unwrapped:
+        return raw
+    return env.interface.obs_trans(raw, (0.0,) * 4)[0]
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("rotate", [False, True])
+def test_simple_bomber_matches_reference_under_edits_and_interleaving(seed, rotate):
+    envs = []
+    for params, _ in BOMBER_BOARDS:
+        env = make_env("bomber", {**params, "step_limit": 90})
+        envs.append(wrap_env(env, build_pipeline([{"name": "bomber.rotate"}]))
+                    if rotate else env)
+    # Each simple slot has its own agent, which sees its slot's views tick
+    # after tick; one more agent answers every view of every env in turn, so
+    # its parts change hands between calls.
+    actors = [[SimpleBomberAgent() if name == "bomber.simple"
+               else RandomAgent(rng=RngStream(seed, ("fastpath", "bomber", str(e), str(s))))
+               for s, name in enumerate(names)] for e, (_, names) in enumerate(BOMBER_BOARDS)]
+    shared = SimpleBomberAgent()
+    for env, team in zip(envs, actors):
+        for slot, actor in enumerate(team):
+            actor.setup(env.observation_specs[slot], env.action_specs[slot])
+    edits = RngStream(seed, ("fastpath", "simple-bomber-edits"))
+    checked = placed = flaming = 0
+    for episode in range(3):  # the same agents and envs cross resets
+        obs = [env.reset(seed * 10 + episode) for env in envs]
+        done = [False] * len(envs)
+        tick = 0
+        while not all(done):
+            live = [e for e, d in enumerate(done) if not d]
+            if tick % 4 == 3:
+                # Direct edits of wood, bombs, flames, items or agents, seen at once.
+                for e in live:
+                    for _ in range(2):
+                        edit_env(envs[e].unwrapped, edits)
+                    obs[e] = bomber_observe(envs[e], envs[e].unwrapped._observe())
+            actions = {e: [] for e in live}
+            for slot in range(4):
+                for e in live:
+                    view = obs[e][slot]
+                    ref = ref_simple_step(view)
+                    assert shared.step(view, 0.0, False) == ref
+                    actor = actors[e][slot]
+                    if isinstance(actor, SimpleBomberAgent):
+                        act = actor.step(view, 0.0, False)
+                        assert act == ref
+                        checked += 1
+                        placed += act.index == PLACE
+                        flaming += view["flames"].entries != (0.0,) * len(view["flames"].entries)
+                    else:
+                        act = actor.step(view, 0.0, False)
+                    actions[e].append(act)
+            for e in live:
+                result = envs[e].step(Bundle(tuple(actions[e])))
+                obs[e], done[e] = result.obs, result.done
+            tick += 1
+    assert checked > 800 and placed > 15 and flaming > 150
+
+
+def test_simple_bomber_reparses_equal_but_not_identical_grids():
+    env = make_env("bomber", {"mode": "2v2", "wood_density": 0.1})
+    agent = SimpleBomberAgent()
+    agent.setup(env.observation_specs[0], env.action_specs[0])
+    rng = RngStream(3, ("fastpath", "bomber-copies"))
+    obs = env.reset(3)
+    for tick in range(120):
+        view = obs[tick % 4]
+        copy_view = _regrid(view, 0)
+        copy_view = MappingV({**dict(copy_view.entries),
+                              "agents": SeqV(tuple(view["agents"].items))})
+        assert copy_view == view and copy_view["wood"] is not view["wood"]
+        for v in (view, copy_view, view):
+            assert agent.step(v, 0.0, False) == ref_simple_step(v)
+            if v["agents"][v["self_id"].index]["alive"].entries[0] != 0.0:
+                for name, key in (("rigid", "rigid"), ("wood", "wood"), ("flames", "flames"),
+                                  ("agents", "agents")):
+                    assert agent._memo[name][0][0] is v[key]
+        result = env.step(Bundle(tuple(ref_simple_step(v) if s % 2 == 0
+                                       else DiscreteV(rng.randrange(6))
+                                       for s, v in enumerate(obs))))
+        if result.done:
+            obs = env.reset(3 + tick)
+        else:
+            obs = result.obs
+
+
+def test_simple_bomber_on_short_lived_views():
+    """Fresh grid values, each passed once and then dropped: an id may repeat."""
+    env = make_env("bomber", {"mode": "ffa", "size": 7})
+    agent = SimpleBomberAgent()
+    agent.setup(env.observation_specs[0], env.action_specs[0])
+    rng = RngStream(11, ("fastpath", "bomber-short-lived"))
+    env.reset(11)
+    for _ in range(400):
+        edit_env(env, rng)
+        slot = rng.randrange(4)
+        assert (agent.step(fresh_observe(env)[slot], 0.0, False)
+                == ref_simple_step(fresh_observe(env)[slot]))
+
+
+def _place_bomb(fuse, strength):
+    def edit(env):
+        env.bombs.append(Bomb(row=1, col=6, owner=1, fuse=fuse, strength=strength))
+    return edit
+
+
+def _set_rigid(env):
+    env.rigid.add((1, 4))
+    env._rigid_grid = env._grid_from_map(dict.fromkeys(env.rigid, 1.0))
+
+
+# part -> (setting, edit): the edit changes only that part of the raw view
+# and, from that setting, the reference's action.
+ONE_PART_EDITS = {
+    "rigid": (lambda env: None, _set_rigid),
+    "wood": (lambda env: None, lambda env: env.wood.add((1, 4))),
+    "bomb_fuse": (_place_bomb(fuse=5, strength=2), lambda env: setattr(env.bombs[0], "fuse", 2)),
+    "bomb_strength": (_place_bomb(fuse=2, strength=1),
+                      lambda env: setattr(env.bombs[0], "strength", 2)),
+    "flames": (lambda env: None, lambda env: env.flames.update({(1, 4): 1})),
+    "agents": (lambda env: None, lambda env: setattr(env.agents[1], "col", 4)),
+}
+
+
+@pytest.mark.parametrize("part", sorted(ONE_PART_EDITS))
+def test_simple_bomber_follows_a_change_in_one_part(part):
+    """Two views in a row that share every part but one, as an env passes them."""
+    setting, edit = ONE_PART_EDITS[part]
+    env = make_env("bomber", {"mode": "ffa"})
+    env.reset(0)
+    env.wood.clear()
+    env.agents[0].row, env.agents[0].col = 1, 3
+    env.agents[1].row, env.agents[1].col = 1, 7
+    setting(env)
+    before = env._observe()[0]
+    edit(env)
+    after = env._observe()[0]
+    read = (*SimpleBomberAgent.GRIDS, "agents")
+    assert [key for key in read if after[key] is not before[key]] == [part]
+    agent = SimpleBomberAgent()
+    assert agent.step(before, 0.0, False) == ref_simple_step(before)
+    assert agent.step(after, 0.0, False) == ref_simple_step(after) != ref_simple_step(before)
+
+
+def test_bomber_searches_match_the_predicate_search():
+    """The set searches against ref_bfs_step on random boards, depth limits included."""
+    rng = RngStream(2, ("fastpath", "bomber-search"))
+    for _ in range(1500):
+        n = 3 + rng.randrange(7)
+        blocked, unsafe, flames, goals = set(), set(), {}, set()
+        for cell in product(range(n), repeat=2):
+            kind = rng.randrange(8)
+            if kind == 0:
+                blocked.add(cell)
+            elif kind in (1, 2):
+                unsafe.add(cell)
+            elif kind == 3:
+                unsafe.add(cell)
+                flames[cell] = 1
+            elif kind == 4:
+                goals.add(cell)
+                blocked.add(cell)
+        start = (rng.randrange(n), rng.randrange(n))
+        if rng.randrange(4):
+            unsafe.add(start)
+        limit = None if rng.randrange(3) == 0 else rng.randrange(13)
+        padded = _blocked_cells((n, blocked), set(), {})
+
+        def passable(cell):
+            return 0 <= cell[0] < n and 0 <= cell[1] < n and cell not in blocked
+
+        assert (_escape_step(start, n, padded, unsafe, flames, limit)
+                == ref_bfs_step(start, lambda cell: cell not in unsafe, passable, flames, limit))
+        assert (_bfs_step(start, goals, padded | unsafe, flames)
+                == ref_bfs_step(start, lambda cell: cell in goals,
+                                lambda cell: passable(cell) and cell not in unsafe,
+                                flames, None, goals_blocked=goals))
 
 
 # ---------------------------------------------------------------------------

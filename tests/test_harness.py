@@ -16,6 +16,7 @@ from marlkit import (
     MatchSpec,
     RandomAgent,
     SetupError,
+    SpaceMismatch,
     make_env,
     read_replay,
     replay_verify,
@@ -122,6 +123,74 @@ class TestRunMatch:
             "win_rate", "mean_return_per_slot", "mean_length",
         }
         assert stats["episodes"] == 2
+
+
+class TestErrorContext:
+    """A toolkit error raised inside an episode names where it happened."""
+
+    BAD = "slot 0: action DiscreteV(index=7) not in DiscreteSpec(n=3)"
+
+    def test_bad_action_names_episode_seed_tick_and_entrants(self):
+        spec = MatchSpec(
+            env_name="pong2p",
+            agents=(AgentSpec("constant", params={"action": {"d": 7}}), AgentSpec("random")),
+            episodes=3, base_seed=5,
+        )
+        with pytest.raises(SpaceMismatch) as info:
+            run_match(spec)
+        exc = info.value
+        assert type(exc) is SpaceMismatch
+        assert str(exc) == (f"episode 0 (seed 5), tick 0: {self.BAD} "
+                            "(entrants by party: 0 'constant', 1 'random')")
+        assert type(exc.__cause__) is SpaceMismatch and str(exc.__cause__) == self.BAD
+        assert exc.__cause__.__cause__ is None
+
+    def test_later_episode_and_tick_with_rotated_entrants(self):
+        from marlkit import register_agent, registry
+
+        steps = [0]  # across the episodes of one match
+
+        class LateAgent(RandomAgent):
+            def step(self, obs, reward, done):
+                steps[0] += 1
+                return DiscreteV(9) if steps[0] == 25 else super().step(obs, reward, done)
+
+        register_agent("test.late", lambda params, rng: LateAgent(rng=rng))
+        try:
+            spec = MatchSpec(
+                env_name="pong2p", env_params={"step_limit": 20},
+                agents=(AgentSpec("test.late"), AgentSpec("random", label="plain")),
+                episodes=3, base_seed=4,
+            )
+            with pytest.raises(SpaceMismatch) as info:
+                run_match(spec)  # the second episode's fifth tick
+        finally:
+            del registry._AGENTS["test.late"]
+        bad = "slot 1: action DiscreteV(index=9) not in DiscreteSpec(n=3)"
+        assert str(info.value) == (f"episode 1 (seed 5), tick 4: {bad} "
+                                   "(entrants by party: 0 'plain', 1 'test.late')")
+        assert str(info.value.__cause__) == bad
+
+    def test_run_episode_names_episode_seed_and_tick(self):
+        env = make_env("pong2p")
+        with pytest.raises(SpaceMismatch) as info:
+            run_episode(env, [ConstantAgent(DiscreteV(7)), ConstantAgent(DiscreteV(0))], 3,
+                        episode_index=2)
+        assert str(info.value) == f"episode 2 (seed 3), tick 0: {self.BAD}"
+        assert str(info.value.__cause__) == self.BAD
+
+    def test_cli_exit_code_unchanged(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "env": {"name": "pong2p"},
+            "entrants": [{"name": "constant", "params": {"action": {"d": 7}}, "label": "bad"},
+                         {"name": "random"}],
+            "episodes_per_pair": 1,
+        }))
+        assert cli_main(["tourney", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: episode 0 (seed 0), tick 0: {self.BAD} "
+            "(entrants by party: 0 'bad', 1 'random')\n")
 
 
 class TestReplay:
