@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, product
-from operator import is_, itemgetter
+from operator import itemgetter
 
 from ..agents import Agent, require_spec
 from ..bundles import NO_INFO, Bundle, StepResult, outcome_info
@@ -35,6 +35,7 @@ from ..values import (
     DiscreteSpec,
     DiscreteV,
     GridV,
+    Kept,
     MappingSpec,
     MappingV,
     SeqSpec,
@@ -591,39 +592,6 @@ def _grid_cells(grid: GridV) -> dict[Cell, float]:
     return {divmod(idx, n): entries[idx] for idx in compress(range(len(entries)), entries)}
 
 
-class TickMemo:
-    """Results keyed by the ids of their input values, kept for one tick.
-
-    An entry holds its input values, so their ids cannot be reused while it
-    lives. A lookup finds what this tick or the previous one made; end_tick()
-    then keeps only this tick's entries. So a value that a node receives again
-    on the next tick (an env or an inner node may return the same object
-    while its source is unchanged) is transformed once, and between ticks the
-    memo holds one tick's entries. clear() at reset drops everything: no state
-    crosses episodes.
-    """
-
-    def __init__(self):
-        self.clear()
-
-    def clear(self) -> None:
-        self._prev: dict = {}
-        self._cur: dict = {}
-
-    def end_tick(self) -> None:
-        self._prev, self._cur = self._cur, {}
-
-    def get(self, key, inputs, build):
-        """The result for key, or build()'s, stored with the inputs whose ids key holds."""
-        hit = self._cur.get(key)
-        if hit is None:
-            hit = self._prev.get(key)
-            if hit is None:
-                hit = (inputs, build())
-            self._cur[key] = hit
-        return hit[1]
-
-
 class BoardMapObs(Interface):
     """Appends "board_map": an (N, N, 8) one-hot feature grid.
 
@@ -638,27 +606,31 @@ class BoardMapObs(Interface):
         spec = _require_bomber_obs(obs_specs)
         n = spec["rigid"].shape[0]
         self._n = n
-        self._memo = TickMemo()
+        # Views that hold different grids (rotated ones, say) keep one
+        # terrain each.
+        self._terrains = Kept(len(obs_specs))
+        self._boards = Kept()
         feature = BoxSpec((n, n, self.CHANNELS), 0.0, 1.0)
         return append_key(obs_specs, "board_map", feature), act_specs
 
-    def _terrain(self, view: MappingV) -> list[float]:
-        """Channels 0-4 (the terrain planes) with every agent channel zero."""
+    def _terrain(self, *grids: GridV) -> list[float]:
+        """Channels 0-4 (the TERRAIN grids' planes) with every agent channel zero."""
         n = self._n
         ch = self.CHANNELS
         cells = [0.0] * (n * n * ch)
-        for plane, key in enumerate(self.TERRAIN):
-            for (r, c) in _grid_cells(view[key]):
+        for plane, grid in enumerate(grids):
+            for (r, c) in _grid_cells(grid):
                 cells[(r * n + c) * ch + plane] = 1.0
         return cells
 
-    def _encode(self, view: MappingV, terrain: list[float]) -> GridV:
+    def _encode(self, terrain: list[float], agents: SeqV, teams: VectorV,
+                self_id: DiscreteV) -> GridV:
         n = self._n
         ch = self.CHANNELS
         cells = terrain.copy()
-        me = view["self_id"].index
-        teams = view["teams"].entries
-        for i, agent in enumerate(view["agents"]):
+        me = self_id.index
+        teams = teams.entries
+        for i, agent in enumerate(agents):
             if agent["alive"].entries[0] == 0.0:
                 continue
             r = int(agent["row"].entries[0])
@@ -673,28 +645,17 @@ class BoardMapObs(Interface):
         return GridV((n, n, ch), tuple(cells))
 
     def _reset(self, obs: Bundle) -> Bundle:
-        self._memo.clear()
+        self._terrains.clear()
+        self._boards.clear()
         return super()._reset(obs)
 
     def _obs(self, obs, rewards):
-        # Views that hold the same terrain grid objects (every raw bomber
-        # tick, and later ticks while the terrain is unchanged) share one
-        # terrain computation; views that also hold the same agents and
-        # teams values and self_id share one board map.
-        memo = self._memo
+        terrains, boards = self._terrains, self._boards
         out = []
-        for v in obs:
-            grids = tuple(v[key] for key in self.TERRAIN)
-            terrain_key = tuple(map(id, grids))
-            terrain = memo.get(terrain_key, grids, lambda: self._terrain(v))
-            agents, teams, self_id = v["agents"], v["teams"], v["self_id"]
-            board = memo.get(
-                (terrain_key, id(agents), id(teams), self_id.index),
-                (grids, agents, teams),
-                lambda: self._encode(v, terrain),
-            )
+        for i, v in enumerate(obs):
+            terrain = terrains.get(None, self._terrain, *[v[key] for key in self.TERRAIN])
+            board = boards.get(i, self._encode, terrain, v["agents"], v["teams"], v["self_id"])
             out.append(MappingV(v.entries + (("board_map", board),)))
-        memo.end_tick()
         return Bundle(tuple(out)), rewards
 
 
@@ -848,7 +809,7 @@ class RotateView(Interface):
         spec = _require_bomber_obs(obs_specs)
         self._n = spec["rigid"].shape[0]
         self._turns: list[int] | None = None
-        self._memo = TickMemo()
+        self._rotated = Kept()
         return obs_specs, act_specs
 
     def _rotate_agents(self, agents: SeqV, k: int) -> SeqV:
@@ -865,22 +826,20 @@ class RotateView(Interface):
         return SeqV(tuple(rotated))
 
     def _rotate_view(self, view: MappingV, k: int) -> MappingV:
-        # A grid or agents value seen before (this tick by another view, or
-        # last tick while its source was unchanged) is rotated once per k.
         n = self._n
-        memo = self._memo
+        rotated = self._rotated
         entries = []
         for key, v in view.entries:
             if isinstance(v, GridV) and v.shape[0] == v.shape[1] == n:
-                v = memo.get((id(v), k), v, lambda: _rotate_grid(v, k))
+                v = rotated.get((key, k), _rotate_grid, v, k)
             elif key == "agents":
-                v = memo.get((id(v), k), v, lambda: self._rotate_agents(v, k))
+                v = rotated.get((key, k), self._rotate_agents, v, k)
             entries.append((key, v))
         return MappingV(tuple(entries))
 
     def _reset(self, obs: Bundle) -> Bundle:
         self._turns = [view["self_id"].index % 4 for view in obs]
-        self._memo.clear()
+        self._rotated.clear()
         return super()._reset(obs)
 
     def _obs(self, obs, rewards):
@@ -888,7 +847,6 @@ class RotateView(Interface):
         out = tuple(
             self._rotate_view(view, k) for view, k in zip(obs, self._turns)
         )
-        self._memo.end_tick()
         return Bundle(out), rewards
 
     def _act(self, actions: Bundle) -> Bundle:
@@ -975,10 +933,9 @@ class SimpleBomberAgent(Agent):
 
     The instance keeps each part it parses (the rigid set, the wood set, the
     bombs, the flames, the living agents' cells) and each set derived from
-    them (the cells in danger, the blocked cells) with the values it was
-    made from, and reuses it while a view holds the same objects: an env
-    passes the same grid objects while they are unchanged. The rules run on
-    every step.
+    them (the cells in danger, the blocked cells) in a Kept, so a view that
+    holds the same objects as the last one reuses them: an env passes the
+    same grid objects while they are unchanged. The rules run on every step.
 
     It bombs only what is next to its own cell and moves only toward an enemy
     it can reach without crossing wood. The two pocket cells next to its start
@@ -994,8 +951,7 @@ class SimpleBomberAgent(Agent):
     OBS = {key: _VIEW[key] for key in (*GRIDS, "agents", "teams", "self_id")}
 
     def __init__(self):
-        # name -> (inputs, result); see _kept.
-        self._memo: dict = {}
+        self._parts = Kept()
 
     def setup(self, obs_spec: SpaceSpec, act_spec: SpaceSpec) -> None:
         what = "bomber.simple observation"
@@ -1010,32 +966,19 @@ class SimpleBomberAgent(Agent):
         require_spec(act_spec, DiscreteSpec(6), "bomber.simple action")
         super().setup(obs_spec, act_spec)
 
-    def _kept(self, name: str, inputs: tuple, build):
-        """build(*inputs), or the result kept for name while inputs are the same objects.
-
-        The entry holds its inputs, so their ids cannot be reused while it
-        lives; values are immutable and no step mutates a kept result.
-        """
-        hit = self._memo.get(name)
-        if hit is not None and all(map(is_, hit[0], inputs)):
-            return hit[1]
-        result = build(*inputs)
-        self._memo[name] = (inputs, result)
-        return result
-
     def step(self, obs: Value, reward: float, done: bool) -> Value:
         slot = obs["self_id"].index
         me = obs["agents"][slot]
         if me["alive"].entries[0] == 0.0:
             return _ACTIONS[IDLE]
-        kept = self._kept
-        board = kept("rigid", (obs["rigid"],), _board_part)
-        wood = kept("wood", (obs["wood"],), _cell_set)
-        bombs = kept("bombs", (obs["bomb_fuse"], obs["bomb_strength"]), _bomb_map)
-        flames = kept("flames", (obs["flames"],), _flame_map)
-        cells = kept("agents", (obs["agents"],), _agent_cells)
-        danger = kept("danger", (board, wood, bombs, flames), self._danger_cells)
-        blocked = kept("blocked", (board, wood, bombs), _blocked_cells)
+        kept = self._parts.get
+        board = kept("rigid", _board_part, obs["rigid"])
+        wood = kept("wood", _cell_set, obs["wood"])
+        bombs = kept("bombs", _bomb_map, obs["bomb_fuse"], obs["bomb_strength"])
+        flames = kept("flames", _flame_map, obs["flames"])
+        cells = kept("agents", _agent_cells, obs["agents"])
+        danger = kept("danger", self._danger_cells, board, wood, bombs, flames)
+        blocked = kept("blocked", _blocked_cells, board, wood, bombs)
         n, rigid = board
 
         my_cell = cells[slot]

@@ -28,6 +28,7 @@ from ..values import (
     DiscreteSpec,
     DiscreteV,
     GridV,
+    Kept,
     MappingSpec,
     MappingV,
     SeqSpec,
@@ -473,23 +474,16 @@ class DeadPadding(Interface):
 
 _ACTIONS = tuple(DiscreteV(a) for a in range(ATTACK + 1))
 
-# The last units sequence parsed and its table; see _unit_table.
-_last_table: tuple[Value | None, tuple] = (None, ())
+# The table of the last units value parsed.
+_TABLES = Kept()
 
 
 def _unit_table(units: SeqV) -> tuple:
     """(row, col, team, alive, melee, on_cooldown) per unit of one units value.
 
-    The members of one side read the same units object on a tick, so the
-    table of the last object parsed is kept, tested by identity. The entry
-    holds that object, so its id cannot be reused while the entry lives, and
-    values are immutable, so the table stays true. row and col are None for
-    a dead unit, which is never read for its position.
+    row and col are None for a dead unit, which is never read for its
+    position.
     """
-    global _last_table
-    last = _last_table
-    if last[0] is units:
-        return last[1]
     table = []
     for u in units:
         alive = u["alive"].entries[0] != 0.0
@@ -501,9 +495,7 @@ def _unit_table(units: SeqV) -> tuple:
             u["kind"].entries[0] != 0.0,
             u["cd"].entries[0] != 0.0,
         ))
-    table = tuple(table)
-    _last_table = (units, table)
-    return table
+    return tuple(table)
 
 
 class HitAndRunAgent(Agent):
@@ -515,9 +507,8 @@ class HitAndRunAgent(Agent):
     action index.
 
     Every member of a side reads the same units value on a tick, so the
-    per-unit table parsed from it is kept in a one-entry module-level cache
-    keyed by the value's identity (see _unit_table): the first member of a
-    tick parses it, the others reuse it.
+    per-unit table parsed from it is kept in the module's one Kept: the
+    first member of a tick parses it, the others reuse it.
     """
 
     OBS = {
@@ -533,7 +524,7 @@ class HitAndRunAgent(Agent):
         super().setup(obs_spec, act_spec)
 
     def step(self, obs: Value, reward: float, done: bool) -> Value:
-        table = _unit_table(obs["units"])
+        table = _TABLES.get(None, _unit_table, obs["units"])
         my_row, my_col, my_team, my_alive, my_melee, on_cooldown = table[obs["self_id"].index]
         if not my_alive:
             return _ACTIONS[0]

@@ -13,6 +13,7 @@ win_rate = (wins + 0.5 * draws) / episodes.
 
 from __future__ import annotations
 
+import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from importlib import metadata
@@ -280,22 +281,30 @@ def round_robin(entrants: Sequence[AgentSpec], env_name: str,
     labels = [e.display for e in entrants]
     if len(set(labels)) != len(labels):
         raise ConfigError(f"entrant labels must be unique, got {labels}")
+    pairs = [(i, j) for i in range(len(labels)) for j in range(i + 1, len(labels))]
+    paths: list[str | None] = [None] * len(pairs)
+    if replay_dir is not None:
+        for label in labels:
+            if os.sep in label or (os.altsep and os.altsep in label):
+                raise ConfigError(f"entrant label {label!r} holds a path separator, "
+                                  "so it cannot name a replay file")
+        paths = [f"{replay_dir}/pair_{labels[i]}_vs_{labels[j]}.jsonl" for i, j in pairs]
+        first: dict[str, tuple[int, int]] = {}
+        for (i, j), path in zip(pairs, paths):
+            a, b = first.setdefault(path, (i, j))
+            if (a, b) != (i, j):
+                raise ConfigError(f"pairs {labels[a]!r} vs {labels[b]!r} and {labels[i]!r} "
+                                  f"vs {labels[j]!r} would both write {path}")
     board = Scoreboard(labels=labels, episodes_per_pair=episodes_per_pair)
-    pair_index = 0
-    for i in range(len(entrants)):
-        for j in range(i + 1, len(entrants)):
-            replay_path = None
-            if replay_dir is not None:
-                replay_path = f"{replay_dir}/pair_{labels[i]}_vs_{labels[j]}.jsonl"
-            spec = MatchSpec(
-                env_name=env_name, env_params=dict(env_params or {}),
-                env_interfaces=tuple(env_interfaces),
-                agents=(entrants[i], entrants[j]),
-                episodes=episodes_per_pair,
-                base_seed=base_seed + pair_index * episodes_per_pair,
-                replay_path=replay_path,
-            )
-            result = run_match(spec)
-            board.record(i, j, result.wins, result.draws, result.losses)
-            pair_index += 1
+    for pair_index, ((i, j), path) in enumerate(zip(pairs, paths)):
+        spec = MatchSpec(
+            env_name=env_name, env_params=dict(env_params or {}),
+            env_interfaces=tuple(env_interfaces),
+            agents=(entrants[i], entrants[j]),
+            episodes=episodes_per_pair,
+            base_seed=base_seed + pair_index * episodes_per_pair,
+            replay_path=path,
+        )
+        result = run_match(spec)
+        board.record(i, j, result.wins, result.draws, result.losses)
     return board

@@ -19,7 +19,7 @@ from collections import abc
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
-from operator import itemgetter
+from operator import is_, itemgetter
 from typing import Iterator, Sequence
 
 from .rng import RngStream
@@ -274,6 +274,40 @@ class SeqV(Value):
         out.append(b"\x05" + _U32.pack(len(self.items)))
         for v in self.items:
             v._encode(out)
+
+
+class Kept:
+    """Results reused while their inputs are the very same objects.
+
+    get(key, build, *inputs) returns a result kept under key whose inputs are
+    these objects (an `is` test each), or else build(*inputs), which becomes
+    key's newest entry; a key keeps its size newest entries. An entry holds
+    its inputs, so their ids cannot be reused while it lives, and values are
+    immutable, so a result stays true to them. No caller may mutate a result,
+    nor an input that is not a value. Every get of one key passes as many
+    inputs. clear() drops every entry.
+    """
+
+    __slots__ = ("_size", "_entries")
+
+    def __init__(self, size: int = 1):
+        self._size = size
+        self._entries: dict = {}  # key -> [(inputs, result), ...], newest first
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+    def get(self, key, build, *inputs):
+        entries = self._entries.get(key)
+        if entries is None:
+            entries = self._entries[key] = []
+        for kept, result in entries:
+            if all(map(is_, kept, inputs)):
+                return result
+        result = build(*inputs)
+        entries.insert(0, (inputs, result))
+        del entries[self._size:]
+        return result
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ from marlkit.envs.gridbattle import (
 )
 from marlkit.envs.pong import PongConfig, PongEnv
 from marlkit.replay import ReplayWriter
-from marlkit.values import SpaceSpec, Value, _float_tuple, vector_mapping_struct
+from marlkit.values import Kept, SpaceSpec, Value, _float_tuple, vector_mapping_struct
 
 
 class Flt(float):
@@ -263,14 +263,22 @@ def test_board_map_same_output_with_shared_or_separate_grids():
 
 # ---------------------------------------------------------------------------
 # Bomber observations that reuse last tick's values: the env's per-part memo
-# and the board_map/rotate tick memos, against the same calls with emptied
-# memos
+# and what board_map/rotate keep, against the same calls with emptied memos
 
 
-def bomber_chain():
-    """rotate over board_map, set up on raw bomber specs."""
+# Each chain, innermost first, with its reference on one raw view.
+CHAINS = {
+    ("bomber.board_map", "bomber.rotate"):
+        lambda view, k: ref_rotate_view(ref_with_board_map(view), k),
+    ("bomber.rotate", "bomber.board_map"):
+        lambda view, k: ref_with_board_map(ref_rotate_view(view, k)),
+}
+
+
+def bomber_chain(names=("bomber.board_map", "bomber.rotate")):
+    """The named chain (innermost first), set up on raw bomber specs."""
     env = make_env("bomber", {"mode": "ffa"})
-    chain = build_pipeline([{"name": "bomber.board_map"}, {"name": "bomber.rotate"}])
+    chain = build_pipeline([{"name": name} for name in names])
     chain.setup(env.observation_specs, env.action_specs)
     return chain
 
@@ -284,9 +292,20 @@ def fresh_observe(env) -> Bundle:
         env._obs_memo = kept
 
 
+def node_kepts(node) -> list[Kept]:
+    return [v for v in vars(node).values() if isinstance(v, Kept)]
+
+
+def kept_entries(node) -> list:
+    """Every (inputs, result) entry the node keeps."""
+    return [entry for kept in node_kepts(node) for entries in kept._entries.values()
+            for entry in entries]
+
+
 def fresh_obs_trans(chain, obs: Bundle) -> Bundle:
     for node in (chain, chain.inner):
-        node._memo.clear()
+        for kept in node_kepts(node):
+            kept.clear()
     out, _ = chain.obs_trans(obs, (0.0,) * len(obs))
     return out
 
@@ -295,9 +314,12 @@ def same_bytes(a: Bundle, b: Bundle) -> bool:
     return [v.canonical_bytes() for v in a] == [v.canonical_bytes() for v in b]
 
 
-def ref_chain_view(view: MappingV, k: int) -> MappingV:
-    """board_map then rotate on one raw view, with no memo at all."""
-    view = MappingV(view.entries + (("board_map", ref_board_map(view)),))
+def ref_with_board_map(view: MappingV) -> MappingV:
+    return MappingV(view.entries + (("board_map", ref_board_map(view)),))
+
+
+def ref_rotate_view(view: MappingV, k: int) -> MappingV:
+    """rotate on one view, with no memo at all."""
     n = view["rigid"].shape[0]
     entries = []
     for key, v in view.entries:
@@ -316,10 +338,14 @@ def ref_chain_view(view: MappingV, k: int) -> MappingV:
     return MappingV(tuple(entries))
 
 
-def check_chain(chain, ref_chain, obs: Bundle, rewards) -> None:
+def ref_chain(names, obs: Bundle) -> Bundle:
+    return Bundle(tuple(CHAINS[names](v, s) for s, v in enumerate(obs)))
+
+
+def check_chain(names, chain, fresh_chain, obs: Bundle, rewards) -> None:
     out, _ = chain.obs_trans(obs, rewards)
-    assert same_bytes(out, fresh_obs_trans(ref_chain, obs))
-    assert same_bytes(out, Bundle(tuple(ref_chain_view(v, s) for s, v in enumerate(obs))))
+    assert same_bytes(out, fresh_obs_trans(fresh_chain, obs))
+    assert same_bytes(out, ref_chain(names, obs))
 
 
 def edit_env(env, rng: RngStream) -> None:
@@ -358,7 +384,7 @@ def edit_env(env, rng: RngStream) -> None:
 @pytest.mark.parametrize("seed", [0, 3, 8])
 def test_bomber_reused_observations_match_emptied_memos(seed):
     env = make_env("bomber", {"mode": "ffa"})
-    chain, ref_chain = bomber_chain(), bomber_chain()
+    chains = {names: (bomber_chain(names), bomber_chain(names)) for names in CHAINS}
     edits = RngStream(seed, ("fastpath", "edits"))
     ticks = 0
     for episode in range(6):  # one env, so its memo crosses resets
@@ -368,9 +394,10 @@ def test_bomber_reused_observations_match_emptied_memos(seed):
             agent.setup(env.observation_specs[slot], env.action_specs[slot])
         obs = env.reset(seed + episode)
         assert same_bytes(obs, fresh_observe(env))
-        out = chain.reset(obs)
-        assert same_bytes(out, ref_chain.reset(obs))
-        assert same_bytes(out, Bundle(tuple(ref_chain_view(v, s) for s, v in enumerate(obs))))
+        for names, (chain, fresh_chain) in chains.items():
+            out = chain.reset(obs)
+            assert same_bytes(out, fresh_chain.reset(obs))
+            assert same_bytes(out, ref_chain(names, obs))
         done = False
         while not done:
             if ticks % 3 == 0:
@@ -380,7 +407,8 @@ def test_bomber_reused_observations_match_emptied_memos(seed):
                 edit_env(env, edits)
                 obs = env._observe()
                 assert same_bytes(obs, fresh_observe(env))
-                check_chain(chain, ref_chain, obs, (0.0,) * 4)
+                for names, (chain, fresh_chain) in chains.items():
+                    check_chain(names, chain, fresh_chain, obs, (0.0,) * 4)
                 if edits.randrange(2):
                     env.wood, env.bombs, env.flames, env.items, env.agents = undo
                     obs = env._observe()
@@ -389,12 +417,30 @@ def test_bomber_reused_observations_match_emptied_memos(seed):
             obs, done = result.obs, result.done
             ticks += 1
             assert same_bytes(obs, fresh_observe(env))
-            check_chain(chain, ref_chain, obs, result.rewards)
+            for names, (chain, fresh_chain) in chains.items():
+                check_chain(names, chain, fresh_chain, obs, result.rewards)
     assert ticks > 60
 
 
-def memo_entries(memo) -> list:
-    return [*memo._prev.values(), *memo._cur.values()]
+def test_reversed_chain_builds_nothing_while_the_board_is_unchanged(monkeypatch):
+    # Under rotate, each view holds its own rotated grids, so board_map must
+    # keep a terrain per view, not one in all.
+    built = []
+    for name in ("_terrain", "_encode"):
+        def counting(self, *args, build=getattr(BoardMapObs, name), name=name):
+            built.append(name)
+            return build(self, *args)
+        monkeypatch.setattr(BoardMapObs, name, counting)
+    env = wrap_env(make_env("bomber", {"mode": "ffa"}),
+                   build_pipeline([{"name": "bomber.rotate"}, {"name": "bomber.board_map"}]))
+    idle = Bundle((DiscreteV(IDLE),) * 4)
+    env.reset(3)
+    env.step(idle)
+    assert built
+    built.clear()
+    for _ in range(20):
+        env.step(idle)
+    assert built == []
 
 
 def test_bomber_tick_memos_hold_one_tick_and_nothing_across_reset():
@@ -414,23 +460,23 @@ def test_bomber_tick_memos_hold_one_tick_and_nothing_across_reset():
         obs, done = result.obs, result.done
         ticks += 1
     assert ticks == 800
-    # One tick makes at most a terrain and a board map per view (board_map),
-    # and per view 8 rotated grids and one rotated agents value (rotate).
-    assert 0 < len(memo_entries(board_map._memo)) <= 2 * 4
-    assert 0 < len(memo_entries(rotate._memo)) <= 9 * 4
+    # board_map keeps at most a terrain and a board map per view, and rotate
+    # per view 8 rotated grids and one rotated agents value.
+    assert 0 < len(kept_entries(board_map)) <= 2 * 4
+    assert 0 < len(kept_entries(rotate)) <= 9 * 4
     before = {id(entry): entry for node in (board_map, rotate)
-              for entry in memo_entries(node._memo)}
+              for entry in kept_entries(node)}
     # A new episode, and an interface reset on the very objects of the last
     # tick: neither may find an entry made before it.
     env.reset(5)
     for node in (board_map, rotate):
-        after = memo_entries(node._memo)
+        after = kept_entries(node)
         assert after and not any(id(entry) in before for entry in after)
     before = {id(entry): entry for node in (board_map, rotate)
-              for entry in memo_entries(node._memo)}
+              for entry in kept_entries(node)}
     env.interface.reset(env.base._observe())
     for node in (board_map, rotate):
-        after = memo_entries(node._memo)
+        after = kept_entries(node)
         assert after and not any(id(entry) in before for entry in after)
 
 
@@ -613,7 +659,7 @@ def test_simple_bomber_reparses_equal_but_not_identical_grids():
             if v["agents"][v["self_id"].index]["alive"].entries[0] != 0.0:
                 for name, key in (("rigid", "rigid"), ("wood", "wood"), ("flames", "flames"),
                                   ("agents", "agents")):
-                    assert agent._memo[name][0][0] is v[key]
+                    assert agent._parts._entries[name][0][0][0] is v[key]
         result = env.step(Bundle(tuple(ref_simple_step(v) if s % 2 == 0
                                        else DiscreteV(rng.randrange(6))
                                        for s, v in enumerate(obs))))
@@ -1260,7 +1306,7 @@ def test_hit_and_run_reparses_an_equal_but_not_identical_units_value():
         assert copy_view == view and copy_view["units"] is not view["units"]
         for v in (view, copy_view):
             assert agent.step(v, 0.0, False) == ref_hit_and_run_step(v)
-            assert gridbattle._last_table[0] is v["units"]
+            assert gridbattle._TABLES._entries[None][0][0][0] is v["units"]
         result = env.step(Bundle(tuple(ref_hit_and_run_step(v) for v in obs)))
         if result.done:
             break

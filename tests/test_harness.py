@@ -389,6 +389,24 @@ class TestRoundRobin:
         with pytest.raises(ConfigError):
             round_robin(self.entrants()[:1], "pong2p")
 
+    @pytest.mark.parametrize("labels, message", [
+        # Pairs (x, y_vs_z) and (x_vs_y, z) both name pair_x_vs_y_vs_z.jsonl.
+        (("x", "y_vs_z", "x_vs_y", "z"),
+         "pairs 'x' vs 'y_vs_z' and 'x_vs_y' vs 'z' would both write"),
+        # The label's pair comes after one that would already have played.
+        (("c", "d", "a/b"), "entrant label 'a/b' holds a path separator"),
+    ])
+    def test_replay_paths_checked_before_any_match(self, tmp_path, capsys, labels, message):
+        entrants = [{"name": "random", "params": {"seed": s}, "label": label}
+                    for s, label in enumerate(labels)]
+        out = tmp_path / "out"
+        out.mkdir()
+        path = tmp_path / "tourney.json"
+        path.write_text(json.dumps(_tourney_case(entrants=entrants, replay_dir=str(out))))
+        assert cli_main(["tourney", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_four_party_env_is_config_error_without_replays(self, tmp_path):
         with pytest.raises(ConfigError, match="4 parties"):
             round_robin(self.entrants(), "bomber", {"mode": "ffa"},

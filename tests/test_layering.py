@@ -1,9 +1,10 @@
 """marlkit's modules import each other at module level only, without a cycle.
 
 An import inside a function hides a dependency from the module's header, and
-it is the usual way to dodge an import cycle. One more structural rule: only
-the Actors plan tells a WrappedAgent from a one-slot agent. The checks read
-each module's AST, so nothing is imported and no subprocess is started.
+it is the usual way to dodge an import cycle. Two more structural rules: only
+the Actors plan tells a WrappedAgent from a one-slot agent, and no function
+rebinds a module-level name through a global statement. The checks read each
+module's AST, so nothing is imported and no subprocess is started.
 """
 
 from __future__ import annotations
@@ -128,6 +129,12 @@ def test_module_level_imports_have_no_cycle():
 def test_cycle_finder_reports_a_cycle():
     assert _cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": set()}) == ["a", "b", "c", "a"]
     assert _cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) is None
+
+
+def test_no_global_statement():
+    found = [f"{name} line {node.lineno}" for name, tree in _modules().items()
+             for node in ast.walk(tree) if isinstance(node, ast.Global)]
+    assert found == []
 
 
 def test_only_the_actor_plan_dispatches_on_wrapped_agents():

@@ -28,6 +28,7 @@ from marlkit import (
 )
 from marlkit.errors import FormatError
 from marlkit.serial import value_from_jsonable
+from marlkit.values import Kept
 
 from conftest import spec_and_value, value_strategy
 
@@ -187,3 +188,53 @@ class TestSpecValidation:
     def test_flat_bounds_discrete_is_unit(self):
         assert flat_bounds(DiscreteSpec(5)) == (0.0, 1.0)
         assert math.isclose(flat_length(MappingSpec({"a": DiscreteSpec(5)})), 5)
+
+
+class TestKept:
+    def builds(self):
+        """A build function and the list of the inputs it was called with."""
+        calls = []
+
+        def build(*inputs):
+            calls.append(inputs)
+            return len(calls)
+
+        return build, calls
+
+    def test_the_same_input_objects_build_once(self):
+        kept, (build, calls) = Kept(), self.builds()
+        a, b = VectorV((1.0,)), GridV((1, 1, 1), (2.0,))
+        assert kept.get("k", build, a, b) == 1
+        assert kept.get("k", build, a, b) == 1
+        assert calls == [(a, b)]
+
+    def test_equal_but_distinct_inputs_build_again(self):
+        kept, (build, calls) = Kept(), self.builds()
+        a, copy = VectorV((1.0,)), VectorV((1.0,))
+        assert a == copy and a is not copy
+        assert kept.get("k", build, a) == 1
+        assert kept.get("k", build, copy) == 2
+        # One entry per key: copy's replaced a's.
+        assert kept.get("k", build, a) == 3
+        assert len(calls) == 3
+
+    def test_a_key_keeps_its_size_newest_entries(self):
+        kept, (build, calls) = Kept(2), self.builds()
+        xs = [VectorV((float(i),)) for i in range(3)]
+        assert [kept.get("k", build, x) for x in xs] == [1, 2, 3]
+        assert [inputs[0] for inputs, _ in kept._entries["k"]] == [xs[2], xs[1]]
+        assert [kept.get("k", build, x) for x in (xs[1], xs[2])] == [2, 3]
+        assert kept.get("k", build, xs[0]) == 4  # the oldest went first
+        assert kept.get("other", build, xs[0]) == 5  # keys keep apart
+        kept.clear()
+        assert kept.get("k", build, xs[0]) == 6
+
+    def test_short_lived_inputs_never_hit_a_stale_entry(self):
+        kept = Kept(3)
+        seen = set()
+        for i in range(200):
+            # Each value is dropped once its entry goes, so its id may repeat.
+            v = VectorV((float(i),))
+            seen.add(id(v))
+            assert kept.get("k", lambda x: x.entries[0], v) == float(i)
+        assert len(seen) < 200
