@@ -483,18 +483,8 @@ class BomberEnv(Env):
     # -- action legality ----------------------------------------------------------
 
     def legal_actions(self, slot: int) -> set[int]:
-        """Actions that would not be rule no-ops for this slot, others idle."""
-        return _legal_actions(
-            size=self.cfg.size,
-            rigid=self.rigid,
-            wood=self.wood,
-            bombs={(b.row, b.col): (b.fuse, b.strength) for b in self.bombs},
-            flames=dict(self.flames),
-            agent_cells={i: (a.row, a.col) for i, a in enumerate(self.agents) if a.alive},
-            ammo=self.agents[slot].ammo,
-            own_bombs={(b.row, b.col) for b in self.bombs if b.owner == slot},
-            slot=slot,
-        )
+        """Actions that are not rule no-ops for this slot, others idle: its raw view's act_mask."""
+        return _legal_actions(self._observe()[slot], Kept())
 
 
 def _agent_value(fields: tuple[int, int, int, int, bool]) -> MappingV:
@@ -506,58 +496,6 @@ def _agent_value(fields: tuple[int, int, int, int, bool]) -> MappingV:
         "blast": VectorV((float(blast),)),
         "alive": VectorV((1.0 if alive else 0.0,)),
     })
-
-
-def _phase1_prediction(
-    size: int,
-    rigid: set[Cell],
-    wood: set[Cell],
-    bombs: dict[Cell, tuple[int, int]],
-    flames: dict[Cell, int],
-) -> tuple[set[Cell], set[Cell]]:
-    """(lethal flame cells during the coming death phase, exploding bomb cells)."""
-    lethal = {cell for cell, rem in flames.items() if rem >= 2}
-    due = [cell for cell, (fuse, _) in bombs.items() if fuse <= 1]
-    exploded: set[Cell] = set()
-    if due:
-        strengths = {cell: s for cell, (_, s) in bombs.items()}
-        flamed, exploded, _ = detonate(due, strengths, rigid, wood, size)
-        lethal |= flamed
-    return lethal, exploded
-
-
-def _legal_actions(
-    size: int,
-    rigid: set[Cell],
-    wood: set[Cell],
-    bombs: dict[Cell, tuple[int, int]],
-    flames: dict[Cell, int],
-    agent_cells: dict[int, Cell],
-    ammo: int,
-    own_bombs: set[Cell],
-    slot: int,
-) -> set[int]:
-    legal = {IDLE}
-    me = agent_cells.get(slot)
-    if me is None:
-        return legal
-    lethal, exploded = _phase1_prediction(size, rigid, wood, bombs, flames)
-    if me in lethal:
-        # The slot dies in the death phase before it could move or place.
-        return legal
-    others = {cell for i, cell in agent_cells.items() if i != slot}
-    for act, (dr, dc) in MOVE_DELTAS.items():
-        target = (me[0] + dr, me[1] + dc)
-        if not (0 <= target[0] < size and 0 <= target[1] < size):
-            continue
-        if target in rigid or target in wood or target in bombs or target in others:
-            continue
-        legal.add(act)
-    # Own bombs exploding this tick restore ammo before the placement phase.
-    effective_ammo = ammo + len(own_bombs & exploded)
-    if effective_ammo > 0 and me not in bombs:
-        legal.add(PLACE)
-    return legal
 
 
 # ---------------------------------------------------------------------------
@@ -630,17 +568,8 @@ class BoardMapObs(Interface):
         cells = terrain.copy()
         me = self_id.index
         teams = teams.entries
-        for i, agent in enumerate(agents):
-            if agent["alive"].entries[0] == 0.0:
-                continue
-            r = int(agent["row"].entries[0])
-            c = int(agent["col"].entries[0])
-            if i == me:
-                plane = 5
-            elif teams[i] == teams[me]:
-                plane = 6
-            else:
-                plane = 7
+        for i, (r, c) in _agent_cells(agents).items():
+            plane = 5 if i == me else 6 if teams[i] == teams[me] else 7
             cells[(r * n + c) * ch + plane] = 1.0
         return GridV((n, n, ch), tuple(cells))
 
@@ -704,49 +633,94 @@ def _agent_cells(agents: SeqV) -> dict[int, Cell]:
     return cells
 
 
-def _parse_view(view: MappingV) -> tuple:
-    """(size, rigid, wood, bombs, flames, living agents' cells) of a raw view.
+def _board_part(rigid: GridV) -> tuple[int, set[Cell]]:
+    """(size, rigid cells) of a rigid grid."""
+    return rigid.shape[0], _cell_set(rigid)
 
-    rigid and wood are cell sets, bombs maps a cell to (fuse, strength),
-    flames a cell to its remaining ticks, and the agent cells are keyed by
-    slot in slot order.
-    """
+
+@lru_cache(maxsize=None)
+def _board_cells(n: int) -> frozenset[Cell]:
+    return frozenset(product(range(n), repeat=2))
+
+
+def _blocked_cells(board: tuple[int, set[Cell]], wood: set[Cell],
+                   bombs: dict[Cell, tuple[int, int]]) -> set[Cell]:
+    """Rigid, wood and bomb cells, plus the ring of cells just off the board."""
+    n, rigid = board
+    ring = set(product(range(-1, n + 1), repeat=2)) - _board_cells(n)
+    return ring.union(rigid, wood, bombs)
+
+
+def _read(kept: Kept, view: MappingV) -> tuple:
+    """(board, wood, bombs, flames, living agents' cells) of a raw view, each
+    kept in kept while the view holds the grids or agents value it came from."""
+    get = kept.get
     return (
-        view["rigid"].shape[0],
-        _cell_set(view["rigid"]),
-        _cell_set(view["wood"]),
-        _bomb_map(view["bomb_fuse"], view["bomb_strength"]),
-        _flame_map(view["flames"]),
-        _agent_cells(view["agents"]),
+        get("rigid", _board_part, view["rigid"]),
+        get("wood", _cell_set, view["wood"]),
+        get("bombs", _bomb_map, view["bomb_fuse"], view["bomb_strength"]),
+        get("flames", _flame_map, view["flames"]),
+        get("agents", _agent_cells, view["agents"]),
     )
 
 
-def _mask_from_obs(view: MappingV) -> VectorV:
-    n, rigid, wood, bombs, flames, agent_cells = _parse_view(view)
-    owners = _grid_cells(view["bomb_owner"])
+def _blast(board: tuple[int, set[Cell]], wood: set[Cell],
+           bombs: dict[Cell, tuple[int, int]], horizon: int) -> tuple[set[Cell], set[Cell]]:
+    """(flamed, exploded) cells once the bombs with fuse <= horizon go off, chains included."""
+    n, rigid = board
+    due = [cell for cell, (fuse, _) in bombs.items() if fuse <= horizon]
+    flamed, exploded, _ = detonate(due, {c: s for c, (_, s) in bombs.items()}, rigid, wood, n)
+    return flamed, exploded
+
+
+def _legal_actions(view: MappingV, kept: Kept) -> set[int]:
+    """Actions that would not be rule no-ops for the view's own slot, others
+    idle, read from its raw view through kept."""
+    board, wood, bombs, flames, cells = _read(kept, view)
     slot = view["self_id"].index
-    me = view["agents"][slot]
-    legal = _legal_actions(
-        size=n, rigid=rigid, wood=wood, bombs=bombs, flames=flames,
-        agent_cells=agent_cells, ammo=int(me["ammo"].entries[0]),
-        own_bombs={cell for cell, o in owners.items() if int(o) == slot + 1},
-        slot=slot,
-    )
-    return VectorV(tuple(1.0 if a in legal else 0.0 for a in range(6)))
+    me = cells.get(slot)
+    if me is None:
+        return {IDLE}
+    # Phase 1 of the coming tick: due bombs detonate and flames decay.
+    flamed, exploded = kept.get("due", _blast, board, wood, bombs, 1)
+    if me in flamed or flames.get(me, 0) >= 2:
+        # The slot dies in the death phase before it could move or place.
+        return {IDLE}
+    blocked = kept.get("blocked", _blocked_cells, board, wood, bombs)
+    legal = {IDLE}
+    for act, (dr, dc) in MOVE_DELTAS.items():
+        target = (me[0] + dr, me[1] + dc)
+        if target not in blocked and target not in cells.values():
+            legal.add(act)
+    # Own bombs exploding this tick restore ammo before the placement phase.
+    owners = _grid_cells(view["bomb_owner"]) if exploded else {}
+    ammo = int(view["agents"][slot]["ammo"].entries[0])
+    ammo += sum(int(owners.get(cell, 0)) == slot + 1 for cell in exploded)
+    if ammo > 0 and me not in bombs:
+        legal.add(PLACE)
+    return legal
 
 
 class ActMaskObs(Interface):
-    """Appends "act_mask": per-action legality bits (see legal_actions)."""
+    """Appends "act_mask": per-action legality bits (see legal_actions), each
+    view read through one Kept as bomber.simple reads it."""
 
     def _setup(self, obs_specs, act_specs):
         _require_bomber_obs(obs_specs)
+        self._parts = Kept(len(obs_specs))
         return append_key(obs_specs, "act_mask", BoxSpec((6,), 0.0, 1.0)), act_specs
 
+    def _reset(self, obs: Bundle) -> Bundle:
+        self._parts.clear()
+        return super()._reset(obs)
+
     def _obs(self, obs, rewards):
-        out = tuple(
-            MappingV(v.entries + (("act_mask", _mask_from_obs(v)),)) for v in obs
-        )
-        return Bundle(out), rewards
+        out = []
+        for v in obs:
+            legal = _legal_actions(v, self._parts)
+            mask = VectorV(tuple(1.0 if a in legal else 0.0 for a in range(6)))
+            out.append(MappingV(v.entries + (("act_mask", mask),)))
+        return Bundle(tuple(out)), rewards
 
 
 @lru_cache(maxsize=None)
@@ -794,6 +768,12 @@ _VIEW_TO_WORLD = {
 }
 
 
+def _rotate_mask(mask: VectorV, quarter_turns: int) -> VectorV:
+    """A world-frame act_mask in the view frame (bit a: world action of view action a)."""
+    to_world = _VIEW_TO_WORLD[quarter_turns]
+    return VectorV(tuple(mask.entries[to_world.get(a, a)] for a in range(6)))
+
+
 class RotateView(Interface):
     """Rotates each slot's view by 90 degrees times its agent id.
 
@@ -834,6 +814,8 @@ class RotateView(Interface):
                 v = rotated.get((key, k), _rotate_grid, v, k)
             elif key == "agents":
                 v = rotated.get((key, k), self._rotate_agents, v, k)
+            elif key == "act_mask":
+                v = rotated.get((key, k), _rotate_mask, v, k)
             entries.append((key, v))
         return MappingV(tuple(entries))
 
@@ -866,24 +848,6 @@ class RotateView(Interface):
 
 # Neighbor order of every search: Up, Down, Left, Right.
 _STEPS = tuple((act, dr, dc) for act, (dr, dc) in MOVE_DELTAS.items())
-
-
-def _board_part(rigid: GridV) -> tuple[int, set[Cell]]:
-    """(size, rigid cells) of a rigid grid."""
-    return rigid.shape[0], _cell_set(rigid)
-
-
-@lru_cache(maxsize=None)
-def _board_cells(n: int) -> frozenset[Cell]:
-    return frozenset(product(range(n), repeat=2))
-
-
-def _blocked_cells(board: tuple[int, set[Cell]], wood: set[Cell],
-                   bombs: dict[Cell, tuple[int, int]]) -> set[Cell]:
-    """Rigid, wood and bomb cells, plus the ring of cells just off the board."""
-    n, rigid = board
-    ring = set(product(range(-1, n + 1), repeat=2)) - _board_cells(n)
-    return ring.union(rigid, wood, bombs)
 
 
 def _bfs_step(start: Cell, goals, blocked: set[Cell], flames: dict[Cell, int],
@@ -924,6 +888,11 @@ def _escape_step(start: Cell, n: int, blocked: set[Cell], unsafe: set[Cell],
     return _bfs_step(start, _board_cells(n).difference(blocked, unsafe), blocked, flames, limit)
 
 
+def _danger(board, wood, bombs, flames) -> set[Cell]:
+    """Every flame, and the blasts of the bombs due within two ticks."""
+    return _blast(board, wood, bombs, 2)[0].union(flames)
+
+
 class SimpleBomberAgent(Agent):
     """Priority-rule baseline: flee predicted flames, bomb wood/enemies when a
     retreat exists, otherwise close in on the nearest enemy.
@@ -931,8 +900,8 @@ class SimpleBomberAgent(Agent):
     All searches are breadth-first with neighbor order Up, Down, Left, Right;
     ties resolve toward the smallest action index.
 
-    The instance keeps each part it parses (the rigid set, the wood set, the
-    bombs, the flames, the living agents' cells) and each set derived from
+    The instance reads each view through the part reader bomber.act_mask and
+    the env's legal_actions use, keeping each part and each set derived from
     them (the cells in danger, the blocked cells) in a Kept, so a view that
     holds the same objects as the last one reuses them: an env passes the
     same grid objects while they are unchanged. The rules run on every step.
@@ -945,7 +914,6 @@ class SimpleBomberAgent(Agent):
     change to the benchmark.
     """
 
-    DANGER_HORIZON = 2
     RETREAT_DEPTH = 9
     GRIDS = ("rigid", "wood", "bomb_fuse", "bomb_strength", "flames")
     OBS = {key: _VIEW[key] for key in (*GRIDS, "agents", "teams", "self_id")}
@@ -971,15 +939,11 @@ class SimpleBomberAgent(Agent):
         me = obs["agents"][slot]
         if me["alive"].entries[0] == 0.0:
             return _ACTIONS[IDLE]
+        board, wood, bombs, flames, cells = _read(self._parts, obs)
         kept = self._parts.get
-        board = kept("rigid", _board_part, obs["rigid"])
-        wood = kept("wood", _cell_set, obs["wood"])
-        bombs = kept("bombs", _bomb_map, obs["bomb_fuse"], obs["bomb_strength"])
-        flames = kept("flames", _flame_map, obs["flames"])
-        cells = kept("agents", _agent_cells, obs["agents"])
-        danger = kept("danger", self._danger_cells, board, wood, bombs, flames)
+        danger = kept("danger", _danger, board, wood, bombs, flames)
         blocked = kept("blocked", _blocked_cells, board, wood, bombs)
-        n, rigid = board
+        n = board[0]
 
         my_cell = cells[slot]
         teams = obs["teams"].entries
@@ -996,9 +960,8 @@ class SimpleBomberAgent(Agent):
         # Rule 2: bomb adjacent wood or enemies when legal and escapable.
         worth_it = any(cell in wood or cell in enemies for cell in adjacent)
         if worth_it and me["ammo"].entries[0] > 0 and my_cell not in bombs:
-            strengths = {cell: s for cell, (_, s) in bombs.items()}
-            strengths[my_cell] = int(me["blast"].entries[0])
-            flamed, _, _ = detonate([my_cell], strengths, rigid, wood, n)
+            mine = {**bombs, my_cell: (0, int(me["blast"].entries[0]))}
+            flamed, _ = _blast(board, wood, mine, 0)
             if _escape_step(my_cell, n, blocked, danger | flamed, flames,
                             self.RETREAT_DEPTH) is not None:
                 return _ACTIONS[PLACE]
@@ -1009,13 +972,3 @@ class SimpleBomberAgent(Agent):
             if step is not None:
                 return _ACTIONS[step]
         return _ACTIONS[IDLE]
-
-    def _danger_cells(self, board, wood, bombs, flames) -> set[Cell]:
-        n, rigid = board
-        lethal = set(flames)
-        due = [cell for cell, (fuse, _) in bombs.items() if fuse <= self.DANGER_HORIZON]
-        if due:
-            flamed, _, _ = detonate(due, {c: s for c, (_, s) in bombs.items()},
-                                    rigid, wood, n)
-            lethal |= flamed
-        return lethal

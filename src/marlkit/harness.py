@@ -52,7 +52,8 @@ def run_episode(env: Env, actors: Sequence[Agent | WrappedAgent], seed: int,
 
     Any MarlkitError raised here comes out as an error of the same class
     whose message starts with the episode index, the seed and the tick (the
-    number of steps taken), raised from the original.
+    number of steps taken), raised from the original. Any other exception
+    comes out as itself, with that place as a note on Python 3.11+.
     """
     tally = EpisodeTally(env.unwrapped.num_slots)
     try:
@@ -79,9 +80,13 @@ def run_episode(env: Env, actors: Sequence[Agent | WrappedAgent], seed: int,
                 if writer is not None:
                     writer.outcome(episode)
                 return episode
-    except MarlkitError as exc:
+    except Exception as exc:
         where = f"episode {episode_index} (seed {seed}), tick {tally.length}"
-        raise type(exc)(f"{where}: {exc}") from exc
+        if isinstance(exc, MarlkitError):
+            raise type(exc)(f"{where}: {exc}") from exc
+        if hasattr(exc, "add_note"):  # Python 3.11+
+            exc.add_note(where)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +197,15 @@ def run_match(spec: MatchSpec) -> MatchResult:
             actors = _build_actors(env, slots_of, assignment, seed)
             try:
                 episode = run_episode(env, actors, seed, writer=writer, episode_index=k)
-            except MarlkitError as exc:
-                # run_episode's error names the episode, seed and tick and
-                # holds the original as its cause; add who played where.
+            except Exception as exc:
+                # run_episode's error names the episode, seed and tick; add
+                # who played where.
                 entrants = ", ".join(f"{p} {a.display!r}" for p, a in sorted(assignment.items()))
-                raise type(exc)(f"{exc} (entrants by party: {entrants})") from exc.__cause__
+                if isinstance(exc, MarlkitError):
+                    raise type(exc)(f"{exc} (entrants by party: {entrants})") from exc.__cause__
+                if hasattr(exc, "add_note"):  # Python 3.11+
+                    exc.add_note(f"entrants by party: {entrants}")
+                raise
             outcomes.append(episode)
             if episode.draw or episode.winner_party is None:
                 draws += 1

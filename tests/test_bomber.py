@@ -38,7 +38,8 @@ from marlkit.envs.bomber import (
     _rotate_pos,
     _VIEW_TO_WORLD,
 )
-from marlkit import BoxSpec, MappingSpec, SetupError, VectorV, append_feature, stack
+from marlkit import (BoxSpec, MappingSpec, SetupError, VectorV, append_feature, build_pipeline,
+                     stack)
 from marlkit.cli import main as cli_main
 from marlkit.values import GridV
 
@@ -487,6 +488,30 @@ class TestActMask:
             result = env.step(Bundle(tuple(DiscreteV(rng.randrange(6)) for _ in range(4))))
             if result.done:
                 break
+
+    @pytest.mark.parametrize("names", [("bomber.act_mask", "bomber.rotate"),
+                                       ("bomber.rotate", "bomber.act_mask")])
+    def test_mask_follows_rotate_in_either_order(self, names):
+        # Each view's bit a must be the world legality of the world action
+        # that rotate's act_trans makes of view action a.
+        checked = wrong = 0
+        for seed in range(5):
+            env = wrap_env(BomberEnv(BomberConfig(wood_density=0.1)),
+                           build_pipeline([{"name": name} for name in names]))
+            obs = env.reset(seed)
+            rng = RngStream(seed, ("mask-rotate",))
+            for _ in range(40):
+                for slot in range(4):
+                    legal = env.unwrapped.legal_actions(slot)
+                    to_world = _VIEW_TO_WORLD[slot % 4]
+                    for a, bit in enumerate(obs[slot]["act_mask"].entries):
+                        wrong += bit != (1.0 if to_world.get(a, a) in legal else 0.0)
+                        checked += 1
+                result = env.step(Bundle(tuple(DiscreteV(rng.randrange(6)) for _ in range(4))))
+                if result.done:
+                    break
+                obs = result.obs
+        assert checked > 2000 and wrong == 0
 
     def test_mask_equals_brute_force_oracle_sample(self):
         # Small randomized sample here; the 1000-state gate runs in acceptance.

@@ -57,10 +57,12 @@ from marlkit.envs.bomber import (
     BoardMapObs,
     Bomb,
     SimpleBomberAgent,
+    _VIEW_TO_WORLD,
     _bfs_step,
     _blocked_cells,
     _escape_step,
     _grid_cells,
+    _legal_actions,
     _rotate_grid,
     detonate,
 )
@@ -272,6 +274,11 @@ CHAINS = {
         lambda view, k: ref_rotate_view(ref_with_board_map(view), k),
     ("bomber.rotate", "bomber.board_map"):
         lambda view, k: ref_with_board_map(ref_rotate_view(view, k)),
+    ("bomber.act_mask",): lambda view, k: ref_with_act_mask(view),
+    ("bomber.act_mask", "bomber.rotate"):
+        lambda view, k: ref_rotate_view(ref_with_act_mask(view), k),
+    ("bomber.rotate", "bomber.act_mask"):
+        lambda view, k: ref_with_act_mask(ref_rotate_view(view, k)),
 }
 
 
@@ -303,9 +310,11 @@ def kept_entries(node) -> list:
 
 
 def fresh_obs_trans(chain, obs: Bundle) -> Bundle:
-    for node in (chain, chain.inner):
+    node = chain
+    while node is not None:
         for kept in node_kepts(node):
             kept.clear()
+        node = node.inner
     out, _ = chain.obs_trans(obs, (0.0,) * len(obs))
     return out
 
@@ -318,8 +327,48 @@ def ref_with_board_map(view: MappingV) -> MappingV:
     return MappingV(view.entries + (("board_map", ref_board_map(view)),))
 
 
+def ref_legal_actions(view: MappingV) -> set[int]:
+    """The legality of the view's own slot, from a per-view parse with no memo."""
+    n, rigid, wood, bombs, flames, agent_cells = ref_parse_view(view)
+    slot = view["self_id"].index
+    legal = {IDLE}
+    me = agent_cells.get(slot)
+    if me is None:
+        return legal
+    lethal = {cell for cell, rem in flames.items() if rem >= 2}
+    due = [cell for cell, (fuse, _) in bombs.items() if fuse <= 1]
+    exploded = set()
+    if due:
+        flamed, exploded, _ = detonate(due, {c: s for c, (_, s) in bombs.items()},
+                                       rigid, wood, n)
+        lethal |= flamed
+    if me in lethal:
+        return legal
+    others = {cell for i, cell in agent_cells.items() if i != slot}
+    for act, (dr, dc) in MOVE_DELTAS.items():
+        target = (me[0] + dr, me[1] + dc)
+        if not (0 <= target[0] < n and 0 <= target[1] < n):
+            continue
+        if target in rigid or target in wood or target in bombs or target in others:
+            continue
+        legal.add(act)
+    owners = ref_obs_cells(view, "bomb_owner")
+    own_bombs = {cell for cell, o in owners.items() if int(o) == slot + 1}
+    ammo = int(view["agents"][slot]["ammo"].entries[0])
+    if ammo + len(own_bombs & exploded) > 0 and me not in bombs:
+        legal.add(PLACE)
+    return legal
+
+
+def ref_with_act_mask(view: MappingV) -> MappingV:
+    legal = ref_legal_actions(view)
+    mask = VectorV(tuple(1.0 if a in legal else 0.0 for a in range(6)))
+    return MappingV(view.entries + (("act_mask", mask),))
+
+
 def ref_rotate_view(view: MappingV, k: int) -> MappingV:
-    """rotate on one view, with no memo at all."""
+    """rotate on one view, with no memo at all; a world-frame act_mask turns
+    into the view frame with the actions."""
     n = view["rigid"].shape[0]
     entries = []
     for key, v in view.entries:
@@ -334,6 +383,8 @@ def ref_rotate_view(view: MappingV, k: int) -> MappingV:
                 rotated.append(MappingV({**dict(agent.entries), "row": VectorV((float(r),)),
                                          "col": VectorV((float(c),))}))
             v = SeqV(tuple(rotated))
+        elif key == "act_mask":
+            v = VectorV(tuple(v.entries[_VIEW_TO_WORLD[k].get(a, a)] for a in range(6)))
         entries.append((key, v))
     return MappingV(tuple(entries))
 
@@ -447,8 +498,11 @@ def test_bomber_tick_memos_hold_one_tick_and_nothing_across_reset():
     # Agents that only move (actions 0-4) never bomb, so the episode runs to
     # its 800-tick limit with the agents value changing on most ticks.
     env = wrap_env(make_env("bomber", {"mode": "ffa"}),
-                   build_pipeline([{"name": "bomber.board_map"}, {"name": "bomber.rotate"}]))
-    board_map, rotate = env.interface.inner, env.interface
+                   build_pipeline([{"name": "bomber.board_map"}, {"name": "bomber.rotate"},
+                                   {"name": "bomber.act_mask"}]))
+    act_mask = env.interface
+    rotate = act_mask.inner
+    board_map = rotate.inner
     agents = [RandomAgent(rng=RngStream(4, ("wander", str(s)))) for s in range(4)]
     for slot, agent in enumerate(agents):
         agent.setup(env.observation_specs[slot], DiscreteSpec(5))
@@ -460,22 +514,23 @@ def test_bomber_tick_memos_hold_one_tick_and_nothing_across_reset():
         obs, done = result.obs, result.done
         ticks += 1
     assert ticks == 800
-    # board_map keeps at most a terrain and a board map per view, and rotate
-    # per view 8 rotated grids and one rotated agents value.
+    # board_map keeps at most a terrain and a board map per view, rotate
+    # per view 8 rotated grids and one rotated agents value, and act_mask
+    # per view its 5 parts, the blocked cells and the coming blast.
     assert 0 < len(kept_entries(board_map)) <= 2 * 4
     assert 0 < len(kept_entries(rotate)) <= 9 * 4
-    before = {id(entry): entry for node in (board_map, rotate)
-              for entry in kept_entries(node)}
+    assert 0 < len(kept_entries(act_mask)) <= 7 * 4
+    nodes = (board_map, rotate, act_mask)
+    before = {id(entry): entry for node in nodes for entry in kept_entries(node)}
     # A new episode, and an interface reset on the very objects of the last
     # tick: neither may find an entry made before it.
     env.reset(5)
-    for node in (board_map, rotate):
+    for node in nodes:
         after = kept_entries(node)
         assert after and not any(id(entry) in before for entry in after)
-    before = {id(entry): entry for node in (board_map, rotate)
-              for entry in kept_entries(node)}
+    before = {id(entry): entry for node in nodes for entry in kept_entries(node)}
     env.interface.reset(env.base._observe())
-    for node in (board_map, rotate):
+    for node in nodes:
         after = kept_entries(node)
         assert after and not any(id(entry) in before for entry in after)
 
@@ -683,9 +738,9 @@ def test_simple_bomber_on_short_lived_views():
                 == ref_simple_step(fresh_observe(env)[slot]))
 
 
-def _place_bomb(fuse, strength):
+def _place_bomb(fuse, strength, col=6):
     def edit(env):
-        env.bombs.append(Bomb(row=1, col=6, owner=1, fuse=fuse, strength=strength))
+        env.bombs.append(Bomb(row=1, col=col, owner=1, fuse=fuse, strength=strength))
     return edit
 
 
@@ -725,6 +780,41 @@ def test_simple_bomber_follows_a_change_in_one_part(part):
     agent = SimpleBomberAgent()
     assert agent.step(before, 0.0, False) == ref_simple_step(before)
     assert agent.step(after, 0.0, False) == ref_simple_step(after) != ref_simple_step(before)
+
+
+def _set_flame(env):
+    env.flames[(1, 3)] = 2
+
+
+# part -> (setting, edit) as above, for slot 0's legality at (1, 3).
+MASK_EDITS = {
+    **{part: ONE_PART_EDITS[part] for part in ("rigid", "wood", "agents")},
+    "bomb_fuse": (_place_bomb(fuse=3, strength=2, col=5),
+                  lambda env: setattr(env.bombs[0], "fuse", 1)),
+    "bomb_strength": (_place_bomb(fuse=1, strength=1, col=5),
+                      lambda env: setattr(env.bombs[0], "strength", 2)),
+    "flames": (lambda env: None, _set_flame),
+}
+
+
+@pytest.mark.parametrize("part", sorted(MASK_EDITS))
+def test_legality_follows_a_change_in_one_part(part):
+    """The legality act_mask runs, on two views in a row through one Kept."""
+    setting, edit = MASK_EDITS[part]
+    env = make_env("bomber", {"mode": "ffa"})
+    env.reset(0)
+    env.wood.clear()
+    env.agents[0].row, env.agents[0].col = 1, 3
+    env.agents[1].row, env.agents[1].col = 1, 7
+    setting(env)
+    before = env._observe()[0]
+    edit(env)
+    after = env._observe()[0]
+    read = (*SimpleBomberAgent.GRIDS, "agents")
+    assert [key for key in read if after[key] is not before[key]] == [part]
+    kept = Kept(4)
+    assert _legal_actions(before, kept) == ref_legal_actions(before)
+    assert _legal_actions(after, kept) == ref_legal_actions(after) != ref_legal_actions(before)
 
 
 def test_bomber_searches_match_the_predicate_search():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -178,6 +179,32 @@ class TestErrorContext:
                         episode_index=2)
         assert str(info.value) == f"episode 2 (seed 3), tick 0: {self.BAD}"
         assert str(info.value.__cause__) == self.BAD
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="exception notes need 3.11")
+    def test_other_exception_passes_through_with_notes(self):
+        from marlkit import register_agent, registry
+
+        steps = [0]
+
+        class BoomAgent(RandomAgent):
+            def step(self, obs, reward, done):
+                steps[0] += 1
+                if steps[0] == 5:
+                    1 / 0
+                return super().step(obs, reward, done)
+
+        register_agent("boom", lambda params, rng: BoomAgent(rng=rng))
+        try:
+            spec = MatchSpec(env_name="pong2p", agents=(AgentSpec("boom"), AgentSpec("random")),
+                             episodes=2, base_seed=3)
+            with pytest.raises(ZeroDivisionError) as info:
+                run_match(spec)
+        finally:
+            del registry._AGENTS["boom"]
+        exc = info.value
+        assert type(exc) is ZeroDivisionError and exc.__cause__ is None
+        assert exc.__notes__ == ["episode 0 (seed 3), tick 4",
+                                 "entrants by party: 0 'boom', 1 'random'"]
 
     def test_cli_exit_code_unchanged(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -1,10 +1,11 @@
 """marlkit's modules import each other at module level only, without a cycle.
 
 An import inside a function hides a dependency from the module's header, and
-it is the usual way to dodge an import cycle. Two more structural rules: only
-the Actors plan tells a WrappedAgent from a one-slot agent, and no function
-rebinds a module-level name through a global statement. The checks read each
-module's AST, so nothing is imported and no subprocess is started.
+it is the usual way to dodge an import cycle. Three more structural rules:
+only the Actors plan tells a WrappedAgent from a one-slot agent, no function
+rebinds a module-level name through a global statement, and every private
+module-level function or class is used somewhere in the package. The checks
+read each module's AST, so nothing is imported and no subprocess is started.
 """
 
 from __future__ import annotations
@@ -110,6 +111,34 @@ def _wrapped_agent_checks(tree: ast.Module) -> list[tuple[str | None, int]]:
     return found
 
 
+def _referenced(node: ast.AST) -> set[str]:
+    """The names node reads, the attributes it reads and the names it imports."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name)
+    return out
+
+
+def _unused_private(modules: dict[str, ast.Module]) -> list[str]:
+    """module.name of each private module-level function or class that no
+    other top-level statement of the package refers to."""
+    statements = [(name, stmt) for name, tree in modules.items() for stmt in tree.body]
+    used: dict[int, set[str]] = {id(stmt): _referenced(stmt) for _, stmt in statements}
+    found = []
+    for name, stmt in statements:
+        if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and stmt.name.startswith("_") and not stmt.name.endswith("__")
+                and not any(stmt.name in used[id(other)]
+                            for _, other in statements if other is not stmt)):
+            found.append(f"{name}.{stmt.name}")
+    return found
+
+
 def test_no_module_imports_inside_a_function():
     local = {name: found for name, tree in _modules().items()
              if (found := _local_imports(tree))}
@@ -150,3 +179,22 @@ def test_wrapped_agent_check_finder_sees_every_spelling():
                      "isinstance(y, wrappers.WrappedAgent)\n"
                      "isinstance(z, WrappedEnv)\n")
     assert _wrapped_agent_checks(tree) == [("A", 3), (None, 4)]
+
+
+def test_every_private_function_and_class_is_used():
+    assert _unused_private(_modules()) == []
+
+
+def test_unused_private_finder_sees_every_use():
+    modules = {
+        "a": ast.parse("def _dead(): return _dead()\n"
+                       "def _called(): pass\n"
+                       "class _Imported: pass\n"
+                       "def _by_attribute(): pass\n"
+                       "def __getattr__(name): pass\n"
+                       "x = _called()\n"),
+        "b": ast.parse("from a import _Imported\n"
+                       "import a\n"
+                       "y = a._by_attribute\n"),
+    }
+    assert _unused_private(modules) == ["a._dead"]
