@@ -40,6 +40,8 @@ def _parse_kv(pairs: Sequence[str]) -> dict[str, Any]:
             params[key] = json.loads(raw)
         except json.JSONDecodeError:
             params[key] = raw
+        except RecursionError as exc:
+            raise _UsageError(f"bad JSON for {key!r}: {exc}")
     return params
 
 
@@ -51,7 +53,7 @@ def _parse_pipeline(text: str | None) -> tuple[dict[str, Any], ...]:
     if text.startswith("["):
         try:
             entries = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise _UsageError(f"bad pipeline JSON: {exc}")
         if not isinstance(entries, list):
             raise _UsageError("pipeline JSON must be a list")
@@ -157,7 +159,7 @@ def _cmd_tourney(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise MarlkitError(f"cannot read config {args.config!r}: {exc}") from exc
     what = f"tourney config {args.config!r}"
     require_known_keys(config, TOURNEY_KEYS, what)

@@ -202,22 +202,11 @@ class BomberEnv(Env):
         return [(0, 0), (n - 1, 0), (n - 1, n - 1), (0, n - 1)]
 
     def _pockets(self) -> set[Cell]:
-        n = self.cfg.size
-        cells: set[Cell] = set()
-        for r, c in self._corners():
-            dr = 1 if r == 0 else -1
-            dc = 1 if c == 0 else -1
-            cells.update({(r, c), (r, c + dc), (r + dr, c)})
-        return cells
+        """Each start corner and the two cells next to it."""
+        return self._orbit((0, 0)) | self._orbit((0, 1)) | self._orbit((1, 0))
 
     def _orbit(self, cell: Cell) -> set[Cell]:
-        n = self.cfg.size
-        orbit = set()
-        r, c = cell
-        for _ in range(4):
-            orbit.add((r, c))
-            r, c = c, n - 1 - r
-        return orbit
+        return {_rotate_pos(*cell, self.cfg.size, k) for k in range(4)}
 
     def _do_reset(self, seed: int) -> Bundle:
         cfg = self.cfg
@@ -296,7 +285,7 @@ class BomberEnv(Env):
             if a.alive and (a.row, a.col) in self.flames:
                 a.alive = False
 
-        # Phase 3: simultaneous movement with conflict fixpoint.
+        # Phase 3: simultaneous movement (see _resolve_moves).
         moving: dict[int, Cell] = {}
         for i, a in enumerate(self.agents):
             act = actions[i].index
@@ -306,33 +295,7 @@ class BomberEnv(Env):
             target = (a.row + dr, a.col + dc)
             if 0 <= target[0] < n and 0 <= target[1] < n and target not in blocked_static:
                 moving[i] = target
-        changed = True
-        while changed:
-            changed = False
-            by_target: dict[Cell, list[int]] = {}
-            for i, t in moving.items():
-                by_target.setdefault(t, []).append(i)
-            for t, group in by_target.items():
-                if len(group) > 1:
-                    for i in group:
-                        del moving[i]
-                    changed = True
-            for i in list(moving):
-                if i not in moving:
-                    continue
-                t = moving[i]
-                occ = occupant_at.get(t)
-                if occ is None or occ == i:
-                    continue
-                swap = moving.get(occ) == start_cell_of[i]
-                if swap:
-                    del moving[i]
-                    moving.pop(occ, None)
-                    changed = True
-                elif occ not in moving:
-                    del moving[i]
-                    changed = True
-        for i, (r, c) in moving.items():
+        for i, (r, c) in _resolve_moves(moving, occupant_at, start_cell_of).items():
             self.agents[i].row, self.agents[i].col = r, c
 
         # Phase 4: bomb placement at the agent's (unmoved) cell.
@@ -361,27 +324,19 @@ class BomberEnv(Env):
         return self._finish_step()
 
     def _finish_step(self) -> StepResult:
-        cfg = self.cfg
         teams = self.teams
         alive = [a.alive for a in self.agents]
-        team_ids = sorted(set(teams))
-        team_alive = {t: any(alive[i] for i in range(4) if teams[i] == t) for t in team_ids}
-        living_teams = [t for t in team_ids if team_alive[t]]
-        done = len(living_teams) <= 1 or self.tick >= cfg.step_limit
+        living_teams = sorted({t for t, a in zip(teams, alive) if a})
+        done = len(living_teams) <= 1 or self.tick >= self.cfg.step_limit
         rewards = [0.0] * 4
         info = NO_INFO
         if done:
             winner = living_teams[0] if len(living_teams) == 1 else None
             info = outcome_info(winner)
-            if cfg.mode == "ffa":
-                for i in range(4):
-                    if not alive[i]:
-                        rewards[i] = -1.0
-                    elif winner is not None:
-                        rewards[i] = 1.0
-            elif winner is not None:
-                for i in range(4):
-                    rewards[i] = 1.0 if teams[i] == winner else -1.0
+            if winner is not None:
+                rewards = [1.0 if t == winner else -1.0 for t in teams]
+            elif self.cfg.mode == "ffa":
+                rewards = [0.0 if a else -1.0 for a in alive]
         return StepResult(
             obs=self._observe(),
             rewards=tuple(rewards),
@@ -435,18 +390,9 @@ class BomberEnv(Env):
             board[r * n + c] = 2.0
         return MappingV({
             "board": VectorV(tuple(board)),
-            "hidden": SeqV(tuple(
-                VectorV((float(r), float(c), float(v)))
-                for (r, c), v in sorted(self.hidden.items())
-            )),
-            "items": SeqV(tuple(
-                VectorV((float(r), float(c), float(v)))
-                for (r, c), v in sorted(self.items.items())
-            )),
-            "flames": SeqV(tuple(
-                VectorV((float(r), float(c), float(rem)))
-                for (r, c), rem in sorted(self.flames.items())
-            )),
+            "hidden": _cell_values(self.hidden),
+            "items": _cell_values(self.items),
+            "flames": _cell_values(self.flames),
             "bombs": SeqV(tuple(
                 VectorV((float(b.row), float(b.col), float(b.owner),
                          float(b.fuse), float(b.strength)))
@@ -485,6 +431,30 @@ class BomberEnv(Env):
     def legal_actions(self, slot: int) -> set[int]:
         """Actions that are not rule no-ops for this slot, others idle: its raw view's act_mask."""
         return _legal_actions(self._observe()[slot], Kept())
+
+
+def _resolve_moves(moving: dict[int, Cell], occupant_at: dict[Cell, int],
+                   start_cell_of: dict[int, Cell]) -> dict[int, Cell]:
+    """The movers (slot -> target) that move, against the start-of-tick cells.
+
+    Movers that share a target all stay. Then, until nothing changes, a mover
+    stays when its target's start occupant stays or moves into the mover's
+    own start cell (a swap). Stayers only ever join, so no new tie can form.
+    """
+    targets = list(moving.values())
+    moving = {i: t for i, t in moving.items() if targets.count(t) == 1}
+    while True:
+        stay = {i for i, t in moving.items() if t in occupant_at
+                and moving.get(occupant_at[t]) in (None, start_cell_of[i])}
+        if not stay:
+            return moving
+        moving = {i: t for i, t in moving.items() if i not in stay}
+
+
+def _cell_values(cells: dict[Cell, int]) -> SeqV:
+    """(row, col, value) of each cell of a cell map, row-major."""
+    return SeqV(tuple(VectorV((float(r), float(c), float(v)))
+                      for (r, c), v in sorted(cells.items())))
 
 
 def _agent_value(fields: tuple[int, int, int, int, bool]) -> MappingV:

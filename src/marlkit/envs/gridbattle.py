@@ -221,21 +221,19 @@ class BattleEnv(Env):
             target = (u.row + dr, u.col + dc)
             if not (0 <= target[0] < GRID and 0 <= target[1] < GRID):
                 continue
-            if target in occupied:
-                continue
-            if target not in claims:
-                claims[target] = slot
+            if target not in occupied:
+                claims.setdefault(target, slot)
         for (r, c), slot in claims.items():
             units[slot].row, units[slot].col = r, c
 
         # Phase 2: simultaneous attacks against post-move positions. Targets
-        # and eligibility are snapshotted before any damage is applied.
-        alive_before = [u.alive for u in units]
+        # and eligibility are chosen before any damage is applied; nothing
+        # writes alive before phase 3.
         strikes: list[tuple[int, int]] = []
         for slot, u in enumerate(units):
-            if not alive_before[slot] or actions[slot].index != ATTACK or u.cd != 0:
+            if not u.alive or actions[slot].index != ATTACK or u.cd != 0:
                 continue
-            target = self._nearest_enemy(slot, alive_before)
+            target = self._nearest_enemy(slot)
             if target is None:
                 continue
             t = units[target]
@@ -259,14 +257,13 @@ class BattleEnv(Env):
                 u.alive = False
 
         self.tick += 1
-        team_alive = [any(u.alive for u in units if u.team == t) for t in (0, 1)]
+        living_teams = sorted({u.team for u in units if u.alive})
         rewards = [d / 100.0 for d in dealt]
-        done = not (team_alive[0] and team_alive[1]) or self.tick >= self.cfg.step_limit
+        done = len(living_teams) <= 1 or self.tick >= self.cfg.step_limit
         info = NO_INFO
         if done:
-            winner = None
-            if team_alive[0] != team_alive[1]:
-                winner = 0 if team_alive[0] else 1
+            winner = living_teams[0] if len(living_teams) == 1 else None
+            if winner is not None:
                 for slot, u in enumerate(units):
                     rewards[slot] += 1.0 if u.team == winner else -1.0
             info = outcome_info(winner)
@@ -278,11 +275,11 @@ class BattleEnv(Env):
             info=info,
         )
 
-    def _nearest_enemy(self, slot: int, alive: list[bool]) -> int | None:
+    def _nearest_enemy(self, slot: int) -> int | None:
         u = self.units[slot]
         best: tuple[int, int] | None = None
         for i, other in enumerate(self.units):
-            if not alive[i] or other.team == u.team:
+            if not other.alive or other.team == u.team:
                 continue
             d2 = (other.row - u.row) ** 2 + (other.col - u.col) ** 2
             if best is None or (d2, i) < best:
@@ -383,19 +380,21 @@ class _ImgObsBase(Interface):
         raise NotImplementedError
 
     def _obs(self, obs, rewards):
-        # The egocentric grid depends only on the viewer's team and aliveness,
-        # so at most one encode per team per tick.
-        memo: dict[float, GridV] = {}
+        # The egocentric grid depends only on the units value, the viewer's
+        # team and its aliveness, so at most one encode per (units, team) per
+        # tick; obs holds every units value alive, so an id is its own.
+        memo: dict[tuple[int, float], GridV] = {}
         out = []
         for view in obs:
-            me = view["units"][view["self_id"].index]
+            units = view["units"]
+            me = units[view["self_id"].index]
             if me["alive"].entries[0] == 0.0:
                 out.append(self._dead_grid)
                 continue
-            team = me["team"].entries[0]
-            if team not in memo:
-                memo[team] = self._encode_for_team(view["units"], team)
-            out.append(memo[team])
+            key = (id(units), me["team"].entries[0])
+            if key not in memo:
+                memo[key] = self._encode_for_team(units, key[1])
+            out.append(memo[key])
         return Bundle(tuple(out)), rewards
 
 
@@ -538,20 +537,15 @@ class HitAndRunAgent(Agent):
         if not on_cooldown and cheb <= my_range:
             return _ACTIONS[ATTACK]
 
-        def clearance(cell: tuple[int, int]) -> float:
+        def clearance(cell: tuple[int, int]) -> int:
             return min((cell[0] - e[0]) ** 2 + (cell[1] - e[1]) ** 2 for e in enemies)
 
-        best_action, best_score = None, None
+        # Clearances are exact ints, so the sign flips the order without ties
+        # changing: the smallest action wins either way.
+        sign = -1 if on_cooldown else 1
+        moves = []
         for a, (dr, dc) in enumerate(DIRS8):
             cell = (my_row + dr, my_col + dc)
-            if not (0 <= cell[0] < GRID and 0 <= cell[1] < GRID) or cell in occupied:
-                continue
-            score = clearance(cell)
-            better = (
-                best_score is None
-                or (on_cooldown and score > best_score)
-                or (not on_cooldown and score < best_score)
-            )
-            if better:
-                best_action, best_score = a, score
-        return _ACTIONS[best_action if best_action is not None else 0]
+            if 0 <= cell[0] < GRID and 0 <= cell[1] < GRID and cell not in occupied:
+                moves.append((sign * clearance(cell), a))
+        return _ACTIONS[min(moves, default=(0, 0))[1]]

@@ -169,18 +169,21 @@ def _check_record(obj: dict[str, Any], where: str) -> str:
 def _lines(path: str) -> Iterator[tuple[str, str, dict[str, Any]]]:
     """(path:lineno, kind, record) per non-blank line, each record schema-checked."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{where}: not valid JSON: {exc}") from exc
-            if not isinstance(obj, dict) or "kind" not in obj:
-                raise FormatError(f"{where}: record without a kind tag")
-            yield where, _check_record(obj, where), obj
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                where = f"{path}:{lineno}"
+                try:
+                    obj = json.loads(line)
+                except (json.JSONDecodeError, RecursionError) as exc:
+                    raise FormatError(f"{where}: not valid JSON: {exc}") from exc
+                if not isinstance(obj, dict) or "kind" not in obj:
+                    raise FormatError(f"{where}: record without a kind tag")
+                yield where, _check_record(obj, where), obj
+        except UnicodeDecodeError as exc:  # the decoder reads ahead: no line number is known
+            raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def read_replay(path: str) -> Replay:

@@ -63,6 +63,7 @@ from marlkit.envs.bomber import (
     _escape_step,
     _grid_cells,
     _legal_actions,
+    _resolve_moves,
     _rotate_grid,
     detonate,
 )
@@ -850,6 +851,104 @@ def test_bomber_searches_match_the_predicate_search():
                 == ref_bfs_step(start, lambda cell: cell in goals,
                                 lambda cell: passable(cell) and cell not in unsafe,
                                 flames, None, goals_blocked=goals))
+
+
+# ---------------------------------------------------------------------------
+# Bomber move resolution: one predicate against the ordered special cases
+
+
+def ref_resolve_moves(moving, occupant_at, start_cell_of):
+    """BomberEnv's phase 3 conflict fixpoint before _resolve_moves, verbatim."""
+    moving = dict(moving)
+    changed = True
+    while changed:
+        changed = False
+        by_target = {}
+        for i, t in moving.items():
+            by_target.setdefault(t, []).append(i)
+        for t, group in by_target.items():
+            if len(group) > 1:
+                for i in group:
+                    del moving[i]
+                changed = True
+        for i in list(moving):
+            if i not in moving:
+                continue
+            t = moving[i]
+            occ = occupant_at.get(t)
+            if occ is None or occ == i:
+                continue
+            swap = moving.get(occ) == start_cell_of[i]
+            if swap:
+                del moving[i]
+                moving.pop(occ, None)
+                changed = True
+            elif occ not in moving:
+                del moving[i]
+                changed = True
+    return moving
+
+
+def move_shapes(moving, start_cell_of) -> set[str]:
+    """Which of a swap, a chain and a 3-cycle the movers hold."""
+    at = {cell: i for i, cell in start_cell_of.items()}
+    follows = {i: at.get(t) for i, t in moving.items()}  # the mover whose start i targets
+    shapes = set()
+    for i, j in follows.items():
+        if j is None or j not in moving:
+            continue
+        k = follows[j]
+        shapes.add("swap" if k == i else "3-cycle" if follows.get(k) == i else "chain")
+    return shapes
+
+
+def test_move_resolver_matches_the_ordered_special_cases():
+    """Random movers, occupants and targets on small boards: ties, swaps,
+    chains and 3-cycles, and occupants that stay (idle or dead)."""
+    rng = RngStream(17, ("fastpath", "bomber-moves"))
+    seen = dict.fromkeys(("swap", "chain", "3-cycle"), 0)
+    for _ in range(20000):
+        n = 2 + rng.randrange(3)
+        cells = list(product(range(n), repeat=2))
+        starts = rng.sample(cells, 1 + rng.randrange(min(6, len(cells))))
+        start_cell_of = dict(enumerate(starts))
+        occupant_at = {cell: i for i, cell in start_cell_of.items()}
+        moving = {}
+        for i, (r, c) in start_cell_of.items():
+            if rng.randrange(4) == 0:
+                continue  # stays: idle, blocked or dead this tick
+            if rng.randrange(2):  # 3-cycles need a move that is not a step
+                target = rng.choice([cell for cell in cells if cell != (r, c)])
+            else:
+                dr, dc = rng.choice(list(MOVE_DELTAS.values()))
+                target = (r + dr, c + dc)
+                if not (0 <= target[0] < n and 0 <= target[1] < n):
+                    continue
+            moving[i] = target
+        for shape in move_shapes(moving, start_cell_of):
+            seen[shape] += 1
+        before = dict(moving)
+        assert (_resolve_moves(moving, occupant_at, start_cell_of)
+                == ref_resolve_moves(moving, occupant_at, start_cell_of))
+        assert moving == before
+    assert min(seen.values()) >= 100, seen
+
+
+def test_move_resolver_cases():
+    starts = {0: (0, 0), 1: (0, 1), 2: (1, 1), 3: (1, 0)}
+    at = {cell: i for i, cell in starts.items()}
+    cases = [
+        ({0: (0, 1), 1: (0, 0)}, {}),  # swap: both stay
+        ({0: (0, 1), 1: (1, 1), 2: (2, 1)}, {0: (0, 1), 1: (1, 1), 2: (2, 1)}),  # chain
+        ({0: (0, 1), 1: (1, 1)}, {}),  # 2 idles, so 1 stays, so 0 stays
+        ({0: (0, 1), 1: (1, 1), 2: (1, 0), 3: (0, 0)},  # a 4-cycle turns
+         {0: (0, 1), 1: (1, 1), 2: (1, 0), 3: (0, 0)}),
+        ({0: (0, 1), 1: (1, 1), 2: (0, 1)}, {}),  # 0 and 2 tie, so 1's target stays put
+        ({1: (0, 2), 2: (0, 2), 0: (0, 1)}, {}),  # 1 and 2 tie, 0 waits on 1
+        ({0: (0, 1), 1: (1, 1), 2: (0, 0)}, {0: (0, 1), 1: (1, 1), 2: (0, 0)}),  # a 3-cycle
+    ]
+    for moving, moved in cases:
+        assert _resolve_moves(moving, at, starts) == moved == ref_resolve_moves(moving, at, starts)
 
 
 # ---------------------------------------------------------------------------

@@ -346,6 +346,19 @@ class TestImgEncoders:
         assert grid.at(ranged_unit.row, ranged_unit.col, 3) == RANGED.damage / MAX_DAMAGE
         assert grid.at(melee_unit.row, melee_unit.col, 7) == MELEE.damage / MAX_DAMAGE
 
+    @pytest.mark.parametrize("scenario,encoder", [("5I", Img5IObs), ("3I2Z", Img3I2ZObs)])
+    def test_views_of_different_units_get_their_own_grids(self, scenario, encoder):
+        envs = [fresh_env(scenario), fresh_env(scenario)]
+        for seed, env in enumerate(envs):
+            env.reset(seed)
+        views = [env._observe() for env in envs]
+        mixed, alone = encoder(), encoder()
+        for node in (mixed, alone):
+            node.setup(envs[0].observation_specs, envs[0].action_specs)
+        grids, _ = mixed.obs_trans(Bundle((views[0][0], *views[1][1:])), (0.0,) * 10)
+        own = [alone.obs_trans(v, (0.0,) * 10)[0] for v in views]
+        assert list(grids) == [own[0][0], *own[1][1:]]
+
 
 class TestDeadPadding:
     def pipeline(self, env):

@@ -656,6 +656,32 @@ class TestCliExtras:
         assert stats["wins"] + stats["draws"] + stats["losses"] == 2
 
 
+# Outside input that is not UTF-8 text, or JSON nested past the recursion limit.
+DEEP = "[" * 100_000
+MALFORMED = {"not-utf8": b'{"kind": "match"}\n\x7fELF\xd0\xff\n', "too-deep": DEEP.encode()}
+
+
+class TestMalformedInput:
+    """Such files end in a runtime error (exit 2) and such flags in a usage
+    error (exit 1), never in a traceback."""
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED))
+    @pytest.mark.parametrize("argv", [["verify-replay", "PATH"], ["render", "PATH", "--fps", "0"],
+                                      ["tourney", "--config", "PATH"]], ids=lambda a: a[0])
+    def test_file(self, argv, kind, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(MALFORMED[kind])
+        assert cli_main([str(path) if a == "PATH" else a for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
+    @pytest.mark.parametrize("flags", [["--env-itf", DEEP], ["--agent-itf", "-", "--agent-itf", DEEP],
+                                       ["--env-param", "k=" + DEEP]], ids=lambda f: f[0])
+    def test_flag(self, flags, capsys):
+        assert cli_main(["run", "--env", "pong2p", "--agents", "random,random", *flags]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+
+
 class TestConfigAliases:
     def test_inline_pipeline_params(self):
         from marlkit import DiscreteSpec, build_pipeline

@@ -1,8 +1,11 @@
-"""The README's library quick tour runs as written."""
+"""The README's library quick tour runs as written, and its CLI examples parse."""
 
 from __future__ import annotations
 
 import pathlib
+import shlex
+
+from marlkit import cli
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -15,3 +18,15 @@ def test_quick_tour_runs(tmp_path, monkeypatch, capsys):
     exec(compile(code, str(README), "exec"), {})
     assert (tmp_path / "pong.jsonl").exists()
     assert capsys.readouterr().out.split()[-1] == "True"
+
+
+def test_cli_examples_parse():
+    text = README.read_text(encoding="utf-8")
+    start = text.index("```sh\n", text.index("## CLI")) + len("```sh\n")
+    fence = text[start:text.index("```", start)].replace("\\\n", " ")
+    commands = [shlex.split(line, comments=True) for line in fence.splitlines()]
+    commands = [argv for argv in commands if argv]
+    for argv in commands:
+        assert argv[0] == "marlkit", argv
+        cli._build_parser().parse_args(argv[1:])  # a _UsageError fails the test
+    assert len(commands) == 11

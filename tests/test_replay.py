@@ -8,7 +8,12 @@ a file cut mid-match, steps after done and outcome fields that do not add up.
 from __future__ import annotations
 
 import json
+import os
+import pathlib
 import re
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -335,3 +340,81 @@ def test_atomic_write_leaves_a_colliding_temp_file_alone(tmp_path, monkeypatch):
             pass
     assert other.read_text() == "theirs\n"
     assert not target.exists()
+
+
+@pytest.mark.parametrize("data", [b'{"kind": "match"}\n\x7fELF\xd0\xff\n', b"[" * 100_000],
+                         ids=["not-utf8", "too-deep"])
+def test_undecodable_or_too_deep_file_is_a_format_error(data, tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(data)
+    for read in (read_replay, replay_verify):
+        with pytest.raises(FormatError, match=re.escape(str(path))):
+            read(str(path))
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+# Writes three short replays into argv[2] and prints their sha256s. The
+# header's version reads installed package metadata, which an interpreter may
+# or may not have, so it is pinned; everything the runs write is compared.
+HASH_PROBE = """
+import dataclasses, hashlib, json, os, sys
+sys.path.insert(0, sys.argv[1])
+import marlkit as mk
+mk.harness.toolkit_version = lambda: "probe"
+A = mk.AgentSpec
+specs = {
+    "pong": mk.MatchSpec(env_name="pong2p", env_params={"step_limit": 300},
+                         agents=(A("pong.follow_ball"), A("random")), episodes=2),
+    "battle": mk.MatchSpec(
+        env_name="gridbattle", env_params={"scenario": "3I2Z", "randomize_status": True},
+        agents=(A("random", interfaces=({"name": "battle.img3i2z"}, {"name": "battle.dead_pad"})),
+                A("battle.hit_and_run")), episodes=2),
+    "bomber": mk.MatchSpec(
+        env_name="bomber", env_params={"mode": "2v2", "step_limit": 80},
+        env_interfaces=({"name": "bomber.board_map"}, {"name": "bomber.rotate"}),
+        agents=(A("bomber.simple"), A("random")), episodes=2),
+}
+digests = {}
+for name, spec in specs.items():
+    path = os.path.join(sys.argv[2], name + ".jsonl")
+    mk.run_match(dataclasses.replace(spec, replay_path=path))
+    with open(path, "rb") as fh:
+        digests[name] = hashlib.sha256(fh.read()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def other_pythons() -> dict[str, str]:
+    """sys.version -> executable for each python3.10 ... python3.13 on PATH that
+    starts, is 3.10 or newer and is not this interpreter."""
+    found = {}
+    for minor in range(10, 14):
+        exe = shutil.which(f"python3.{minor}")
+        if exe is None:
+            continue
+        try:
+            proc = subprocess.run(
+                [exe, "-c", "import sys; print(sys.version_info >= (3, 10)); print(sys.version)"],
+                capture_output=True, text=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        ok, _, version = proc.stdout.partition("\n")
+        if proc.returncode == 0 and ok == "True" and version.strip() != sys.version:
+            found.setdefault(version.strip(), exe)
+    return found
+
+
+def test_replay_bytes_depend_on_neither_hash_seed_nor_interpreter(tmp_path):
+    runs = [(sys.executable, "0"), (sys.executable, "1")]
+    runs += [(exe, "2") for exe in other_pythons().values()]
+    digests = {}
+    for i, (exe, hash_seed) in enumerate(runs):
+        out = tmp_path / str(i)
+        out.mkdir()
+        proc = subprocess.run([exe, "-c", HASH_PROBE, str(SRC), str(out)],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONHASHSEED": hash_seed})
+        assert proc.returncode == 0, proc.stderr
+        digests[f"{exe} PYTHONHASHSEED={hash_seed}"] = json.loads(proc.stdout)
+    assert len({json.dumps(d, sort_keys=True) for d in digests.values()}) == 1, digests
