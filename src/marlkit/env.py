@@ -15,7 +15,7 @@ from abc import ABC, abstractmethod
 
 from .bundles import Bundle, StepResult
 from .errors import EpisodeOver, SpaceMismatch
-from .values import SpaceSpec, Value, space_contains
+from .values import SpaceSpec, Value, space_contains, value_repr
 
 
 class Env(ABC):
@@ -73,7 +73,7 @@ class Env(ABC):
             )
         for slot, (spec, act) in enumerate(zip(self.action_specs, actions)):
             if not space_contains(spec, act):
-                raise SpaceMismatch(f"slot {slot}: action {act!r} not in {spec!r}")
+                raise SpaceMismatch(f"slot {slot}: action {value_repr(act)} not in {spec!r}")
         result = self._do_step(actions)
         self._done = result.done
         self._last_actions = actions

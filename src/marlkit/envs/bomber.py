@@ -548,14 +548,11 @@ class BoardMapObs(Interface):
         self._boards.clear()
         return super()._reset(obs)
 
-    def _obs(self, obs, rewards):
-        terrains, boards = self._terrains, self._boards
-        out = []
-        for i, v in enumerate(obs):
-            terrain = terrains.get(None, self._terrain, *[v[key] for key in self.TERRAIN])
-            board = boards.get(i, self._encode, terrain, v["agents"], v["teams"], v["self_id"])
-            out.append(MappingV(v.entries + (("board_map", board),)))
-        return Bundle(tuple(out)), rewards
+    def _view(self, view, slot):
+        terrain = self._terrains.get(None, self._terrain, *[view[key] for key in self.TERRAIN])
+        board = self._boards.get(slot, self._encode, terrain, view["agents"], view["teams"],
+                                 view["self_id"])
+        return MappingV(view.entries + (("board_map", board),))
 
 
 class AttrObs(Interface):
@@ -567,18 +564,15 @@ class AttrObs(Interface):
         feature = BoxSpec((4,), 0.0, max(1.0, STAT_BOUND / ATTR_CAP))
         return append_key(obs_specs, "attrs", feature), act_specs
 
-    def _obs(self, obs, rewards):
-        out = []
-        for view in obs:
-            me = view["agents"][view["self_id"].index]
-            attrs = VectorV((
-                min(me["ammo"].entries[0], ATTR_CAP) / ATTR_CAP,
-                min(me["blast"].entries[0], ATTR_CAP) / ATTR_CAP,
-                me["alive"].entries[0],
-                view["tick"].entries[0] / self._limit,
-            ))
-            out.append(MappingV(view.entries + (("attrs", attrs),)))
-        return Bundle(tuple(out)), rewards
+    def _view(self, view, slot):
+        me = view["agents"][view["self_id"].index]
+        attrs = VectorV((
+            min(me["ammo"].entries[0], ATTR_CAP) / ATTR_CAP,
+            min(me["blast"].entries[0], ATTR_CAP) / ATTR_CAP,
+            me["alive"].entries[0],
+            view["tick"].entries[0] / self._limit,
+        ))
+        return MappingV(view.entries + (("attrs", attrs),))
 
 
 def _cell_set(grid: GridV) -> set[Cell]:
@@ -684,13 +678,10 @@ class ActMaskObs(Interface):
         self._parts.clear()
         return super()._reset(obs)
 
-    def _obs(self, obs, rewards):
-        out = []
-        for v in obs:
-            legal = _legal_actions(v, self._parts)
-            mask = VectorV(tuple(1.0 if a in legal else 0.0 for a in range(6)))
-            out.append(MappingV(v.entries + (("act_mask", mask),)))
-        return Bundle(tuple(out)), rewards
+    def _view(self, view, slot):
+        legal = _legal_actions(view, self._parts)
+        mask = VectorV(tuple(1.0 if a in legal else 0.0 for a in range(6)))
+        return MappingV(view.entries + (("act_mask", mask),))
 
 
 @lru_cache(maxsize=None)
@@ -775,7 +766,9 @@ class RotateView(Interface):
             )))
         return SeqV(tuple(rotated))
 
-    def _rotate_view(self, view: MappingV, k: int) -> MappingV:
+    def _view(self, view: MappingV, slot: int) -> MappingV:
+        assert self._turns is not None, "rotate used before reset"
+        k = self._turns[slot]
         n = self._n
         rotated = self._rotated
         entries = []
@@ -793,13 +786,6 @@ class RotateView(Interface):
         self._turns = [view["self_id"].index % 4 for view in obs]
         self._rotated.clear()
         return super()._reset(obs)
-
-    def _obs(self, obs, rewards):
-        assert self._turns is not None, "rotate used before reset"
-        out = tuple(
-            self._rotate_view(view, k) for view, k in zip(obs, self._turns)
-        )
-        return Bundle(out), rewards
 
     def _act(self, actions: Bundle) -> Bundle:
         assert self._turns is not None, "rotate used before reset"

@@ -326,11 +326,29 @@ class BattleEnv(Env):
         return "\n".join(lines)
 
 
-# What the grid encoders read of every slot (see require_spec).
+# What the img encoders and battle.hit_and_run read of every slot (see require_spec).
 _UNITS_VIEW = {
     "self_id": DiscreteSpec,
     "units": [dict.fromkeys(("team", "kind", "row", "col", "hp", "shield", "cd", "alive"), (1,))],
 }
+
+# The table of the last units value parsed, shared by every reader.
+_TABLES = Kept()
+
+
+def _unit_table(units: SeqV) -> tuple:
+    """(row, col, team, alive, melee, hp, shield, cd) per unit of one units value.
+
+    row and col are None for a dead unit, which is never read for its
+    position.
+    """
+    table = []
+    for u in units:
+        alive = u["alive"].entries[0] != 0.0
+        row, col = (int(u["row"].entries[0]), int(u["col"].entries[0])) if alive else (None, None)
+        table.append((row, col, u["team"].entries[0], alive, u["kind"].entries[0] != 0.0,
+                      u["hp"].entries[0], u["shield"].entries[0], u["cd"].entries[0]))
+    return tuple(table)
 
 
 def _expected_kinds(spec: MappingSpec) -> list[int] | None:
@@ -366,17 +384,17 @@ class _ImgObsBase(Interface):
     def _accepts(self, kinds: list[int]) -> bool:
         raise NotImplementedError
 
-    def _encode_for_team(self, units: SeqV, my_team: float) -> GridV:
-        cells = [0.0] * (GRID * GRID * self.CHANNELS)
-        for unit in units:
-            if unit["alive"].entries[0] == 0.0:
-                continue
-            base = (int(unit["row"].entries[0]) * GRID
-                    + int(unit["col"].entries[0])) * self.CHANNELS
-            self._write_unit(cells, base, unit, unit["team"].entries[0] == my_team)
-        return GridV((GRID, GRID, self.CHANNELS), tuple(cells))
+    def _encode_for_team(self, table: tuple, my_team: float) -> GridV:
+        ch = self.CHANNELS
+        cells = [0.0] * (GRID * GRID * ch)
+        for row, col, team, alive, melee, hp, shield, cd in table:
+            if alive:
+                self._write_unit(cells, (row * GRID + col) * ch, team == my_team,
+                                 MELEE if melee else RANGED, (hp, shield, cd))
+        return GridV((GRID, GRID, ch), tuple(cells))
 
-    def _write_unit(self, cells: list[float], base: int, unit: MappingV, ally: bool) -> None:
+    def _write_unit(self, cells, base, ally, kind, stats) -> None:
+        """Write one living unit's channels; stats is its (hp, shield, cd)."""
         raise NotImplementedError
 
     def _obs(self, obs, rewards):
@@ -387,13 +405,14 @@ class _ImgObsBase(Interface):
         out = []
         for view in obs:
             units = view["units"]
-            me = units[view["self_id"].index]
-            if me["alive"].entries[0] == 0.0:
+            table = _TABLES.get(None, _unit_table, units)
+            _, _, team, alive, _, _, _, _ = table[view["self_id"].index]
+            if not alive:
                 out.append(self._dead_grid)
                 continue
-            key = (id(units), me["team"].entries[0])
+            key = (id(units), team)
             if key not in memo:
-                memo[key] = self._encode_for_team(units, key[1])
+                memo[key] = self._encode_for_team(table, team)
             out.append(memo[key])
         return Bundle(tuple(out)), rewards
 
@@ -406,11 +425,12 @@ class Img5IObs(_ImgObsBase):
     def _accepts(self, kinds: list[int]) -> bool:
         return all(k == 0 for k in kinds)
 
-    def _write_unit(self, cells, base, unit, ally):
-        off = 0 if ally else 3
-        cells[base + off + 0] = unit["hp"].entries[0] / RANGED.max_hp
-        cells[base + off + 1] = unit["shield"].entries[0] / RANGED.max_shield
-        cells[base + off + 2] = unit["cd"].entries[0] / RANGED.cooldown
+    def _write_unit(self, cells, base, ally, kind, stats):
+        hp, shield, cd = stats
+        off = base + (0 if ally else 3)
+        cells[off] = hp / RANGED.max_hp
+        cells[off + 1] = shield / RANGED.max_shield
+        cells[off + 2] = cd / RANGED.cooldown
 
 
 class Img3I2ZObs(_ImgObsBase):
@@ -421,13 +441,13 @@ class Img3I2ZObs(_ImgObsBase):
     def _accepts(self, kinds: list[int]) -> bool:
         return kinds == [0, 0, 0, 1, 1] * 2
 
-    def _write_unit(self, cells, base, unit, ally):
-        kind = MELEE if unit["kind"].entries[0] != 0.0 else RANGED
-        off = (0 if ally else 8) + (4 if kind is MELEE else 0)
-        cells[base + off + 0] = unit["hp"].entries[0] / kind.max_hp
-        cells[base + off + 1] = unit["shield"].entries[0] / kind.max_shield
-        cells[base + off + 2] = unit["cd"].entries[0] / kind.cooldown
-        cells[base + off + 3] = kind.damage / MAX_DAMAGE
+    def _write_unit(self, cells, base, ally, kind, stats):
+        hp, shield, cd = stats
+        off = base + (0 if ally else 8) + (4 if kind is MELEE else 0)
+        cells[off] = hp / kind.max_hp
+        cells[off + 1] = shield / kind.max_shield
+        cells[off + 2] = cd / kind.cooldown
+        cells[off + 3] = kind.damage / MAX_DAMAGE
 
 
 def _any_nonzero(v: Value) -> bool:
@@ -473,30 +493,6 @@ class DeadPadding(Interface):
 
 _ACTIONS = tuple(DiscreteV(a) for a in range(ATTACK + 1))
 
-# The table of the last units value parsed.
-_TABLES = Kept()
-
-
-def _unit_table(units: SeqV) -> tuple:
-    """(row, col, team, alive, melee, on_cooldown) per unit of one units value.
-
-    row and col are None for a dead unit, which is never read for its
-    position.
-    """
-    table = []
-    for u in units:
-        alive = u["alive"].entries[0] != 0.0
-        table.append((
-            int(u["row"].entries[0]) if alive else None,
-            int(u["col"].entries[0]) if alive else None,
-            u["team"].entries[0],
-            alive,
-            u["kind"].entries[0] != 0.0,
-            u["cd"].entries[0] != 0.0,
-        ))
-    return tuple(table)
-
-
 class HitAndRunAgent(Agent):
     """Attacks when its weapon is ready, kites while on cooldown.
 
@@ -505,15 +501,12 @@ class HitAndRunAgent(Agent):
     otherwise step to the one minimizing it. Ties break toward the smallest
     action index.
 
-    Every member of a side reads the same units value on a tick, so the
-    per-unit table parsed from it is kept in the module's one Kept: the
-    first member of a tick parses it, the others reuse it.
+    Every member of a side, and an img encoder over the same env, reads the
+    same units value on a tick, so its table is kept in the module's one
+    Kept: the first reader of a tick parses it, the others reuse it.
     """
 
-    OBS = {
-        "self_id": DiscreteSpec,
-        "units": [{key: (1,) for key in ("team", "kind", "row", "col", "cd", "alive")}],
-    }
+    OBS = _UNITS_VIEW
 
     def setup(self, obs_spec: SpaceSpec, act_spec: SpaceSpec) -> None:
         require_spec(obs_spec, self.OBS, "battle.hit_and_run observation")
@@ -524,14 +517,15 @@ class HitAndRunAgent(Agent):
 
     def step(self, obs: Value, reward: float, done: bool) -> Value:
         table = _TABLES.get(None, _unit_table, obs["units"])
-        my_row, my_col, my_team, my_alive, my_melee, on_cooldown = table[obs["self_id"].index]
+        my_row, my_col, my_team, my_alive, my_melee, _, _, my_cd = table[obs["self_id"].index]
         if not my_alive:
             return _ACTIONS[0]
+        on_cooldown = my_cd != 0.0
         my_range = MELEE.range if my_melee else RANGED.range
-        enemies = [(r, c) for r, c, team, alive, _, _ in table if alive and team != my_team]
+        enemies = [(r, c) for r, c, team, alive, _, _, _, _ in table if alive and team != my_team]
         if not enemies:
             return _ACTIONS[0]
-        occupied = {(r, c) for r, c, _, alive, _, _ in table if alive}
+        occupied = {(r, c) for r, c, _, alive, _, _, _, _ in table if alive}
         nearest = min(enemies, key=lambda e: (e[0] - my_row) ** 2 + (e[1] - my_col) ** 2)
         cheb = max(abs(nearest[0] - my_row), abs(nearest[1] - my_col))
         if not on_cooldown and cheb <= my_range:

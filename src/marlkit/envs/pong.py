@@ -287,7 +287,7 @@ class ScreenObs(Interface):
     Each slot's field size and paddle length come from its input spec.
     """
 
-    # What _rasterize reads of every slot (see require_spec).
+    # What _view reads of every slot (see require_spec).
     VIEW = dict.fromkeys(("ball_x", "ball_y", "own_paddle_y", "opp_paddle_y"), (1,))
 
     def __init__(self, resolution: int = 32):
@@ -305,9 +305,9 @@ class ScreenObs(Interface):
         res = self.resolution
         return [BoxSpec((res, res, 1), 0.0, 1.0) for _ in obs_specs], act_specs
 
-    def _rasterize(self, view: MappingV, field: tuple[float, float, float]) -> GridV:
+    def _view(self, view: MappingV, slot: int) -> GridV:
         res = self.resolution
-        field_h, field_w, paddle_half = field
+        field_h, field_w, paddle_half = self._fields[slot]
         cells = [0.0] * (res * res)
 
         def cell_of(v: float, extent: float) -> int:
@@ -327,9 +327,6 @@ class ScreenObs(Interface):
                 if c0 < hi and c1 > lo:
                     cells[r * res + col] = 1.0
         return GridV((res, res, 1), tuple(cells))
-
-    def _obs(self, obs, rewards):
-        return Bundle(tuple(map(self._rasterize, obs, self._fields))), rewards
 
 
 class FollowBallAgent(Agent):

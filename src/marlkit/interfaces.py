@@ -42,6 +42,7 @@ from .values import (
     flat_length,
     flatten,
     space_contains,
+    value_repr,
 )
 
 Rewards = tuple[float, ...]
@@ -50,9 +51,10 @@ Rewards = tuple[float, ...]
 class Interface:
     """A transform node with an optional inner node (the stack below it).
 
-    Subclasses override the local hooks _setup, _obs, _act and optionally
-    _reset and _local_groups; the public methods thread calls through the
-    inner chain in the documented order.
+    Subclasses override the local hooks _setup, _view(view, slot) (or _obs,
+    when the output spans slots or maps rewards), _act and optionally _reset
+    and _local_groups; the public methods thread calls through the inner
+    chain in the documented order.
     """
 
     def __init__(self):
@@ -169,7 +171,10 @@ class Interface:
         return out
 
     def _obs(self, obs: Bundle, rewards: Rewards) -> tuple[Bundle, Rewards]:
-        return obs, rewards
+        return Bundle(tuple(map(self._view, obs.slots, range(len(obs.slots))))), rewards
+
+    def _view(self, view: Value, slot: int) -> Value:
+        return view
 
     def _act(self, actions: Bundle) -> Bundle:
         return actions
@@ -206,7 +211,9 @@ class _Partitioned(Interface):
 
     _setup checks the partition once and keeps one slice per group; the
     per-tick hooks read groups through those slices and never check the
-    partition again. Subclasses declare their outer specs in _setup_groups.
+    partition again. Subclasses declare their outer specs in _setup_groups and
+    map each group with _group_view(views) and _group_act(action, group); a
+    group's rewards are summed in slot order.
     """
 
     def __init__(self, partition: Sequence[Sequence[int]]):
@@ -221,9 +228,16 @@ class _Partitioned(Interface):
     def _local_groups(self):
         return [list(g) for g in self._partition]
 
-    def _group_rewards(self, rewards: Rewards) -> Rewards:
-        """Each group's rewards summed in slot order."""
-        return tuple(sum(rewards[s]) for s in self._slices)
+    def _obs(self, obs, rewards):
+        return (Bundle(tuple(self._group_view(obs.slots[s]) for s in self._slices)),
+                tuple(sum(rewards[s]) for s in self._slices))
+
+    def _act(self, actions: Bundle) -> Bundle:
+        self._check_action_count(actions)
+        inner: list[Value] = []
+        for act, group in zip(actions, self._partition):
+            inner.extend(self._group_act(act, group))
+        return Bundle(tuple(inner))
 
     def _check_action_count(self, actions: Bundle) -> None:
         expected = len(self._outer_act_specs)
@@ -309,9 +323,8 @@ class MapToVector(Interface):
         ]
         return outer_obs, act_specs
 
-    def _obs(self, obs, rewards):
-        flat = tuple(flatten(v, s) for v, s in zip(obs, self._in_obs_specs))
-        return Bundle(flat), rewards
+    def _view(self, view, slot):
+        return flatten(view, self._in_obs_specs[slot])
 
 
 def map_to_vector() -> Interface:
@@ -332,20 +345,13 @@ class MakeTeam(_Partitioned):
         outer_act = [SeqSpec(tuple(act_specs[s])) for s in self._slices]
         return outer_obs, outer_act
 
-    def _obs(self, obs, rewards):
-        grouped = tuple(SeqV(obs.slots[s]) for s in self._slices)
-        return Bundle(grouped), self._group_rewards(rewards)
+    _group_view = SeqV
 
-    def _act(self, actions: Bundle) -> Bundle:
-        self._check_action_count(actions)
-        flat: list[Value] = []
-        for act, g in zip(actions, self._partition):
-            if not isinstance(act, SeqV) or len(act) != len(g):
-                raise SpaceMismatch(
-                    f"team action for group {list(g)} must be a SeqV of {len(g)}, got {act!r}"
-                )
-            flat.extend(act.items)
-        return Bundle(tuple(flat))
+    def _group_act(self, act, group):
+        if not isinstance(act, SeqV) or len(act) != len(group):
+            raise SpaceMismatch(f"team action for group {list(group)} must be a SeqV of "
+                                f"{len(group)}, got {value_repr(act)}")
+        return act.items
 
 
 def make_team(partition: Sequence[Sequence[int]]) -> Interface:
@@ -394,37 +400,25 @@ class ConcatObsAct(_Partitioned):
                                      max(hi for _, _, hi in lanes[sl])))
         return outer_obs, outer_act
 
-    def _obs(self, obs, rewards):
-        grouped = []
-        for g in self._partition:
-            entries: list[float] = []
-            for i in g:
-                entries.extend(obs[i].entries)
-            grouped.append(VectorV(tuple(entries)))
-        return Bundle(tuple(grouped)), self._group_rewards(rewards)
+    def _group_view(self, views):
+        return VectorV(tuple(e for v in views for e in v.entries))
 
-    def _act(self, actions: Bundle) -> Bundle:
-        self._check_action_count(actions)
-        flat: list[Value] = []
-        for act, g, outer in zip(actions, self._partition, self._outer_act_specs):
-            total = outer.shape[0]
-            if not isinstance(act, VectorV) or len(act) != total:
-                raise SpaceMismatch(
-                    f"group {list(g)} action must be a vector of length {total}, got {act!r}"
-                )
-            pos = 0
-            for i in g:
-                chunk = act.entries[pos:pos + self._act_lens[i]]
-                pos += self._act_lens[i]
-                spec = self._in_act_specs[i]
-                if isinstance(spec, DiscreteSpec):
-                    idx = min(spec.n - 1, max(0, round(chunk[0])))
-                    flat.append(DiscreteV(idx))
-                else:
-                    flat.append(VectorV(tuple(
-                        min(spec.high, max(spec.low, e)) for e in chunk
-                    )))
-        return Bundle(tuple(flat))
+    def _group_act(self, act, group):
+        total = sum(self._act_lens[i] for i in group)
+        if not isinstance(act, VectorV) or len(act) != total:
+            raise SpaceMismatch(f"group {list(group)} action must be a vector of length "
+                                f"{total}, got {value_repr(act)}")
+        inner: list[Value] = []
+        pos = 0
+        for i in group:
+            chunk = act.entries[pos:pos + self._act_lens[i]]
+            pos += self._act_lens[i]
+            spec = self._in_act_specs[i]
+            if isinstance(spec, DiscreteSpec):
+                inner.append(DiscreteV(min(spec.n - 1, max(0, round(chunk[0])))))
+            else:
+                inner.append(VectorV(tuple(min(spec.high, max(spec.low, e)) for e in chunk)))
+        return inner
 
 
 def concat_obs_act(partition: Sequence[Sequence[int]]) -> Interface:
@@ -460,16 +454,12 @@ class AppendFeature(Interface):
     def _setup(self, obs_specs, act_specs):
         return append_key(obs_specs, self.key, self.feature_spec), act_specs
 
-    def _obs(self, obs, rewards):
-        out = []
-        for v in obs:
-            feature = self.fn(v)
-            if not space_contains(self.feature_spec, feature):
-                raise SpaceMismatch(
-                    f"appended feature {feature!r} not in {self.feature_spec!r}"
-                )
-            out.append(MappingV(v.entries + ((self.key, feature),)))
-        return Bundle(tuple(out)), rewards
+    def _view(self, view, slot):
+        feature = self.fn(view)
+        if not space_contains(self.feature_spec, feature):
+            raise SpaceMismatch(f"appended feature {value_repr(feature)} "
+                                f"not in {self.feature_spec!r}")
+        return MappingV(view.entries + ((self.key, feature),))
 
 
 def append_feature(key: str, fn: Callable[[Value], Value],

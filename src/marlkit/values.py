@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import struct
 from collections import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import is_, itemgetter
@@ -274,6 +274,21 @@ class SeqV(Value):
         out.append(b"\x05" + _U32.pack(len(self.items)))
         for v in self.items:
             v._encode(out)
+
+
+def value_repr(v: object, depth: int = 20) -> str:
+    """repr(v), with each value or tuple nested more than depth deep written
+    "...": an error message naming a value stays short however deep it is."""
+    if depth < 0 and (type(v) is tuple or is_dataclass(v)):
+        return "..."
+    if is_dataclass(v) and not isinstance(v, type):
+        shown = ", ".join(f"{f.name}={value_repr(getattr(v, f.name), depth - 1)}"
+                          for f in fields(v) if f.repr)
+        return f"{type(v).__qualname__}({shown})"
+    if type(v) is tuple:
+        items = [value_repr(x, depth - 1) for x in v]
+        return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+    return repr(v)
 
 
 class Kept:

@@ -20,7 +20,7 @@ from .bundles import Bundle, StepResult
 from .env import Env
 from .errors import SetupError, SpaceMismatch
 from .interfaces import Combine, Interface
-from .values import SpaceSpec, Value, space_contains
+from .values import SpaceSpec, Value, space_contains, value_repr
 
 
 class WrappedEnv(Env):
@@ -172,7 +172,7 @@ class WrappedAgent:
         actions = self._members.step(outer_obs.slots, outer_rewards, done)
         for k, (act, spec) in enumerate(zip(actions, self._act_specs)):
             if not space_contains(spec, act):
-                raise SpaceMismatch(f"outer slot {k}: action {act!r} not in {spec!r}")
+                raise SpaceMismatch(f"outer slot {k}: action {value_repr(act)} not in {spec!r}")
         raw = self.interface.act_trans(Bundle(tuple(actions)))
         return list(raw.slots)
 

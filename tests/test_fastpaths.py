@@ -72,6 +72,7 @@ from marlkit.envs.gridbattle import (
     ATTACK,
     DIRS8,
     GRID,
+    MAX_DAMAGE,
     MELEE,
     RANGED,
     BattleConfig,
@@ -1514,6 +1515,106 @@ def test_hit_and_run_on_short_lived_units_values():
         slot = rng.randrange(env.num_slots)
         assert (agent.step(ref_battle_observe(env)[slot], 0.0, False)
                 == ref_hit_and_run_step(ref_battle_observe(env)[slot]))
+
+
+# ---------------------------------------------------------------------------
+# The img encoders read the units table that hit_and_run reads, against the
+# per-unit mapping reads they replaced
+
+
+def ref_encode_for_team(channels: int, write_unit, units: SeqV, my_team: float) -> GridV:
+    cells = [0.0] * (GRID * GRID * channels)
+    for unit in units:
+        if unit["alive"].entries[0] == 0.0:
+            continue
+        base = (int(unit["row"].entries[0]) * GRID
+                + int(unit["col"].entries[0])) * channels
+        write_unit(cells, base, unit, unit["team"].entries[0] == my_team)
+    return GridV((GRID, GRID, channels), tuple(cells))
+
+
+def ref_write_unit_5i(cells, base, unit, ally):
+    off = 0 if ally else 3
+    cells[base + off + 0] = unit["hp"].entries[0] / RANGED.max_hp
+    cells[base + off + 1] = unit["shield"].entries[0] / RANGED.max_shield
+    cells[base + off + 2] = unit["cd"].entries[0] / RANGED.cooldown
+
+
+def ref_write_unit_3i2z(cells, base, unit, ally):
+    kind = MELEE if unit["kind"].entries[0] != 0.0 else RANGED
+    off = (0 if ally else 8) + (4 if kind is MELEE else 0)
+    cells[base + off + 0] = unit["hp"].entries[0] / kind.max_hp
+    cells[base + off + 1] = unit["shield"].entries[0] / kind.max_shield
+    cells[base + off + 2] = unit["cd"].entries[0] / kind.cooldown
+    cells[base + off + 3] = kind.damage / MAX_DAMAGE
+
+
+REF_IMG = {"5I": (6, ref_write_unit_5i), "3I2Z": (16, ref_write_unit_3i2z)}
+
+
+def ref_img_obs(scenario: str, obs: Bundle) -> Bundle:
+    """Each view's grid encoded from its own units mapping, with no memo."""
+    channels, write_unit = REF_IMG[scenario]
+    out = []
+    for view in obs:
+        units = view["units"]
+        me = units[view["self_id"].index]
+        if me["alive"].entries[0] == 0.0:
+            out.append(GridV((GRID, GRID, channels), (0.0,) * (GRID * GRID * channels)))
+        else:
+            out.append(ref_encode_for_team(channels, write_unit, units, me["team"].entries[0]))
+    return Bundle(tuple(out))
+
+
+@pytest.mark.parametrize("scenario, seed", [("5I", 1), ("5I", 4), ("3I2Z", 3), ("3I2Z", 6)])
+def test_img_encoders_match_reference_over_play_and_edits(scenario, seed):
+    env = BattleEnv(BattleConfig(scenario=scenario, randomize_status=seed % 2 == 1,
+                                 step_limit=50))
+    itf = build_pipeline([{"name": BATTLE_PIPES[scenario]}])
+    itf.setup(env.observation_specs, env.action_specs)
+    # hit_and_run reads the same units values through the same table.
+    agents = [HitAndRunAgent() for _ in range(env.num_slots)]
+    for slot, agent in enumerate(agents):
+        agent.setup(env.observation_specs[slot], env.action_specs[slot])
+    edits = RngStream(seed, ("fastpath", "img-edits"))
+    dead_views = 0
+    for episode in range(3):
+        obs = env.reset(seed + episode)
+        assert same_bytes(itf.reset(obs), ref_img_obs(scenario, obs))
+        done = False
+        while not done:
+            if edits.randrange(3) == 0:
+                edit_battle(env, edits)
+                obs = env._observe()
+            grids, _ = itf.obs_trans(obs, (0.0,) * len(obs))
+            assert same_bytes(grids, ref_img_obs(scenario, obs))
+            dead_views += sum(not u.alive for u in env.units)
+            result = env.step(Bundle(tuple(agent.step(obs[s], 0.0, False)
+                                           for s, agent in enumerate(agents))))
+            obs, done = result.obs, result.done
+    assert dead_views > 0
+
+
+@pytest.mark.parametrize("scenario", ["5I", "3I2Z"])
+def test_img_encoders_match_reference_on_views_of_two_envs(scenario):
+    envs = [BattleEnv(BattleConfig(scenario=scenario, randomize_status=True, step_limit=30))
+            for _ in range(2)]
+    itf = build_pipeline([{"name": BATTLE_PIPES[scenario]}])
+    itf.setup(envs[0].observation_specs, envs[0].action_specs)
+    rng = RngStream(2, ("fastpath", "img-two-envs"))
+    obs = [env.reset(seed) for seed, env in enumerate(envs)]
+    itf.reset(obs[0])
+    for tick in range(60):
+        # Env A's view 0 with env B's views 1-9, and B's first half with A's second.
+        for mixed in (Bundle((obs[0][0], *obs[1][1:])), Bundle((*obs[1][:5], *obs[0][5:]))):
+            grids, _ = itf.obs_trans(mixed, (0.0,) * len(mixed))
+            assert same_bytes(grids, ref_img_obs(scenario, mixed))
+        for e, env in enumerate(envs):
+            if tick % 4 == e:
+                edit_battle(env, rng)
+            result = env.step(Bundle(tuple(DiscreteV(rng.randrange(ATTACK + 1))
+                                           for _ in range(env.num_slots))))
+            obs[e] = env.reset(tick) if result.done else result.obs
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 
 from marlkit import (
     AgentSpec,
+    Bundle,
     ConfigError,
     ConstantAgent,
     DiscreteV,
@@ -26,6 +27,7 @@ from marlkit import (
     run_match,
 )
 from marlkit.cli import main as cli_main
+from marlkit.serial import value_from_jsonable
 
 from conftest import ConstEnv
 
@@ -205,6 +207,36 @@ class TestErrorContext:
         assert type(exc) is ZeroDivisionError and exc.__cause__ is None
         assert exc.__notes__ == ["episode 0 (seed 3), tick 4",
                                  "entrants by party: 0 'boom', 1 'random'"]
+
+    @staticmethod
+    def deep_action(levels: int) -> dict:
+        """The JSON form of DiscreteV(0) wrapped in levels one-item sequences."""
+        action = {"d": 0}
+        for _ in range(levels):
+            action = {"s": [action]}
+        return action
+
+    def test_deeply_nested_action_is_a_short_space_mismatch(self):
+        env = make_env("pong2p")
+        env.reset(0)
+        action = value_from_jsonable(self.deep_action(300))
+        with pytest.raises(SpaceMismatch) as info:
+            env.step(Bundle((action, DiscreteV(0))))
+        assert str(info.value).startswith("slot 0: action SeqV(items=(SeqV(items=(")
+        assert len(str(info.value)) < 1000
+
+    def test_deeply_nested_action_in_a_tourney_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({
+            "env": {"name": "pong2p"},
+            "entrants": [{"name": "constant", "params": {"action": self.deep_action(300)}},
+                         {"name": "random"}],
+            "episodes_per_pair": 1,
+        }))
+        assert cli_main(["tourney", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: episode 0 (seed 0), tick 0: slot 0: action SeqV(")
+        assert "Traceback" not in err and len(err) < 1000
 
     def test_cli_exit_code_unchanged(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -190,6 +190,19 @@ class TestMapToVector:
         out, _ = itf.obs_trans(Bundle((v,)), (0.0,))
         assert out[0] == flatten(v, spec)
 
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=30, deadline=None)
+    def test_each_slot_flattened_with_its_own_spec(self, seed):
+        specs = [DiscreteSpec(3), DiscreteSpec(5),
+                 MappingSpec({"a": DiscreteSpec(2), "b": BoxSpec((2,), -1, 1)})]
+        rng = RngStream(seed, ("m2v-slots",))
+        obs = Bundle(tuple(space_sample(s, rng) for s in specs))
+        itf = map_to_vector()
+        outer, _ = itf.setup(specs, [DiscreteSpec(2)] * 3)
+        out, _ = itf.obs_trans(obs, (0.0,) * 3)
+        assert list(out) == [flatten(v, s) for v, s in zip(obs, specs)]
+        assert [len(v) for v in out] == [o.shape[0] for o in outer] == [3, 5, 4]
+
 
 class TestConcatObsAct:
     def make(self, groups, act_specs=None):
@@ -265,6 +278,14 @@ class TestMakeTeam:
         _, rewards = itf.obs_trans(Bundle((VectorV((0.0,)),) * 4), (1.0, 0.0, 0.0, 1.0))
         assert rewards == (1.0, 1.0)
 
+    @pytest.mark.parametrize("node", [make_team, concat_obs_act])
+    def test_each_group_sums_its_own_rewards(self, node):
+        itf = node([[0], [1, 2], [3, 4, 5]])
+        itf.setup([BoxSpec((1,), 0, 1)] * 6, [DiscreteSpec(2)] * 6)
+        _, rewards = itf.obs_trans(Bundle((VectorV((0.0,)),) * 6),
+                                   (1.0, 2.0, 4.0, 8.0, 16.0, 32.0))
+        assert rewards == (1.0, 6.0, 56.0)
+
     def test_action_round_trip(self):
         itf = make_team([[0, 1], [2, 3]])
         itf.setup([BoxSpec((1,), 0, 1)] * 4, [DiscreteSpec(5)] * 4)
@@ -285,6 +306,37 @@ class TestMakeTeam:
         itf.setup([BoxSpec((1,), 0, 1)] * 4, [DiscreteSpec(2)] * 4)
         assert itf.outer_slot_count == 2
         assert itf.raw_slot_count == 4
+
+
+class TestRejectedValueMessages:
+    """A node's SpaceMismatch names the rejected value as its repr, cut off
+    where it nests deeper than any real action does."""
+
+    @staticmethod
+    def nested(levels: int) -> SeqV:
+        value = DiscreteV(0)
+        for _ in range(levels):
+            value = SeqV((value,))
+        return value
+
+    @pytest.mark.parametrize("levels", [1, 300])
+    @pytest.mark.parametrize("node", ["make_team", "concat_obs_act", "append_feature"])
+    def test_message_is_short_and_shallow_values_read_as_repr(self, node, levels):
+        bad = self.nested(levels)
+        if node == "append_feature":
+            itf = append_feature("k", lambda v: bad, BoxSpec((1,), 0, 1))
+            itf.setup([MappingSpec({"a": BoxSpec((1,), 0, 1)})], [DiscreteSpec(2)])
+        else:
+            itf = make_team([[0, 1]]) if node == "make_team" else concat_obs_act([[0, 1]])
+            itf.setup([BoxSpec((1,), 0, 1)] * 2, [DiscreteSpec(2)] * 2)
+        with pytest.raises(SpaceMismatch) as info:
+            if node == "append_feature":
+                itf.obs_trans(Bundle((MappingV({"a": VectorV((0.0,))}),)), (0.0,))
+            else:
+                itf.act_trans(Bundle((bad,)))
+        message = str(info.value)
+        assert len(message) < 1000
+        assert repr(bad) in message if levels == 1 else "SeqV(items=...)" in message
 
 
 class TestActSpecConformance:

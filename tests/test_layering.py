@@ -1,11 +1,14 @@
 """marlkit's modules import each other at module level only, without a cycle.
 
 An import inside a function hides a dependency from the module's header, and
-it is the usual way to dodge an import cycle. Three more structural rules:
+it is the usual way to dodge an import cycle. Four more structural rules:
 only the Actors plan tells a WrappedAgent from a one-slot agent, no function
-rebinds a module-level name through a global statement, and every private
-module-level function or class is used somewhere in the package. The checks
-read each module's AST, so nothing is imported and no subprocess is started.
+rebinds a module-level name through a global statement, every private
+module-level function or class is used somewhere in the package, and only a
+node whose output spans slots writes its own _obs (the others write _view, or
+_group_view and _group_act, and the base classes own the slot loops). The
+checks read each module's AST, so nothing is imported and no subprocess is
+started.
 """
 
 from __future__ import annotations
@@ -139,6 +142,21 @@ def _unused_private(modules: dict[str, ast.Module]) -> list[str]:
     return found
 
 
+def _definers(modules: dict[str, ast.Module], attr: str) -> list[str]:
+    """module.Class of each class whose body defines or assigns attr."""
+    found = []
+    for name, tree in modules.items():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and any(
+                    (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and stmt.name == attr)
+                    or (isinstance(stmt, ast.Assign)
+                        and any(isinstance(t, ast.Name) and t.id == attr for t in stmt.targets))
+                    for stmt in cls.body):
+                found.append(f"{name}.{cls.name}")
+    return sorted(found)
+
+
 def test_no_module_imports_inside_a_function():
     local = {name: found for name, tree in _modules().items()
              if (found := _local_imports(tree))}
@@ -198,3 +216,33 @@ def test_unused_private_finder_sees_every_use():
                        "y = a._by_attribute\n"),
     }
     assert _unused_private(modules) == ["a._dead"]
+
+
+def test_only_nodes_whose_output_spans_slots_write_obs():
+    modules = _modules()
+    assert _definers(modules, "_obs") == [
+        "marlkit.envs.gridbattle.DeadPadding",
+        "marlkit.envs.gridbattle._ImgObsBase",
+        "marlkit.interfaces.Combine",
+        "marlkit.interfaces.Interface",
+        "marlkit.interfaces._Partitioned",
+        "marlkit.wrappers.LiftedWrapper",
+    ]
+    # The partition nodes write only their group rules.
+    act = _definers(modules, "_act")
+    assert "marlkit.interfaces.MakeTeam" not in act
+    assert "marlkit.interfaces.ConcatObsAct" not in act
+    assert "marlkit.interfaces.MakeTeam" in _definers(modules, "_group_view")
+
+
+def test_definer_finder_sees_methods_and_assignments_in_classes_only():
+    modules = {"m": ast.parse("class A:\n"
+                              "    def _obs(self): pass\n"
+                              "class B:\n"
+                              "    _obs = print\n"
+                              "class C:\n"
+                              "    def _view(self): pass\n"
+                              "    def f(self):\n"
+                              "        def _obs(): pass\n"
+                              "def _obs(): pass\n")}
+    assert _definers(modules, "_obs") == ["m.A", "m.B"]

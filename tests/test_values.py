@@ -28,7 +28,7 @@ from marlkit import (
 )
 from marlkit.errors import FormatError
 from marlkit.serial import value_from_jsonable
-from marlkit.values import Kept
+from marlkit.values import Kept, value_repr
 
 from conftest import spec_and_value, value_strategy
 
@@ -238,3 +238,22 @@ class TestKept:
             seen.add(id(v))
             assert kept.get("k", lambda x: x.entries[0], v) == float(i)
         assert len(seen) < 200
+
+
+@given(value_strategy())
+@settings(max_examples=200, deadline=None)
+def test_value_repr_is_repr_within_its_depth(v):
+    assert value_repr(v, depth=1000) == repr(v)
+
+
+def test_value_repr_keeps_shallow_text_and_cuts_deep_values_short():
+    assert value_repr(DiscreteV(7)) == "DiscreteV(index=7)"
+    shallow = MappingV({"a": SeqV((VectorV((1.0, -0.0)), GridV((1, 1, 2), (0.5, 2.0)))),
+                        "b": SeqV(())})
+    assert value_repr(shallow) == repr(shallow)
+    deep = DiscreteV(0)
+    for _ in range(300):
+        deep = SeqV((deep,))
+    text = value_repr(deep)
+    assert text.startswith("SeqV(items=(SeqV(items=(") and "..." in text
+    assert len(text) < 300

@@ -14,6 +14,7 @@ from marlkit import (
     RandomAgent,
     ReplayWriter,
     RngStream,
+    SeqV,
     SetupError,
     SingleSlotWrapper,
     SpaceMismatch,
@@ -148,6 +149,16 @@ class TestWrapAgent:
         bad = wrap_slots([ConstantAgent(DiscreteV(7))], identity(), env, 0, 1)
         with pytest.raises(SpaceMismatch, match="outer slot 0"):
             run_episode(env, [bad], 0)
+
+    def test_deeply_nested_member_action_is_a_short_space_mismatch(self):
+        deep = DiscreteV(0)
+        for _ in range(300):
+            deep = SeqV((deep,))
+        env = ToyVecEnv(slots=1, n_actions=2)
+        bad = wrap_slots([ConstantAgent(deep)], identity(), env, 0, 1)
+        with pytest.raises(SpaceMismatch, match="outer slot 0: action SeqV") as info:
+            run_episode(env, [bad], 0)
+        assert len(str(info.value)) < 1000
 
     def test_member_count_must_match_outer(self):
         # make_team([[0, 1]]) exposes one outer slot; two members cannot fit.
