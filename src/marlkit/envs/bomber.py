@@ -19,10 +19,11 @@ slot, 0 to survivors of a step-limit draw. 2v2 (teams are slots {0,2} vs
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import compress, product
-from operator import itemgetter
+from operator import is_, itemgetter
 
 from ..agents import Agent, require_spec
 from ..bundles import NO_INFO, Bundle, StepResult, outcome_info
@@ -56,6 +57,7 @@ ATTR_CAP = 10.0
 STAT_BOUND = 128.0
 
 Cell = tuple[int, int]
+_VALUE = itemgetter(1)  # of a (key, value) pair
 
 
 @dataclass(frozen=True)
@@ -177,7 +179,9 @@ class BomberEnv(Env):
         # Observation parts that are the same every tick; the changing ones
         # go through Env._reuse.
         self._teams_value = VectorV(tuple(float(t) for t in self.teams))
-        self._self_ids = tuple(DiscreteV(slot) for slot in range(4))
+        self._self_ids = tuple((("self_id", DiscreteV(slot)),) for slot in range(4))
+        # What legal_actions parsed from this episode's views.
+        self._legal = Kept()
 
     @property
     def observation_specs(self) -> list[SpaceSpec]:
@@ -245,6 +249,7 @@ class BomberEnv(Env):
         ]
         self.tick = 0
         self._rigid_grid = self._grid_from_map(dict.fromkeys(self.rigid, 1.0))
+        self._legal.clear()
         return self._observe()
 
     # -- stepping --------------------------------------------------------------
@@ -361,25 +366,26 @@ class BomberEnv(Env):
             reuse(i, (a.row, a.col, a.ammo, a.blast, a.alive), _agent_value)
             for i, a in enumerate(self.agents)
         )
-        shared = {
-            "rigid": self._rigid_grid,
-            "wood": reuse("wood", dict.fromkeys(self.wood, 1.0), self._grid_from_map),
-            "bomb_fuse": reuse("bomb_fuse", {(b.row, b.col): b.fuse for b in bombs},
-                               self._grid_from_map),
-            "bomb_strength": reuse("bomb_strength",
-                                   {(b.row, b.col): b.strength for b in bombs},
-                                   self._grid_from_map),
-            "bomb_owner": reuse("bomb_owner", {(b.row, b.col): b.owner + 1 for b in bombs},
-                                self._grid_from_map),
-            "flames": reuse("flames", dict(self.flames), self._grid_from_map),
-            "items": reuse("items", dict(self.items), self._grid_from_map),
-            "agents": reuse("agents", agents, SeqV),
-            "teams": self._teams_value,
-            "tick": VectorV((float(self.tick),)),
-        }
-        return Bundle(tuple(
-            MappingV({**shared, "self_id": self_id}) for self_id in self._self_ids
-        ))
+        # The views' pairs in key order: those before self_id, then after it.
+        head = (
+            ("agents", reuse("agents", agents, SeqV)),
+            ("bomb_fuse", reuse("bomb_fuse", {(b.row, b.col): b.fuse for b in bombs},
+                                self._grid_from_map)),
+            ("bomb_owner", reuse("bomb_owner", {(b.row, b.col): b.owner + 1 for b in bombs},
+                                 self._grid_from_map)),
+            ("bomb_strength", reuse("bomb_strength",
+                                    {(b.row, b.col): b.strength for b in bombs},
+                                    self._grid_from_map)),
+            ("flames", reuse("flames", dict(self.flames), self._grid_from_map)),
+            ("items", reuse("items", dict(self.items), self._grid_from_map)),
+            ("rigid", self._rigid_grid),
+        )
+        tail = (
+            ("teams", self._teams_value),
+            ("tick", VectorV((float(self.tick),))),
+            ("wood", reuse("wood", dict.fromkeys(self.wood, 1.0), self._grid_from_map)),
+        )
+        return Bundle(tuple(MappingV(head + self_id + tail) for self_id in self._self_ids))
 
     def state_value(self) -> Value:
         n = self.cfg.size
@@ -429,8 +435,11 @@ class BomberEnv(Env):
     # -- action legality ----------------------------------------------------------
 
     def legal_actions(self, slot: int) -> set[int]:
-        """Actions that are not rule no-ops for this slot, others idle: its raw view's act_mask."""
-        return _legal_actions(self._observe()[slot], Kept())
+        """Actions that are not rule no-ops for this slot, others idle: its raw view's act_mask.
+
+        The parts read from a state's views are kept until the env builds
+        new ones, so asking for every slot of one state parses it once."""
+        return _legal_actions(self._observe()[slot], self._legal)
 
 
 def _resolve_moves(moving: dict[int, Cell], occupant_at: dict[Cell, int],
@@ -505,10 +514,16 @@ class BoardMapObs(Interface):
 
     Channels: rigid, wood, bomb, flame, power-up, self, teammates, enemies
     (team assignment egocentric per observing slot; only living agents drawn).
+
+    _setup plans from each slot's spec where the map's eight INPUTS sit in
+    its view and where board_map goes. Each view makes one Kept.get, keyed
+    by slot, over those inputs; a miss encodes the agents over the terrain
+    planes, which views that hold the same terrain grids share.
     """
 
     CHANNELS = 8
     TERRAIN = ("rigid", "wood", "bomb_fuse", "flames", "items")
+    INPUTS = (*TERRAIN, "agents", "teams", "self_id")
 
     def _setup(self, obs_specs, act_specs):
         spec = _require_bomber_obs(obs_specs)
@@ -519,7 +534,18 @@ class BoardMapObs(Interface):
         self._terrains = Kept(len(obs_specs))
         self._boards = Kept()
         feature = BoxSpec((n, n, self.CHANNELS), 0.0, 1.0)
-        return append_key(obs_specs, "board_map", feature), act_specs
+        outer = append_key(obs_specs, "board_map", feature)
+        # Per slot: a getter of its INPUTS pairs, and one that takes a view's
+        # pairs followed by the board_map pair into key order.
+        self._plans = []
+        for in_spec, out_spec in zip(obs_specs, outer):
+            keys = in_spec.keys()
+            at = out_spec.keys().index("board_map")
+            self._plans.append((
+                itemgetter(*map(keys.index, self.INPUTS)),
+                itemgetter(*range(at), len(keys), *range(at, len(keys))),
+            ))
+        return outer, act_specs
 
     def _terrain(self, *grids: GridV) -> list[float]:
         """Channels 0-4 (the TERRAIN grids' planes) with every agent channel zero."""
@@ -543,16 +569,21 @@ class BoardMapObs(Interface):
             cells[(r * n + c) * ch + plane] = 1.0
         return GridV((n, n, ch), tuple(cells))
 
+    def _board(self, rigid: GridV, wood: GridV, bomb_fuse: GridV, flames: GridV,
+               items: GridV, agents: SeqV, teams: VectorV, self_id: DiscreteV) -> GridV:
+        terrain = self._terrains.get(None, self._terrain, rigid, wood, bomb_fuse, flames, items)
+        return self._encode(terrain, agents, teams, self_id)
+
     def _reset(self, obs: Bundle) -> Bundle:
         self._terrains.clear()
         self._boards.clear()
         return super()._reset(obs)
 
     def _view(self, view, slot):
-        terrain = self._terrains.get(None, self._terrain, *[view[key] for key in self.TERRAIN])
-        board = self._boards.get(slot, self._encode, terrain, view["agents"], view["teams"],
-                                 view["self_id"])
-        return MappingV(view.entries + (("board_map", board),))
+        inputs, place = self._plans[slot]
+        entries = view.entries
+        board = self._boards.get(slot, self._board, *map(_VALUE, inputs(entries)))
+        return MappingV(place(entries + (("board_map", board),)))
 
 
 class AttrObs(Interface):
@@ -665,9 +696,15 @@ def _legal_actions(view: MappingV, kept: Kept) -> set[int]:
     return legal
 
 
+# One shared value per possible act_mask, so that a node above act_mask
+# (rotate) finds the mask it kept while the legality is unchanged.
+_MASKS = {bits: VectorV(bits) for bits in product((0.0, 1.0), repeat=6)}
+
+
 class ActMaskObs(Interface):
     """Appends "act_mask": per-action legality bits (see legal_actions), each
-    view read through one Kept as bomber.simple reads it."""
+    view read through one Kept as bomber.simple reads it. Equal masks are the
+    same object."""
 
     def _setup(self, obs_specs, act_specs):
         _require_bomber_obs(obs_specs)
@@ -680,7 +717,7 @@ class ActMaskObs(Interface):
 
     def _view(self, view, slot):
         legal = _legal_actions(view, self._parts)
-        mask = VectorV(tuple(1.0 if a in legal else 0.0 for a in range(6)))
+        mask = _MASKS[tuple(1.0 if a in legal else 0.0 for a in range(6))]
         return MappingV(view.entries + (("act_mask", mask),))
 
 
@@ -713,6 +750,11 @@ def _rotate_grid(grid: GridV, quarter_turns: int) -> GridV:
     return GridV(grid.shape, _rotation_getter(n, ch, k)(grid.entries))
 
 
+def _whole(e: float) -> bool:
+    """Whether e is a whole number and not below +0.0, so float(int(e)) is e bit for bit."""
+    return e == int(e) and math.copysign(1.0, e) > 0.0
+
+
 def _rotate_pos(r: int, c: int, n: int, quarter_turns: int) -> tuple[int, int]:
     for _ in range(quarter_turns % 4):
         r, c = c, n - 1 - r
@@ -731,6 +773,8 @@ _VIEW_TO_WORLD = {
 
 def _rotate_mask(mask: VectorV, quarter_turns: int) -> VectorV:
     """A world-frame act_mask in the view frame (bit a: world action of view action a)."""
+    if quarter_turns == 0:
+        return mask
     to_world = _VIEW_TO_WORLD[quarter_turns]
     return VectorV(tuple(mask.entries[to_world.get(a, a)] for a in range(6)))
 
@@ -744,16 +788,57 @@ class RotateView(Interface):
     environment receives world-frame actions. The agent id is read from each
     slot's observation at reset (episode state, as the id-to-position binding
     may differ when wrapped per agent).
+
+    _setup plans from each slot's spec which entries a turn changes: the
+    square grids, agents and act_mask. Each view makes one Kept.get, keyed
+    by slot, over just those entries and builds its output from pairs in key
+    order; only a miss looks each entry up per (key, turns). A slot of 0
+    turns gets its own view back, unless an agent coordinate is not yet
+    written as rotate writes it (a whole number, not -0.0).
     """
 
     def _setup(self, obs_specs, act_specs):
         spec = _require_bomber_obs(obs_specs)
-        self._n = spec["rigid"].shape[0]
+        n = self._n = spec["rigid"].shape[0]
         self._turns: list[int] | None = None
+        self._views = Kept()
         self._rotated = Kept()
+        # Per slot: a getter of the pairs a turn changes, the build of
+        # their turned pairs, and a getter that takes a view's pairs
+        # followed by the turned ones into key order.
+        self._plans = []
+        for slot, in_spec in enumerate(obs_specs):
+            turned = []
+            for at, (key, sub) in enumerate(in_spec.entries):
+                if isinstance(sub, BoxSpec) and len(sub.shape) == 3 and sub.shape[:2] == (n, n):
+                    turned.append((at, key, _rotate_grid))
+                elif key == "agents":
+                    turned.append((at, key, self._rotate_agents))
+                elif key == "act_mask":
+                    turned.append((at, key, _rotate_mask))
+            count = len(in_spec.entries)
+            order = list(range(count))
+            for j, (at, _, _) in enumerate(turned):
+                order[at] = count + j
+            self._plans.append((itemgetter(*[at for at, _, _ in turned]),
+                                partial(self._turn, slot, turned), itemgetter(*order)))
         return obs_specs, act_specs
 
+    def _turn(self, slot: int, turned: list, *values: Value) -> tuple | None:
+        """The turned (key, value) pairs of one view, or None if each is the value itself."""
+        k = self._turns[slot]
+        get = self._rotated.get
+        out = tuple(get((key, k), fn, v, k) for (_, key, fn), v in zip(turned, values))
+        if all(map(is_, out, values)):
+            return None
+        return tuple(zip([key for _, key, _ in turned], out))
+
     def _rotate_agents(self, agents: SeqV, k: int) -> SeqV:
+        """agents with row and col turned k times and written as whole numbers;
+        agents itself for k == 0 when they already are."""
+        if k == 0 and all(_whole(agent["row"].entries[0]) and _whole(agent["col"].entries[0])
+                          for agent in agents):
+            return agents
         n = self._n
         rotated = []
         for agent in agents:
@@ -768,22 +853,16 @@ class RotateView(Interface):
 
     def _view(self, view: MappingV, slot: int) -> MappingV:
         assert self._turns is not None, "rotate used before reset"
-        k = self._turns[slot]
-        n = self._n
-        rotated = self._rotated
-        entries = []
-        for key, v in view.entries:
-            if isinstance(v, GridV) and v.shape[0] == v.shape[1] == n:
-                v = rotated.get((key, k), _rotate_grid, v, k)
-            elif key == "agents":
-                v = rotated.get((key, k), self._rotate_agents, v, k)
-            elif key == "act_mask":
-                v = rotated.get((key, k), _rotate_mask, v, k)
-            entries.append((key, v))
-        return MappingV(tuple(entries))
+        values, build, place = self._plans[slot]
+        entries = view.entries
+        turned = self._views.get(slot, build, *map(_VALUE, values(entries)))
+        if turned is None:
+            return view
+        return MappingV(place(entries + turned))
 
     def _reset(self, obs: Bundle) -> Bundle:
         self._turns = [view["self_id"].index % 4 for view in obs]
+        self._views.clear()
         self._rotated.clear()
         return super()._reset(obs)
 

@@ -14,7 +14,11 @@ then obs_trans/act_trans per tick. Cross-episode state is forbidden.
 Values are immutable, and an env or inner node may return the same value
 object on a later tick while its source is unchanged. A node may therefore
 keep what it built from its inputs in a values.Kept, which it clears in
-_reset.
+_reset. The cheapest reuse is one level up: _setup makes a plan from each
+slot's spec (where each entry the node reads sits in the view, and where its
+output goes), and _view makes one Kept.get keyed by slot over exactly the
+inputs that view reads, so a view whose inputs are all last tick's objects
+gets last tick's result from one lookup.
 
 Stacking order follows the wrapper convention: in stack(outer, inner) the
 observation is processed by inner first, then outer; the action is processed

@@ -33,6 +33,8 @@ class WrappedEnv(Env):
         self._obs_specs, self._act_specs = interface.setup(base.observation_specs,
                                                            base.action_specs)
         self._groups = interface.slot_groups
+        # Where each outer slot is the raw slot of its index, raw.alive holds as it is.
+        self._raw_alive = self._groups == [[i] for i in range(interface.raw_slot_count)]
 
     @property
     def observation_specs(self) -> list[SpaceSpec]:
@@ -62,7 +64,8 @@ class WrappedEnv(Env):
         raw_actions = self.interface.act_trans(actions)
         raw = self.base.step(raw_actions)
         obs, rewards = self.interface.obs_trans(raw.obs, raw.rewards)
-        alive = tuple(any(raw.alive[i] for i in g) for g in self._groups)
+        alive = raw.alive if self._raw_alive else tuple(
+            any(raw.alive[i] for i in g) for g in self._groups)
         return StepResult(obs=obs, rewards=rewards, done=raw.done, alive=alive, info=raw.info)
 
     def raw_record(self) -> tuple[Bundle, StepResult]:

@@ -67,7 +67,7 @@ from marlkit.envs.bomber import (
     _rotate_grid,
     detonate,
 )
-from marlkit.envs import gridbattle
+from marlkit.envs import bomber, gridbattle
 from marlkit.envs.gridbattle import (
     ATTACK,
     DIRS8,
@@ -81,6 +81,7 @@ from marlkit.envs.gridbattle import (
     _any_nonzero,
 )
 from marlkit.envs.pong import PongConfig, PongEnv
+from marlkit.interfaces import Interface
 from marlkit.replay import ReplayWriter
 from marlkit.values import Kept, SpaceSpec, Value, _float_tuple, vector_mapping_struct
 
@@ -517,10 +518,11 @@ def test_bomber_tick_memos_hold_one_tick_and_nothing_across_reset():
         ticks += 1
     assert ticks == 800
     # board_map keeps at most a terrain and a board map per view, rotate
-    # per view 8 rotated grids and one rotated agents value, and act_mask
-    # per view its 5 parts, the blocked cells and the coming blast.
+    # per view 8 rotated grids, one rotated agents value and the view's
+    # turned entries, and act_mask per view its 5 parts, the blocked cells
+    # and the coming blast.
     assert 0 < len(kept_entries(board_map)) <= 2 * 4
-    assert 0 < len(kept_entries(rotate)) <= 9 * 4
+    assert 0 < len(kept_entries(rotate)) <= (9 + 1) * 4
     assert 0 < len(kept_entries(act_mask)) <= 7 * 4
     nodes = (board_map, rotate, act_mask)
     before = {id(entry): entry for node in nodes for entry in kept_entries(node)}
@@ -535,6 +537,183 @@ def test_bomber_tick_memos_hold_one_tick_and_nothing_across_reset():
     for node in nodes:
         after = kept_entries(node)
         assert after and not any(id(entry) in before for entry in after)
+
+
+def test_rotate_hands_an_unturned_slot_its_own_view():
+    env = make_env("bomber", {"mode": "ffa"})
+    rotate = build_pipeline([{"name": "bomber.rotate"}])
+    rotate.setup(env.observation_specs, env.action_specs)
+    agents = [RandomAgent(rng=RngStream(2, ("unturned", str(s)))) for s in range(4)]
+    for slot, agent in enumerate(agents):
+        agent.setup(env.observation_specs[slot], env.action_specs[slot])
+    obs = env.reset(2)
+    out = rotate.reset(obs)
+    for _ in range(60):
+        assert out[0] is obs[0]
+        assert all(out[s] is not obs[s] for s in (1, 2, 3))
+        assert same_bytes(out, Bundle(tuple(ref_rotate_view(v, s) for s, v in enumerate(obs))))
+        result = env.step(Bundle(tuple(a.step(out[s], 0.0, False) for s, a in enumerate(agents))))
+        if result.done:
+            break
+        obs = result.obs
+        out, _ = rotate.obs_trans(obs, result.rewards)
+
+
+@pytest.mark.parametrize("row, col", [(2.5, 3.0), (-0.0, 4.0), (1.0, -0.0), (0.0, 9.75)])
+def test_unturned_slot_writes_agents_as_rotate_does(row, col):
+    """rotate writes agent coordinates as whole numbers, on a slot of 0 turns too."""
+    env = make_env("bomber", {"mode": "ffa"})
+    rotate = build_pipeline([{"name": "bomber.rotate"}])
+    rotate.setup(env.observation_specs, env.action_specs)
+    obs = env.reset(0)
+    rotate.reset(obs)
+
+    def with_agent(view, fields):
+        agents = list(view["agents"])
+        agents[1] = MappingV({**dict(agents[1].entries),
+                              **{k: VectorV((v,)) for k, v in fields.items()}})
+        return MappingV({**dict(view.entries), "agents": SeqV(tuple(agents))})
+
+    odd = Bundle(tuple(with_agent(v, {"row": row, "col": col}) for v in obs))
+    whole = Bundle(tuple(with_agent(v, {"row": 3.0, "col": 4.0}) for v in obs))
+    for views in (odd, whole, odd, obs):
+        out, _ = rotate.obs_trans(views, (0.0,) * 4)
+        assert same_bytes(out, Bundle(tuple(ref_rotate_view(v, s) for s, v in enumerate(views))))
+        assert (out[0] is views[0]) == (views is not odd)
+
+
+@pytest.mark.parametrize("names", [("bomber.board_map", "bomber.rotate"),
+                                   ("bomber.rotate", "bomber.board_map")])
+def test_chains_on_views_of_two_envs_match_reference(names):
+    """Each bundle takes every slot's view from one of two envs, in a pattern
+    that changes every tick, so a slot's inputs change hands between ticks."""
+    envs = [make_env("bomber", {"mode": "ffa"}) for _ in range(2)]
+    chain = bomber_chain(names)
+    rng = RngStream(6, ("fastpath", "two-envs"))
+    agents = [[RandomAgent(rng=RngStream(6, ("two-envs", str(e), str(s)))) for s in range(4)]
+              for e in range(2)]
+    for team, env in zip(agents, envs):
+        for slot, agent in enumerate(team):
+            agent.setup(env.observation_specs[slot], env.action_specs[slot])
+    obs = [env.reset(6 + e) for e, env in enumerate(envs)]
+    mixed = Bundle(tuple(obs[s % 2][s] for s in range(4)))
+    assert same_bytes(chain.reset(mixed), ref_chain(names, mixed))
+    for tick in range(150):
+        pick = [rng.randrange(2) for _ in range(4)]
+        mixed = Bundle(tuple(obs[e][s] for s, e in enumerate(pick)))
+        out, _ = chain.obs_trans(mixed, (0.0,) * 4)
+        assert same_bytes(out, ref_chain(names, mixed)), tick
+        for e, env in enumerate(envs):
+            result = env.step(Bundle(tuple(a.step(obs[e][s], 0.0, False)
+                                           for s, a in enumerate(agents[e]))))
+            obs[e] = env.reset(tick) if result.done else result.obs
+
+
+def test_act_mask_under_rotate_reuses_masks_on_an_idle_board(monkeypatch):
+    calls = []
+
+    def counting(mask, quarter_turns, rotate_mask=bomber._rotate_mask):
+        calls.append(quarter_turns)
+        return rotate_mask(mask, quarter_turns)
+
+    monkeypatch.setattr(bomber, "_rotate_mask", counting)
+    env = wrap_env(make_env("bomber", {"mode": "ffa"}),
+                   build_pipeline([{"name": "bomber.act_mask"}, {"name": "bomber.rotate"}]))
+    idle = Bundle((DiscreteV(IDLE),) * 4)
+    views = [env.reset(3)] + [env.step(idle).obs for _ in range(20)]
+    # Each slot rotates its mask once, at reset; the 20 idle ticks that
+    # follow hold the same mask object and reuse the rotation.
+    assert sorted(calls) == [0, 1, 2, 3]
+    for slot in range(4):
+        assert len({id(v[slot]["act_mask"]) for v in views}) == 1
+
+
+def test_act_mask_shares_one_object_per_distinct_mask():
+    env = make_env("bomber", {"mode": "ffa", "wood_density": 0.1})
+    chain = bomber_chain(("bomber.act_mask",))
+    agents = [RandomAgent(rng=RngStream(8, ("masks", str(s)))) for s in range(4)]
+    for slot, agent in enumerate(agents):
+        agent.setup(env.observation_specs[slot], env.action_specs[slot])
+    by_bytes: dict[bytes, int] = {}
+    raw = env.reset(8)
+    obs = chain.reset(raw)
+    for tick in range(300):
+        for raw_view, view in zip(raw, obs):
+            mask = view["act_mask"]
+            assert mask == ref_with_act_mask(raw_view)["act_mask"]
+            assert by_bytes.setdefault(mask.canonical_bytes(), id(mask)) == id(mask)
+        result = env.step(Bundle(tuple(a.step(obs[s], 0.0, False) for s, a in enumerate(agents))))
+        if result.done:
+            raw = env.reset(8 + tick)
+            obs = chain.reset(raw)
+        else:
+            raw = result.obs
+            obs, _ = chain.obs_trans(raw, result.rewards)
+    assert len(by_bytes) > 4
+
+
+def test_legal_actions_parses_each_state_once(monkeypatch):
+    parses = []
+    for name in ("_board_part", "_bomb_map", "_agent_cells"):
+        def counting(*args, parse=getattr(bomber, name), name=name):
+            parses.append(name)
+            return parse(*args)
+        monkeypatch.setattr(bomber, name, counting)
+    env = make_env("bomber", {"mode": "ffa", "wood_density": 0.1})
+    edits = RngStream(1, ("fastpath", "legal-edits"))
+    agents = [RandomAgent(rng=RngStream(1, ("legal", str(s)))) for s in range(4)]
+    for slot, agent in enumerate(agents):
+        agent.setup(env.observation_specs[slot], env.action_specs[slot])
+    states = changed = 0
+    for episode in range(3):
+        obs = env.reset(1 + episode)
+        done = False
+        while not done:
+            if states % 4 == 3:
+                edit_env(env, edits)
+            parses.clear()
+            views = env._observe()
+            legal = [env.legal_actions(slot) for slot in range(4)]
+            assert legal == [ref_legal_actions(view) for view in views]
+            # One parse of each part for the four slots, or none where the
+            # state's parts are those of the state before.
+            assert sorted(set(parses)) == sorted(parses)
+            states += 1
+            changed += bool(parses)
+            result = env.step(Bundle(tuple(a.step(obs[s], 0.0, False)
+                                           for s, a in enumerate(agents))))
+            obs, done = result.obs, result.done
+    assert states > 60 and changed > 20
+
+
+class Reverse(Interface):
+    """Outer slot i is inner slot n-1-i."""
+
+    def _local_groups(self):
+        return [[i] for i in reversed(range(len(self._in_obs_specs)))]
+
+    def _obs(self, obs, rewards):
+        return Bundle(obs.slots[::-1]), rewards[::-1]
+
+    def _act(self, actions):
+        return Bundle(actions.slots[::-1])
+
+
+@pytest.mark.parametrize("itf", [identity, Reverse, lambda: make_team([[0, 1], [2, 3]]),
+                                 lambda: make_team([[0], [1, 2, 3]])])
+def test_wrapped_env_alive_matches_per_group_reference(itf):
+    base = make_env("bomber", {"mode": "2v2", "wood_density": 0.0})
+    env = wrap_env(base, itf())
+    rng = RngStream(5, ("fastpath", "alive"))
+    env.reset(5)
+    for tick in range(40):
+        base.agents[rng.randrange(4)].alive = rng.randrange(3) != 0
+        acts = [space_sample(spec, rng) for spec in env.action_specs]
+        result = env.step(Bundle(tuple(acts)))
+        _, raw = base.raw_record()
+        assert result.alive == tuple(any(raw.alive[i] for i in g) for g in env.interface.slot_groups)
+        if result.done:
+            env.reset(5 + tick)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """marlkit's modules import each other at module level only, without a cycle.
 
 An import inside a function hides a dependency from the module's header, and
-it is the usual way to dodge an import cycle. Four more structural rules:
+it is the usual way to dodge an import cycle. Five more structural rules:
 only the Actors plan tells a WrappedAgent from a one-slot agent, no function
 rebinds a module-level name through a global statement, every private
-module-level function or class is used somewhere in the package, and only a
+module-level function or class is used somewhere in the package, only a
 node whose output spans slots writes its own _obs (the others write _view, or
-_group_view and _group_act, and the base classes own the slot loops). The
-checks read each module's AST, so nothing is imported and no subprocess is
-started.
+_group_view and _group_act, and the base classes own the slot loops), and no
+module reaches object.__new__, so every value is built by its constructor,
+which checks it and which perfbench counts. The checks read each module's
+AST, so nothing is imported and no subprocess is started.
 """
 
 from __future__ import annotations
@@ -157,6 +158,13 @@ def _definers(modules: dict[str, ast.Module], attr: str) -> list[str]:
     return sorted(found)
 
 
+def _object_new_uses(tree: ast.Module) -> list[int]:
+    """The line of each reference to object.__new__, called or not."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "__new__"
+            and isinstance(node.value, ast.Name) and node.value.id == "object"]
+
+
 def test_no_module_imports_inside_a_function():
     local = {name: found for name, tree in _modules().items()
              if (found := _local_imports(tree))}
@@ -246,3 +254,20 @@ def test_definer_finder_sees_methods_and_assignments_in_classes_only():
                               "        def _obs(): pass\n"
                               "def _obs(): pass\n")}
     assert _definers(modules, "_obs") == ["m.A", "m.B"]
+
+
+def test_no_value_skips_its_constructor():
+    found = {name: lines for name, tree in _modules().items()
+             if (lines := _object_new_uses(tree))}
+    assert found == {}
+
+
+def test_object_new_finder_sees_calls_and_aliases():
+    tree = ast.parse("v = object.__new__(VectorV)\n"
+                     "class A:\n"
+                     "    new = object.__new__\n"
+                     "    def __new__(cls):\n"
+                     "        return super().__new__(cls)\n"
+                     "object.__setattr__(v, 'x', 1)\n"
+                     "tuple.__new__(tuple)\n")
+    assert _object_new_uses(tree) == [1, 3]
