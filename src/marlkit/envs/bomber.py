@@ -724,23 +724,18 @@ class ActMaskObs(Interface):
 @lru_cache(maxsize=None)
 def _rotation_getter(n: int, ch: int, k: int) -> itemgetter:
     """Maps an (n, n, ch) entries tuple to its k-quarter-turn rotation, in C."""
-    size = n * n * ch
-    perm = list(range(size))
-    for _ in range(k):
-        # new[i][j] = old[N-1-j][i]
-        step = [0] * size
-        for r in range(n):
-            for c in range(n):
-                src = ((n - 1 - c) * n + r) * ch
-                dst = (r * n + c) * ch
-                for p in range(ch):
-                    step[dst + p] = perm[src + p]
-        perm = step
+    perm = [0] * (n * n * ch)
+    for r in range(n):
+        for c in range(n):
+            tr, tc = _rotate_pos(r, c, n, k)
+            dst = (tr * n + tc) * ch
+            src = (r * n + c) * ch
+            perm[dst:dst + ch] = range(src, src + ch)
     return itemgetter(*perm)
 
 
 def _rotate_grid(grid: GridV, quarter_turns: int) -> GridV:
-    """Rotate each channel plane; one turn maps (r, c) -> (c, N-1-r)."""
+    """Rotate each channel plane, every cell going where _rotate_pos sends it."""
     k = quarter_turns % 4
     n, _, ch = grid.shape
     # A 1x1 plane is its own rotation (and a one-index itemgetter would
@@ -756,19 +751,17 @@ def _whole(e: float) -> bool:
 
 
 def _rotate_pos(r: int, c: int, n: int, quarter_turns: int) -> tuple[int, int]:
+    """Cell (r, c) of an n x n plane after quarter_turns turns: the one quarter turn."""
     for _ in range(quarter_turns % 4):
         r, c = c, n - 1 - r
     return r, c
 
 
-# World action of each view direction, per quarter turn: view Up for slot 1
-# (one turn) is world Left, etc. Idle and PlaceBomb are fixed.
-_VIEW_TO_WORLD = {
-    0: {UP: UP, DOWN: DOWN, LEFT: LEFT, RIGHT: RIGHT},
-    1: {UP: LEFT, DOWN: RIGHT, LEFT: DOWN, RIGHT: UP},
-    2: {UP: DOWN, DOWN: UP, LEFT: RIGHT, RIGHT: LEFT},
-    3: {UP: RIGHT, DOWN: LEFT, LEFT: UP, RIGHT: DOWN},
-}
+# World move of each view move at k quarter turns: the move its delta becomes
+# after the other 4 - k turns (n = 1 turns about the origin); Idle and PlaceBomb stay.
+_MOVE_OF_DELTA = {delta: act for act, delta in MOVE_DELTAS.items()}
+_VIEW_TO_WORLD = {k: {act: _MOVE_OF_DELTA[_rotate_pos(dr, dc, 1, 4 - k)]
+                      for act, (dr, dc) in MOVE_DELTAS.items()} for k in range(4)}
 
 
 def _rotate_mask(mask: VectorV, quarter_turns: int) -> VectorV:

@@ -155,6 +155,23 @@ def _unit_value(fields: tuple) -> MappingV:
     ))
 
 
+def strike_target(units, slot: int, cd: float, reach: int) -> int | None:
+    """The slot an attack by slot hits, or None: the one strike rule of the env
+    and battle.hit_and_run. units holds (row, col, team, alive, ...) per slot.
+    Off cooldown, the nearest living enemy by squared distance (the lowest
+    slot on a tie) is struck if it lies within Chebyshev reach."""
+    if cd != 0:
+        return None
+    row, col, team = units[slot][:3]
+    enemies = [((u[0] - row) ** 2 + (u[1] - col) ** 2, i)
+               for i, u in enumerate(units) if u[3] and u[2] != team]
+    if not enemies:
+        return None
+    target = min(enemies)[1]
+    r, c = units[target][:2]
+    return target if max(abs(r - row), abs(c - col)) <= reach else None
+
+
 class BattleEnv(Env):
     def __init__(self, config: BattleConfig | None = None):
         super().__init__()
@@ -229,16 +246,10 @@ class BattleEnv(Env):
         # Phase 2: simultaneous attacks against post-move positions. Targets
         # and eligibility are chosen before any damage is applied; nothing
         # writes alive before phase 3.
-        strikes: list[tuple[int, int]] = []
-        for slot, u in enumerate(units):
-            if not u.alive or actions[slot].index != ATTACK or u.cd != 0:
-                continue
-            target = self._nearest_enemy(slot)
-            if target is None:
-                continue
-            t = units[target]
-            if max(abs(t.row - u.row), abs(t.col - u.col)) <= u.kind.range:
-                strikes.append((slot, target))
+        places = [(u.row, u.col, u.team, u.alive) for u in units]
+        strikes = [(slot, target) for slot, u in enumerate(units)
+                   if u.alive and actions[slot].index == ATTACK
+                   and (target := strike_target(places, slot, u.cd, u.kind.range)) is not None]
         for slot, target in strikes:
             t = units[target]
             damage = units[slot].kind.damage
@@ -274,17 +285,6 @@ class BattleEnv(Env):
             alive=tuple(u.alive for u in units),
             info=info,
         )
-
-    def _nearest_enemy(self, slot: int) -> int | None:
-        u = self.units[slot]
-        best: tuple[int, int] | None = None
-        for i, other in enumerate(self.units):
-            if not other.alive or other.team == u.team:
-                continue
-            d2 = (other.row - u.row) ** 2 + (other.col - u.col) ** 2
-            if best is None or (d2, i) < best:
-                best = (d2, i)
-        return None if best is None else best[1]
 
     def _observe(self) -> Bundle:
         """One view per slot: its self_id and the same units sequence.
@@ -494,12 +494,10 @@ class DeadPadding(Interface):
 _ACTIONS = tuple(DiscreteV(a) for a in range(ATTACK + 1))
 
 class HitAndRunAgent(Agent):
-    """Attacks when its weapon is ready, kites while on cooldown.
-
-    With cooldown 0 and the nearest enemy in range: attack. On cooldown: step
-    to the free neighboring cell maximizing distance to the nearest enemy;
-    otherwise step to the one minimizing it. Ties break toward the smallest
-    action index.
+    """Attacks exactly when the env would strike (see strike_target), else
+    kites: on cooldown it steps to the free neighboring cell maximizing
+    distance to the nearest enemy, otherwise to the one minimizing it. Ties
+    break toward the smallest action index.
 
     Every member of a side, and an img encoder over the same env, reads the
     same units value on a tick, so its table is kept in the module's one
@@ -517,26 +515,23 @@ class HitAndRunAgent(Agent):
 
     def step(self, obs: Value, reward: float, done: bool) -> Value:
         table = _TABLES.get(None, _unit_table, obs["units"])
-        my_row, my_col, my_team, my_alive, my_melee, _, _, my_cd = table[obs["self_id"].index]
+        me = obs["self_id"].index
+        my_row, my_col, my_team, my_alive, my_melee, _, _, my_cd = table[me]
         if not my_alive:
             return _ACTIONS[0]
-        on_cooldown = my_cd != 0.0
-        my_range = MELEE.range if my_melee else RANGED.range
+        if strike_target(table, me, my_cd, (MELEE if my_melee else RANGED).range) is not None:
+            return _ACTIONS[ATTACK]
         enemies = [(r, c) for r, c, team, alive, _, _, _, _ in table if alive and team != my_team]
         if not enemies:
             return _ACTIONS[0]
         occupied = {(r, c) for r, c, _, alive, _, _, _, _ in table if alive}
-        nearest = min(enemies, key=lambda e: (e[0] - my_row) ** 2 + (e[1] - my_col) ** 2)
-        cheb = max(abs(nearest[0] - my_row), abs(nearest[1] - my_col))
-        if not on_cooldown and cheb <= my_range:
-            return _ACTIONS[ATTACK]
 
         def clearance(cell: tuple[int, int]) -> int:
             return min((cell[0] - e[0]) ** 2 + (cell[1] - e[1]) ** 2 for e in enemies)
 
         # Clearances are exact ints, so the sign flips the order without ties
         # changing: the smallest action wins either way.
-        sign = -1 if on_cooldown else 1
+        sign = -1 if my_cd != 0.0 else 1
         moves = []
         for a, (dr, dc) in enumerate(DIRS8):
             cell = (my_row + dr, my_col + dc)

@@ -139,14 +139,14 @@ class PongEnv(Env):
 
     def _do_step(self, actions: Bundle) -> StepResult:
         cfg = self.cfg
-        half = cfg.paddle_len / 2.0
+        paddle = self._obs_spec["own_paddle_y"]
         for side in (0, 1):
             a = actions[side].index
             if a == UP:
                 self.paddle_y[side] -= cfg.paddle_speed
             elif a == DOWN:
                 self.paddle_y[side] += cfg.paddle_speed
-            self.paddle_y[side] = max(half, min(cfg.field_h - half, self.paddle_y[side]))
+            self.paddle_y[side] = max(paddle.low, min(paddle.high, self.paddle_y[side]))
 
         scorer = self._advance_ball()
         rewards = [0.0, 0.0]

@@ -40,6 +40,17 @@ def toolkit_version() -> str:
 # Episode loop
 
 
+def _add_context(exc: Exception, message: str, note: str, cause: BaseException | None) -> None:
+    """Raise a MarlkitError again from cause as its class and attributes with message as
+    its text, not running its __init__ again; note any other exception (Python 3.11+)."""
+    if isinstance(exc, MarlkitError):
+        err = Exception.__new__(type(exc), message)
+        err.__dict__.update(exc.__dict__)
+        raise err from cause
+    if hasattr(exc, "add_note"):  # Python 3.11+
+        exc.add_note(note)
+
+
 def run_episode(env: Env, actors: Sequence[Agent | WrappedAgent], seed: int,
                 writer: ReplayWriter | None = None,
                 episode_index: int = 0) -> EpisodeResult:
@@ -50,9 +61,9 @@ def run_episode(env: Env, actors: Sequence[Agent | WrappedAgent], seed: int,
     other agent one slot's value. The replay writer, when given, records the
     innermost environment's actions, rewards and state hashes.
 
-    Any MarlkitError raised here comes out as an error of the same class
-    whose message starts with the episode index, the seed and the tick (the
-    number of steps taken), raised from the original. Any other exception
+    Any MarlkitError raised here comes out as an error of the same class and
+    attributes whose message starts with the episode index, the seed and the
+    tick (the number of steps taken), raised from the original. Any other exception
     comes out as itself, with that place as a note on Python 3.11+.
     """
     tally = EpisodeTally(env.unwrapped.num_slots)
@@ -82,10 +93,7 @@ def run_episode(env: Env, actors: Sequence[Agent | WrappedAgent], seed: int,
                 return episode
     except Exception as exc:
         where = f"episode {episode_index} (seed {seed}), tick {tally.length}"
-        if isinstance(exc, MarlkitError):
-            raise type(exc)(f"{where}: {exc}") from exc
-        if hasattr(exc, "add_note"):  # Python 3.11+
-            exc.add_note(where)
+        _add_context(exc, f"{where}: {exc}", where, exc)
         raise
 
 
@@ -200,11 +208,9 @@ def run_match(spec: MatchSpec) -> MatchResult:
             except Exception as exc:
                 # run_episode's error names the episode, seed and tick; add
                 # who played where.
-                entrants = ", ".join(f"{p} {a.display!r}" for p, a in sorted(assignment.items()))
-                if isinstance(exc, MarlkitError):
-                    raise type(exc)(f"{exc} (entrants by party: {entrants})") from exc.__cause__
-                if hasattr(exc, "add_note"):  # Python 3.11+
-                    exc.add_note(f"entrants by party: {entrants}")
+                entrants = "entrants by party: " + ", ".join(
+                    f"{p} {a.display!r}" for p, a in sorted(assignment.items()))
+                _add_context(exc, f"{exc} ({entrants})", entrants, exc.__cause__)
                 raise
             outcomes.append(episode)
             if episode.draw or episode.winner_party is None:

@@ -206,6 +206,11 @@ def stack(outer: Interface, inner: Interface) -> Interface:
         node = node.inner
     if node._setup_done:
         raise SetupError("cannot stack below an interface that is already set up")
+    below = inner
+    while below is not None:  # inner's chain reaches node iff it holds any of outer's
+        if below is node:
+            raise SetupError(f"cannot stack {type(inner).__name__}: the chain would loop")
+        below = below.inner
     node.inner = inner
     return outer
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+from operator import itemgetter
 
 import pytest
 
@@ -36,6 +37,7 @@ from marlkit.envs.bomber import (
     detonate,
     _rotate_grid,
     _rotate_pos,
+    _rotation_getter,
     _VIEW_TO_WORLD,
 )
 from marlkit import (BoxSpec, MappingSpec, SetupError, VectorV, append_feature, build_pipeline,
@@ -535,7 +537,47 @@ class TestActMask:
         assert checked >= 100
 
 
+def ref_rotation_perm(n: int, ch: int, k: int) -> list[int]:
+    """The (n, n, ch) entry permutation of k quarter turns as _rotation_getter
+    composed it, one inverse-index turn at a time, before deriving it from
+    _rotate_pos: the reference the derivation must equal."""
+    size = n * n * ch
+    perm = list(range(size))
+    for _ in range(k):
+        # new[i][j] = old[N-1-j][i]
+        step = [0] * size
+        for r in range(n):
+            for c in range(n):
+                src = ((n - 1 - c) * n + r) * ch
+                dst = (r * n + c) * ch
+                for p in range(ch):
+                    step[dst + p] = perm[src + p]
+        perm = step
+    return perm
+
+
+# The world move of each view move per quarter turn, as written out by hand
+# before _VIEW_TO_WORLD was derived from _rotate_pos.
+REF_VIEW_TO_WORLD = {
+    0: {UP: UP, DOWN: DOWN, LEFT: LEFT, RIGHT: RIGHT},
+    1: {UP: LEFT, DOWN: RIGHT, LEFT: DOWN, RIGHT: UP},
+    2: {UP: DOWN, DOWN: UP, LEFT: RIGHT, RIGHT: LEFT},
+    3: {UP: RIGHT, DOWN: LEFT, LEFT: UP, RIGHT: DOWN},
+}
+
+
 class TestRotate:
+    @pytest.mark.parametrize("n", [1, 2, 5, 11])
+    @pytest.mark.parametrize("ch", [1, 3, 8])
+    def test_rotation_getter_equals_composed_reference(self, n, ch):
+        entries = tuple(range(n * n * ch))
+        for k in range(4):
+            assert (_rotation_getter(n, ch, k)(entries)
+                    == itemgetter(*ref_rotation_perm(n, ch, k))(entries)), k
+
+    def test_view_to_world_equals_the_written_table(self):
+        assert _VIEW_TO_WORLD == REF_VIEW_TO_WORLD
+
     def test_four_rotations_identity(self):
         rng = RngStream(3, ("grid",))
         grid = GridV((11, 11, 2), tuple(rng.random() for _ in range(242)))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from marlkit import (
     Bundle,
@@ -26,6 +27,8 @@ from marlkit.envs.gridbattle import (
     HitAndRunAgent,
     Img3I2ZObs,
     Img5IObs,
+    Unit,
+    strike_target,
 )
 
 
@@ -444,6 +447,69 @@ class TestHitAndRun:
             elif r.draw:
                 draws += 1
         assert wins + 0.5 * draws >= 9.5  # full 200-episode gate in acceptance
+
+
+def ref_strike(units, slot):
+    """The strike rule as BattleEnv._nearest_enemy and phase 2's range test
+    stated it before strike_target: the reference for the one rule."""
+    u = units[slot]
+    if u.cd != 0:
+        return None
+    best = None
+    for i, other in enumerate(units):
+        if not other.alive or other.team == u.team:
+            continue
+        d2 = (other.row - u.row) ** 2 + (other.col - u.col) ** 2
+        if best is None or (d2, i) < best:
+            best = (d2, i)
+    if best is None:
+        return None
+    t = units[best[1]]
+    return best[1] if max(abs(t.row - u.row), abs(t.col - u.col)) <= u.kind.range else None
+
+
+# Small boards and few cooldown values, so equal-distance ties, dead units
+# and units on cooldown all come up often.
+_UNITS = st.lists(st.tuples(st.integers(0, 1), st.sampled_from((RANGED, MELEE)),
+                            st.integers(0, 4), st.integers(0, 4), st.booleans(),
+                            st.sampled_from((0, 0, 1, 3))),
+                  min_size=1, max_size=10)
+
+
+class TestStrikeTarget:
+    @settings(max_examples=300, deadline=None)
+    @given(_UNITS)
+    def test_matches_the_reference_on_env_and_agent_tables(self, rows):
+        units = [Unit(team=team, kind=kind, row=r, col=c, hp=1.0, shield=0.0, cd=cd, alive=alive)
+                 for team, kind, r, c, alive, cd in rows]
+        places = [(u.row, u.col, u.team, u.alive) for u in units]
+        # The agent's table: float fields, no position for a dead unit.
+        table = [(u.row if u.alive else None, u.col if u.alive else None, float(u.team),
+                  u.alive, u.kind is MELEE, u.hp, u.shield, float(u.cd)) for u in units]
+        for slot, u in enumerate(units):
+            if not u.alive:
+                continue
+            expected = ref_strike(units, slot)
+            assert strike_target(places, slot, u.cd, u.kind.range) == expected
+            assert strike_target(table, slot, float(u.cd), u.kind.range) == expected
+
+    def test_hit_and_run_attacks_exactly_when_the_env_strikes(self):
+        attacks = 0
+        for seed in range(4):
+            env = BattleEnv(BattleConfig(scenario="3I2Z", randomize_status=True))
+            obs = env.reset(seed)
+            agents = [HitAndRunAgent() for _ in range(env.num_slots)]
+            done = False
+            while not done:
+                acts = [agent.step(view, 0.0, False) for agent, view in zip(agents, obs)]
+                for slot, u in enumerate(env.units):
+                    if u.alive:
+                        strikes = ref_strike(env.units, slot) is not None
+                        assert (acts[slot].index == ATTACK) == strikes
+                        attacks += strikes
+                result = env.step(Bundle(tuple(acts)))
+                obs, done = result.obs, result.done
+        assert attacks >= 50
 
 
 class TestConformanceAndPurity:

@@ -182,6 +182,40 @@ class TestErrorContext:
         assert str(info.value) == f"episode 2 (seed 3), tick 0: {self.BAD}"
         assert str(info.value.__cause__) == self.BAD
 
+    def test_custom_error_keeps_its_class_attributes_and_cause(self):
+        from marlkit import MarlkitError, register_agent, registry
+
+        class Boom(MarlkitError):
+            def __init__(self, code, detail):
+                super().__init__(f"boom {code}: {detail}")
+                self.code, self.detail = code, detail
+
+        steps = [0]
+
+        class BoomAgent(RandomAgent):
+            def step(self, obs, reward, done):
+                steps[0] += 1
+                if steps[0] == 3:
+                    raise Boom(7, "bad")
+                return super().step(obs, reward, done)
+
+        register_agent("test.boom", lambda params, rng: BoomAgent(rng=rng))
+        try:
+            spec = MatchSpec(env_name="pong2p",
+                             agents=(AgentSpec("test.boom"), AgentSpec("random")),
+                             episodes=2, base_seed=3)
+            with pytest.raises(Boom) as info:
+                run_match(spec)
+        finally:
+            del registry._AGENTS["test.boom"]
+        exc = info.value
+        assert type(exc) is Boom
+        assert str(exc) == ("episode 0 (seed 3), tick 2: boom 7: bad "
+                            "(entrants by party: 0 'test.boom', 1 'random')")
+        assert (exc.code, exc.detail) == (7, "bad")
+        assert type(exc.__cause__) is Boom and exc.__cause__.__cause__ is None
+        assert exc.__cause__.args == ("boom 7: bad",)
+
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="exception notes need 3.11")
     def test_other_exception_passes_through_with_notes(self):
         from marlkit import register_agent, registry

@@ -99,6 +99,20 @@ class TestStack:
         with pytest.raises(SetupError):
             stack(identity(), inner)
 
+    def test_stack_refuses_a_node_over_itself(self):
+        node = map_to_vector()
+        with pytest.raises(SetupError, match="cannot stack MapToVector: the chain would loop"):
+            stack(node, node)
+        assert node.inner is None
+
+    def test_stack_refuses_to_close_a_loop(self):
+        top, bottom = identity(), map_to_vector()
+        stack(top, bottom)
+        with pytest.raises(SetupError, match="cannot stack Identity: the chain would loop"):
+            stack(bottom, top)
+        assert top.inner is bottom and bottom.inner is None
+        top.setup(*vec_specs(2))  # the refused stack left the chain as it was
+
 
 class TestCombine:
     def test_identity_children_are_identity(self):
