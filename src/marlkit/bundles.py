@@ -7,7 +7,7 @@ from operator import add
 from typing import Sequence
 
 from .errors import InvalidPartition
-from .values import DiscreteV, MappingV, Value
+from .values import DiscreteV, MappingV, Value, _all_values, _exact
 
 Partition = tuple[tuple[int, ...], ...]
 
@@ -17,12 +17,20 @@ NO_INFO = MappingV(())
 
 @dataclass(frozen=True, slots=True)
 class Bundle:
-    """One value per agent slot; never empty."""
+    """One value per agent slot; never empty.
+
+    Construction checks that there is at least one slot and that each is a
+    Value. A non-empty tuple of Values is stored as it is; any other input is
+    copied into a tuple first.
+    """
 
     slots: tuple[Value, ...]
 
     def __post_init__(self):
-        slots = tuple(self.slots)
+        slots = self.slots
+        if type(slots) is tuple and slots and _all_values(slots):
+            return
+        slots = tuple(slots)
         if not slots:
             raise ValueError("a bundle must have at least one slot")
         for v in slots:
@@ -42,7 +50,13 @@ class Bundle:
 
 @dataclass(frozen=True, slots=True)
 class StepResult:
-    """One environment tick: observations, rewards, global done, per-slot alive."""
+    """One environment tick: observations, rewards, global done, per-slot alive.
+
+    Construction converts rewards to a float tuple, done to a bool and alive
+    to a bool tuple, and checks that both tuples have one entry per slot of
+    obs. A tuple of exact floats, an exact bool and a tuple of exact bools
+    are stored as they are.
+    """
 
     obs: Bundle
     rewards: tuple[float, ...]
@@ -51,9 +65,12 @@ class StepResult:
     info: MappingV = NO_INFO
 
     def __post_init__(self):
-        object.__setattr__(self, "rewards", tuple(map(float, self.rewards)))
-        object.__setattr__(self, "done", bool(self.done))
-        object.__setattr__(self, "alive", tuple(map(bool, self.alive)))
+        if not _exact(self.rewards, float):
+            object.__setattr__(self, "rewards", tuple(map(float, self.rewards)))
+        if type(self.done) is not bool:
+            object.__setattr__(self, "done", bool(self.done))
+        if not _exact(self.alive, bool):
+            object.__setattr__(self, "alive", tuple(map(bool, self.alive)))
         n = len(self.obs)
         if len(self.rewards) != n or len(self.alive) != n:
             raise ValueError(

@@ -394,23 +394,23 @@ class BomberEnv(Env):
             board[r * n + c] = 1.0
         for r, c in self.wood:
             board[r * n + c] = 2.0
-        return MappingV({
-            "board": VectorV(tuple(board)),
-            "hidden": _cell_values(self.hidden),
-            "items": _cell_values(self.items),
-            "flames": _cell_values(self.flames),
-            "bombs": SeqV(tuple(
-                VectorV((float(b.row), float(b.col), float(b.owner),
-                         float(b.fuse), float(b.strength)))
-                for b in sorted(self.bombs, key=lambda b: (b.row, b.col))
-            )),
-            "agents": SeqV(tuple(
+        return MappingV((
+            ("agents", SeqV(tuple(
                 VectorV((float(a.row), float(a.col), float(a.ammo),
                          float(a.blast), 1.0 if a.alive else 0.0))
                 for a in self.agents
-            )),
-            "tick": VectorV((float(self.tick),)),
-        })
+            ))),
+            ("board", VectorV(tuple(board))),
+            ("bombs", SeqV(tuple(
+                VectorV((float(b.row), float(b.col), float(b.owner),
+                         float(b.fuse), float(b.strength)))
+                for b in sorted(self.bombs, key=lambda b: (b.row, b.col))
+            ))),
+            ("flames", _cell_values(self.flames)),
+            ("hidden", _cell_values(self.hidden)),
+            ("items", _cell_values(self.items)),
+            ("tick", VectorV((float(self.tick),))),
+        ))
 
     def render_ascii(self) -> str:
         n = self.cfg.size
@@ -468,13 +468,13 @@ def _cell_values(cells: dict[Cell, int]) -> SeqV:
 
 def _agent_value(fields: tuple[int, int, int, int, bool]) -> MappingV:
     row, col, ammo, blast, alive = fields
-    return MappingV({
-        "row": VectorV((float(row),)),
-        "col": VectorV((float(col),)),
-        "ammo": VectorV((float(ammo),)),
-        "blast": VectorV((float(blast),)),
-        "alive": VectorV((1.0 if alive else 0.0,)),
-    })
+    return MappingV((
+        ("alive", VectorV((1.0 if alive else 0.0,))),
+        ("ammo", VectorV((float(ammo),))),
+        ("blast", VectorV((float(blast),))),
+        ("col", VectorV((float(col),))),
+        ("row", VectorV((float(row),))),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +593,9 @@ class AttrObs(Interface):
         spec = _require_bomber_obs(obs_specs)
         self._limit = spec["tick"].high
         feature = BoxSpec((4,), 0.0, max(1.0, STAT_BOUND / ATTR_CAP))
-        return append_key(obs_specs, "attrs", feature), act_specs
+        outer = append_key(obs_specs, "attrs", feature)
+        self._at = [s.keys().index("attrs") for s in outer]
+        return outer, act_specs
 
     def _view(self, view, slot):
         me = view["agents"][view["self_id"].index]
@@ -603,7 +605,8 @@ class AttrObs(Interface):
             me["alive"].entries[0],
             view["tick"].entries[0] / self._limit,
         ))
-        return MappingV(view.entries + (("attrs", attrs),))
+        entries, at = view.entries, self._at[slot]
+        return MappingV(entries[:at] + (("attrs", attrs),) + entries[at:])
 
 
 def _cell_set(grid: GridV) -> set[Cell]:
@@ -709,7 +712,9 @@ class ActMaskObs(Interface):
     def _setup(self, obs_specs, act_specs):
         _require_bomber_obs(obs_specs)
         self._parts = Kept(len(obs_specs))
-        return append_key(obs_specs, "act_mask", BoxSpec((6,), 0.0, 1.0)), act_specs
+        outer = append_key(obs_specs, "act_mask", BoxSpec((6,), 0.0, 1.0))
+        self._at = [s.keys().index("act_mask") for s in outer]
+        return outer, act_specs
 
     def _reset(self, obs: Bundle) -> Bundle:
         self._parts.clear()
@@ -718,7 +723,8 @@ class ActMaskObs(Interface):
     def _view(self, view, slot):
         legal = _legal_actions(view, self._parts)
         mask = _MASKS[tuple(1.0 if a in legal else 0.0 for a in range(6))]
-        return MappingV(view.entries + (("act_mask", mask),))
+        entries, at = view.entries, self._at[slot]
+        return MappingV(entries[:at] + (("act_mask", mask),) + entries[at:])
 
 
 @lru_cache(maxsize=None)

@@ -305,14 +305,14 @@ class BattleEnv(Env):
         ))
 
     def state_value(self) -> Value:
-        return MappingV({
-            "units": SeqV(tuple(
+        return MappingV((
+            ("tick", VectorV((float(self.tick),))),
+            ("units", SeqV(tuple(
                 VectorV((float(u.team), float(u.kind is MELEE), float(u.row), float(u.col),
                          u.hp, u.shield, float(u.cd), 1.0 if u.alive else 0.0))
                 for u in self.units
-            )),
-            "tick": VectorV((float(self.tick),)),
-        })
+            ))),
+        ))
 
     def render_ascii(self) -> str:
         grid = [["."] * GRID for _ in range(GRID)]
@@ -480,18 +480,30 @@ class DeadPadding(Interface):
 
     def _obs(self, obs, rewards):
         # The img encoders hand one grid object to every viewer of a team, so
-        # each distinct object is tested once (obs holds them all alive).
-        flags: dict[int, VectorV] = {}
+        # each distinct object is tested and wrapped once (obs holds them all
+        # alive).
+        padded: dict[int, MappingV] = {}
         out = []
         for v in obs:
-            flag = flags.get(id(v))
-            if flag is None:
-                flag = flags[id(v)] = _ONE if _any_nonzero(v) else _ZERO
-            out.append(MappingV((("alive", flag), ("obs", v))))
+            view = padded.get(id(v))
+            if view is None:
+                flag = _ONE if _any_nonzero(v) else _ZERO
+                view = padded[id(v)] = MappingV((("alive", flag), ("obs", v)))
+            out.append(view)
         return Bundle(tuple(out)), rewards
 
 
 _ACTIONS = tuple(DiscreteV(a) for a in range(ATTACK + 1))
+_SIDES = Kept()
+
+
+def _sides(table: tuple) -> tuple[set, dict]:
+    """(occupied cells, team -> its enemies' cells) of a units table, over
+    its living units; every living unit's team is a key."""
+    living = [(r, c, team) for r, c, team, alive, _, _, _, _ in table if alive]
+    return ({(r, c) for r, c, _ in living},
+            {me: [(r, c) for r, c, team in living if team != me] for _, _, me in living})
+
 
 class HitAndRunAgent(Agent):
     """Attacks exactly when the env would strike (see strike_target), else
@@ -501,7 +513,9 @@ class HitAndRunAgent(Agent):
 
     Every member of a side, and an img encoder over the same env, reads the
     same units value on a tick, so its table is kept in the module's one
-    Kept: the first reader of a tick parses it, the others reuse it.
+    Kept: the first reader of a tick parses it, the others reuse it. The
+    occupied cells and each team's enemy cells are likewise built once per
+    table.
     """
 
     OBS = _UNITS_VIEW
@@ -521,10 +535,10 @@ class HitAndRunAgent(Agent):
             return _ACTIONS[0]
         if strike_target(table, me, my_cd, (MELEE if my_melee else RANGED).range) is not None:
             return _ACTIONS[ATTACK]
-        enemies = [(r, c) for r, c, team, alive, _, _, _, _ in table if alive and team != my_team]
+        occupied, enemies_of = _SIDES.get(None, _sides, table)
+        enemies = enemies_of[my_team]
         if not enemies:
             return _ACTIONS[0]
-        occupied = {(r, c) for r, c, _, alive, _, _, _, _ in table if alive}
 
         def clearance(cell: tuple[int, int]) -> int:
             return min((cell[0] - e[0]) ** 2 + (cell[1] - e[1]) ** 2 for e in enemies)

@@ -42,13 +42,12 @@ def toolkit_version() -> str:
 
 def _add_context(exc: Exception, message: str, note: str, cause: BaseException | None) -> None:
     """Raise a MarlkitError again from cause as its class and attributes with message as
-    its text, not running its __init__ again; note any other exception (Python 3.11+)."""
+    its text, not running its __init__ again; note any other exception."""
     if isinstance(exc, MarlkitError):
         err = Exception.__new__(type(exc), message)
         err.__dict__.update(exc.__dict__)
         raise err from cause
-    if hasattr(exc, "add_note"):  # Python 3.11+
-        exc.add_note(note)
+    exc.add_note(note)
 
 
 def run_episode(env: Env, actors: Sequence[Agent | WrappedAgent], seed: int,
@@ -64,7 +63,7 @@ def run_episode(env: Env, actors: Sequence[Agent | WrappedAgent], seed: int,
     Any MarlkitError raised here comes out as an error of the same class and
     attributes whose message starts with the episode index, the seed and the
     tick (the number of steps taken), raised from the original. Any other exception
-    comes out as itself, with that place as a note on Python 3.11+.
+    comes out as itself, with that place as a note.
     """
     tally = EpisodeTally(env.unwrapped.num_slots)
     try:

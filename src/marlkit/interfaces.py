@@ -461,14 +461,17 @@ class AppendFeature(Interface):
         self.feature_spec = feature_spec
 
     def _setup(self, obs_specs, act_specs):
-        return append_key(obs_specs, self.key, self.feature_spec), act_specs
+        outer = append_key(obs_specs, self.key, self.feature_spec)
+        self._at = [s.keys().index(self.key) for s in outer]
+        return outer, act_specs
 
     def _view(self, view, slot):
         feature = self.fn(view)
         if not space_contains(self.feature_spec, feature):
             raise SpaceMismatch(f"appended feature {value_repr(feature)} "
                                 f"not in {self.feature_spec!r}")
-        return MappingV(view.entries + ((self.key, feature),))
+        entries, at = view.entries, self._at[slot]
+        return MappingV(entries[:at] + ((self.key, feature),) + entries[at:])
 
 
 def append_feature(key: str, fn: Callable[[Value], Value],

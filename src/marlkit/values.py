@@ -19,7 +19,7 @@ from collections import abc
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import lru_cache
 from itertools import repeat
-from operator import is_, itemgetter
+from operator import is_, itemgetter, lt
 from typing import Iterator, Sequence
 
 from .rng import RngStream
@@ -55,6 +55,27 @@ class Value:
         return hash(self.canonical_bytes())
 
 
+# The constructors' tests of canonical input. On CPython 3.11 a plain loop of
+# type tests ran faster than the C-level forms (all(map(isinstance, ...)),
+# set.issuperset(map(type, ...))) at every size measured, 1 to 968 entries.
+def _exact(items, cls: type) -> bool:
+    """Whether items is a tuple whose every entry's type is exactly cls."""
+    if type(items) is not tuple:
+        return False
+    for x in items:
+        if type(x) is not cls:
+            return False
+    return True
+
+
+def _all_values(items) -> bool:
+    """Whether every item is a Value."""
+    for v in items:
+        if not isinstance(v, Value):
+            return False
+    return True
+
+
 @lru_cache(maxsize=256)
 def _floats_struct(count: int) -> struct.Struct:
     return struct.Struct(f"<{count}d")
@@ -66,37 +87,39 @@ def _pack_floats(values: Sequence[float]) -> bytes:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class DiscreteV(Value):
-    """A single non-negative index below 2**64 (its canonical bytes hold a u64)."""
+    """A single non-negative index below 2**64 (its canonical bytes hold a u64).
+
+    Construction checks that the index is an int, not a bool, in [0, 2**64),
+    and stores it as it is.
+    """
 
     index: int
     _cb: bytes | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         index = self.index
-        if not isinstance(index, int) or isinstance(index, bool) or not 0 <= index < 2**64:
+        if (type(index) is not int and (not isinstance(index, int) or isinstance(index, bool))
+                or not 0 <= index < 2**64):
             raise ValueError(f"discrete index must be an int in [0, 2**64), got {index!r}")
 
     def _encode(self, out: list[bytes]) -> None:
         out.append(b"\x01" + _U64.pack(self.index))
 
 
-def _float_tuple(entries) -> tuple[float, ...]:
-    # set(map(type, ...)) runs the exact-float test in C. Any other entry
-    # type (int, bool, a float subclass) takes the converting path.
-    if type(entries) is tuple and set(map(type, entries)) <= {float}:
-        return entries
-    return tuple(map(float, entries))
-
-
 @dataclass(frozen=True, slots=True, eq=False)
 class VectorV(Value):
-    """An ordered tuple of reals."""
+    """An ordered tuple of reals.
+
+    A tuple of exact floats is stored as it is; any other input (ints, bools,
+    float subclasses, a list) is converted to a float tuple.
+    """
 
     entries: tuple[float, ...]
     _cb: bytes | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _float_tuple(self.entries))
+        if not _exact(self.entries, float):
+            object.__setattr__(self, "entries", tuple(map(float, self.entries)))
 
     def _encode(self, out: list[bytes]) -> None:
         out.append(b"\x02" + _U32.pack(len(self.entries)) + _pack_floats(self.entries))
@@ -107,22 +130,33 @@ class VectorV(Value):
 
 @dataclass(frozen=True, slots=True, eq=False)
 class GridV(Value):
-    """Reals on a (height, width, channels) grid, stored row-major."""
+    """Reals on a (height, width, channels) grid, stored row-major.
+
+    Construction checks that the shape is three positive ints and that there
+    are h * w * c entries. A shape tuple of exact ints and an entries tuple
+    of exact floats are stored as they are; any other input is converted as
+    VectorV converts it.
+    """
 
     shape: tuple[int, int, int]
     entries: tuple[float, ...]
     _cb: bytes | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        shape = tuple(map(int, self.shape))
+        shape, entries = self.shape, self.entries
+        if not _exact(shape, int):
+            shape = tuple(map(int, shape))
         if len(shape) != 3 or min(shape) <= 0:
             raise ValueError(f"grid shape must be 3 positive ints, got {self.shape!r}")
-        entries = _float_tuple(self.entries)
+        if not _exact(entries, float):
+            entries = tuple(map(float, entries))
         h, w, c = shape
         if len(entries) != h * w * c:
             raise ValueError(f"grid of shape {shape} needs {h * w * c} entries, got {len(entries)}")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "entries", entries)
+        if shape is not self.shape:
+            object.__setattr__(self, "shape", shape)
+        if entries is not self.entries:
+            object.__setattr__(self, "entries", entries)
 
     def at(self, row: int, col: int, channel: int = 0) -> float:
         h, w, c = self.shape
@@ -134,7 +168,6 @@ class GridV(Value):
 
 
 _KEY = itemgetter(0)
-_STR = {str}
 
 
 @lru_cache(maxsize=1024)
@@ -144,14 +177,30 @@ def _key_prefix(key: str) -> bytes:
     return _U32.pack(len(raw)) + raw
 
 
+@lru_cache(maxsize=1024)
+def _ascending(keys: tuple[str, ...]) -> bool:
+    """Whether exact-str keys are in strictly ascending order."""
+    return all(map(lt, keys, keys[1:]))
+
+
 def _sorted_index(raw, what: str) -> tuple[tuple, dict]:
     """(entries sorted by key, key -> value dict) from a mapping or (key, value) pairs.
 
-    Raises ValueError on a duplicate key.
+    A tuple of tuple pairs whose keys are exact str in strictly ascending
+    order is canonical: it comes back as the entries themselves, without a
+    sort, and its key order is decided once per distinct key tuple. Any other
+    input is sorted. Raises ValueError on a duplicate key.
     """
     if type(raw) is tuple:
         if not raw:
             return (), {}
+        for pair in raw:
+            if type(pair) is not tuple or len(pair) != 2 or type(pair[0]) is not str:
+                break
+        else:
+            index = dict(raw)
+            if len(index) == len(raw) and _ascending(tuple(index)):
+                return raw, index
     elif isinstance(raw, dict) or isinstance(raw, abc.Mapping):
         raw = raw.items()
     items = sorted(raw, key=_KEY)
@@ -172,7 +221,9 @@ class MappingV(Value):
     """String-keyed mapping of values; iterates in ascending key order.
 
     Lookup (get, [], in) is a dict lookup. Construction checks that keys are
-    unique str and values are Value.
+    unique str and values are Value. A tuple of (str, Value) tuple pairs in
+    strictly ascending key order is stored as it is; any other input (a dict,
+    a list, unsorted pairs) is sorted first, and checked the same way.
     """
 
     entries: tuple[tuple[str, Value], ...]
@@ -180,16 +231,18 @@ class MappingV(Value):
     _index: dict[str, Value] = field(init=False, repr=False)
 
     def __post_init__(self):
-        entries, index = _sorted_index(self.entries, "mapping")
-        # Exact str keys take the set test; str subclasses fall through to isinstance.
-        if not ((set(map(type, index)) <= _STR or all(map(isinstance, index, repeat(str))))
-                and all(map(isinstance, index.values(), repeat(Value)))):
+        raw = self.entries
+        entries, index = _sorted_index(raw, "mapping")
+        # Canonical input comes back as itself, its keys checked exact str.
+        if not ((entries is raw or all(map(isinstance, index, repeat(str))))
+                and _all_values(index.values())):
             for k, v in entries:
                 if not isinstance(k, str):
                     raise ValueError(f"mapping keys must be str, got {k!r}")
                 if not isinstance(v, Value):
                     raise ValueError(f"mapping values must be Value, got {v!r}")
-        object.__setattr__(self, "entries", entries)
+        if entries is not raw:
+            object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_index", index)
 
     def keys(self) -> tuple[str, ...]:
@@ -249,13 +302,20 @@ def vector_mapping_struct(layout: Sequence[tuple[str, int]]
 
 @dataclass(frozen=True, slots=True, eq=False)
 class SeqV(Value):
-    """An ordered sequence of values."""
+    """An ordered sequence of values.
+
+    Construction checks that every item is a Value. A tuple is stored as it
+    is; any other input is copied into a tuple first.
+    """
 
     items: tuple[Value, ...]
     _cb: bytes | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        items = tuple(self.items)
+        items = self.items
+        if type(items) is tuple and _all_values(items):
+            return
+        items = tuple(items)
         for v in items:
             if not isinstance(v, Value):
                 raise ValueError(f"sequence items must be Value, got {v!r}")

@@ -11,6 +11,7 @@ import copy
 import io
 import json
 import math
+import operator
 import struct
 from collections import deque
 from dataclasses import dataclass, field
@@ -28,12 +29,14 @@ from marlkit import (
     DiscreteSpec,
     DiscreteV,
     FormatError,
+    MarlkitError,
     GridV,
     MappingSpec,
     MappingV,
     RandomAgent,
     RngStream,
     SeqV,
+    StepResult,
     VectorV,
     build_pipeline,
     bundle_merge,
@@ -41,6 +44,7 @@ from marlkit import (
     combine,
     concat_obs_act,
     identity,
+    list_interfaces,
     make_env,
     make_team,
     space_sample,
@@ -67,6 +71,7 @@ from marlkit.envs.bomber import (
     _rotate_grid,
     detonate,
 )
+from marlkit import values as values_module
 from marlkit.envs import bomber, gridbattle
 from marlkit.envs.gridbattle import (
     ATTACK,
@@ -83,7 +88,7 @@ from marlkit.envs.gridbattle import (
 from marlkit.envs.pong import PongConfig, PongEnv
 from marlkit.interfaces import Interface
 from marlkit.replay import ReplayWriter
-from marlkit.values import Kept, SpaceSpec, Value, _float_tuple, vector_mapping_struct
+from marlkit.values import Kept, SpaceSpec, Value, vector_mapping_struct
 
 
 class Flt(float):
@@ -95,13 +100,75 @@ def bits(values) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# _float_tuple
+# Value, Bundle and StepResult constructors: canonical input is stored as it
+# is after C-level checks, against the converting constructors they replaced
 
 
 def ref_float_tuple(entries):
     if type(entries) is tuple and all(type(e) is float for e in entries):
         return entries
     return tuple(float(e) for e in entries)
+
+
+def ref_grid(shape, entries):
+    """The stored (shape, entries) of GridV(shape, entries), as it was checked before."""
+    raw_shape = shape
+    shape = tuple(map(int, shape))
+    if len(shape) != 3 or min(shape) <= 0:
+        raise ValueError(f"grid shape must be 3 positive ints, got {raw_shape!r}")
+    entries = ref_float_tuple(entries)
+    h, w, c = shape
+    if len(entries) != h * w * c:
+        raise ValueError(f"grid of shape {shape} needs {h * w * c} entries, got {len(entries)}")
+    return shape, entries
+
+
+def ref_discrete(index):
+    if not isinstance(index, int) or isinstance(index, bool) or not 0 <= index < 2**64:
+        raise ValueError(f"discrete index must be an int in [0, 2**64), got {index!r}")
+    return index
+
+
+def ref_bundle(slots):
+    slots = tuple(slots)
+    if not slots:
+        raise ValueError("a bundle must have at least one slot")
+    for v in slots:
+        if not isinstance(v, Value):
+            raise ValueError(f"bundle slots must be Values, got {v!r}")
+    return slots
+
+
+def ref_seq(items):
+    items = tuple(items)
+    for v in items:
+        if not isinstance(v, Value):
+            raise ValueError(f"sequence items must be Value, got {v!r}")
+    return items
+
+
+def ref_step_result(obs, rewards, done, alive):
+    rewards, done, alive = tuple(map(float, rewards)), bool(done), tuple(map(bool, alive))
+    n = len(obs)
+    if len(rewards) != n or len(alive) != n:
+        raise ValueError(f"rewards ({len(rewards)}) and alive ({len(alive)}) "
+                         f"must match obs slot count ({n})")
+    return rewards, done, alive
+
+
+def outcome(fn):
+    """fn()'s result, or its exception's class and message."""
+    try:
+        return "ok", fn()
+    except Exception as exc:  # noqa: BLE001 - the exception is the result
+        return type(exc), str(exc)
+
+
+def same_stored(fast, ref) -> bool:
+    """Same length, entry types and entry bits."""
+    return (type(fast) is type(ref) and len(fast) == len(ref)
+            and [type(e) for e in fast] == [type(e) for e in ref]
+            and bits(fast) == bits(ref))
 
 
 scalars = st.one_of(
@@ -111,26 +178,115 @@ scalars = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(Flt),
     st.sampled_from([-0.0, 0.0, math.nan, -math.nan]),
 )
+# Mostly exact floats, so that canonical tuples are common.
+float_runs = st.one_of(st.lists(st.floats(), max_size=12), st.lists(scalars, max_size=12))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(scalars, max_size=12), st.booleans())
-def test_float_tuple_matches_reference(items, as_tuple):
+@given(float_runs, st.booleans())
+def test_vector_matches_reference(items, as_tuple):
     entries = tuple(items) if as_tuple else list(items)
-    fast, ref = _float_tuple(entries), ref_float_tuple(entries)
-    assert type(fast) is tuple
-    assert (fast is entries) == (ref is entries)
-    assert [type(e) for e in fast] == [type(e) for e in ref]
-    assert bits(fast) == bits(ref)
+    fast, ref = VectorV(entries), ref_float_tuple(entries)
+    assert same_stored(fast.entries, ref)
+    assert (fast.entries is entries) == (ref is entries)
+    assert fast.canonical_bytes() == b"\x02" + struct.pack("<I", len(ref)) + bits(ref)
 
 
-def test_float_tuple_keeps_exact_float_tuples():
+def test_vector_keeps_exact_float_tuples():
     entries = (0.0, -0.0, math.nan, -1.5)
-    assert _float_tuple(entries) is entries
-    assert _float_tuple(()) == ()
-    converted = _float_tuple((1.0, Flt(2.0), True, 3))
+    assert VectorV(entries).entries is entries
+    assert VectorV(()).entries == ()
+    converted = VectorV((1.0, Flt(2.0), True, 3)).entries
     assert [type(e) for e in converted] == [float] * 4
     assert converted == (1.0, 2.0, 1.0, 3.0)
+    assert [type(e) for e in VectorV((1, 2.0)).entries] == [float, float]
+
+
+shape_parts = st.one_of(st.integers(-1, 3), st.booleans(), st.sampled_from([2.0, 1.5]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2)),
+                 st.lists(shape_parts, max_size=4)),
+       float_runs, st.booleans())
+def test_grid_matches_reference(shape, items, as_tuple):
+    entries = tuple(items) if as_tuple else list(items)
+    if len(shape) == 3 and all(type(x) is int and x > 0 for x in shape) and len(entries) > 1:
+        entries = entries[:1] * (shape[0] * shape[1] * shape[2])  # a fitting count
+    fast, ref = outcome(lambda: GridV(shape, entries)), outcome(lambda: ref_grid(shape, entries))
+    assert fast[0] == ref[0]
+    if fast[0] != "ok":
+        assert fast == ref
+        return
+    fast, (ref_shape, ref_entries) = fast[1], ref[1]
+    assert fast.shape == ref_shape and list(map(type, fast.shape)) == [int] * 3
+    assert (fast.shape is shape) == (type(shape) is tuple and all(type(x) is int for x in shape))
+    assert same_stored(fast.entries, ref_entries)
+    assert (fast.entries is entries) == (ref_entries is entries)
+
+
+class Index(int):
+    """An int subclass: a valid discrete index, kept as it is."""
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(-3, 2**64 + 3), st.sampled_from([2**64 - 1, 2**64, -1, 0]),
+                 st.booleans(), st.integers(0, 9).map(Index), st.floats(0, 9),
+                 st.none(), st.text(max_size=1)))
+def test_discrete_matches_reference(index):
+    fast, ref = outcome(lambda: DiscreteV(index)), outcome(lambda: ref_discrete(index))
+    assert fast[0] == ref[0]
+    if fast[0] != "ok":
+        assert fast == ref
+        return
+    assert fast[1].index is index and type(fast[1].index) is type(ref[1])
+
+
+values_or_junk = st.one_of(st.integers(0, 3).map(DiscreteV),
+                           st.lists(st.floats(), max_size=2).map(lambda xs: VectorV(tuple(xs))),
+                           st.integers(0, 3), st.none())
+
+
+@pytest.mark.parametrize("cls, ref", [(Bundle, ref_bundle), (SeqV, ref_seq)])
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(st.integers(0, 3).map(DiscreteV), max_size=4),
+                 st.lists(values_or_junk, max_size=4)),
+       st.booleans())
+def test_bundle_and_seq_match_reference(cls, ref, items, as_tuple):
+    given_items = tuple(items) if as_tuple else list(items)
+    fast, want = outcome(lambda: cls(given_items)), outcome(lambda: ref(given_items))
+    assert fast[0] == want[0]
+    if fast[0] != "ok":
+        assert fast == want
+        return
+    stored = fast[1].slots if cls is Bundle else fast[1].items
+    assert stored == want[1] and all(map(operator.is_, stored, want[1]))
+    assert type(stored) is tuple and (stored is given_items) == as_tuple
+
+
+flags = st.one_of(st.booleans(), st.integers(0, 2), st.sampled_from([0.0, math.nan, None, ""]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.one_of(st.lists(st.floats(), max_size=4), st.lists(scalars, max_size=4)),
+       flags, st.one_of(st.lists(st.booleans(), max_size=4), st.lists(flags, max_size=4)),
+       st.booleans())
+def test_step_result_matches_reference(n, rewards, done, alive, as_tuple):
+    obs = Bundle((DiscreteV(0),) * n)
+    if as_tuple:
+        rewards, alive = tuple(rewards), tuple(alive)
+    fast = outcome(lambda: StepResult(obs=obs, rewards=rewards, done=done, alive=alive))
+    ref = outcome(lambda: ref_step_result(obs, rewards, done, alive))
+    assert fast[0] == ref[0]
+    if fast[0] != "ok":
+        assert fast == ref
+        return
+    fast, (ref_rewards, ref_done, ref_alive) = fast[1], ref[1]
+    assert same_stored(fast.rewards, ref_rewards)
+    assert type(fast.done) is bool and fast.done == ref_done
+    assert fast.alive == ref_alive and [type(a) for a in fast.alive] == [bool] * n
+    assert (fast.rewards is rewards) == (as_tuple and all(type(r) is float for r in rewards))
+    assert (fast.alive is alive) == (as_tuple and all(type(a) is bool for a in alive))
 
 
 # ---------------------------------------------------------------------------
@@ -1217,14 +1373,6 @@ class Key(str):
     """A str subclass: a valid key that must keep its type."""
 
 
-def outcome(fn):
-    """fn()'s result, or its exception's class and message."""
-    try:
-        return "ok", fn()
-    except Exception as exc:  # noqa: BLE001 - the exception is the result
-        return type(exc), str(exc)
-
-
 NAMES = ["", "a", "b", "ab", "z", "é"]
 str_keys = st.one_of(st.sampled_from(NAMES), st.sampled_from(NAMES).map(Key), st.text(max_size=3))
 values = st.one_of(st.integers(0, 3).map(DiscreteV),
@@ -1326,6 +1474,135 @@ def test_mapping_edge_cases_match_reference():
                 assert_same_mapping(fast[1], ref[1])
             else:
                 assert fast == ref, raw
+
+
+class Rev(str):
+    """A str subclass that orders in reverse: sorting must use its order."""
+
+    def __lt__(self, other):
+        return str.__gt__(self, other)
+
+    def __gt__(self, other):
+        return str.__lt__(self, other)
+
+
+@st.composite
+def near_canonical(draw):
+    """A tuple of (str, Value) pairs in strictly ascending key order, with at
+    most one fault: two pairs swapped, a key repeated, a str-subclass key
+    (plain or reverse-ordered), a non-str key, a list pair, a short pair, a
+    value that is not a Value, or an empty tuple."""
+    keys = sorted(set(draw(st.lists(st.one_of(st.sampled_from(NAMES), st.text(max_size=3)),
+                                    max_size=6))))
+    items = [(k, draw(values)) for k in keys]
+    fault = draw(st.sampled_from([None] * 4 + ["swap", "dup", "Key", "Rev", "int", "list",
+                                               "short", "junk", "empty"]))
+    if fault == "empty":
+        return ()
+    if fault and items:
+        i = draw(st.integers(0, len(items) - 1))
+        k, v = items[i]
+        if fault == "swap" and len(items) > 1:
+            j = draw(st.integers(0, len(items) - 1).filter(lambda j: j != i))
+            items[i], items[j] = items[j], items[i]
+        elif fault == "dup":
+            items.insert(i, (k, draw(values)))
+        elif fault in ("Key", "Rev"):
+            # Every key of the subclass, so that the keys equal a canonical
+            # tuple of exact str (built first, so it is decided) yet order
+            # by the subclass.
+            MappingV(tuple(items))
+            items = [(Key(k) if fault == "Key" else Rev(k), v) for k, v in items]
+        else:
+            items[i] = {"int": (i, v), "list": [k, v], "short": (k,),
+                        "junk": (k, draw(junk)), "swap": (k, v)}[fault]
+    return tuple(items)
+
+
+@settings(max_examples=600, deadline=None)
+@given(near_canonical())
+def test_mapping_value_canonical_path_matches_reference(raw):
+    fast, ref = outcome(lambda: MappingV(raw)), outcome(lambda: RefMappingV(raw))
+    assert fast[0] == ref[0]
+    if fast[0] != "ok":
+        assert fast == ref
+        return
+    fast, ref = fast[1], ref[1]
+    assert_same_mapping(fast, ref)
+    assert fast.canonical_bytes() == ref.canonical_bytes()
+    canonical = all(type(p) is tuple and type(p[0]) is str for p in raw) and (
+        fast.entries == raw)
+    assert (fast.entries is raw) == canonical
+
+
+def test_mapping_key_order_is_decided_by_the_key_types():
+    v, w = DiscreteV(0), DiscreteV(1)
+    assert MappingV((("a", v), ("b", w))).keys() == ("a", "b")
+    for raw in (((Rev("a"), v), (Rev("b"), w)), ((Rev("b"), w), (Rev("a"), v))):
+        fast, ref = MappingV(raw), RefMappingV(raw)
+        assert_same_mapping(fast, ref)
+        assert fast.keys() == ("b", "a") and type(fast.keys()[0]) is Rev
+        assert fast.canonical_bytes() == ref.canonical_bytes()
+
+
+# Every env config, under no pipeline and under each registered one-node
+# pipeline that sets up on it (a short step limit keeps episodes brief).
+ENV_CONFIGS = {
+    "pong": ("pong2p", {"step_limit": 300}),
+    "battle-5I": ("gridbattle", {}),
+    "battle-3I2Z": ("gridbattle", {"scenario": "3I2Z", "randomize_status": True}),
+    "bomber-ffa": ("bomber", {"step_limit": 200}),
+    "bomber-2v2": ("bomber", {"mode": "2v2", "step_limit": 200}),
+}
+
+
+def one_node_envs(env_name: str, params: dict):
+    """(pipeline name, env) for the raw env and each one-node pipeline that sets up."""
+    yield "raw", make_env(env_name, params)
+    for name in list_interfaces():
+        try:
+            yield name, wrap_env(make_env(env_name, params), build_pipeline([{"name": name}]))
+        except MarlkitError:
+            continue
+
+
+def test_per_tick_mappings_take_the_canonical_path(monkeypatch):
+    """No mapping built while a tick is played (env, interfaces, agents) is sorted."""
+    sorted_index = values_module._sorted_index
+    ticking, sorted_builds = [False], []
+
+    def spy(raw, what):
+        entries, index = sorted_index(raw, what)
+        if ticking[0] and what == "mapping" and entries is not raw:
+            sorted_builds.append(tuple(index))
+        return entries, index
+
+    monkeypatch.setattr(values_module, "_sorted_index", spy)
+    played = []
+    for config, (env_name, params) in ENV_CONFIGS.items():
+        for pipeline, env in one_node_envs(env_name, params):
+            agents = [RandomAgent(rng=RngStream(slot, ("canonical-guard",)))
+                      for slot in range(env.num_slots)]
+            for agent, obs_spec, act_spec in zip(agents, env.observation_specs,
+                                                 env.action_specs):
+                agent.setup(obs_spec, act_spec)
+            obs = env.reset(5)
+            done, ticks = False, 0
+            ticking[0] = True
+            while not done:
+                result = env.step(Bundle(tuple(agent.step(v, 0.0, False)
+                                               for agent, v in zip(agents, obs))))
+                obs, done = result.obs, result.done
+                env.state_value()
+                ticks += 1
+            ticking[0] = False
+            assert sorted_builds == [], (config, pipeline, sorted_builds[:3])
+            played.append((config, pipeline, ticks))
+    # Every config runs raw and under some node; every node sets up somewhere.
+    assert {c for c, p, _ in played if p == "raw"} == set(ENV_CONFIGS)
+    nodes = {p for _, p, _ in played}
+    assert nodes >= set(list_interfaces()) - {"make_team", "concat_obs_act"}
+    assert sum(t for _, _, t in played) > 500
 
 
 # ---------------------------------------------------------------------------
@@ -1626,11 +1903,19 @@ def test_dead_pad_tests_each_distinct_object_once(monkeypatch):
     out, _ = pad.obs_trans(obs, (0.0,) * 6)
     assert same_bytes(out, ref_dead_pad(obs))
     assert list(map(id, calls)) == [id(live), id(dead), id(obs[5])]
+    # Viewers handed the same object get the same output object.
+    assert out[0] is out[2] is out[3] and out[1] is out[4]
+    assert len({id(v) for v in out}) == 3 and out[5]["obs"] is obs[5]
+
+
+# Slots 0-4 are one side and 5-9 the other.
+SIDES_INTERLEAVED = [s for pair in zip(range(5), range(5, 10)) for s in pair]
 
 
 def test_hit_and_run_matches_reference_across_interleaved_envs():
     envs = [BattleEnv(BattleConfig(step_limit=80)),
             BattleEnv(BattleConfig(scenario="3I2Z", randomize_status=True, step_limit=80))]
+    assert all(env.parties == [0] * 5 + [1] * 5 for env in envs)
     agents = [[HitAndRunAgent() for _ in range(env.num_slots)] for env in envs]
     for env, team in zip(envs, agents):
         for slot, agent in enumerate(team):
@@ -1647,17 +1932,18 @@ def test_hit_and_run_matches_reference_across_interleaved_envs():
                 for e in live:
                     edit_battle(envs[e], edits)
                     obs[e] = envs[e]._observe()
-            actions = {e: [] for e in live}
-            # Members of the two envs take turns, so the cache changes hands
-            # between every call.
-            for slot in range(envs[0].num_slots):
+            actions = {e: {} for e in live}
+            # Members of the two envs take turns, so the caches change hands
+            # between every call, and within an env the two sides alternate
+            # on one units table.
+            for slot in SIDES_INTERLEAVED:
                 for e in live:
                     act = agents[e][slot].step(obs[e][slot], 0.0, False)
                     assert act == ref_hit_and_run_step(obs[e][slot])
-                    actions[e].append(act)
+                    actions[e][slot] = act
                     checked += 1
             for e in live:
-                result = envs[e].step(Bundle(tuple(actions[e])))
+                result = envs[e].step(Bundle(tuple(actions[e][s] for s in range(10))))
                 obs[e], done[e] = result.obs, result.done
             tick += 1
     assert checked > 500

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import pathlib
-import sys
 
 import pytest
 
@@ -216,7 +215,6 @@ class TestErrorContext:
         assert type(exc.__cause__) is Boom and exc.__cause__.__cause__ is None
         assert exc.__cause__.args == ("boom 7: bad",)
 
-    @pytest.mark.skipif(sys.version_info < (3, 11), reason="exception notes need 3.11")
     def test_other_exception_passes_through_with_notes(self):
         from marlkit import register_agent, registry
 

@@ -3,12 +3,9 @@
 from __future__ import annotations
 
 import pathlib
-
-import pytest
+import tomllib
 
 import marlkit
-
-tomllib = pytest.importorskip("tomllib")  # Python 3.11+
 
 PYPROJECT = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
 
