@@ -29,7 +29,7 @@ from ..agents import Agent, require_spec
 from ..bundles import NO_INFO, Bundle, StepResult, outcome_info
 from ..env import Env
 from ..errors import ConfigError, SetupError
-from ..interfaces import Interface, append_key
+from ..interfaces import Interface, append_key, place_getter
 from ..rng import RngStream
 from ..values import (
     BoxSpec,
@@ -516,9 +516,10 @@ class BoardMapObs(Interface):
     (team assignment egocentric per observing slot; only living agents drawn).
 
     _setup plans from each slot's spec where the map's eight INPUTS sit in
-    its view and where board_map goes. Each view makes one Kept.get, keyed
-    by slot, over those inputs; a miss encodes the agents over the terrain
-    planes, which views that hold the same terrain grids share.
+    its view, and append_key gives the getter that places board_map. Each
+    view makes one Kept.get, keyed by slot, over those inputs; a miss encodes
+    the agents over the terrain planes, which views that hold the same
+    terrain grids share.
     """
 
     CHANNELS = 8
@@ -534,17 +535,10 @@ class BoardMapObs(Interface):
         self._terrains = Kept(len(obs_specs))
         self._boards = Kept()
         feature = BoxSpec((n, n, self.CHANNELS), 0.0, 1.0)
-        outer = append_key(obs_specs, "board_map", feature)
-        # Per slot: a getter of its INPUTS pairs, and one that takes a view's
-        # pairs followed by the board_map pair into key order.
-        self._plans = []
-        for in_spec, out_spec in zip(obs_specs, outer):
-            keys = in_spec.keys()
-            at = out_spec.keys().index("board_map")
-            self._plans.append((
-                itemgetter(*map(keys.index, self.INPUTS)),
-                itemgetter(*range(at), len(keys), *range(at, len(keys))),
-            ))
+        outer, places = append_key(obs_specs, "board_map", feature)
+        # Per slot: a getter of its INPUTS pairs, and its board_map placer.
+        self._plans = [(itemgetter(*map(s.keys().index, self.INPUTS)), place)
+                       for s, place in zip(obs_specs, places)]
         return outer, act_specs
 
     def _terrain(self, *grids: GridV) -> list[float]:
@@ -574,11 +568,6 @@ class BoardMapObs(Interface):
         terrain = self._terrains.get(None, self._terrain, rigid, wood, bomb_fuse, flames, items)
         return self._encode(terrain, agents, teams, self_id)
 
-    def _reset(self, obs: Bundle) -> Bundle:
-        self._terrains.clear()
-        self._boards.clear()
-        return super()._reset(obs)
-
     def _view(self, view, slot):
         inputs, place = self._plans[slot]
         entries = view.entries
@@ -593,8 +582,7 @@ class AttrObs(Interface):
         spec = _require_bomber_obs(obs_specs)
         self._limit = spec["tick"].high
         feature = BoxSpec((4,), 0.0, max(1.0, STAT_BOUND / ATTR_CAP))
-        outer = append_key(obs_specs, "attrs", feature)
-        self._at = [s.keys().index("attrs") for s in outer]
+        outer, self._place = append_key(obs_specs, "attrs", feature)
         return outer, act_specs
 
     def _view(self, view, slot):
@@ -605,8 +593,7 @@ class AttrObs(Interface):
             me["alive"].entries[0],
             view["tick"].entries[0] / self._limit,
         ))
-        entries, at = view.entries, self._at[slot]
-        return MappingV(entries[:at] + (("attrs", attrs),) + entries[at:])
+        return MappingV(self._place[slot](view.entries + (("attrs", attrs),)))
 
 
 def _cell_set(grid: GridV) -> set[Cell]:
@@ -712,19 +699,13 @@ class ActMaskObs(Interface):
     def _setup(self, obs_specs, act_specs):
         _require_bomber_obs(obs_specs)
         self._parts = Kept(len(obs_specs))
-        outer = append_key(obs_specs, "act_mask", BoxSpec((6,), 0.0, 1.0))
-        self._at = [s.keys().index("act_mask") for s in outer]
+        outer, self._place = append_key(obs_specs, "act_mask", BoxSpec((6,), 0.0, 1.0))
         return outer, act_specs
-
-    def _reset(self, obs: Bundle) -> Bundle:
-        self._parts.clear()
-        return super()._reset(obs)
 
     def _view(self, view, slot):
         legal = _legal_actions(view, self._parts)
         mask = _MASKS[tuple(1.0 if a in legal else 0.0 for a in range(6))]
-        entries, at = view.entries, self._at[slot]
-        return MappingV(entries[:at] + (("act_mask", mask),) + entries[at:])
+        return MappingV(self._place[slot](view.entries + (("act_mask", mask),)))
 
 
 @lru_cache(maxsize=None)
@@ -790,10 +771,10 @@ class RotateView(Interface):
 
     _setup plans from each slot's spec which entries a turn changes: the
     square grids, agents and act_mask. Each view makes one Kept.get, keyed
-    by slot, over just those entries and builds its output from pairs in key
-    order; only a miss looks each entry up per (key, turns). A slot of 0
-    turns gets its own view back, unless an agent coordinate is not yet
-    written as rotate writes it (a whole number, not -0.0).
+    by slot, over just those entries, and a place_getter puts the turned
+    pairs in their places; only a miss looks each entry up per (key, turns).
+    A slot of 0 turns gets its own view back, unless an agent coordinate is
+    not yet written as rotate writes it (a whole number, not -0.0).
     """
 
     def _setup(self, obs_specs, act_specs):
@@ -803,8 +784,7 @@ class RotateView(Interface):
         self._views = Kept()
         self._rotated = Kept()
         # Per slot: a getter of the pairs a turn changes, the build of
-        # their turned pairs, and a getter that takes a view's pairs
-        # followed by the turned ones into key order.
+        # their turned pairs, and the placer of the turned pairs.
         self._plans = []
         for slot, in_spec in enumerate(obs_specs):
             turned = []
@@ -815,12 +795,10 @@ class RotateView(Interface):
                     turned.append((at, key, self._rotate_agents))
                 elif key == "act_mask":
                     turned.append((at, key, _rotate_mask))
-            count = len(in_spec.entries)
-            order = list(range(count))
-            for j, (at, _, _) in enumerate(turned):
-                order[at] = count + j
+            keys = in_spec.keys()
             self._plans.append((itemgetter(*[at for at, _, _ in turned]),
-                                partial(self._turn, slot, turned), itemgetter(*order)))
+                                partial(self._turn, slot, turned),
+                                place_getter(keys, keys, [key for _, key, _ in turned])))
         return obs_specs, act_specs
 
     def _turn(self, slot: int, turned: list, *values: Value) -> tuple | None:
@@ -861,8 +839,6 @@ class RotateView(Interface):
 
     def _reset(self, obs: Bundle) -> Bundle:
         self._turns = [view["self_id"].index % 4 for view in obs]
-        self._views.clear()
-        self._rotated.clear()
         return super()._reset(obs)
 
     def _act(self, actions: Bundle) -> Bundle:

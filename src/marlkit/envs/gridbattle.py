@@ -332,7 +332,9 @@ _UNITS_VIEW = {
     "units": [dict.fromkeys(("team", "kind", "row", "col", "hp", "shield", "cd", "alive"), (1,))],
 }
 
-# The table of the last units value parsed, shared by every reader.
+# The table of the last units value parsed, shared by every reader (the img
+# encoders and hit_and_run). It is module state, so Interface.reset does not
+# clear it; a table is true to its units value whenever it is read.
 _TABLES = Kept()
 
 
@@ -362,7 +364,9 @@ class _ImgObsBase(Interface):
 
     Ally/enemy is egocentric per observing slot. A dead observer gets an
     all-zero grid (the hook dead-state padding relies on: a living observer's
-    grid always marks its own unit, so it is never all-zero).
+    grid always marks its own unit, so it is never all-zero). A living
+    observer's grid depends only on the units table and its team, so it is
+    encoded once per (table, team) and kept by team.
     """
 
     CHANNELS: int
@@ -379,6 +383,7 @@ class _ImgObsBase(Interface):
             checked.add(id(spec))
         shape = (GRID, GRID, self.CHANNELS)
         self._dead_grid = GridV(shape, (0.0,) * (GRID * GRID * self.CHANNELS))
+        self._grids = Kept()
         return [BoxSpec(shape, 0.0, 1.0) for _ in obs_specs], act_specs
 
     def _accepts(self, kinds: list[int]) -> bool:
@@ -397,24 +402,12 @@ class _ImgObsBase(Interface):
         """Write one living unit's channels; stats is its (hp, shield, cd)."""
         raise NotImplementedError
 
-    def _obs(self, obs, rewards):
-        # The egocentric grid depends only on the units value, the viewer's
-        # team and its aliveness, so at most one encode per (units, team) per
-        # tick; obs holds every units value alive, so an id is its own.
-        memo: dict[tuple[int, float], GridV] = {}
-        out = []
-        for view in obs:
-            units = view["units"]
-            table = _TABLES.get(None, _unit_table, units)
-            _, _, team, alive, _, _, _, _ = table[view["self_id"].index]
-            if not alive:
-                out.append(self._dead_grid)
-                continue
-            key = (id(units), team)
-            if key not in memo:
-                memo[key] = self._encode_for_team(table, team)
-            out.append(memo[key])
-        return Bundle(tuple(out)), rewards
+    def _view(self, view, slot):
+        table = _TABLES.get(None, _unit_table, view["units"])
+        _, _, team, alive, _, _, _, _ = table[view["self_id"].index]
+        if not alive:
+            return self._dead_grid
+        return self._grids.get(team, self._encode_for_team, table, team)
 
 
 class Img5IObs(_ImgObsBase):
@@ -468,7 +461,8 @@ class DeadPadding(Interface):
 
     Meant to stack above an encoder that blanks dead slots (the built-in img
     encoders do): a slot is considered alive iff its observation has any
-    nonzero entry.
+    nonzero entry. The img encoders hand one grid object to every viewer of
+    a team, so each distinct object is tested and wrapped once.
     """
 
     def _setup(self, obs_specs, act_specs):
@@ -476,33 +470,18 @@ class DeadPadding(Interface):
             MappingSpec({"obs": s, "alive": BoxSpec((1,), 0.0, 1.0)})
             for s in obs_specs
         ]
+        self._padded = Kept(len(obs_specs))
         return outer, act_specs
 
-    def _obs(self, obs, rewards):
-        # The img encoders hand one grid object to every viewer of a team, so
-        # each distinct object is tested and wrapped once (obs holds them all
-        # alive).
-        padded: dict[int, MappingV] = {}
-        out = []
-        for v in obs:
-            view = padded.get(id(v))
-            if view is None:
-                flag = _ONE if _any_nonzero(v) else _ZERO
-                view = padded[id(v)] = MappingV((("alive", flag), ("obs", v)))
-            out.append(view)
-        return Bundle(tuple(out)), rewards
+    def _view(self, view, slot):
+        return self._padded.get(None, _pad, view)
+
+
+def _pad(v: Value) -> MappingV:
+    return MappingV((("alive", _ONE if _any_nonzero(v) else _ZERO), ("obs", v)))
 
 
 _ACTIONS = tuple(DiscreteV(a) for a in range(ATTACK + 1))
-_SIDES = Kept()
-
-
-def _sides(table: tuple) -> tuple[set, dict]:
-    """(occupied cells, team -> its enemies' cells) of a units table, over
-    its living units; every living unit's team is a key."""
-    living = [(r, c, team) for r, c, team, alive, _, _, _, _ in table if alive]
-    return ({(r, c) for r, c, _ in living},
-            {me: [(r, c) for r, c, team in living if team != me] for _, _, me in living})
 
 
 class HitAndRunAgent(Agent):
@@ -513,9 +492,7 @@ class HitAndRunAgent(Agent):
 
     Every member of a side, and an img encoder over the same env, reads the
     same units value on a tick, so its table is kept in the module's one
-    Kept: the first reader of a tick parses it, the others reuse it. The
-    occupied cells and each team's enemy cells are likewise built once per
-    table.
+    Kept: the first reader of a tick parses it, the others reuse it.
     """
 
     OBS = _UNITS_VIEW
@@ -535,10 +512,10 @@ class HitAndRunAgent(Agent):
             return _ACTIONS[0]
         if strike_target(table, me, my_cd, (MELEE if my_melee else RANGED).range) is not None:
             return _ACTIONS[ATTACK]
-        occupied, enemies_of = _SIDES.get(None, _sides, table)
-        enemies = enemies_of[my_team]
+        enemies = [(r, c) for r, c, team, alive, _, _, _, _ in table if alive and team != my_team]
         if not enemies:
             return _ACTIONS[0]
+        occupied = {(r, c) for r, c, _, alive, _, _, _, _ in table if alive}
 
         def clearance(cell: tuple[int, int]) -> int:
             return min((cell[0] - e[0]) ** 2 + (cell[1] - e[1]) ** 2 for e in enemies)

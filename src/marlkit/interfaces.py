@@ -13,12 +13,13 @@ then obs_trans/act_trans per tick. Cross-episode state is forbidden.
 
 Values are immutable, and an env or inner node may return the same value
 object on a later tick while its source is unchanged. A node may therefore
-keep what it built from its inputs in a values.Kept, which it clears in
-_reset. The cheapest reuse is one level up: _setup makes a plan from each
-slot's spec (where each entry the node reads sits in the view, and where its
-output goes), and _view makes one Kept.get keyed by slot over exactly the
-inputs that view reads, so a view whose inputs are all last tick's objects
-gets last tick's result from one lookup.
+keep what it built from its inputs in a values.Kept attribute, which reset
+clears before _reset. The cheapest reuse is one level up: _setup makes a
+plan from each slot's spec (where each entry the node reads sits in the
+view, and where place_getter puts what it writes), and _view makes one
+Kept.get keyed by slot over exactly the inputs that view reads, so a view
+whose inputs are all last tick's objects gets last tick's result from one
+lookup.
 
 Stacking order follows the wrapper convention: in stack(outer, inner) the
 observation is processed by inner first, then outer; the action is processed
@@ -27,6 +28,7 @@ by outer first, then inner.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .bundles import Bundle, bundle_merge, check_partition
@@ -35,6 +37,7 @@ from .values import (
     BoxSpec,
     DiscreteSpec,
     DiscreteV,
+    Kept,
     MappingSpec,
     MappingV,
     SeqSpec,
@@ -95,10 +98,13 @@ class Interface:
         return list(self._outer_obs_specs), list(self._outer_act_specs)
 
     def reset(self, inner_first_obs: Bundle) -> Bundle:
-        """Clear per-episode state and transform the episode's first observation."""
+        """Clear per-episode state (every Kept attribute first), then transform the first obs."""
         self._require_setup()
         if self.inner is not None:
             inner_first_obs = self.inner.reset(inner_first_obs)
+        for kept in vars(self).values():
+            if isinstance(kept, Kept):
+                kept.clear()
         return self._reset(inner_first_obs)
 
     def obs_trans(self, obs: Bundle, rewards: Rewards) -> tuple[Bundle, Rewards]:
@@ -435,20 +441,33 @@ def concat_obs_act(partition: Sequence[Sequence[int]]) -> Interface:
     return ConcatObsAct(partition)
 
 
-def append_key(obs_specs: Sequence[SpaceSpec], key: str,
-               feature_spec: SpaceSpec) -> list[SpaceSpec]:
-    """Each slot's mapping spec with (key, feature_spec) appended.
+def place_getter(in_keys: Sequence[str], out_keys: Sequence[str],
+                 written: Sequence[str]) -> Callable[[tuple], tuple]:
+    """A getter that takes a view's pairs followed by the written pairs into
+    out_keys order, as a tuple; a written key already in the view replaces that pair."""
+    at = dict(zip(in_keys, range(len(in_keys))))
+    at.update(zip(written, range(len(in_keys), len(in_keys) + len(written))))
+    get = itemgetter(*map(at.__getitem__, out_keys))
+    # A one-index itemgetter returns the bare pair.
+    return get if len(out_keys) > 1 else lambda pairs: (get(pairs),)
+
+
+def append_key(obs_specs: Sequence[SpaceSpec], key: str, feature_spec: SpaceSpec
+               ) -> tuple[list[SpaceSpec], list[Callable[[tuple], tuple]]]:
+    """Each slot's mapping spec with (key, feature_spec) appended, and its placer.
 
     Raises SetupError if a slot's spec is not a mapping or already has key.
     """
     outer: list[SpaceSpec] = []
+    placers = []
     for i, s in enumerate(obs_specs):
         if not isinstance(s, MappingSpec):
             raise SetupError(f"slot {i}: appending {key!r} needs mapping observations, got {s!r}")
         if key in s.keys():
             raise SetupError(f"slot {i}: key {key!r} already present")
         outer.append(MappingSpec(s.entries + ((key, feature_spec),)))
-    return outer
+        placers.append(place_getter(s.keys(), outer[-1].keys(), (key,)))
+    return outer, placers
 
 
 class AppendFeature(Interface):
@@ -461,8 +480,7 @@ class AppendFeature(Interface):
         self.feature_spec = feature_spec
 
     def _setup(self, obs_specs, act_specs):
-        outer = append_key(obs_specs, self.key, self.feature_spec)
-        self._at = [s.keys().index(self.key) for s in outer]
+        outer, self._place = append_key(obs_specs, self.key, self.feature_spec)
         return outer, act_specs
 
     def _view(self, view, slot):
@@ -470,8 +488,7 @@ class AppendFeature(Interface):
         if not space_contains(self.feature_spec, feature):
             raise SpaceMismatch(f"appended feature {value_repr(feature)} "
                                 f"not in {self.feature_spec!r}")
-        entries, at = view.entries, self._at[slot]
-        return MappingV(entries[:at] + ((self.key, feature),) + entries[at:])
+        return MappingV(self._place[slot](view.entries + ((self.key, feature),)))
 
 
 def append_feature(key: str, fn: Callable[[Value], Value],

@@ -86,7 +86,7 @@ from marlkit.envs.gridbattle import (
     _any_nonzero,
 )
 from marlkit.envs.pong import PongConfig, PongEnv
-from marlkit.interfaces import Interface
+from marlkit.interfaces import Interface, place_getter
 from marlkit.replay import ReplayWriter
 from marlkit.values import Kept, SpaceSpec, Value, vector_mapping_struct
 
@@ -423,6 +423,60 @@ def test_board_map_same_output_with_shared_or_separate_grids():
 
 
 # ---------------------------------------------------------------------------
+# place_getter against the two placements it replaced: the append nodes'
+# slice splice and rotate's hand-built order
+
+
+def ref_splice(entries: tuple, at: int, pair: tuple) -> tuple:
+    """pair inserted into entries at position at."""
+    return entries[:at] + (pair,) + entries[at:]
+
+
+def ref_order_getter(count: int, written_at: list[int]) -> itemgetter:
+    """A view's count pairs followed by the written ones, written pair j
+    replacing the view pair at written_at[j]."""
+    order = list(range(count))
+    for j, at in enumerate(written_at):
+        order[at] = count + j
+    return itemgetter(*order)
+
+
+ascending_keys = st.lists(st.text(max_size=3), max_size=8, unique=True).map(sorted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ascending_keys)
+def test_place_getter_appends_like_the_splice_at_every_position(keys):
+    # Each key in turn is the appended one, so it lands at every position.
+    for at, key in enumerate(keys):
+        view_keys = keys[:at] + keys[at + 1:]
+        entries = tuple((k, VectorV((float(i),))) for i, k in enumerate(view_keys))
+        pair = (key, DiscreteV(at))
+        place = place_getter(view_keys, keys, (key,))
+        assert place(entries + (pair,)) == ref_splice(entries, at, pair)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ascending_keys.filter(bool), st.data())
+def test_place_getter_replaces_like_rotates_order(keys, data):
+    written = data.draw(st.lists(st.sampled_from(keys), unique=True))
+    entries = tuple((k, DiscreteV(i)) for i, k in enumerate(keys))
+    turned = tuple((k, VectorV((float(j),))) for j, k in enumerate(written))
+    out = place_getter(keys, keys, written)(entries + turned)
+    ref = ref_order_getter(len(keys), [keys.index(k) for k in written])(entries + turned)
+    # A one-index itemgetter returns the bare pair.
+    assert out == (ref if len(keys) > 1 else (ref,))
+    assert [k for k, _ in out] == keys
+
+
+def test_place_getter_gives_a_tuple_for_one_key():
+    old, new = ("k", DiscreteV(0)), ("k", DiscreteV(1))
+    assert place_getter((), ("k",), ("k",))((new,)) == (new,)
+    assert place_getter(("k",), ("k",), ("k",))((old, new)) == (new,)
+    assert place_getter(("k",), ("k",), ())((old,)) == (old,)
+
+
+# ---------------------------------------------------------------------------
 # Bomber observations that reuse last tick's values: the env's per-part memo
 # and what board_map/rotate keep, against the same calls with emptied memos
 
@@ -680,19 +734,42 @@ def test_bomber_tick_memos_hold_one_tick_and_nothing_across_reset():
     assert 0 < len(kept_entries(board_map)) <= 2 * 4
     assert 0 < len(kept_entries(rotate)) <= (9 + 1) * 4
     assert 0 < len(kept_entries(act_mask)) <= 7 * 4
-    nodes = (board_map, rotate, act_mask)
-    before = {id(entry): entry for node in nodes for entry in kept_entries(node)}
-    # A new episode, and an interface reset on the very objects of the last
-    # tick: neither may find an entry made before it.
-    env.reset(5)
-    for node in nodes:
-        after = kept_entries(node)
-        assert after and not any(id(entry) in before for entry in after)
-    before = {id(entry): entry for node in nodes for entry in kept_entries(node)}
-    env.interface.reset(env.base._observe())
-    for node in nodes:
-        after = kept_entries(node)
-        assert after and not any(id(entry) in before for entry in after)
+    assert_reset_keeps_no_entry(env, (board_map, rotate, act_mask), 5)
+
+
+def assert_reset_keeps_no_entry(env, nodes, seed: int) -> None:
+    """A new episode, and an interface reset on the very objects of the last
+    tick: no node may hold an entry made before either."""
+    for reset in (lambda: env.reset(seed), lambda: env.interface.reset(env.base._observe())):
+        # before holds the old entries alive, so no new entry can take an id.
+        before = {id(entry): entry for node in nodes for entry in kept_entries(node)}
+        reset()
+        for node in nodes:
+            after = kept_entries(node)
+            assert after and not any(id(entry) in before for entry in after)
+
+
+@pytest.mark.parametrize("scenario", ["5I", "3I2Z"])
+def test_battle_encoder_memos_hold_nothing_across_reset(scenario):
+    # The step limit ends the episode with both sides standing.
+    env = wrap_env(make_env("gridbattle", {"scenario": scenario, "step_limit": 30}),
+                   build_pipeline([{"name": BATTLE_PIPES[scenario]},
+                                   {"name": "battle.dead_pad"}]))
+    pad = env.interface
+    img = pad.inner
+    agents = [RandomAgent(rng=RngStream(3, ("battle-reset", str(s)))) for s in range(10)]
+    for slot, agent in enumerate(agents):
+        agent.setup(env.observation_specs[slot], env.action_specs[slot])
+    obs, done = env.reset(3), False
+    while not done:
+        result = env.step(Bundle(tuple(agent.step(obs[s], 0.0, False)
+                                       for s, agent in enumerate(agents))))
+        obs, done = result.obs, result.done
+    assert sum(result.alive[:5]) and sum(result.alive[5:])
+    # img keeps one grid per team, dead_pad at most one padded view per slot.
+    assert 0 < len(kept_entries(img)) <= 2
+    assert 0 < len(kept_entries(pad)) <= 10
+    assert_reset_keeps_no_entry(env, (img, pad), 4)
 
 
 def test_rotate_hands_an_unturned_slot_its_own_view():
@@ -2061,6 +2138,33 @@ def test_img_encoders_match_reference_over_play_and_edits(scenario, seed):
 
 
 @pytest.mark.parametrize("scenario", ["5I", "3I2Z"])
+def test_img_encoders_encode_once_per_table_and_team(scenario, monkeypatch):
+    env = BattleEnv(BattleConfig(scenario=scenario, randomize_status=True))
+    itf = build_pipeline([{"name": BATTLE_PIPES[scenario]}])
+    itf.setup(env.observation_specs, env.action_specs)
+    encoded = []
+
+    def counting(self, table, my_team, encode=type(itf)._encode_for_team):
+        encoded.append(my_team)
+        return encode(self, table, my_team)
+
+    monkeypatch.setattr(type(itf), "_encode_for_team", counting)
+    obs = env.reset(2)
+    # Viewers of the two sides take turns, and the same views come again.
+    interleaved = Bundle(tuple(obs[s] for s in SIDES_INTERLEAVED))
+    out = itf.reset(interleaved)
+    assert same_bytes(out, ref_img_obs(scenario, interleaved))
+    assert sorted(encoded) == [0.0, 1.0]
+    again, _ = itf.obs_trans(interleaved, (0.0,) * 10)
+    assert len(encoded) == 2 and all(a is b for a, b in zip(again, out))
+    # A new units value is encoded once per team again.
+    result = env.step(Bundle((DiscreteV(ATTACK),) * 10))
+    interleaved = Bundle(tuple(result.obs[s] for s in SIDES_INTERLEAVED))
+    grids, _ = itf.obs_trans(interleaved, (0.0,) * 10)
+    assert len(encoded) == 4 and same_bytes(grids, ref_img_obs(scenario, interleaved))
+
+
+@pytest.mark.parametrize("scenario", ["5I", "3I2Z"])
 def test_img_encoders_match_reference_on_views_of_two_envs(scenario):
     envs = [BattleEnv(BattleConfig(scenario=scenario, randomize_status=True, step_limit=30))
             for _ in range(2)]
@@ -2335,3 +2439,4 @@ def test_combine_matches_split_merge_reference(seed, reward_pool):
         pos += count
     assert pos == len(actions)
     assert combined.act_trans(actions) == bundle_merge(ref_acts)
+

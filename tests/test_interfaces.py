@@ -392,6 +392,17 @@ class TestAppendFeature:
         out, _ = itf.obs_trans(Bundle((MappingV({"a": VectorV((0.0,))}),)), (0.0,))
         assert out[0]["k"] == VectorV((1.0,))
 
+    def test_appends_the_one_key_of_an_empty_mapping(self):
+        itf = append_feature("k", lambda v: VectorV((float(len(v.entries)),)), BoxSpec((1,), 0, 1))
+        obs_out, _ = itf.setup([MappingSpec(())] * 2, [DiscreteSpec(2)] * 2)
+        assert [s.keys() for s in obs_out] == [("k",), ("k",)]
+        empty = MappingV(())
+        out = itf.reset(Bundle((empty, empty)))
+        assert out == Bundle((MappingV({"k": VectorV((0.0,))}),) * 2)
+        out, rewards = itf.obs_trans(Bundle((empty, empty)), (1.0, 2.0))
+        assert [v.entries for v in out] == [(("k", VectorV((0.0,))),)] * 2
+        assert rewards == (1.0, 2.0)
+
     def test_key_collision_rejected(self):
         itf = append_feature("a", lambda v: VectorV((1.0,)), BoxSpec((1,), 0, 1))
         spec = MappingSpec({"a": BoxSpec((1,), 0, 1)})

@@ -1,15 +1,17 @@
 """marlkit's modules import each other at module level only, without a cycle.
 
 An import inside a function hides a dependency from the module's header, and
-it is the usual way to dodge an import cycle. Five more structural rules:
+it is the usual way to dodge an import cycle. Six more structural rules:
 only the Actors plan tells a WrappedAgent from a one-slot agent, no function
 rebinds a module-level name through a global statement, every private
 module-level function or class is used somewhere in the package, only a
 node whose output spans slots writes its own _obs (the others write _view, or
-_group_view and _group_act, and the base classes own the slot loops), and no
-module reaches object.__new__, so every value is built by its constructor,
-which checks it and which perfbench counts. The checks read each module's
-AST, so nothing is imported and no subprocess is started.
+_group_view and _group_act, and the base classes own the slot loops), every
+Kept an interface node builds is a self attribute, which Interface.reset
+clears (so no _reset clears one itself), and no module reaches
+object.__new__, so every value is built by its constructor, which checks it
+and which perfbench counts. The checks read each module's AST, so nothing is
+imported and no subprocess is started.
 """
 
 from __future__ import annotations
@@ -158,6 +160,61 @@ def _definers(modules: dict[str, ast.Module], attr: str) -> list[str]:
     return sorted(found)
 
 
+def _interface_classes(modules: dict[str, ast.Module]) -> set[str]:
+    """The names of Interface and of every class that derives from it, by base name."""
+    classes = [cls for tree in modules.values() for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef)]
+    names = {"Interface"}
+    while True:
+        more = {cls.name for cls in classes if cls.name not in names and any(
+            (base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)) in names
+            for base in cls.bases)}
+        if not more:
+            return names
+        names |= more
+
+
+def _is_kept_call(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and (
+        (isinstance(node.func, ast.Name) and node.func.id == "Kept")
+        or (isinstance(node.func, ast.Attribute) and node.func.attr == "Kept"))
+
+
+def _on_self(stmt: ast.AST) -> bool:
+    """Whether stmt assigns its value straight to one self.<name> attribute."""
+    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+        target = stmt.targets[0]
+    elif isinstance(stmt, ast.AnnAssign):
+        target = stmt.target
+    else:
+        return False
+    return (isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+            and target.value.id == "self")
+
+
+def _memo_faults(modules: dict[str, ast.Module]) -> list[str]:
+    """Each Kept(...) built in a method of an Interface subclass other than
+    straight into a self attribute, and each .clear() call in a _reset."""
+    interfaces = _interface_classes(modules)
+    found = []
+    for name, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name in interfaces:
+                methods = [f for f in node.body
+                           if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+                on_self = {id(stmt.value) for f in methods for stmt in ast.walk(f)
+                           if _on_self(stmt)}
+                found += [f"{name}.{node.name} line {call.lineno}: Kept off self"
+                          for f in methods for call in ast.walk(f)
+                          if _is_kept_call(call) and id(call) not in on_self]
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_reset":
+                found += [f"{name} line {call.lineno}: clear in _reset"
+                          for call in ast.walk(node)
+                          if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                          and call.func.attr == "clear"]
+    return sorted(found)
+
+
 def _object_new_uses(tree: ast.Module) -> list[int]:
     """The line of each reference to object.__new__, called or not."""
     return [node.lineno for node in ast.walk(tree)
@@ -229,8 +286,6 @@ def test_unused_private_finder_sees_every_use():
 def test_only_nodes_whose_output_spans_slots_write_obs():
     modules = _modules()
     assert _definers(modules, "_obs") == [
-        "marlkit.envs.gridbattle.DeadPadding",
-        "marlkit.envs.gridbattle._ImgObsBase",
         "marlkit.interfaces.Combine",
         "marlkit.interfaces.Interface",
         "marlkit.interfaces._Partitioned",
@@ -254,6 +309,50 @@ def test_definer_finder_sees_methods_and_assignments_in_classes_only():
                               "        def _obs(): pass\n"
                               "def _obs(): pass\n")}
     assert _definers(modules, "_obs") == ["m.A", "m.B"]
+
+
+def test_interface_memos_are_self_attributes_that_reset_clears():
+    modules = _modules()
+    assert {"BoardMapObs", "RotateView", "Img5IObs", "DeadPadding",
+            "LiftedWrapper"} <= _interface_classes(modules)
+    assert _memo_faults(modules) == []
+
+
+def test_memo_fault_finder_sees_every_spelling():
+    modules = {
+        "a": ast.parse("class Node(Interface):\n"
+                       "    def _setup(self, n):\n"
+                       "        self._a = Kept()\n"
+                       "        self._b: Kept = values.Kept(n)\n"
+                       "        self._c = [Kept() for _ in range(n)]\n"
+                       "        kept = Kept()\n"
+                       "        self.x.y = Kept()\n"
+                       "        self._d = other = Kept()\n"
+                       "    def _reset(self, obs):\n"
+                       "        self._a.clear()\n"),
+        "b": ast.parse("from a import Node\n"
+                       "class Leaf(a.Node):\n"
+                       "    def _view(self, view, slot):\n"
+                       "        return Kept().get(slot, len, view)\n"
+                       "class Agent:\n"
+                       "    def setup(self):\n"
+                       "        self._parts = [Kept()]\n"
+                       "    def _reset(self):\n"
+                       "        self._memo.clear()\n"
+                       "def _reset(x):\n"
+                       "    x.clear()\n"),
+    }
+    assert _interface_classes(modules) == {"Interface", "Node", "Leaf"}
+    assert _memo_faults(modules) == [
+        "a line 10: clear in _reset",
+        "a.Node line 5: Kept off self",
+        "a.Node line 6: Kept off self",
+        "a.Node line 7: Kept off self",
+        "a.Node line 8: Kept off self",
+        "b line 11: clear in _reset",
+        "b line 9: clear in _reset",
+        "b.Leaf line 4: Kept off self",
+    ]
 
 
 def test_no_value_skips_its_constructor():

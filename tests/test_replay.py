@@ -386,16 +386,16 @@ print(json.dumps(digests))
 
 
 def other_pythons() -> dict[str, str]:
-    """sys.version -> executable for each python3.10 ... python3.13 on PATH that
-    starts, is 3.10 or newer and is not this interpreter."""
+    """sys.version -> executable for each python3.11 ... python3.13 on PATH that
+    starts, is 3.11 or newer (the declared floor) and is not this interpreter."""
     found = {}
-    for minor in range(10, 14):
+    for minor in range(11, 14):
         exe = shutil.which(f"python3.{minor}")
         if exe is None:
             continue
         try:
             proc = subprocess.run(
-                [exe, "-c", "import sys; print(sys.version_info >= (3, 10)); print(sys.version)"],
+                [exe, "-c", "import sys; print(sys.version_info >= (3, 11)); print(sys.version)"],
                 capture_output=True, text=True, timeout=60)
         except (OSError, subprocess.TimeoutExpired):
             continue
