@@ -7,7 +7,7 @@ from operator import add
 from typing import Sequence
 
 from .errors import InvalidPartition
-from .values import DiscreteV, MappingV, Value, _all_values, _exact
+from .values import SMALL_DISCRETE, DiscreteV, MappingV, Value, _all_values, _exact, _slot_init
 
 Partition = tuple[tuple[int, ...], ...]
 
@@ -15,6 +15,7 @@ Partition = tuple[tuple[int, ...], ...]
 NO_INFO = MappingV(())
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class Bundle:
     """One value per agent slot; never empty.
@@ -48,6 +49,7 @@ class Bundle:
         return iter(self.slots)
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class StepResult:
     """One environment tick: observations, rewards, global done, per-slot alive.
@@ -82,7 +84,9 @@ class StepResult:
 def outcome_info(winner: int | None) -> MappingV:
     """The info of an episode's last tick: the winning party, or a draw."""
     if winner is None:
-        return MappingV((("draw", DiscreteV(1)),))
+        return MappingV((("draw", SMALL_DISCRETE[1]),))
+    if 0 <= winner < len(SMALL_DISCRETE):
+        return MappingV((("winner", SMALL_DISCRETE[winner]),))
     return MappingV((("winner", DiscreteV(winner)),))
 
 

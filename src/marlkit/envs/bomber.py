@@ -32,6 +32,7 @@ from ..errors import ConfigError, SetupError
 from ..interfaces import Interface, append_key, place_getter
 from ..rng import RngStream
 from ..values import (
+    SMALL_DISCRETE,
     BoxSpec,
     DiscreteSpec,
     DiscreteV,
@@ -48,8 +49,6 @@ from ..values import (
 
 IDLE, UP, DOWN, LEFT, RIGHT, PLACE = range(6)
 MOVE_DELTAS = {UP: (-1, 0), DOWN: (1, 0), LEFT: (0, -1), RIGHT: (0, 1)}
-# The six actions as values, shared by every step that returns one.
-_ACTIONS = tuple(DiscreteV(a) for a in range(6))
 ITEM_AMMO, ITEM_BLAST = 1, 2
 ATTR_CAP = 10.0
 # Loose static bound for ammo/blast in the observation space: initial value
@@ -848,7 +847,7 @@ class RotateView(Interface):
         out = []
         for act, k in zip(actions, self._turns):
             idx = act.index
-            out.append(_ACTIONS[_VIEW_TO_WORLD[k][idx]] if idx in MOVE_DELTAS else act)
+            out.append(SMALL_DISCRETE[_VIEW_TO_WORLD[k][idx]] if idx in MOVE_DELTAS else act)
         return Bundle(tuple(out))
 
 
@@ -948,7 +947,7 @@ class SimpleBomberAgent(Agent):
         slot = obs["self_id"].index
         me = obs["agents"][slot]
         if me["alive"].entries[0] == 0.0:
-            return _ACTIONS[IDLE]
+            return SMALL_DISCRETE[IDLE]
         board, wood, bombs, flames, cells = _read(self._parts, obs)
         kept = self._parts.get
         danger = kept("danger", _danger, board, wood, bombs, flames)
@@ -965,7 +964,7 @@ class SimpleBomberAgent(Agent):
         # Rule 1: flee if the current or an adjacent cell is about to burn.
         if my_cell in danger or any(cell in danger for cell in adjacent):
             step = _escape_step(my_cell, n, blocked, danger, flames)
-            return _ACTIONS[step if step is not None else IDLE]
+            return SMALL_DISCRETE[step if step is not None else IDLE]
 
         # Rule 2: bomb adjacent wood or enemies when legal and escapable.
         worth_it = any(cell in wood or cell in enemies for cell in adjacent)
@@ -974,11 +973,11 @@ class SimpleBomberAgent(Agent):
             flamed, _ = _blast(board, wood, mine, 0)
             if _escape_step(my_cell, n, blocked, danger | flamed, flames,
                             self.RETREAT_DEPTH) is not None:
-                return _ACTIONS[PLACE]
+                return SMALL_DISCRETE[PLACE]
 
         # Rule 3: approach the nearest enemy along safe passable cells.
         if enemies:
             step = _bfs_step(my_cell, enemies, blocked | danger, flames)
             if step is not None:
-                return _ACTIONS[step]
-        return _ACTIONS[IDLE]
+                return SMALL_DISCRETE[step]
+        return SMALL_DISCRETE[IDLE]

@@ -24,6 +24,7 @@ from ..errors import ConfigError, SetupError
 from ..interfaces import Interface
 from ..rng import RngStream
 from ..values import (
+    SMALL_DISCRETE,
     BoxSpec,
     DiscreteSpec,
     DiscreteV,
@@ -481,9 +482,6 @@ def _pad(v: Value) -> MappingV:
     return MappingV((("alive", _ONE if _any_nonzero(v) else _ZERO), ("obs", v)))
 
 
-_ACTIONS = tuple(DiscreteV(a) for a in range(ATTACK + 1))
-
-
 class HitAndRunAgent(Agent):
     """Attacks exactly when the env would strike (see strike_target), else
     kites: on cooldown it steps to the free neighboring cell maximizing
@@ -509,12 +507,12 @@ class HitAndRunAgent(Agent):
         me = obs["self_id"].index
         my_row, my_col, my_team, my_alive, my_melee, _, _, my_cd = table[me]
         if not my_alive:
-            return _ACTIONS[0]
+            return SMALL_DISCRETE[0]
         if strike_target(table, me, my_cd, (MELEE if my_melee else RANGED).range) is not None:
-            return _ACTIONS[ATTACK]
+            return SMALL_DISCRETE[ATTACK]
         enemies = [(r, c) for r, c, team, alive, _, _, _, _ in table if alive and team != my_team]
         if not enemies:
-            return _ACTIONS[0]
+            return SMALL_DISCRETE[0]
         occupied = {(r, c) for r, c, _, alive, _, _, _, _ in table if alive}
 
         def clearance(cell: tuple[int, int]) -> int:
@@ -528,4 +526,4 @@ class HitAndRunAgent(Agent):
             cell = (my_row + dr, my_col + dc)
             if 0 <= cell[0] < GRID and 0 <= cell[1] < GRID and cell not in occupied:
                 moves.append((sign * clearance(cell), a))
-        return _ACTIONS[min(moves, default=(0, 0))[1]]
+        return SMALL_DISCRETE[min(moves, default=(0, 0))[1]]

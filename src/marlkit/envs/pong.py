@@ -23,9 +23,9 @@ from ..errors import ConfigError, SetupError
 from ..interfaces import Interface
 from ..rng import RngStream
 from ..values import (
+    SMALL_DISCRETE,
     BoxSpec,
     DiscreteSpec,
-    DiscreteV,
     GridV,
     MappingSpec,
     MappingV,
@@ -344,8 +344,8 @@ class FollowBallAgent(Agent):
         ball_y = obs["ball_y"].entries[0]
         own_y = obs["own_paddle_y"].entries[0]
         if ball_y < own_y - self.DEADZONE:
-            return DiscreteV(UP)
+            return SMALL_DISCRETE[UP]
         if ball_y > own_y + self.DEADZONE:
-            return DiscreteV(DOWN)
-        return DiscreteV(STAY)
+            return SMALL_DISCRETE[DOWN]
+        return SMALL_DISCRETE[STAY]
 

@@ -20,7 +20,7 @@ import hashlib
 from typing import Any
 
 from .errors import FormatError
-from .values import DiscreteV, GridV, MappingV, SeqV, Value, VectorV
+from .values import SMALL_DISCRETE, DiscreteV, GridV, MappingV, SeqV, Value, VectorV
 
 
 def value_to_jsonable(v: Value) -> dict[str, Any]:
@@ -49,10 +49,6 @@ def _json_list(payload: Any, types: set[type], what: str) -> list:
     return payload
 
 
-# Shared decodes of {"d": i} for small i; values are immutable, so sharing is safe.
-_DISCRETE = tuple(map(DiscreteV, range(64)))
-
-
 def value_from_jsonable(obj: Any) -> Value:
     """Decode the JSON form strictly: a payload of any other JSON type is a FormatError.
 
@@ -67,7 +63,9 @@ def value_from_jsonable(obj: Any) -> Value:
         if tag == "d":
             if type(payload) is not int:
                 raise FormatError(f"discrete index must be a JSON int, got {payload!r}")
-            return _DISCRETE[payload] if 0 <= payload < len(_DISCRETE) else DiscreteV(payload)
+            if 0 <= payload < len(SMALL_DISCRETE):
+                return SMALL_DISCRETE[payload]
+            return DiscreteV(payload)
         if tag == "v":
             return VectorV(tuple(_json_list(payload, _NUMBERS, "vector entries")))
         if tag == "g":

@@ -9,6 +9,11 @@ Equality of values is structural and exact: two values are equal iff their
 canonical little-endian serializations are byte-identical, which makes real
 entries compare bitwise (0.0 != -0.0, and equal-bit NaNs compare equal).
 Mappings iterate in ascending lexicographic key order everywhere.
+
+Each value class is a frozen slots dataclass whose constructor (made by
+_slot_init) stores every field through its slot descriptor and then calls
+__post_init__, which holds all of the class's checks and conversions.
+Assigning or deleting a field afterwards raises FrozenInstanceError.
 """
 
 from __future__ import annotations
@@ -16,9 +21,8 @@ from __future__ import annotations
 import math
 import struct
 from collections import abc
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import lru_cache
-from itertools import repeat
 from operator import is_, itemgetter, lt
 from typing import Iterator, Sequence
 
@@ -85,6 +89,37 @@ def _pack_floats(values: Sequence[float]) -> bytes:
     return _floats_struct(len(values)).pack(*values)
 
 
+def _slot_init(cls: type) -> type:
+    """Give a frozen slots dataclass an __init__ that stores each field through
+    its slot descriptor's __set__ and then calls self.__post_init__().
+
+    The dataclass-generated __init__ of a frozen class stores each field with
+    object.__setattr__, which looks the name up on the type first. The
+    parameters and defaults are read from dataclasses.fields: an init field
+    is a parameter, a field with init=False and a default (_cb) is stored as
+    that default, and one without (MappingV._index) is left to __post_init__,
+    which holds every check. The frozen __setattr__ and __delattr__ stay, so
+    assigning or deleting a field still raises FrozenInstanceError.
+    """
+    params, body, names = [], [], {}
+    for f in fields(cls):
+        if f.default_factory is not MISSING or f.kw_only:
+            raise TypeError(f"{cls.__name__}.{f.name}: no default_factory or kw_only field")
+        setter, default = f"_set_{f.name}", f"_default_{f.name}"
+        names[setter], names[default] = cls.__dict__[f.name].__set__, f.default
+        if f.init:
+            params.append(f.name if f.default is MISSING else f"{f.name}={default}")
+            body.append(f" {setter}(self, {f.name})\n")
+        elif f.default is not MISSING:
+            body.append(f" {setter}(self, {default})\n")
+    exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body)} self.__post_init__()\n", names)
+    init = cls.__init__ = names["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {f.name: f.type for f in fields(cls) if f.init} | {"return": None}
+    return cls
+
+
+@_slot_init
 @dataclass(frozen=True, slots=True, eq=False)
 class DiscreteV(Value):
     """A single non-negative index below 2**64 (its canonical bytes hold a u64).
@@ -106,6 +141,12 @@ class DiscreteV(Value):
         out.append(b"\x01" + _U64.pack(self.index))
 
 
+#: DiscreteV(i) for i in 0..63, built once and shared (values are immutable):
+#: small indices (actions, decoded replays, outcomes) are not built per use.
+SMALL_DISCRETE = tuple(map(DiscreteV, range(64)))
+
+
+@_slot_init
 @dataclass(frozen=True, slots=True, eq=False)
 class VectorV(Value):
     """An ordered tuple of reals.
@@ -128,6 +169,7 @@ class VectorV(Value):
         return len(self.entries)
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True, eq=False)
 class GridV(Value):
     """Reals on a (height, width, channels) grid, stored row-major.
@@ -186,22 +228,9 @@ def _ascending(keys: tuple[str, ...]) -> bool:
 def _sorted_index(raw, what: str) -> tuple[tuple, dict]:
     """(entries sorted by key, key -> value dict) from a mapping or (key, value) pairs.
 
-    A tuple of tuple pairs whose keys are exact str in strictly ascending
-    order is canonical: it comes back as the entries themselves, without a
-    sort, and its key order is decided once per distinct key tuple. Any other
-    input is sorted. Raises ValueError on a duplicate key.
+    Raises ValueError on a duplicate key.
     """
-    if type(raw) is tuple:
-        if not raw:
-            return (), {}
-        for pair in raw:
-            if type(pair) is not tuple or len(pair) != 2 or type(pair[0]) is not str:
-                break
-        else:
-            index = dict(raw)
-            if len(index) == len(raw) and _ascending(tuple(index)):
-                return raw, index
-    elif isinstance(raw, dict) or isinstance(raw, abc.Mapping):
+    if isinstance(raw, dict) or isinstance(raw, abc.Mapping):
         raw = raw.items()
     items = sorted(raw, key=_KEY)
     try:
@@ -216,6 +245,7 @@ def _sorted_index(raw, what: str) -> tuple[tuple, dict]:
     return tuple(items), index
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True, eq=False)
 class MappingV(Value):
     """String-keyed mapping of values; iterates in ascending key order.
@@ -232,18 +262,26 @@ class MappingV(Value):
 
     def __post_init__(self):
         raw = self.entries
+        # Canonical input: (exact str, Value) tuple pairs, keys strictly
+        # ascending; the key order is decided once per distinct key tuple.
+        if type(raw) is tuple:
+            for pair in raw:
+                if (type(pair) is not tuple or len(pair) != 2 or type(pair[0]) is not str
+                        or not isinstance(pair[1], Value)):
+                    break
+            else:
+                index = dict(raw)
+                if len(index) == len(raw) and _ascending(tuple(index)):
+                    _set_index(self, index)
+                    return
         entries, index = _sorted_index(raw, "mapping")
-        # Canonical input comes back as itself, its keys checked exact str.
-        if not ((entries is raw or all(map(isinstance, index, repeat(str))))
-                and _all_values(index.values())):
-            for k, v in entries:
-                if not isinstance(k, str):
-                    raise ValueError(f"mapping keys must be str, got {k!r}")
-                if not isinstance(v, Value):
-                    raise ValueError(f"mapping values must be Value, got {v!r}")
-        if entries is not raw:
-            object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_index", index)
+        for k, v in entries:
+            if not isinstance(k, str):
+                raise ValueError(f"mapping keys must be str, got {k!r}")
+            if not isinstance(v, Value):
+                raise ValueError(f"mapping values must be Value, got {v!r}")
+        object.__setattr__(self, "entries", entries)
+        _set_index(self, index)
 
     def keys(self) -> tuple[str, ...]:
         return tuple(self._index)
@@ -276,6 +314,10 @@ class MappingV(Value):
             v._encode(out)
 
 
+# MappingV.__post_init__ stores _index through its slot descriptor.
+_set_index = MappingV.__dict__["_index"].__set__
+
+
 def vector_mapping_struct(layout: Sequence[tuple[str, int]]
                           ) -> tuple[struct.Struct, tuple[bytes, ...]]:
     """A struct for the canonical bytes of a mapping of vectors with fixed keys and lengths.
@@ -300,6 +342,7 @@ def vector_mapping_struct(layout: Sequence[tuple[str, int]]
     return struct.Struct(fmt), tuple(prefixes)
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True, eq=False)
 class SeqV(Value):
     """An ordered sequence of values.
@@ -360,7 +403,7 @@ class Kept:
     its inputs, so their ids cannot be reused while it lives, and values are
     immutable, so a result stays true to them. No caller may mutate a result,
     nor an input that is not a value. Every get of one key passes as many
-    inputs. clear() drops every entry.
+    inputs, one or more. clear() drops every entry.
     """
 
     __slots__ = ("_size", "_entries")
@@ -376,8 +419,11 @@ class Kept:
         entries = self._entries.get(key)
         if entries is None:
             entries = self._entries[key] = []
+        first = inputs[0]
         for kept, result in entries:
-            if all(map(is_, kept, inputs)):
+            # The inline test of the first input turns most stale entries
+            # away, and for one input it is the whole test: no map is built.
+            if kept[0] is first and (len(kept) == 1 or all(map(is_, kept, inputs))):
                 return result
         result = build(*inputs)
         entries.insert(0, (inputs, result))
@@ -502,7 +548,8 @@ def space_contains(spec: SpaceSpec, v: Value) -> bool:
 def space_sample(spec: SpaceSpec, rng: RngStream) -> Value:
     """Draw a uniform member of spec from rng; deterministic given the stream."""
     if isinstance(spec, DiscreteSpec):
-        return DiscreteV(rng.randrange(spec.n))
+        index = rng.randrange(spec.n)
+        return SMALL_DISCRETE[index] if index < len(SMALL_DISCRETE) else DiscreteV(index)
     if isinstance(spec, BoxSpec):
         count = math.prod(spec.shape)
         entries = tuple(rng.uniform(spec.low, spec.high) for _ in range(count))

@@ -8,13 +8,14 @@ bit for bit, including on -0.0, NaN, negative values and non-float entries.
 from __future__ import annotations
 
 import copy
+import inspect
 import io
 import json
 import math
 import operator
 import struct
-from collections import deque
-from dataclasses import dataclass, field
+from collections import Counter, deque
+from dataclasses import FrozenInstanceError, dataclass, field, fields, replace
 from itertools import product
 from operator import itemgetter
 from typing import Mapping
@@ -54,6 +55,7 @@ from marlkit import (
     value_to_jsonable,
     wrap_env,
 )
+from marlkit.bundles import NO_INFO
 from marlkit.envs.bomber import (
     IDLE,
     MOVE_DELTAS,
@@ -287,6 +289,139 @@ def test_step_result_matches_reference(n, rewards, done, alive, as_tuple):
     assert fast.alive == ref_alive and [type(a) for a in fast.alive] == [bool] * n
     assert (fast.rewards is rewards) == (as_tuple and all(type(r) is float for r in rewards))
     assert (fast.alive is alive) == (as_tuple and all(type(a) is bool for a in alive))
+
+
+# ---------------------------------------------------------------------------
+# The seven constructors' __init__ (values._slot_init: every field stored
+# through its slot descriptor, then __post_init__) against the one that
+# dataclasses generates
+
+
+SLOT_INIT_CLASSES = (DiscreteV, VectorV, GridV, MappingV, SeqV, Bundle, StepResult)
+
+
+def generated_init_reference(cls: type) -> type:
+    """cls made a dataclass again as a subclass: __init__ (each field stored
+    through object.__setattr__), repr, eq, hash and the frozen setattr are
+    what dataclasses generates, over cls's own slots and __post_init__."""
+    return dataclass(frozen=True, slots=True, eq=cls.__dataclass_params__.eq)(
+        type(f"Ref{cls.__name__}", (cls,), {}))
+
+
+def slot_init_cases() -> dict:
+    """(args, kwargs) per class: positional, keyword, canonical, converted and bad input."""
+    d, v = DiscreteV(1), VectorV((0.5,))
+    b, info = Bundle((d, v)), MappingV((("winner", d),))
+    return {
+        DiscreteV: [((3,), {}), ((), {"index": 0}), ((Index(2),), {}), ((2**64 - 1,), {}),
+                    ((), {}), ((1, 2), {}), ((), {"idx": 1}), ((-1,), {}), ((True,), {}),
+                    ((2**64,), {}), ((1.0,), {}), (("a",), {})],
+        VectorV: [(((1.0, -0.0),), {}), ((), {"entries": [1, True, Flt(2.0)]}), (((),), {}),
+                  ((), {}), (("ab",), {}), ((None,), {}), (((1.0,), (2.0,)), {})],
+        GridV: [(((1, 1, 2), (0.5, -0.0)), {}), ((), {"shape": [1, 2, 1], "entries": [1, 2]}),
+                (((1, 1, 1),), {}), (((1, 1, 1), (1.0, 2.0)), {}), (((0, 1, 1), ()), {}),
+                (((1, 1), (1.0,)), {}), ((("a", 1, 1), (1.0,)), {})],
+        MappingV: [(((("a", d), ("b", v)),), {}), ((), {"entries": {"b": v, "a": d}}),
+                   (((),), {}), ((), {}), ((None,), {}), ((((1, d),),), {}),
+                   # Each way out of the canonical loop: a str-subclass key, a
+                   # list pair, a 3-tuple pair, a value that is not a Value,
+                   # adjacent duplicate keys and descending keys.
+                   ((((Key("a"), d), ("b", v)),), {}), (((["a", d], ("b", v)),), {}),
+                   (((("a", d, d),),), {}), (((("a", 1),),), {}),
+                   (((("a", d), ("a", v)),), {}), (((("b", d), ("a", v)),), {})],
+        SeqV: [(((d, v),), {}), ((), {"items": [d]}), (((),), {}), (((d, 1),), {}),
+               ((None,), {})],
+        Bundle: [(((d, v),), {}), ((), {"slots": [v]}), (((),), {}), (((d, None),), {}),
+                 ((3,), {})],
+        StepResult: [((b, (0.0, 1.0), False, (True, True)), {}),
+                     ((), {"obs": b, "rewards": [0, 1], "done": 1, "alive": [1, 0]}),
+                     ((b, (0.0, 1.0), True, (True, True), info), {}),
+                     ((b,), {"rewards": (0.0, -0.0), "done": False, "alive": (True, True),
+                             "info": info}),
+                     ((b, (0.0,), False, (True, True)), {}), ((b, (0.0, 1.0), False), {}),
+                     ((b, (0.0, 1.0), False, (True, True)), {"done": True}),
+                     ((b, ("x", 1.0), False, (True, True)), {})],
+    }
+
+
+@pytest.mark.parametrize("cls", SLOT_INIT_CLASSES, ids=lambda cls: cls.__name__)
+def test_slot_init_matches_the_generated_init(cls):
+    ref_cls = generated_init_reference(cls)
+    unref = lambda text: text.replace(f"Ref{cls.__name__}", cls.__name__)  # noqa: E731
+    assert inspect.signature(cls) == inspect.signature(ref_cls)
+    assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+    built = 0
+    for args, kwargs in slot_init_cases()[cls]:
+        fast = outcome(lambda: cls(*args, **kwargs))
+        ref = outcome(lambda: ref_cls(*args, **kwargs))
+        if ref[0] != "ok":
+            assert fast == (ref[0], unref(ref[1])), (args, kwargs)
+            if cls is MappingV:  # and as the old sorting constructor raised
+                old = outcome(lambda: RefMappingV(*args, **kwargs))
+                assert fast == (old[0], unref(old[1])), (args, kwargs)
+            continue
+        assert fast[0] == "ok", (args, kwargs, fast)
+        fast, ref = fast[1], ref[1]
+        built += 1
+        inputs = (*args, *kwargs.values())
+        for f in fields(cls):
+            mine, theirs = getattr(fast, f.name), getattr(ref, f.name)
+            assert type(mine) is type(theirs) and repr(mine) == repr(theirs), f.name
+            # What the reference stores as it was given, so does the constructor.
+            assert mine is theirs or not any(theirs is x for x in inputs), f.name
+        if cls is MappingV:
+            assert_same_mapping(fast, RefMappingV(*args, **kwargs))
+        assert repr(fast) == unref(repr(ref))
+        assert hash(fast) == hash(ref)
+        assert fast == cls(*args, **kwargs) and ref == ref_cls(*args, **kwargs)
+        for f in fields(cls):
+            change = {f.name: getattr(fast, f.name)}
+            got = outcome(lambda: replace(fast, **change))
+            want = outcome(lambda: replace(ref, **change))
+            if want[0] == "ok":
+                assert got[0] == "ok" and type(got[1]) is cls, f.name
+                assert repr(got[1]) == unref(repr(want[1])) == repr(fast)
+            else:  # an init=False field
+                assert got == want, f.name
+            before = getattr(fast, f.name)
+            for verb, act in (("assign to", lambda o: setattr(o, f.name, before)),
+                              ("delete", lambda o: delattr(o, f.name))):
+                got, want = outcome(lambda: act(fast)), outcome(lambda: act(ref))
+                assert got == want == (FrozenInstanceError, f"cannot {verb} field {f.name!r}")
+            assert getattr(fast, f.name) is before
+    assert built >= 2
+    if cls is StepResult:  # the one init default
+        args = slot_init_cases()[cls][0][0]
+        assert cls(*args).info is ref_cls(*args).info is NO_INFO
+
+
+def test_every_construction_runs_post_init_once(monkeypatch):
+    """perfbench counts constructions by wrapping each class's __post_init__
+    (perfbench/spans.py), so every construction must call it, through the
+    class and once: a *.new_per_step count can then not read 0 by mistake."""
+    counts = Counter()
+    for cls in SLOT_INIT_CLASSES:
+        def counting(self, post_init=cls.__post_init__, name=cls.__name__):
+            counts[name] += 1
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    d = DiscreteV(1)
+    DiscreteV(index=2)
+    v = VectorV([1, 2])
+    GridV((1, 1, 2), (0.5, 1.0))
+    m = MappingV({"b": v, "a": d})
+    MappingV((("a", d),))
+    SeqV((d, v))
+    b = Bundle((d, v))
+    replace(b, slots=(v,))
+    StepResult(b, (0.0, 1.0), False, (True, True))
+    StepResult(obs=b, rewards=[0, 1], done=0, alive=[1, 1], info=replace(m))
+    for bad in (lambda: DiscreteV(-1), lambda: MappingV((("a", 1),)), lambda: Bundle(())):
+        with pytest.raises(ValueError):
+            bad()
+    assert counts == {"DiscreteV": 3, "VectorV": 1, "GridV": 1, "MappingV": 4, "SeqV": 1,
+                      "Bundle": 3, "StepResult": 2}
 
 
 # ---------------------------------------------------------------------------
