@@ -12,13 +12,15 @@ import argparse
 import json
 import sys
 import time
+from contextlib import closing
+from itertools import islice
 from typing import Any, Sequence
 
 from .errors import MarlkitError
 from .harness import round_robin, run_match, toolkit_version
 from .registry import (AgentSpec, MatchSpec, config_value, env_entry, list_agents, list_envs,
                        list_interfaces, make_env, require_known_keys)
-from .replay import read_replay, replay_verify, step_actions
+from .replay import read_episodes, replay_verify, step_actions
 
 
 class _UsageError(Exception):
@@ -207,28 +209,27 @@ def _cmd_verify(args) -> int:
 def _cmd_render(args) -> int:
     if args.episodes is not None and args.episodes < 1:
         raise _UsageError(f"--episodes must be at least 1, got {args.episodes}")
-    replay = read_replay(args.path)
     delay = 1.0 / args.fps if args.fps and args.fps > 0 else 0.0
-    episodes = replay.episodes
-    if args.episodes is not None:
-        episodes = episodes[: args.episodes]
-    for ep in episodes:
-        env = make_env(replay.spec.env_name, replay.spec.env_params)
-        env.reset(ep.seed)
-        print(f"=== episode {ep.index} (seed {ep.seed}) ===")
-        print(env.render_ascii())
-        if delay:
-            time.sleep(delay)
-        for rec in ep.steps:
-            env.step(step_actions(rec, args.path))
-            print()
+    with closing(read_episodes(args.path)) as reader:  # --episodes leaves the rest unread
+        spec = next(reader)[1]
+        for ep in islice(reader, args.episodes):
+            env = make_env(spec.env_name, spec.env_params)
+            env.reset(ep.seed)
+            print(f"=== episode {ep.index} (seed {ep.seed}) ===")
             print(env.render_ascii())
             if delay:
                 time.sleep(delay)
-        if ep.outcome is not None:
-            winner = ep.outcome.get("winner")
-            tag = "draw" if ep.outcome.get("draw") else f"winner: party {winner}"
-            print(f"--- {tag}, length {ep.outcome.get('length')} ---")
+            for rec in ep.steps:
+                env.step(step_actions(rec, args.path))
+                print()
+                print(env.render_ascii())
+                if delay:
+                    time.sleep(delay)
+            if ep.outcome is not None:
+                winner = ep.outcome.get("winner")
+                tag = "draw" if ep.outcome.get("draw") else f"winner: party {winner}"
+                print(f"--- {tag}, length {ep.outcome.get('length')} ---")
+            del ep  # so that reading the next episode no longer holds this one
     return 0
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import os
 import secrets
-from contextlib import contextmanager, suppress
+from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Any, IO, Iterator
@@ -186,10 +186,12 @@ def _lines(path: str) -> Iterator[tuple[str, str, dict[str, Any]]]:
             raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def read_replay(path: str) -> Replay:
-    """Parse a replay; a malformed record raises FormatError naming path:lineno."""
+def read_episodes(path: str) -> Iterator[Any]:
+    """Parse a replay lazily: yield (header, spec), then each ReplayEpisode once its
+    last record is read (its outcome, else the next episode header or the file's end).
+    A malformed record raises FormatError naming path:lineno when it is reached."""
     header: dict[str, Any] | None = None
-    episodes: list[ReplayEpisode] = []
+    episode: ReplayEpisode | None = None
     for where, kind, obj in _lines(path):
         if kind == "match":
             if header is not None:
@@ -206,25 +208,38 @@ def read_replay(path: str) -> Replay:
                 diff = sorted(k for k in {*written, *recorded} if written.get(k) != recorded.get(k))
                 raise FormatError(f"{where}: match spec keys {diff} differ from to_jsonable's")
             header = obj
+            yield header, spec
         elif header is None:
             raise FormatError(f"{where}: {kind} record before the match header")
         elif kind == "episode":
-            episodes.append(ReplayEpisode(
+            if episode is not None and episode.outcome is None:
+                yield episode
+            episode = ReplayEpisode(
                 index=obj["index"], seed=obj["seed"],
                 reset_hash=obj["reset_hash"], steps=[], outcome=None,
-            ))
-        elif not episodes:
+            )
+        elif episode is None:
             raise FormatError(f"{where}: {kind} record before any episode header")
-        elif episodes[-1].outcome is not None:
+        elif episode.outcome is not None:
             raise FormatError(f"{where}: {kind} record after episode "
-                              f"{episodes[-1].index}'s outcome")
+                              f"{episode.index}'s outcome")
         elif kind == "step":
-            episodes[-1].steps.append(obj)
+            episode.steps.append(obj)
         else:
-            episodes[-1].outcome = obj
+            episode.outcome = obj
+            yield episode
     if header is None:
         raise FormatError(f"{path}: missing match header")
-    return Replay(header=header, spec=spec, episodes=episodes)
+    if episode is not None and episode.outcome is None:
+        yield episode
+
+
+def read_replay(path: str) -> Replay:
+    """Parse a whole replay, about 12 times the file's size in memory; a malformed
+    record raises FormatError naming path:lineno. read_episodes holds one episode."""
+    reader = read_episodes(path)
+    header, spec = next(reader)
+    return Replay(header, spec, list(reader))
 
 
 def step_actions(rec: dict[str, Any], path: str) -> Bundle:
@@ -261,46 +276,49 @@ def replay_verify(path: str) -> VerifyResult:
     end with its first done step, followed by an outcome. Returns the first
     divergent (episode, step), if any, with the field that diverged.
     """
-    replay = read_replay(path)
-    spec = replay.spec
-    for k, ep in enumerate(replay.episodes):
-        if ep.index != k:
-            return VerifyResult(False, ep.index, None,
-                                f"episode index {ep.index} is episode {k} of the file")
-        env = registry.make_env(spec.env_name, spec.env_params)
-        env.reset(ep.seed)
-        if state_hash(env) != ep.reset_hash:
-            return VerifyResult(False, ep.index, None, "reset state diverged")
-        tally = EpisodeTally(env.num_slots)
-        result = None
-        for rec in ep.steps:
-            t = rec["t"]
-            if result is not None and result.done:
-                return VerifyResult(False, ep.index, t, "step after the done step")
-            if t != tally.length:
-                return _diverged(ep.index, t, "t", t, tally.length)
-            result = env.step(step_actions(rec, path))
-            if state_hash(env) != rec["hash"]:
-                return VerifyResult(False, ep.index, t, "state hash diverged")
-            rewards = list(result.rewards)
-            if rewards != rec["rewards"]:
-                return _diverged(ep.index, t, "rewards", rec["rewards"], rewards)
-            if result.done != rec["done"]:
-                return _diverged(ep.index, t, "done", rec["done"], result.done)
-            tally.add(result.rewards)
-        if result is None or not result.done:
-            return VerifyResult(False, ep.index, None, "episode ends without a done step")
-        if ep.outcome is None:
-            return VerifyResult(False, ep.index, None, "episode has no outcome record")
-        for field, actual in outcome_record(tally.result(result.info)).items():
-            if ep.outcome[field] != actual:
-                return _diverged(ep.index, None, f"outcome {field}", ep.outcome[field], actual)
-    if spec.episodes != len(replay.episodes):
+    with closing(read_episodes(path)) as reader:  # an early return closes the file
+        spec = next(reader)[1]
+        seeds: list[int] = []  # episode k's seed, for the match checks
+        for ep in reader:
+            if ep.index != len(seeds):
+                return VerifyResult(False, ep.index, None,
+                                    f"episode index {ep.index} is episode {len(seeds)} of the file")
+            env = registry.make_env(spec.env_name, spec.env_params)
+            env.reset(ep.seed)
+            if state_hash(env) != ep.reset_hash:
+                return VerifyResult(False, ep.index, None, "reset state diverged")
+            tally = EpisodeTally(env.num_slots)
+            result = None
+            for rec in ep.steps:
+                t = rec["t"]
+                if result is not None and result.done:
+                    return VerifyResult(False, ep.index, t, "step after the done step")
+                if t != tally.length:
+                    return _diverged(ep.index, t, "t", t, tally.length)
+                result = env.step(step_actions(rec, path))
+                if state_hash(env) != rec["hash"]:
+                    return VerifyResult(False, ep.index, t, "state hash diverged")
+                rewards = list(result.rewards)
+                if rewards != rec["rewards"]:
+                    return _diverged(ep.index, t, "rewards", rec["rewards"], rewards)
+                if result.done != rec["done"]:
+                    return _diverged(ep.index, t, "done", rec["done"], result.done)
+                tally.add(result.rewards)
+            if result is None or not result.done:
+                return VerifyResult(False, ep.index, None, "episode ends without a done step")
+            if ep.outcome is None:
+                return VerifyResult(False, ep.index, None, "episode has no outcome record")
+            for field, actual in outcome_record(tally.result(result.info)).items():
+                if ep.outcome[field] != actual:
+                    return _diverged(ep.index, None, f"outcome {field}", ep.outcome[field], actual)
+            seeds.append(ep.seed)
+            del ep  # so that reading the next episode no longer holds this one
+    if spec.episodes != len(seeds):
         return VerifyResult(False, None, None, f"episode count: the header's spec has "
-                                               f"{spec.episodes}, the file {len(replay.episodes)}")
-    for ep in replay.episodes:
-        if ep.seed != spec.base_seed + ep.index:
-            return VerifyResult(False, ep.index, None,
-                                f"seed {ep.seed} is not the header's base seed {spec.base_seed} "
-                                f"+ episode index {ep.index}")
+                                               f"{spec.episodes}, the file {len(seeds)}")
+    for index, seed in enumerate(seeds):
+        if seed != spec.base_seed + index:
+            return VerifyResult(False, index, None,
+                                f"seed {seed} is not the header's base seed {spec.base_seed} "
+                                f"+ episode index {index}")
     return VerifyResult(True)

@@ -7,6 +7,7 @@ a file cut mid-match, steps after done and outcome fields that do not add up.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import pathlib
@@ -14,6 +15,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -63,6 +65,10 @@ def copy(records: list[dict]) -> list[dict]:
     return json.loads(json.dumps(records))
 
 
+# Both read through read_episodes, so a malformed record is the same error in each.
+READERS = (read_replay, replay_verify)
+
+
 # ---------------------------------------------------------------------------
 # Schema
 
@@ -73,10 +79,9 @@ def test_missing_key_is_format_error_with_line(replay_lines, tmp_path, kind, key
     i = first(records, kind)
     del records[i][key]
     path = write(tmp_path, records)
-    with pytest.raises(FormatError, match=rf"{path}:{i + 1}: {kind} record lacks \['{key}'\]"):
-        read_replay(path)
-    with pytest.raises(FormatError):
-        replay_verify(path)
+    for read in READERS:
+        with pytest.raises(FormatError, match=rf"{path}:{i + 1}: {kind} record lacks \['{key}'\]"):
+            read(path)
 
 
 @pytest.mark.parametrize("kind,key,bad", [
@@ -95,8 +100,10 @@ def test_wrong_type_is_format_error(replay_lines, tmp_path, kind, key, bad):
     records = copy(replay_lines)
     i = first(records, kind)
     records[i][key] = bad
-    with pytest.raises(FormatError, match=rf":{i + 1}: {kind} record's '{key}' must"):
-        read_replay(write(tmp_path, records))
+    path = write(tmp_path, records)
+    for read in READERS:
+        with pytest.raises(FormatError, match=rf":{i + 1}: {kind} record's '{key}' must"):
+            read(path)
 
 
 @pytest.mark.parametrize("payload", [
@@ -133,9 +140,11 @@ def test_discrete_action_past_u64_is_format_error(replay_lines, tmp_path):
 def test_match_spec_without_env_name_is_format_error(replay_lines, tmp_path, env):
     records = copy(replay_lines)
     records[0]["spec"]["env"] = env
-    with pytest.raises(FormatError, match=r":1: bad match spec: match config (needs a string "
-                                          r"env\.name|env: 'params' must be a JSON object)"):
-        read_replay(write(tmp_path, records))
+    path = write(tmp_path, records)
+    for read in READERS:
+        with pytest.raises(FormatError, match=r":1: bad match spec: match config (needs a string "
+                                              r"env\.name|env: 'params' must be a JSON object)"):
+            read(path)
 
 
 HEADER_TAMPERS = {
@@ -163,8 +172,9 @@ def test_header_spec_must_be_what_to_jsonable_writes(replay_lines, tmp_path, cap
     records = copy(replay_lines)
     tamper(records[0]["spec"])
     path = write(tmp_path, records)
-    with pytest.raises(FormatError, match=rf"^{re.escape(path)}:1: .*{re.escape(message)}"):
-        read_replay(path)
+    for read in READERS:
+        with pytest.raises(FormatError, match=rf"^{re.escape(path)}:1: .*{re.escape(message)}"):
+            read(path)
     assert cli_main(["verify-replay", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:1: ") and "Traceback" not in err
@@ -183,12 +193,19 @@ def test_records_out_of_place_are_format_errors(replay_lines, tmp_path):
     records = copy(replay_lines)
     outcome = first(records, "outcome")
     after_outcome = records[:outcome + 1] + [records[outcome - 1]] + records[outcome + 1:]
-    with pytest.raises(FormatError, match=rf":{outcome + 2}: step record after episode 0's"):
-        read_replay(write(tmp_path, after_outcome))
-    with pytest.raises(FormatError, match=r":1: step record before the match header"):
-        read_replay(write(tmp_path, records[2:]))
-    with pytest.raises(FormatError, match=r":2: unknown record kind 'stepp'"):
-        read_replay(write(tmp_path, [records[0], {**records[2], "kind": "stepp"}]))
+    cases = [
+        (after_outcome, rf":{outcome + 2}: step record after episode 0's"),
+        (records[2:], r":1: step record before the match header"),
+        ([records[0], {**records[2], "kind": "stepp"}], r":2: unknown record kind 'stepp'"),
+        ([records[0], records[2]], r":2: step record before any episode header"),
+        ([records[0], records[1], records[0]], r":3: duplicate match header"),
+        ([], r"tampered\.jsonl: missing match header"),
+    ]
+    for tampered, message in cases:
+        path = write(tmp_path, tampered)
+        for read in READERS:
+            with pytest.raises(FormatError, match=message):
+                read(path)
 
 
 def test_cli_exits_2_on_a_malformed_record(replay_lines, tmp_path, capsys):
@@ -326,6 +343,119 @@ def test_render_exits_2_on_an_undecodable_action(replay_lines, tmp_path, capsys)
     assert cli_main(["render", path, "--fps", "0", "--episodes", "1"]) == 2
     assert capsys.readouterr().err == f"error: {path}: bad action record at t=0\n"
     assert cli_main(["verify-replay", path]) == 2
+
+
+def test_an_earlier_divergence_is_reported_before_a_later_malformed_record(
+        replay_lines, tmp_path, capsys):
+    # replay_verify checks each episode as it is read, so episode 0's flipped
+    # done flag is found before episode 1's step without a hash is read.
+    records = copy(replay_lines)
+    records[first(records, "step")]["done"] = True
+    i = first(records, "step", episode=1)
+    del records[i]["hash"]
+    path = write(tmp_path, records)
+    with pytest.raises(FormatError, match=rf":{i + 1}: step record lacks \['hash'\]"):
+        read_replay(path)
+    result = replay_verify(path)
+    assert (result.ok, result.episode, result.step) == (False, 0, 0)
+    assert cli_main(["verify-replay", path]) == 2
+    assert capsys.readouterr().out.startswith("DIVERGED at episode 0, step 0: done diverged")
+
+
+def logged_lines(monkeypatch, events: list[str]) -> None:
+    """Append "r" to events for each record that replay._lines yields."""
+    from marlkit import replay
+
+    lines = replay._lines
+
+    def logged(path):
+        for item in lines(path):
+            events.append("r")
+            yield item
+
+    monkeypatch.setattr(replay, "_lines", logged)
+
+
+def test_verify_reads_no_record_between_two_steps_of_an_episode(replay_lines, tmp_path,
+                                                                 monkeypatch):
+    # Each episode is read whole before its env is built ("m") and stepped
+    # ("s"), so reading never lands inside a tick that perfbench's clock times.
+    from marlkit import registry
+
+    events: list[str] = []
+    make_env = registry.make_env
+
+    def logged_make_env(*args):
+        env = make_env(*args)
+        step = env.step
+        env.step = lambda actions: events.append("s") or step(actions)
+        events.append("m")
+        return env
+
+    logged_lines(monkeypatch, events)
+    monkeypatch.setattr(registry, "make_env", logged_make_env)
+    assert verify(tmp_path, copy(replay_lines)).ok
+    split = first(replay_lines, "outcome") + 1  # the header and episode 0, then episode 1
+    expected = "".join("r" * len(part) + "m" + "s" * sum(r["kind"] == "step" for r in part)
+                       for part in (replay_lines[:split], replay_lines[split:]))
+    assert "".join(events) == expected
+
+
+def test_render_stops_reading_after_its_last_episode(replay_lines, tmp_path, monkeypatch):
+    events: list[str] = []
+    logged_lines(monkeypatch, events)
+    path = write(tmp_path, copy(replay_lines))
+    assert cli_main(["render", path, "--fps", "0", "--episodes", "1"]) == 0
+    assert len(events) == first(replay_lines, "outcome") + 1  # the header and episode 0
+
+
+@pytest.fixture(scope="module")
+def fixed_length_replays(tmp_path_factory) -> dict[int, str]:
+    """Pong replays of 1, 2 and 32 episodes, each of exactly 100 steps."""
+    out = tmp_path_factory.mktemp("fixed")
+    paths = {}
+    for episodes in (1, 2, 32):
+        paths[episodes] = str(out / f"{episodes}.jsonl")
+        run_match(MatchSpec(
+            env_name="pong2p", env_params={"win_score": 1000, "step_limit": 100},
+            agents=(AgentSpec("pong.follow_ball"), AgentSpec("random")),
+            episodes=episodes, base_seed=0, replay_path=paths[episodes],
+        ))
+    return paths
+
+
+def traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def render_quietly(path: str) -> None:
+    with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+        assert cli_main(["render", path, "--fps", "0"]) == 0
+
+
+@pytest.mark.parametrize("run", [lambda path: replay_verify(path).ok, render_quietly],
+                         ids=["verify", "render"])
+def test_verify_and_render_hold_one_episode(fixed_length_replays, run):
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        whole = read_replay(fixed_length_replays[32])
+        one_episode = (tracemalloc.get_traced_memory()[0] - before) / 32
+    finally:
+        tracemalloc.stop()
+    assert all(len(ep.steps) == 100 for ep in whole.episodes)
+    del whole
+    run(fixed_length_replays[32])  # warm: fills the interpreter's free lists, which stay traced
+    peaks = {n: traced_peak(run, path) for n, path in fixed_length_replays.items()}
+    # A reader that kept the last episode while reading the next would hold two:
+    # one episode more than the 1-episode file needs.
+    for small in (1, 2):
+        assert peaks[32] - peaks[small] < one_episode, (peaks, one_episode)
 
 
 def test_atomic_write_leaves_a_colliding_temp_file_alone(tmp_path, monkeypatch):
