@@ -7,12 +7,14 @@ from operator import add
 from typing import Sequence
 
 from .errors import InvalidPartition
-from .values import SMALL_DISCRETE, DiscreteV, MappingV, Value, _all_values, _exact, _slot_init
+from .values import (SMALL_DISCRETE, DiscreteV, MappingV, Value, _all_values, _exact, _slot_init,
+                     key_layout)
 
 Partition = tuple[tuple[int, ...], ...]
 
 #: The info of every tick that is not an episode's last (values are immutable).
 NO_INFO = MappingV(())
+_DRAW, _WINNER = key_layout(("draw",)), key_layout(("winner",))  # the outcome_info layouts
 
 
 @_slot_init
@@ -84,10 +86,10 @@ class StepResult:
 def outcome_info(winner: int | None) -> MappingV:
     """The info of an episode's last tick: the winning party, or a draw."""
     if winner is None:
-        return MappingV((("draw", SMALL_DISCRETE[1]),))
+        return MappingV((SMALL_DISCRETE[1],), _DRAW)
     if 0 <= winner < len(SMALL_DISCRETE):
-        return MappingV((("winner", SMALL_DISCRETE[winner]),))
-    return MappingV((("winner", DiscreteV(winner)),))
+        return MappingV((SMALL_DISCRETE[winner],), _WINNER)
+    return MappingV((DiscreteV(winner),), _WINNER)
 
 
 @dataclass(frozen=True)

@@ -67,11 +67,10 @@ class Env(ABC):
             raise EpisodeOver("step() before reset()")
         if self._done:
             raise EpisodeOver("step() after the episode ended")
-        if len(actions) != self.num_slots:
-            raise SpaceMismatch(
-                f"expected {self.num_slots} actions, got {len(actions)}"
-            )
-        for slot, (spec, act) in enumerate(zip(self.action_specs, actions)):
+        specs = self.action_specs  # read once: a wrapper builds or copies its list
+        if len(actions) != len(specs):
+            raise SpaceMismatch(f"expected {len(specs)} actions, got {len(actions)}")
+        for slot, (spec, act) in enumerate(zip(specs, actions)):
             if not space_contains(spec, act):
                 raise SpaceMismatch(f"slot {slot}: action {value_repr(act)} not in {spec!r}")
         result = self._do_step(actions)

@@ -45,6 +45,7 @@ from ..values import (
     SpaceSpec,
     Value,
     VectorV,
+    key_layout,
 )
 
 IDLE, UP, DOWN, LEFT, RIGHT, PLACE = range(6)
@@ -56,7 +57,9 @@ ATTR_CAP = 10.0
 STAT_BOUND = 128.0
 
 Cell = tuple[int, int]
-_VALUE = itemgetter(1)  # of a (key, value) pair
+# The layouts of an agent's observed mapping and of the state.
+_AGENT = key_layout(("alive", "ammo", "blast", "col", "row"))
+_STATE = key_layout(("agents", "board", "bombs", "flames", "hidden", "items", "tick"))
 
 
 @dataclass(frozen=True)
@@ -178,7 +181,8 @@ class BomberEnv(Env):
         # Observation parts that are the same every tick; the changing ones
         # go through Env._reuse.
         self._teams_value = VectorV(tuple(float(t) for t in self.teams))
-        self._self_ids = tuple((("self_id", DiscreteV(slot)),) for slot in range(4))
+        self._self_ids = tuple((DiscreteV(slot),) for slot in range(4))
+        self._view_layout = self._obs_spec.layout
         # What legal_actions parsed from this episode's views.
         self._legal = Kept()
 
@@ -365,26 +369,25 @@ class BomberEnv(Env):
             reuse(i, (a.row, a.col, a.ammo, a.blast, a.alive), _agent_value)
             for i, a in enumerate(self.agents)
         )
-        # The views' pairs in key order: those before self_id, then after it.
+        # The views' values in key order: those before self_id, then after it.
         head = (
-            ("agents", reuse("agents", agents, SeqV)),
-            ("bomb_fuse", reuse("bomb_fuse", {(b.row, b.col): b.fuse for b in bombs},
-                                self._grid_from_map)),
-            ("bomb_owner", reuse("bomb_owner", {(b.row, b.col): b.owner + 1 for b in bombs},
-                                 self._grid_from_map)),
-            ("bomb_strength", reuse("bomb_strength",
-                                    {(b.row, b.col): b.strength for b in bombs},
-                                    self._grid_from_map)),
-            ("flames", reuse("flames", dict(self.flames), self._grid_from_map)),
-            ("items", reuse("items", dict(self.items), self._grid_from_map)),
-            ("rigid", self._rigid_grid),
+            reuse("agents", agents, SeqV),
+            reuse("bomb_fuse", {(b.row, b.col): b.fuse for b in bombs}, self._grid_from_map),
+            reuse("bomb_owner", {(b.row, b.col): b.owner + 1 for b in bombs},
+                  self._grid_from_map),
+            reuse("bomb_strength", {(b.row, b.col): b.strength for b in bombs},
+                  self._grid_from_map),
+            reuse("flames", dict(self.flames), self._grid_from_map),
+            reuse("items", dict(self.items), self._grid_from_map),
+            self._rigid_grid,
         )
         tail = (
-            ("teams", self._teams_value),
-            ("tick", VectorV((float(self.tick),))),
-            ("wood", reuse("wood", dict.fromkeys(self.wood, 1.0), self._grid_from_map)),
+            self._teams_value,
+            VectorV((float(self.tick),)),
+            reuse("wood", dict.fromkeys(self.wood, 1.0), self._grid_from_map),
         )
-        return Bundle(tuple(MappingV(head + self_id + tail) for self_id in self._self_ids))
+        layout = self._view_layout
+        return Bundle(tuple(MappingV(head + self_id + tail, layout) for self_id in self._self_ids))
 
     def state_value(self) -> Value:
         n = self.cfg.size
@@ -394,22 +397,22 @@ class BomberEnv(Env):
         for r, c in self.wood:
             board[r * n + c] = 2.0
         return MappingV((
-            ("agents", SeqV(tuple(
+            SeqV(tuple(
                 VectorV((float(a.row), float(a.col), float(a.ammo),
                          float(a.blast), 1.0 if a.alive else 0.0))
                 for a in self.agents
-            ))),
-            ("board", VectorV(tuple(board))),
-            ("bombs", SeqV(tuple(
+            )),
+            VectorV(tuple(board)),
+            SeqV(tuple(
                 VectorV((float(b.row), float(b.col), float(b.owner),
                          float(b.fuse), float(b.strength)))
                 for b in sorted(self.bombs, key=lambda b: (b.row, b.col))
-            ))),
-            ("flames", _cell_values(self.flames)),
-            ("hidden", _cell_values(self.hidden)),
-            ("items", _cell_values(self.items)),
-            ("tick", VectorV((float(self.tick),))),
-        ))
+            )),
+            _cell_values(self.flames),
+            _cell_values(self.hidden),
+            _cell_values(self.items),
+            VectorV((float(self.tick),)),
+        ), _STATE)
 
     def render_ascii(self) -> str:
         n = self.cfg.size
@@ -468,12 +471,12 @@ def _cell_values(cells: dict[Cell, int]) -> SeqV:
 def _agent_value(fields: tuple[int, int, int, int, bool]) -> MappingV:
     row, col, ammo, blast, alive = fields
     return MappingV((
-        ("alive", VectorV((1.0 if alive else 0.0,))),
-        ("ammo", VectorV((float(ammo),))),
-        ("blast", VectorV((float(blast),))),
-        ("col", VectorV((float(col),))),
-        ("row", VectorV((float(row),))),
-    ))
+        VectorV((1.0 if alive else 0.0,)),
+        VectorV((float(ammo),)),
+        VectorV((float(blast),)),
+        VectorV((float(col),)),
+        VectorV((float(row),)),
+    ), _AGENT)
 
 
 # ---------------------------------------------------------------------------
@@ -535,9 +538,9 @@ class BoardMapObs(Interface):
         self._boards = Kept()
         feature = BoxSpec((n, n, self.CHANNELS), 0.0, 1.0)
         outer, places = append_key(obs_specs, "board_map", feature)
-        # Per slot: a getter of its INPUTS pairs, and its board_map placer.
-        self._plans = [(itemgetter(*map(s.keys().index, self.INPUTS)), place)
-                       for s, place in zip(obs_specs, places)]
+        # Per slot: a getter of its INPUTS values, its board_map placer and layout.
+        self._plans = [(itemgetter(*map(s.keys().index, self.INPUTS)), place, layout)
+                       for s, (place, layout) in zip(obs_specs, places)]
         return outer, act_specs
 
     def _terrain(self, *grids: GridV) -> list[float]:
@@ -568,10 +571,10 @@ class BoardMapObs(Interface):
         return self._encode(terrain, agents, teams, self_id)
 
     def _view(self, view, slot):
-        inputs, place = self._plans[slot]
-        entries = view.entries
-        board = self._boards.get(slot, self._board, *map(_VALUE, inputs(entries)))
-        return MappingV(place(entries + (("board_map", board),)))
+        inputs, place, layout = self._plans[slot]
+        values = view.values
+        board = self._boards.get(slot, self._board, *inputs(values))
+        return MappingV(place(values + (board,)), layout)
 
 
 class AttrObs(Interface):
@@ -592,7 +595,8 @@ class AttrObs(Interface):
             me["alive"].entries[0],
             view["tick"].entries[0] / self._limit,
         ))
-        return MappingV(self._place[slot](view.entries + (("attrs", attrs),)))
+        place, layout = self._place[slot]
+        return MappingV(place(view.values + (attrs,)), layout)
 
 
 def _cell_set(grid: GridV) -> set[Cell]:
@@ -704,7 +708,8 @@ class ActMaskObs(Interface):
     def _view(self, view, slot):
         legal = _legal_actions(view, self._parts)
         mask = _MASKS[tuple(1.0 if a in legal else 0.0 for a in range(6))]
-        return MappingV(self._place[slot](view.entries + (("act_mask", mask),)))
+        place, layout = self._place[slot]
+        return MappingV(place(view.values + (mask,)), layout)
 
 
 @lru_cache(maxsize=None)
@@ -771,7 +776,7 @@ class RotateView(Interface):
     _setup plans from each slot's spec which entries a turn changes: the
     square grids, agents and act_mask. Each view makes one Kept.get, keyed
     by slot, over just those entries, and a place_getter puts the turned
-    pairs in their places; only a miss looks each entry up per (key, turns).
+    values in their places; only a miss looks each entry up per (key, turns).
     A slot of 0 turns gets its own view back, unless an agent coordinate is
     not yet written as rotate writes it (a whole number, not -0.0).
     """
@@ -782,8 +787,8 @@ class RotateView(Interface):
         self._turns: list[int] | None = None
         self._views = Kept()
         self._rotated = Kept()
-        # Per slot: a getter of the pairs a turn changes, the build of
-        # their turned pairs, and the placer of the turned pairs.
+        # Per slot: a getter of the values a turn changes, the build of
+        # their turned values, the placer of the turned values and the layout.
         self._plans = []
         for slot, in_spec in enumerate(obs_specs):
             turned = []
@@ -797,17 +802,16 @@ class RotateView(Interface):
             keys = in_spec.keys()
             self._plans.append((itemgetter(*[at for at, _, _ in turned]),
                                 partial(self._turn, slot, turned),
-                                place_getter(keys, keys, [key for _, key, _ in turned])))
+                                place_getter(keys, keys, [key for _, key, _ in turned]),
+                                in_spec.layout))
         return obs_specs, act_specs
 
     def _turn(self, slot: int, turned: list, *values: Value) -> tuple | None:
-        """The turned (key, value) pairs of one view, or None if each is the value itself."""
+        """The turned values of one view, or None if each is the value itself."""
         k = self._turns[slot]
         get = self._rotated.get
         out = tuple(get((key, k), fn, v, k) for (_, key, fn), v in zip(turned, values))
-        if all(map(is_, out, values)):
-            return None
-        return tuple(zip([key for _, key, _ in turned], out))
+        return None if all(map(is_, out, values)) else out
 
     def _rotate_agents(self, agents: SeqV, k: int) -> SeqV:
         """agents with row and col turned k times and written as whole numbers;
@@ -820,21 +824,19 @@ class RotateView(Interface):
         for agent in agents:
             r, c = _rotate_pos(int(agent["row"].entries[0]),
                                int(agent["col"].entries[0]), n, k)
-            rotated.append(MappingV(tuple(
-                (ak, VectorV((float(r),)) if ak == "row"
-                 else VectorV((float(c),)) if ak == "col" else av)
-                for ak, av in agent.entries
-            )))
+            at, values = agent.layout.index, list(agent.values)
+            values[at["row"]], values[at["col"]] = VectorV((float(r),)), VectorV((float(c),))
+            rotated.append(MappingV(tuple(values), agent.layout))
         return SeqV(tuple(rotated))
 
     def _view(self, view: MappingV, slot: int) -> MappingV:
         assert self._turns is not None, "rotate used before reset"
-        values, build, place = self._plans[slot]
-        entries = view.entries
-        turned = self._views.get(slot, build, *map(_VALUE, values(entries)))
+        inputs, build, place, layout = self._plans[slot]
+        values = view.values
+        turned = self._views.get(slot, build, *inputs(values))
         if turned is None:
             return view
-        return MappingV(place(entries + turned))
+        return MappingV(place(values + turned), layout)
 
     def _reset(self, obs: Bundle) -> Bundle:
         self._turns = [view["self_id"].index % 4 for view in obs]

@@ -37,6 +37,7 @@ from ..values import (
     SpaceSpec,
     Value,
     VectorV,
+    key_layout,
 )
 
 GRID = 8
@@ -136,6 +137,12 @@ def _small(x: int) -> VectorV:
     return VectorV((float(x),)) if v is None else v
 
 
+# The layouts of a unit's observed mapping (see _unit_spec), the state and a dead_pad view.
+_UNIT = key_layout(("alive", "cd", "col", "hp", "kind", "row", "shield", "team"))
+_STATE = key_layout(("tick", "units"))
+_PADDED = key_layout(("alive", "obs"))
+
+
 def _unit_value(fields: tuple) -> MappingV:
     """A unit's observed mapping from its fields, in the order of its sorted keys.
 
@@ -145,15 +152,15 @@ def _unit_value(fields: tuple) -> MappingV:
     """
     alive, cd, col, hp, melee, row, shield, team = fields
     return MappingV((
-        ("alive", _ONE if alive else _ZERO),
-        ("cd", _small(cd)),
-        ("col", _small(col)),
-        ("hp", VectorV((hp,)) if hp > 0.0 else _ZERO),
-        ("kind", _ONE if melee else _ZERO),
-        ("row", _small(row)),
-        ("shield", VectorV((shield,)) if shield > 0.0 else _ZERO),
-        ("team", _small(team)),
-    ))
+        _ONE if alive else _ZERO,
+        _small(cd),
+        _small(col),
+        VectorV((hp,)) if hp > 0.0 else _ZERO,
+        _ONE if melee else _ZERO,
+        _small(row),
+        VectorV((shield,)) if shield > 0.0 else _ZERO,
+        _small(team),
+    ), _UNIT)
 
 
 def strike_target(units, slot: int, cd: float, reach: int) -> int | None:
@@ -180,6 +187,7 @@ class BattleEnv(Env):
         self.side_kinds = SCENARIOS[self.cfg.scenario]
         self.kinds = self.side_kinds + self.side_kinds
         self._obs_spec = _observation_spec(self.kinds)
+        self._view_layout = self._obs_spec.layout
         self._act_spec = DiscreteSpec(9)
         self._self_ids = tuple(DiscreteV(slot) for slot in range(len(self.kinds)))
 
@@ -300,20 +308,20 @@ class BattleEnv(Env):
                   _unit_value)
             for slot, u in enumerate(self.units)
         ))
+        layout = self._view_layout  # self_id, units
         return Bundle(tuple(
-            MappingV((("self_id", self_id), ("units", units_value)))
-            for self_id in self._self_ids
+            MappingV((self_id, units_value), layout) for self_id in self._self_ids
         ))
 
     def state_value(self) -> Value:
         return MappingV((
-            ("tick", VectorV((float(self.tick),))),
-            ("units", SeqV(tuple(
+            VectorV((float(self.tick),)),
+            SeqV(tuple(
                 VectorV((float(u.team), float(u.kind is MELEE), float(u.row), float(u.col),
                          u.hp, u.shield, float(u.cd), 1.0 if u.alive else 0.0))
                 for u in self.units
-            ))),
-        ))
+            )),
+        ), _STATE)
 
     def render_ascii(self) -> str:
         grid = [["."] * GRID for _ in range(GRID)]
@@ -451,7 +459,7 @@ def _any_nonzero(v: Value) -> bool:
         # Entries are exact floats, whose truth is != 0.0: -0.0 is false, NaN true.
         return any(v.entries)
     if isinstance(v, MappingV):
-        return any(_any_nonzero(sub) for _, sub in v.entries)
+        return any(_any_nonzero(sub) for sub in v.values)
     if isinstance(v, SeqV):
         return any(_any_nonzero(sub) for sub in v.items)
     return False
@@ -479,7 +487,7 @@ class DeadPadding(Interface):
 
 
 def _pad(v: Value) -> MappingV:
-    return MappingV((("alive", _ONE if _any_nonzero(v) else _ZERO), ("obs", v)))
+    return MappingV((_ONE if _any_nonzero(v) else _ZERO, v), _PADDED)
 
 
 class HitAndRunAgent(Agent):

@@ -32,6 +32,7 @@ from ..values import (
     SpaceSpec,
     Value,
     VectorV,
+    key_layout,
     vector_mapping_struct,
 )
 
@@ -44,6 +45,7 @@ _RIGHT_SIDE = VectorV((1.0,))
 # state_value() is a mapping of five vectors with fixed keys and lengths.
 _STATE, (_BALL, _PADDLES, _SCORES, _SERVES, _TICK) = vector_mapping_struct((
     ("ball", 4), ("paddles", 2), ("scores", 2), ("serves", 1), ("tick", 1)))
+_STATE_LAYOUT = key_layout(("ball", "paddles", "scores", "serves", "tick"))
 
 
 @dataclass(frozen=True)
@@ -105,6 +107,7 @@ class PongEnv(Env):
             "own_side": BoxSpec((1,), 0.0, 1.0),
         })
         self._act_spec = DiscreteSpec(3)
+        self._view_layout = self._obs_spec.layout
 
     @property
     def observation_specs(self) -> list[SpaceSpec]:
@@ -228,28 +231,25 @@ class PongEnv(Env):
         ball_vy = VectorV((self.ball_vy,))
         left = VectorV((self.paddle_y[0],))
         right = VectorV((self.paddle_y[1],))
-        # Pairs in ascending key order, as MappingV stores them.
+        layout = self._view_layout
+        # Values in the layout's key order: ball_vx, ball_vy, ball_x, ball_y,
+        # opp_paddle_y, own_paddle_y, own_side.
         return Bundle((
-            MappingV((
-                ("ball_vx", VectorV((self.ball_vx,))), ("ball_vy", ball_vy),
-                ("ball_x", VectorV((self.ball_x,))), ("ball_y", ball_y),
-                ("opp_paddle_y", right), ("own_paddle_y", left), ("own_side", _LEFT_SIDE),
-            )),
-            MappingV((
-                ("ball_vx", VectorV((-self.ball_vx,))), ("ball_vy", ball_vy),
-                ("ball_x", VectorV((self.cfg.field_w - self.ball_x,))), ("ball_y", ball_y),
-                ("opp_paddle_y", left), ("own_paddle_y", right), ("own_side", _RIGHT_SIDE),
-            )),
+            MappingV((VectorV((self.ball_vx,)), ball_vy, VectorV((self.ball_x,)), ball_y,
+                      right, left, _LEFT_SIDE), layout),
+            MappingV((VectorV((-self.ball_vx,)), ball_vy,
+                      VectorV((self.cfg.field_w - self.ball_x,)), ball_y,
+                      left, right, _RIGHT_SIDE), layout),
         ))
 
     def state_value(self) -> Value:
         return MappingV((
-            ("ball", VectorV((self.ball_x, self.ball_y, self.ball_vx, self.ball_vy))),
-            ("paddles", VectorV(tuple(self.paddle_y))),
-            ("scores", VectorV(tuple(map(float, self.scores)))),
-            ("serves", VectorV((float(self._serve_count),))),
-            ("tick", VectorV((float(self.tick),))),
-        ))
+            VectorV((self.ball_x, self.ball_y, self.ball_vx, self.ball_vy)),
+            VectorV(tuple(self.paddle_y)),
+            VectorV(tuple(map(float, self.scores))),
+            VectorV((float(self._serve_count),)),
+            VectorV((float(self.tick),)),
+        ), _STATE_LAYOUT)
 
     def state_bytes(self) -> bytes:
         left, right = self.paddle_y

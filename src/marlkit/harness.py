@@ -108,6 +108,8 @@ class MatchResult:
     losses: int
     outcomes: list[EpisodeResult]
     mean_return_per_slot: tuple[float, ...]
+    # Per entrant (spec.agents order): the mean summed return of the raw slots it played.
+    mean_return_per_entrant: tuple[float, ...]
     mean_length: float
 
     @property
@@ -122,6 +124,7 @@ class MatchResult:
             "wins": self.wins, "draws": self.draws, "losses": self.losses,
             "win_rate": self.win_rate,
             "mean_return_per_slot": list(self.mean_return_per_slot),
+            "mean_return_per_entrant": list(self.mean_return_per_entrant),
             "mean_length": self.mean_length,
         }
 
@@ -190,6 +193,7 @@ def run_match(spec: MatchSpec) -> MatchResult:
         raise ConfigError("a match needs at least one episode (win-rate is undefined on 0)")
     wins = draws = losses = 0
     outcomes: list[EpisodeResult] = []
+    entrant_returns = [0.0] * len(spec.agents)
     with atomic_write(spec.replay_path) if spec.replay_path else nullcontext() as replay_file:
         writer = None
         if replay_file is not None:
@@ -212,6 +216,10 @@ def run_match(spec: MatchSpec) -> MatchResult:
                 _add_context(exc, f"{exc} ({entrants})", entrants, exc.__cause__)
                 raise
             outcomes.append(episode)
+            parties = env.unwrapped.parties  # of the raw slots, as episode.returns
+            for e in range(n_parties):
+                party = ids[(e + k) % n_parties]
+                entrant_returns[e] += sum(r for r, p in zip(episode.returns, parties) if p == party)
             if episode.draw or episode.winner_party is None:
                 draws += 1
             else:
@@ -228,6 +236,7 @@ def run_match(spec: MatchSpec) -> MatchResult:
     return MatchResult(
         spec=spec, wins=wins, draws=draws, losses=losses, outcomes=outcomes,
         mean_return_per_slot=mean_returns, mean_length=mean_length,
+        mean_return_per_entrant=tuple(r / len(outcomes) for r in entrant_returns),
     )
 
 

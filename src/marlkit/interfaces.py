@@ -38,6 +38,7 @@ from .values import (
     DiscreteSpec,
     DiscreteV,
     Kept,
+    KeyLayout,
     MappingSpec,
     MappingV,
     SeqSpec,
@@ -443,18 +444,20 @@ def concat_obs_act(partition: Sequence[Sequence[int]]) -> Interface:
 
 def place_getter(in_keys: Sequence[str], out_keys: Sequence[str],
                  written: Sequence[str]) -> Callable[[tuple], tuple]:
-    """A getter that takes a view's pairs followed by the written pairs into
-    out_keys order, as a tuple; a written key already in the view replaces that pair."""
+    """A getter that takes a view's values (in in_keys order) followed by the written
+    values into out_keys order, as a tuple; a written key already in the view
+    replaces that value."""
     at = dict(zip(in_keys, range(len(in_keys))))
     at.update(zip(written, range(len(in_keys), len(in_keys) + len(written))))
     get = itemgetter(*map(at.__getitem__, out_keys))
-    # A one-index itemgetter returns the bare pair.
-    return get if len(out_keys) > 1 else lambda pairs: (get(pairs),)
+    # A one-index itemgetter returns the bare value.
+    return get if len(out_keys) > 1 else lambda values: (get(values),)
 
 
 def append_key(obs_specs: Sequence[SpaceSpec], key: str, feature_spec: SpaceSpec
-               ) -> tuple[list[SpaceSpec], list[Callable[[tuple], tuple]]]:
-    """Each slot's mapping spec with (key, feature_spec) appended, and its placer.
+               ) -> tuple[list[SpaceSpec], list[tuple[Callable[[tuple], tuple], KeyLayout]]]:
+    """Each slot's mapping spec with (key, feature_spec) appended, and its (placer,
+    layout): the slot's mapping is MappingV(place(view.values + (feature,)), layout).
 
     Raises SetupError if a slot's spec is not a mapping or already has key.
     """
@@ -466,7 +469,7 @@ def append_key(obs_specs: Sequence[SpaceSpec], key: str, feature_spec: SpaceSpec
         if key in s.keys():
             raise SetupError(f"slot {i}: key {key!r} already present")
         outer.append(MappingSpec(s.entries + ((key, feature_spec),)))
-        placers.append(place_getter(s.keys(), outer[-1].keys(), (key,)))
+        placers.append((place_getter(s.keys(), outer[-1].keys(), (key,)), outer[-1].layout))
     return outer, placers
 
 
@@ -488,7 +491,8 @@ class AppendFeature(Interface):
         if not space_contains(self.feature_spec, feature):
             raise SpaceMismatch(f"appended feature {value_repr(feature)} "
                                 f"not in {self.feature_spec!r}")
-        return MappingV(self._place[slot](view.entries + ((self.key, feature),)))
+        place, layout = self._place[slot]
+        return MappingV(place(view.values + (feature,)), layout)
 
 
 def append_feature(key: str, fn: Callable[[Value], Value],

@@ -31,7 +31,7 @@ def value_to_jsonable(v: Value) -> dict[str, Any]:
     if isinstance(v, GridV):
         return {"g": {"shape": list(v.shape), "data": list(v.entries)}}
     if isinstance(v, MappingV):
-        return {"m": {k: value_to_jsonable(sub) for k, sub in v.entries}}
+        return {"m": {k: value_to_jsonable(sub) for k, sub in zip(v.keys(), v.values)}}
     if isinstance(v, SeqV):
         return {"s": [value_to_jsonable(sub) for sub in v.items]}
     raise TypeError(f"not a Value: {v!r}")

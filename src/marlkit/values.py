@@ -8,7 +8,10 @@ tests, sampling and canonical flattening.
 Equality of values is structural and exact: two values are equal iff their
 canonical little-endian serializations are byte-identical, which makes real
 entries compare bitwise (0.0 != -0.0, and equal-bit NaNs compare equal).
-Mappings iterate in ascending lexicographic key order everywhere.
+Mappings iterate in ascending lexicographic key order everywhere. Each is a
+shared KeyLayout (its keys, checked once) and a tuple of values; envs and
+nodes build every per-tick mapping as MappingV(values, layout), from a
+layout read at setup, which checks only the values.
 
 Each value class is a frozen slots dataclass whose constructor (made by
 _slot_init) stores every field through its slot descriptor and then calls
@@ -97,8 +100,8 @@ def _slot_init(cls: type) -> type:
     object.__setattr__, which looks the name up on the type first. The
     parameters and defaults are read from dataclasses.fields: an init field
     is a parameter, a field with init=False and a default (_cb) is stored as
-    that default, and one without (MappingV._index) is left to __post_init__,
-    which holds every check. The frozen __setattr__ and __delattr__ stay, so
+    that default, and one without is left to __post_init__, which holds
+    every check. The frozen __setattr__ and __delattr__ stay, so
     assigning or deleting a field still raises FrozenInstanceError.
     """
     params, body, names = [], [], {}
@@ -212,19 +215,6 @@ class GridV(Value):
 _KEY = itemgetter(0)
 
 
-@lru_cache(maxsize=1024)
-def _key_prefix(key: str) -> bytes:
-    """A mapping key's canonical bytes: u32 length + UTF-8."""
-    raw = key.encode("utf-8")
-    return _U32.pack(len(raw)) + raw
-
-
-@lru_cache(maxsize=1024)
-def _ascending(keys: tuple[str, ...]) -> bool:
-    """Whether exact-str keys are in strictly ascending order."""
-    return all(map(lt, keys, keys[1:]))
-
-
 def _sorted_index(raw, what: str) -> tuple[tuple, dict]:
     """(entries sorted by key, key -> value dict) from a mapping or (key, value) pairs.
 
@@ -245,97 +235,137 @@ def _sorted_index(raw, what: str) -> tuple[tuple, dict]:
     return tuple(items), index
 
 
+class KeyLayout:
+    """A mapping's keys, checked once, with what MappingV reads of them.
+
+    keys are str, strictly ascending by their own < (so unique); size is
+    their count, index maps each key to its position, header is the
+    canonical bytes before the first entry and prefixes holds each key's
+    (u32 length + UTF-8). Get one from key_layout; never change one.
+    """
+
+    __slots__ = ("keys", "size", "index", "header", "prefixes")
+
+    def __init__(self, keys: Sequence[str]):
+        keys = tuple(keys)
+        if not (all(isinstance(k, str) for k in keys) and all(map(lt, keys, keys[1:]))):
+            raise ValueError(f"layout keys must be str, unique and ascending, got {keys!r}")
+        self.keys = keys
+        self.size = len(keys)
+        self.index = dict(zip(keys, range(len(keys))))
+        self.header = b"\x04" + _U32.pack(len(keys))
+        self.prefixes = tuple(_U32.pack(len(b)) + b for b in map(str.encode, keys))  # UTF-8
+
+    def __repr__(self) -> str:
+        return f"KeyLayout({self.keys!r})"
+
+
+_shared_layout = lru_cache(maxsize=1024)(KeyLayout)
+
+
+def key_layout(keys: Sequence[str]) -> KeyLayout:
+    """The layout of keys, which must be str in strictly ascending order: one
+    per distinct tuple of exact-str keys (the 1024 used last are kept). Keys
+    of a str subclass keep their type and order, so each call builds one."""
+    keys = tuple(keys)
+    return _shared_layout(keys) if _exact(keys, str) else KeyLayout(keys)
+
+
 @_slot_init
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class MappingV(Value):
     """String-keyed mapping of values; iterates in ascending key order.
 
-    Lookup (get, [], in) is a dict lookup. Construction checks that keys are
-    unique str and values are Value. A tuple of (str, Value) tuple pairs in
-    strictly ascending key order is stored as it is; any other input (a dict,
-    a list, unsorted pairs) is sorted first, and checked the same way.
+    It holds a shared KeyLayout and a tuple of values in its key order:
+    lookup (get, [], in) finds a key's position in the layout, and keys(),
+    items(), entries and the canonical bytes read the layout.
+    MappingV(entries), from a dict or (key, value) pairs, sorts them, checks
+    that keys are unique str and values are Value, and finds the layout of the
+    keys. MappingV(values, layout) checks only that layout is a KeyLayout and
+    values a tuple of one Value per key.
     """
 
-    entries: tuple[tuple[str, Value], ...]
+    values: tuple[Value, ...]
+    layout: KeyLayout | None = None
     _cb: bytes | None = field(default=None, init=False, repr=False)
-    _index: dict[str, Value] = field(init=False, repr=False)
 
     def __post_init__(self):
-        raw = self.entries
-        # Canonical input: (exact str, Value) tuple pairs, keys strictly
-        # ascending; the key order is decided once per distinct key tuple.
-        if type(raw) is tuple:
-            for pair in raw:
-                if (type(pair) is not tuple or len(pair) != 2 or type(pair[0]) is not str
-                        or not isinstance(pair[1], Value)):
-                    break
-            else:
-                index = dict(raw)
-                if len(index) == len(raw) and _ascending(tuple(index)):
-                    _set_index(self, index)
-                    return
-        entries, index = _sorted_index(raw, "mapping")
+        layout, values = self.layout, self.values
+        if type(layout) is KeyLayout and type(values) is tuple and len(values) == layout.size:
+            for v in values:
+                if not isinstance(v, Value):
+                    raise ValueError(f"mapping values must be Value, got {v!r}")
+            return
+        if layout is not None:
+            raise ValueError(f"a mapping built from a layout needs a KeyLayout and a tuple of "
+                             f"one value per key, got {value_repr(values, 2)} and {layout!r}")
+        entries, index = _sorted_index(values, "mapping")
         for k, v in entries:
             if not isinstance(k, str):
                 raise ValueError(f"mapping keys must be str, got {k!r}")
             if not isinstance(v, Value):
                 raise ValueError(f"mapping values must be Value, got {v!r}")
-        object.__setattr__(self, "entries", entries)
-        _set_index(self, index)
+        object.__setattr__(self, "layout", key_layout(tuple(index)))
+        object.__setattr__(self, "values", tuple(index.values()))
+
+    @property
+    def entries(self) -> tuple[tuple[str, Value], ...]:
+        """The (key, value) pairs in key order."""
+        return tuple(zip(self.layout.keys, self.values))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(entries={self.entries!r})"
 
     def keys(self) -> tuple[str, ...]:
-        return tuple(self._index)
+        return self.layout.keys
 
     def items(self) -> tuple[tuple[str, Value], ...]:
         return self.entries
 
     def get(self, key: str, default: Value | None = None) -> Value | None:
         try:
-            return self._index.get(key, default)
-        except TypeError:  # an unhashable key is in no mapping
+            return self.values[self.layout.index[key]]
+        except (KeyError, TypeError):  # a missing or unhashable key
             return default
 
     def __getitem__(self, key: str) -> Value:
         try:
-            return self._index[key]
+            return self.values[self.layout.index[key]]
         except TypeError:
             raise KeyError(key) from None
 
     def __contains__(self, key: str) -> bool:
         try:
-            return key in self._index
+            return key in self.layout.index
         except TypeError:
             return False
 
     def _encode(self, out: list[bytes]) -> None:
-        out.append(b"\x04" + _U32.pack(len(self.entries)))
-        for k, v in self.entries:
-            out.append(_key_prefix(k))
+        layout = self.layout
+        out.append(layout.header)
+        for prefix, v in zip(layout.prefixes, self.values):
+            out.append(prefix)
             v._encode(out)
 
 
-# MappingV.__post_init__ stores _index through its slot descriptor.
-_set_index = MappingV.__dict__["_index"].__set__
-
-
-def vector_mapping_struct(layout: Sequence[tuple[str, int]]
+def vector_mapping_struct(counts: Sequence[tuple[str, int]]
                           ) -> tuple[struct.Struct, tuple[bytes, ...]]:
     """A struct for the canonical bytes of a mapping of vectors with fixed keys and lengths.
 
-    layout is one or more (key, entry count) pairs in ascending key order. Per key, the
+    counts is one or more (key, entry count) pairs in ascending key order. Per key, the
     struct holds an "s" field for the constant bytes before that vector's
     doubles (the mapping's tag and count before the first key, the key, the
     vector's tag and count), then the doubles; the second result holds those
     constant fields. pack(prefix_0, *entries_0, prefix_1, *entries_1, ...)
     equals MappingV({key_i: VectorV(entries_i)}).canonical_bytes().
     """
-    keys = [key for key, _ in layout]
-    if not keys or keys != sorted(set(keys)):
-        raise ValueError(f"layout keys must be unique, ascending and at least one, got {keys}")
+    layout = key_layout([key for key, _ in counts])  # keys unique and ascending
+    if not layout.size:
+        raise ValueError("a vector mapping struct needs at least one key")
     fmt, prefixes = "<", []
-    head = b"\x04" + _U32.pack(len(layout))
-    for key, count in layout:
-        prefix = head + _key_prefix(key) + b"\x02" + _U32.pack(count)
+    head = layout.header
+    for (_, count), key_bytes in zip(counts, layout.prefixes):
+        prefix = head + key_bytes + b"\x02" + _U32.pack(count)
         fmt += f"{len(prefix)}s{count}d"
         prefixes.append(prefix)
         head = b""
@@ -385,8 +415,9 @@ def value_repr(v: object, depth: int = 20) -> str:
     if depth < 0 and (type(v) is tuple or is_dataclass(v)):
         return "..."
     if is_dataclass(v) and not isinstance(v, type):
-        shown = ", ".join(f"{f.name}={value_repr(getattr(v, f.name), depth - 1)}"
-                          for f in fields(v) if f.repr)
+        # A mapping shows its (key, value) pairs, as its repr does.
+        names = ("entries",) if isinstance(v, MappingV) else [f.name for f in fields(v) if f.repr]
+        shown = ", ".join(f"{name}={value_repr(getattr(v, name), depth - 1)}" for name in names)
         return f"{type(v).__qualname__}({shown})"
     if type(v) is tuple:
         items = [value_repr(x, depth - 1) for x in v]
@@ -489,6 +520,11 @@ class MappingSpec(SpaceSpec):
     def items(self) -> tuple[tuple[str, SpaceSpec], ...]:
         return self.entries
 
+    @property
+    def layout(self) -> KeyLayout:
+        """The key_layout of this spec's keys, from which the values in it are built."""
+        return key_layout(self._index)
+
     def __getitem__(self, key: str) -> SpaceSpec:
         try:
             return self._index[key]
@@ -537,7 +573,7 @@ def space_contains(spec: SpaceSpec, v: Value) -> bool:
     if isinstance(spec, MappingSpec):
         if not isinstance(v, MappingV) or v.keys() != spec.keys():
             return False
-        return all(space_contains(s, val) for (_, s), (_, val) in zip(spec.entries, v.entries))
+        return all(space_contains(s, val) for (_, s), val in zip(spec.entries, v.values))
     if isinstance(spec, SeqSpec):
         if not isinstance(v, SeqV) or len(v) != len(spec):
             return False
@@ -557,7 +593,7 @@ def space_sample(spec: SpaceSpec, rng: RngStream) -> Value:
             return VectorV(entries)
         return GridV(spec.shape, entries)
     if isinstance(spec, MappingSpec):
-        return MappingV(tuple((k, space_sample(s, rng)) for k, s in spec.entries))
+        return MappingV(tuple(space_sample(s, rng) for _, s in spec.entries), spec.layout)
     if isinstance(spec, SeqSpec):
         return SeqV(tuple(space_sample(s, rng) for s in spec.items))
     raise TypeError(f"cannot sample from {spec!r}")
@@ -574,7 +610,7 @@ def _flatten_into(v: Value, spec: SpaceSpec | None, out: list[float]) -> None:
     elif isinstance(v, (VectorV, GridV)):
         out.extend(v.entries)
     elif isinstance(v, MappingV):
-        for k, sub in v.entries:
+        for k, sub in zip(v.layout.keys, v.values):
             sub_spec = spec[k] if isinstance(spec, MappingSpec) else None
             _flatten_into(sub, sub_spec, out)
     elif isinstance(v, SeqV):

@@ -37,6 +37,7 @@ from marlkit import (
     RandomAgent,
     RngStream,
     SeqV,
+    SpaceMismatch,
     StepResult,
     VectorV,
     build_pipeline,
@@ -90,7 +91,7 @@ from marlkit.envs.gridbattle import (
 from marlkit.envs.pong import PongConfig, PongEnv
 from marlkit.interfaces import Interface, place_getter
 from marlkit.replay import ReplayWriter
-from marlkit.values import Kept, SpaceSpec, Value, vector_mapping_struct
+from marlkit.values import Kept, SpaceSpec, Value, key_layout, value_repr, vector_mapping_struct
 
 
 class Flt(float):
@@ -304,7 +305,8 @@ def generated_init_reference(cls: type) -> type:
     """cls made a dataclass again as a subclass: __init__ (each field stored
     through object.__setattr__), repr, eq, hash and the frozen setattr are
     what dataclasses generates, over cls's own slots and __post_init__."""
-    return dataclass(frozen=True, slots=True, eq=cls.__dataclass_params__.eq)(
+    params = cls.__dataclass_params__
+    return dataclass(frozen=True, slots=True, eq=params.eq, repr=params.repr)(
         type(f"Ref{cls.__name__}", (cls,), {}))
 
 
@@ -312,6 +314,7 @@ def slot_init_cases() -> dict:
     """(args, kwargs) per class: positional, keyword, canonical, converted and bad input."""
     d, v = DiscreteV(1), VectorV((0.5,))
     b, info = Bundle((d, v)), MappingV((("winner", d),))
+    ab = key_layout(("a", "b"))
     return {
         DiscreteV: [((3,), {}), ((), {"index": 0}), ((Index(2),), {}), ((2**64 - 1,), {}),
                     ((), {}), ((1, 2), {}), ((), {"idx": 1}), ((-1,), {}), ((True,), {}),
@@ -321,8 +324,13 @@ def slot_init_cases() -> dict:
         GridV: [(((1, 1, 2), (0.5, -0.0)), {}), ((), {"shape": [1, 2, 1], "entries": [1, 2]}),
                 (((1, 1, 1),), {}), (((1, 1, 1), (1.0, 2.0)), {}), (((0, 1, 1), ()), {}),
                 (((1, 1), (1.0,)), {}), ((("a", 1, 1), (1.0,)), {})],
-        MappingV: [(((("a", d), ("b", v)),), {}), ((), {"entries": {"b": v, "a": d}}),
+        MappingV: [(((("a", d), ("b", v)),), {}), ((), {"values": {"b": v, "a": d}}),
                    (((),), {}), ((), {}), ((None,), {}), ((((1, d),),), {}),
+                   # From a layout, and each of its checks: the layout's type,
+                   # a tuple of one value per key, each a Value.
+                   (((d, v), ab), {}), ((), {"values": (v, v), "layout": ab}),
+                   (((d,), ab), {}), (((d, v, v), ab), {}), (([d, v], ab), {}),
+                   (((d, 1), ab), {}), (((d, v), ("a", "b")), {}), (((d, v), "ab"), {}),
                    # Each way out of the canonical loop: a str-subclass key, a
                    # list pair, a 3-tuple pair, a value that is not a Value,
                    # adjacent duplicate keys and descending keys.
@@ -354,10 +362,13 @@ def test_slot_init_matches_the_generated_init(cls):
     for args, kwargs in slot_init_cases()[cls]:
         fast = outcome(lambda: cls(*args, **kwargs))
         ref = outcome(lambda: ref_cls(*args, **kwargs))
+        # A mapping built from entries alone raises and builds as the old
+        # sorting constructor did.
+        from_entries = cls is MappingV and len(args) + len(kwargs) == 1 and "layout" not in kwargs
         if ref[0] != "ok":
             assert fast == (ref[0], unref(ref[1])), (args, kwargs)
-            if cls is MappingV:  # and as the old sorting constructor raised
-                old = outcome(lambda: RefMappingV(*args, **kwargs))
+            if from_entries:
+                old = outcome(lambda: RefMappingV(*args, *kwargs.values()))
                 assert fast == (old[0], unref(old[1])), (args, kwargs)
             continue
         assert fast[0] == "ok", (args, kwargs, fast)
@@ -369,8 +380,10 @@ def test_slot_init_matches_the_generated_init(cls):
             assert type(mine) is type(theirs) and repr(mine) == repr(theirs), f.name
             # What the reference stores as it was given, so does the constructor.
             assert mine is theirs or not any(theirs is x for x in inputs), f.name
-        if cls is MappingV:
-            assert_same_mapping(fast, RefMappingV(*args, **kwargs))
+        if from_entries:
+            assert_same_mapping(fast, RefMappingV(*args, *kwargs.values()))
+        elif cls is MappingV:
+            assert_same_mapping(fast, RefMappingV(tuple(zip(fast.layout.keys, fast.values))))
         assert repr(fast) == unref(repr(ref))
         assert hash(fast) == hash(ref)
         assert fast == cls(*args, **kwargs) and ref == ref_cls(*args, **kwargs)
@@ -1627,11 +1640,16 @@ PROBES = [*NAMES, Key("a"), "missing", 0, None, 1.5, [1], {"a": 1}, ("a",)]
 
 
 def assert_same_mapping(fast, ref):
-    assert fast.entries == ref.entries
+    ref_entries = ref.entries
+    if isinstance(fast, MappingV):
+        # A mapping's pairs are read from its layout, so each is a tuple
+        # even where the reference keeps a list pair as it was given.
+        ref_entries = tuple(map(tuple, ref_entries))
+    assert fast.entries == ref_entries
     assert [type(k) for k, _ in fast.entries] == [type(k) for k, _ in ref.entries]
     assert all(a is b for (_, a), (_, b) in zip(fast.entries, ref.entries))
     assert fast.keys() == ref.keys()
-    assert repr(fast) == repr(ref).replace("Ref", "", 1)
+    assert repr(fast) == f"{type(fast).__name__}(entries={ref_entries!r})"
     for probe in PROBES + [k for k, _ in ref.entries]:
         assert outcome(lambda: fast[probe]) == outcome(lambda: ref[probe]), probe
 
@@ -1742,9 +1760,11 @@ def test_mapping_value_canonical_path_matches_reference(raw):
     fast, ref = fast[1], ref[1]
     assert_same_mapping(fast, ref)
     assert fast.canonical_bytes() == ref.canonical_bytes()
-    canonical = all(type(p) is tuple and type(p[0]) is str for p in raw) and (
-        fast.entries == raw)
-    assert (fast.entries is raw) == canonical
+    # Pairs in any form find the shared layout of their keys, and the values
+    # are stored as given.
+    if all(type(k) is str for k in fast.keys()):
+        assert fast.layout is key_layout(fast.keys())
+    assert all(map(operator.is_, fast.values, [v for _, v in ref.entries]))
 
 
 def test_mapping_key_order_is_decided_by_the_key_types():
@@ -1755,6 +1775,75 @@ def test_mapping_key_order_is_decided_by_the_key_types():
         assert_same_mapping(fast, ref)
         assert fast.keys() == ("b", "a") and type(fast.keys()[0]) is Rev
         assert fast.canonical_bytes() == ref.canonical_bytes()
+
+
+# ---------------------------------------------------------------------------
+# MappingV(values, layout), the per-tick build, against MappingV(dict) and the
+# linear-scan reference
+
+
+@st.composite
+def layout_cases(draw):
+    """Ascending unique exact-str keys (0 to 7) and one value per key."""
+    keys = sorted(set(draw(st.lists(st.one_of(st.sampled_from(NAMES), st.text(max_size=3)),
+                                    max_size=7))))
+    return keys, [draw(values) for _ in keys]
+
+
+@settings(max_examples=500, deadline=None)
+@given(layout_cases(), st.data())
+def test_mapping_from_a_layout_matches_the_mapping_of_a_dict(case, data):
+    keys, vals = case
+    pairs = tuple(zip(keys, vals))
+    built = MappingV(tuple(vals), key_layout(keys))
+    from_dict, ref = MappingV(dict(pairs)), RefMappingV(pairs)
+    assert built.layout is from_dict.layout  # one layout per key tuple
+    assert built.canonical_bytes() == from_dict.canonical_bytes() == ref.canonical_bytes()
+    assert built == from_dict == ref and hash(built) == hash(from_dict) == hash(ref)
+    for m in (built, from_dict):
+        assert m.keys() == tuple(keys) and m.items() == m.entries == pairs
+        assert all(map(operator.is_, m.values, vals))
+        for probe in PROBES + keys:
+            assert outcome(lambda: m[probe]) == outcome(lambda: ref[probe]), probe
+            assert outcome(lambda: m.get(probe)) == outcome(lambda: ref.get(probe)), probe
+            assert outcome(lambda: m.get(probe, "d")) == outcome(lambda: ref.get(probe, "d"))
+            assert outcome(lambda: probe in m) == outcome(lambda: probe in ref), probe
+    # Error messages print the (key, value) pairs.
+    shown = f"MappingV(entries={pairs!r})"
+    assert repr(built) == value_repr(built) == value_repr(from_dict) == shown
+    env = PongEnv()
+    env.reset(0)
+    with pytest.raises(SpaceMismatch) as info:
+        env.step(Bundle((built, DiscreteV(0))))
+    assert str(info.value) == f"slot 0: action {shown} not in DiscreteSpec(n=3)"
+    # A layout build checks the layout's type, the count and each value.
+    faults = [(tuple(vals) + (DiscreteV(0),), key_layout(keys)), (list(vals), key_layout(keys)),
+              (tuple(vals), tuple(keys))]
+    if keys:
+        bad = list(vals)
+        bad[data.draw(st.integers(0, len(keys) - 1))] = data.draw(junk)
+        faults.append((tuple(bad), key_layout(keys)))
+    for given_values, layout in faults:
+        with pytest.raises(ValueError, match="a mapping built from a layout|mapping values"):
+            MappingV(given_values, layout)
+
+
+@settings(max_examples=300, deadline=None)
+@given(layout_cases().filter(lambda case: case[0]), st.data())
+def test_placed_values_build_the_mapping_of_the_merged_dict(case, data):
+    keys, _ = case
+    # Each key is in the view only, written only (appended) or both (replaced).
+    roles = data.draw(st.lists(st.sampled_from(("view", "new", "both")),
+                               min_size=len(keys), max_size=len(keys)))
+    view_keys = [k for k, role in zip(keys, roles) if role != "new"]
+    written = data.draw(st.permutations([k for k, role in zip(keys, roles) if role != "view"]))
+    old = {k: DiscreteV(i) for i, k in enumerate(view_keys)}
+    new = {k: VectorV((float(i),)) for i, k in enumerate(written)}
+    view = MappingV(tuple(old.values()), key_layout(view_keys))
+    place = place_getter(view_keys, keys, written)
+    built = MappingV(place(view.values + tuple(new.values())), key_layout(keys))
+    assert built == MappingV({**old, **new})
+    assert all(map(operator.is_, built.values, [new[k] if k in new else old[k] for k in keys]))
 
 
 # Every env config, under no pipeline and under each registered one-node
@@ -1779,17 +1868,21 @@ def one_node_envs(env_name: str, params: dict):
 
 
 def test_per_tick_mappings_take_the_canonical_path(monkeypatch):
-    """No mapping built while a tick is played (env, interfaces, agents) is sorted."""
-    sorted_index = values_module._sorted_index
-    ticking, sorted_builds = [False], []
+    """Every mapping built while a tick is played (env, interfaces, agents and
+    the state) is built from a layout: none takes the general path, which
+    sorts and checks its pairs, even pairs already in key order."""
+    post_init = MappingV.__post_init__
+    ticking, from_layout, general = [False], [0], []
 
-    def spy(raw, what):
-        entries, index = sorted_index(raw, what)
-        if ticking[0] and what == "mapping" and entries is not raw:
-            sorted_builds.append(tuple(index))
-        return entries, index
+    def spy(self):
+        if ticking[0]:
+            if self.layout is None:
+                general.append(value_repr(self.values, 2))
+            else:
+                from_layout[0] += 1
+        post_init(self)
 
-    monkeypatch.setattr(values_module, "_sorted_index", spy)
+    monkeypatch.setattr(MappingV, "__post_init__", spy)
     played = []
     for config, (env_name, params) in ENV_CONFIGS.items():
         for pipeline, env in one_node_envs(env_name, params):
@@ -1808,13 +1901,14 @@ def test_per_tick_mappings_take_the_canonical_path(monkeypatch):
                 env.state_value()
                 ticks += 1
             ticking[0] = False
-            assert sorted_builds == [], (config, pipeline, sorted_builds[:3])
+            assert general == [], (config, pipeline, general[:3])
             played.append((config, pipeline, ticks))
     # Every config runs raw and under some node; every node sets up somewhere.
     assert {c for c, p, _ in played if p == "raw"} == set(ENV_CONFIGS)
     nodes = {p for _, p, _ in played}
     assert nodes >= set(list_interfaces()) - {"make_team", "concat_obs_act"}
     assert sum(t for _, _, t in played) > 500
+    assert from_layout[0] > 2 * sum(t for _, _, t in played)  # the spy sees the builds
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,15 @@ from marlkit import (
     Bundle,
     ConfigError,
     ConstantAgent,
+    DiscreteSpec,
     DiscreteV,
+    Env,
     InvalidPartition,
     MatchSpec,
     RandomAgent,
     SetupError,
     SpaceMismatch,
+    StepResult,
     make_env,
     read_replay,
     replay_verify,
@@ -25,6 +28,7 @@ from marlkit import (
     run_episode,
     run_match,
 )
+from marlkit.bundles import outcome_info
 from marlkit.cli import main as cli_main
 from marlkit.serial import value_from_jsonable
 
@@ -122,9 +126,43 @@ class TestRunMatch:
         stats = run_match(self.spec(episodes=2)).stats_jsonable()
         assert set(stats) == {
             "env", "agents", "episodes", "wins", "draws", "losses",
-            "win_rate", "mean_return_per_slot", "mean_length",
+            "win_rate", "mean_return_per_slot", "mean_return_per_entrant", "mean_length",
         }
         assert stats["episodes"] == 2
+
+    def test_mean_return_per_entrant_follows_the_rotation(self):
+        from marlkit import register_env, registry
+
+        class PayoutEnv(Env):
+            """Three slots, parties 0, 0 and 1; one tick whose reward per slot is its action."""
+
+            observation_specs = property(lambda self: [DiscreteSpec(1)] * 3)
+            action_specs = property(lambda self: [DiscreteSpec(4)] * 3)
+            parties = property(lambda self: [0, 0, 1])
+
+            def _do_reset(self, seed):
+                return Bundle((DiscreteV(0),) * 3)
+
+            def _do_step(self, actions):
+                return StepResult(obs=Bundle((DiscreteV(0),) * 3),
+                                  rewards=tuple(float(a.index) for a in actions), done=True,
+                                  alive=(True,) * 3, info=outcome_info(None))
+
+        register_env("test.payout", lambda params: PayoutEnv())
+        try:
+            result = run_match(MatchSpec(
+                env_name="test.payout",
+                agents=(AgentSpec("constant", {"action": {"d": 3}}),
+                        AgentSpec("constant", {"action": {"d": 1}})),
+                episodes=2, base_seed=0))
+        finally:
+            del registry._ENVS["test.payout"]
+        # Episode 0: the first entrant plays party 0 (slots 0 and 1), so the
+        # returns are (3, 3, 1); episode 1 swaps the sides: (1, 1, 3).
+        assert [o.returns for o in result.outcomes] == [(3.0, 3.0, 1.0), (1.0, 1.0, 3.0)]
+        assert result.mean_return_per_slot == (2.0, 2.0, 2.0)
+        assert result.mean_return_per_entrant == ((6.0 + 3.0) / 2, (1.0 + 2.0) / 2)
+        assert result.stats_jsonable()["mean_return_per_entrant"] == [4.5, 1.5]
 
 
 class TestErrorContext:
