@@ -78,8 +78,8 @@ class BomberConfig:
         object.__setattr__(self, "mode", self.mode.lower())
         if self.mode not in ("ffa", "2v2"):
             raise ConfigError(f"mode must be 'ffa' or '2v2', got {self.mode!r}")
-        if self.size % 2 == 0 or self.size < 5:
-            raise ConfigError("board size must be odd and at least 5")
+        if self.size % 2 == 0 or not 5 <= self.size <= 63:
+            raise ConfigError(f"bomber size must be odd and in [5, 63], got {self.size}")
         if self.step_limit <= 0:
             raise ConfigError("step_limit must be positive")
         if min(self.bomb_life, self.flame_life, self.initial_ammo, self.initial_blast) <= 0:

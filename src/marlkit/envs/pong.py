@@ -292,8 +292,8 @@ class ScreenObs(Interface):
 
     def __init__(self, resolution: int = 32):
         super().__init__()
-        if resolution < 16:
-            raise SetupError("screen resolution must be at least 16")
+        if not 16 <= resolution <= 512:
+            raise SetupError(f"pong.screen_obs resolution must be in [16, 512], got {resolution}")
         self.resolution = int(resolution)
 
     def _setup(self, obs_specs, act_specs):

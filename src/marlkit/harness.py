@@ -25,7 +25,7 @@ from .env import Env
 from .errors import ConfigError, InvalidPartition, MarlkitError, SetupError
 from .registry import AgentSpec, MatchSpec, build_pipeline, make_agent, make_env
 from .replay import ReplayWriter, atomic_write, state_hash
-from .rng import RngStream
+from .rng import RngStream, check_seed
 from .wrappers import Actors, WrappedAgent, wrap_env
 
 
@@ -305,6 +305,8 @@ def round_robin(entrants: Sequence[AgentSpec], env_name: str,
     if len(set(labels)) != len(labels):
         raise ConfigError(f"entrant labels must be unique, got {labels}")
     pairs = [(i, j) for i in range(len(labels)) for j in range(i + 1, len(labels))]
+    check_seed(base_seed, "tourney seed")  # pair k plays seeds from base_seed + k * episodes
+    check_seed(base_seed + len(pairs) * max(episodes_per_pair, 1) - 1, "the last pair's last seed")
     paths: list[str | None] = [None] * len(pairs)
     if replay_dir is not None:
         for label in labels:

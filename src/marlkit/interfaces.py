@@ -4,8 +4,8 @@ An Interface sits between an environment and its agents. Observations and
 rewards flow inner -> outer through obs_trans; actions flow outer -> inner
 through act_trans. Interfaces can be stacked (one after another) and combined
 (side by side over a slot partition), and may change the number of agent
-slots: the tuple returned by setup() is the single source of truth for the
-outer slot layout.
+slots: setup() is the single source of truth for the slot layout, which it
+writes once as the tuple attributes that Interface's docstring lists.
 
 Lifecycle: setup(inner_obs_specs, inner_act_specs) exactly once, then
 reset(first_obs) at each episode start (which clears transform-local state),
@@ -63,6 +63,14 @@ class Interface:
     when the output spans slots or maps rewards), _act and optionally _reset
     and _local_groups; the public methods thread calls through the inner
     chain in the documented order.
+
+    setup writes the slot layout once, as plain attributes; reading one
+    before setup raises AttributeError:
+      raw_obs_specs, raw_act_specs: the specs the chain was set up on (the
+        environment side), as tuples;
+      outer_obs_specs, outer_act_specs: the specs it exposes, as tuples;
+      raw_slot_count, outer_slot_count: their lengths;
+      slot_groups: for each outer slot, the tuple of raw slot indices it covers.
     """
 
     def __init__(self):
@@ -74,29 +82,29 @@ class Interface:
     def setup(
         self, inner_obs_specs: Sequence[SpaceSpec], inner_act_specs: Sequence[SpaceSpec]
     ) -> tuple[list[SpaceSpec], list[SpaceSpec]]:
-        """Declare outer specs given the specs of the stage below. Once only."""
+        """Declare outer specs given the specs of the stage below, and write the
+        layout attributes once _setup has returned. Once only."""
         if self._setup_done:
             raise SetupError(f"{type(self).__name__}.setup() called twice")
         if len(inner_obs_specs) != len(inner_act_specs):
             raise SetupError("observation and action spec counts differ")
-        self._raw_obs_specs = list(inner_obs_specs)
-        self._raw_act_specs = list(inner_act_specs)
-        obs_specs = self._raw_obs_specs
-        act_specs = self._raw_act_specs
-        inner_groups = [[i] for i in range(len(obs_specs))]
+        raw_obs, raw_act = tuple(inner_obs_specs), tuple(inner_act_specs)
+        in_obs, in_act = raw_obs, raw_act
+        inner_groups = [(i,) for i in range(len(raw_obs))]
         if self.inner is not None:
-            obs_specs, act_specs = self.inner.setup(obs_specs, act_specs)
+            in_obs, in_act = self.inner.setup(raw_obs, raw_act)
             inner_groups = self.inner.slot_groups
-        self._in_obs_specs = list(obs_specs)
-        self._in_act_specs = list(act_specs)
+        self._in_obs_specs = list(in_obs)
+        self._in_act_specs = list(in_act)
         outer_obs, outer_act = self._setup(self._in_obs_specs, self._in_act_specs)
-        self._outer_obs_specs = list(outer_obs)
-        self._outer_act_specs = list(outer_act)
-        self._slot_groups = [
-            [raw for j in g for raw in inner_groups[j]] for g in self._local_groups()
-        ]
+        self.raw_obs_specs, self.raw_act_specs = raw_obs, raw_act
+        self.outer_obs_specs, self.outer_act_specs = tuple(outer_obs), tuple(outer_act)
+        self.raw_slot_count = len(raw_obs)
+        self.outer_slot_count = len(self.outer_obs_specs)
+        self.slot_groups = tuple(tuple(raw for j in g for raw in inner_groups[j])
+                                 for g in self._local_groups())
         self._setup_done = True
-        return list(self._outer_obs_specs), list(self._outer_act_specs)
+        return list(self.outer_obs_specs), list(self.outer_act_specs)
 
     def reset(self, inner_first_obs: Bundle) -> Bundle:
         """Clear per-episode state (every Kept attribute first), then transform the first obs."""
@@ -126,45 +134,6 @@ class Interface:
         if self.inner is not None:
             actions = self.inner.act_trans(actions)
         return actions
-
-    # -- post-setup metadata --------------------------------------------------
-
-    @property
-    def outer_obs_specs(self) -> list[SpaceSpec]:
-        self._require_setup()
-        return list(self._outer_obs_specs)
-
-    @property
-    def outer_act_specs(self) -> list[SpaceSpec]:
-        self._require_setup()
-        return list(self._outer_act_specs)
-
-    @property
-    def raw_obs_specs(self) -> list[SpaceSpec]:
-        """The spec list this chain was set up on (the environment side)."""
-        self._require_setup()
-        return list(self._raw_obs_specs)
-
-    @property
-    def raw_act_specs(self) -> list[SpaceSpec]:
-        self._require_setup()
-        return list(self._raw_act_specs)
-
-    @property
-    def outer_slot_count(self) -> int:
-        self._require_setup()
-        return len(self._outer_obs_specs)
-
-    @property
-    def raw_slot_count(self) -> int:
-        self._require_setup()
-        return len(self._raw_obs_specs)
-
-    @property
-    def slot_groups(self) -> list[list[int]]:
-        """For each outer slot, the raw slot indices it covers."""
-        self._require_setup()
-        return [list(g) for g in self._slot_groups]
 
     def _require_setup(self) -> None:
         if not self._setup_done:
@@ -256,7 +225,7 @@ class _Partitioned(Interface):
         return Bundle(tuple(inner))
 
     def _check_action_count(self, actions: Bundle) -> None:
-        expected = len(self._outer_act_specs)
+        expected = self.outer_slot_count
         if len(actions) != expected:
             raise SpaceMismatch(
                 f"{type(self).__name__} expected {expected} outer actions, got {len(actions)}"

@@ -18,7 +18,7 @@ from .env import Env
 from .envs import bomber, gridbattle, pong
 from .errors import ConfigError, RegistryError
 from .interfaces import Interface, concat_obs_act, identity, make_team, map_to_vector, stack
-from .rng import RngStream
+from .rng import RngStream, check_seed
 from .serial import value_from_jsonable
 
 EnvFactory = Callable[[Mapping[str, Any]], Env]
@@ -186,6 +186,8 @@ class MatchSpec:
 
     def __post_init__(self):  # to_jsonable copies every pipeline entry as an object
         require_pipeline(chain(self.env_interfaces, *(a.interfaces for a in self.agents)))
+        check_seed(self.base_seed, "match seed")  # episode k plays seed base_seed + k
+        check_seed(self.base_seed + max(self.episodes, 1) - 1, "the last episode's seed")
 
     def to_jsonable(self) -> dict[str, Any]:
         return {

@@ -29,6 +29,7 @@ from .bundles import Bundle, EpisodeResult, EpisodeTally
 from .env import Env
 from .errors import ConfigError, FormatError
 from .registry import MatchSpec
+from .rng import check_seed
 # value_hash_hex is the reference state_hash must agree with; it stays importable here.
 from .serial import bytes_hash_hex, value_from_jsonable, value_to_jsonable, value_hash_hex
 from .values import DiscreteV
@@ -212,6 +213,10 @@ def read_episodes(path: str) -> Iterator[Any]:
         elif header is None:
             raise FormatError(f"{where}: {kind} record before the match header")
         elif kind == "episode":
+            try:
+                check_seed(obj["seed"], "episode seed")
+            except ConfigError as exc:
+                raise FormatError(f"{where}: {exc}") from exc
             if episode is not None and episode.outcome is None:
                 yield episode
             episode = ReplayEpisode(

@@ -6,7 +6,9 @@ labels. Adding a new consumer therefore never perturbs the numbers an
 existing one sees. The same (seed, label path) always yields the identical
 sequence, on any platform: the child seed is a blake2b digest of a
 length-prefixed encoding of the path, and the generator is Python's
-Mersenne Twister, which is stable across versions and architectures.
+Mersenne Twister, which is stable across versions and architectures. A seed
+is a signed 64-bit integer, as the digest packs it; any other raises
+ConfigError.
 """
 
 from __future__ import annotations
@@ -16,6 +18,14 @@ import random
 import struct
 from typing import Sequence
 
+from .errors import ConfigError
+
+
+def check_seed(seed: int, what: str) -> None:
+    """ConfigError naming what unless seed lies in the signed 64-bit range [-2**63, 2**63)."""
+    if not -2**63 <= seed < 2**63:
+        raise ConfigError(f"{what} {seed} lies outside the signed 64-bit range [-2**63, 2**63)")
+
 
 class RngStream:
     """A deterministic random stream identified by (seed, label path)."""
@@ -24,6 +34,7 @@ class RngStream:
 
     def __init__(self, seed: int, path: Sequence[str] = ()):
         self.seed = int(seed)
+        check_seed(self.seed, "seed")
         self.path = tuple(str(p) for p in path)
         self._rng = random.Random(self._derive())
 

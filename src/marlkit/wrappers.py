@@ -30,25 +30,24 @@ class WrappedEnv(Env):
         super().__init__()
         self.base = base
         self.interface = interface
-        self._obs_specs, self._act_specs = interface.setup(base.observation_specs,
-                                                           base.action_specs)
-        self._groups = interface.slot_groups
+        interface.setup(base.observation_specs, base.action_specs)
         # Where each outer slot is the raw slot of its index, raw.alive holds as it is.
-        self._raw_alive = self._groups == [[i] for i in range(interface.raw_slot_count)]
+        self._raw_alive = interface.slot_groups == tuple(
+            (i,) for i in range(interface.raw_slot_count))
 
     @property
     def observation_specs(self) -> list[SpaceSpec]:
-        return list(self._obs_specs)
+        return list(self.interface.outer_obs_specs)
 
     @property
     def action_specs(self) -> list[SpaceSpec]:
-        return list(self._act_specs)
+        return list(self.interface.outer_act_specs)
 
     @property
     def parties(self) -> list[int]:
         base_parties = self.base.parties
         out = []
-        for group in self._groups:
+        for group in self.interface.slot_groups:
             members = {base_parties[i] for i in group}
             out.append(members.pop() if len(members) == 1 else -1)
         return out
@@ -65,7 +64,7 @@ class WrappedEnv(Env):
         raw = self.base.step(raw_actions)
         obs, rewards = self.interface.obs_trans(raw.obs, raw.rewards)
         alive = raw.alive if self._raw_alive else tuple(
-            any(raw.alive[i] for i in g) for g in self._groups)
+            any(raw.alive[i] for i in g) for g in self.interface.slot_groups)
         return StepResult(obs=obs, rewards=rewards, done=raw.done, alive=alive, info=raw.info)
 
     def raw_record(self) -> tuple[Bundle, StepResult]:
@@ -137,13 +136,14 @@ class WrappedAgent:
     """A team: members behind an interface, covering raw env slots.
 
     The interface must already be set up on the raw specs of the covered
-    slots (wrap_agent does that). The wrapped agent presents the interface's
-    raw specs to the outside; its members, each an agent or a WrappedAgent,
-    cover the interface's outer slots in order. Rewards reach each member
-    after the interface's reward transform (teams see the group sum).
-    """
+    slots (wrap_agent does that; else SetupError). The wrapped agent presents
+    the interface's raw specs to the outside; its members, each an agent or a
+    WrappedAgent, cover the interface's outer slots in order. Rewards reach
+    each member after the interface's reward transform (teams see the group
+    sum)."""
 
     def __init__(self, members: Sequence[Agent | WrappedAgent], interface: Interface):
+        interface._require_setup()
         self._members = Actors(members)
         self.interface = interface
         if self._members.slots != interface.outer_slot_count:
@@ -155,8 +155,8 @@ class WrappedAgent:
         self._pending_first: Bundle | None = None
 
     def setup(self, obs_specs: Sequence[SpaceSpec], act_specs: Sequence[SpaceSpec]) -> None:
-        if (list(obs_specs) != self.interface.raw_obs_specs
-                or list(act_specs) != self.interface.raw_act_specs):
+        if (tuple(obs_specs) != self.interface.raw_obs_specs
+                or tuple(act_specs) != self.interface.raw_act_specs):
             raise SetupError("wrapped agent's interface was set up on different specs")
 
     def reset(self, first_obs: Sequence[Value]) -> None:

@@ -107,6 +107,15 @@ class TestBoardGeneration:
         with pytest.raises(ConfigError):
             BomberConfig(size=10)
 
+    @pytest.mark.parametrize("size", [3, 10, 64, 65, 100001])
+    def test_size_is_odd_and_bounded(self, size):
+        with pytest.raises(ConfigError, match=rf"size must be odd and in \[5, 63\], got {size}$"):
+            BomberConfig(size=size)
+
+    def test_size_bounds_are_inclusive(self):
+        for size in (5, 63):
+            assert len(fresh_env(size=size).observation_specs) == 4
+
     def test_team_assignment(self):
         assert fresh_env().parties == [0, 1, 2, 3]
         assert fresh_env(mode="2v2").parties == [0, 1, 0, 1]

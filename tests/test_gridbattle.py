@@ -6,16 +6,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from marlkit import (
+    AgentSpec,
     Bundle,
     ConfigError,
     DiscreteV,
+    MatchSpec,
     RandomAgent,
     RngStream,
     SetupError,
     run_episode,
+    run_match,
     space_contains,
     state_hash,
 )
+from marlkit.cli import main as cli_main
 from marlkit.envs.gridbattle import (
     ATTACK,
     MAX_DAMAGE,
@@ -539,3 +543,38 @@ class TestConformanceAndPurity:
             result = env.step(Bundle(tuple(DiscreteV(rng.randrange(9)) for _ in range(10))))
             if result.done:
                 break
+
+
+class TestRenderAscii:
+    def test_fixed_position_frame(self):
+        env = fresh_env("3I2Z", randomize_positions=False)
+        env.units[2].alive = False  # team 0's third ranged unit
+        env.units[9].alive = False  # team 1's second melee unit
+        env.tick = 7
+        assert env.render_ascii() == "\n".join([
+            "........",
+            ".I....i.",
+            ".I....i.",
+            "......i.",
+            ".Z....z.",
+            ".Z......",
+            "........",
+            "........",
+            "t=7",
+        ])
+
+    def test_cli_renders_a_gridbattle_replay(self, tmp_path, capsys):
+        path = tmp_path / "battle.jsonl"
+        result = run_match(MatchSpec(
+            env_name="gridbattle", env_params={"step_limit": 3},
+            agents=(AgentSpec("battle.hit_and_run"), AgentSpec("random")),
+            base_seed=5, replay_path=str(path)))
+        assert cli_main(["render", str(path), "--fps", "0"]) == 0
+        out = capsys.readouterr().out
+        length = result.outcomes[0].length
+        env = BattleEnv(BattleConfig(step_limit=3))
+        env.reset(5)
+        assert out.startswith(f"=== episode 0 (seed 5) ===\n{env.render_ascii()}\n\n")
+        assert [line for line in out.splitlines() if line.startswith("t=")] == [
+            f"t={t}" for t in range(length + 1)]
+        assert out.endswith(f", length {length} ---\n")

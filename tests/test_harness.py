@@ -915,3 +915,54 @@ class TestStrictConfig:
         config = {"env": {"name": "pong2p"}, "agents": [{"name": "random"}] * 2, **override}
         with pytest.raises(ConfigError):
             MatchSpec.from_jsonable(config)
+
+
+class TestBoundedInputs:
+    """A seed outside the signed 64-bit range that every stream packs, and a
+    size past its bound, end in an error naming it (exit 2) before episode 0
+    runs: no traceback and no replay file. The sizes sit just past their
+    bounds, so a run without the bound would still fit in memory."""
+
+    PONG = ["run", "--env", "pong2p", "--env-param", "step_limit=5", "--agents", "random,random"]
+    PROBES = {
+        "seed past int64": (PONG + ["--seed", "99999999999999999999999"],
+                            "match seed 99999999999999999999999 lies outside"),
+        "seed below int64": (PONG + ["--seed", str(-2**63 - 1)],
+                             f"match seed {-2**63 - 1} lies outside"),
+        "last episode past int64": (PONG + ["--seed", str(2**63 - 1), "--episodes", "2"],
+                                    f"the last episode's seed {2**63} lies outside"),
+        "resolution": (PONG + ["--env-itf", '[{"name": "pong.screen_obs", "resolution": 513}]'],
+                       "pong.screen_obs resolution must be in [16, 512], got 513"),
+        "bomber size": (["run", "--env", "bomber", "--env-param", "size=65",
+                         "--agents", "random,random,random,random"],
+                        "bomber size must be odd and in [5, 63], got 65"),
+    }
+
+    @pytest.mark.parametrize("probe", sorted(PROBES))
+    def test_run_exits_2_before_episode_0(self, probe, tmp_path, capsys):
+        argv, message = self.PROBES[probe]
+        assert cli_main(argv + ["--replay", str(tmp_path / "match.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_lowest_seed_runs(self, capsys):
+        assert cli_main(self.PONG + ["--seed", str(-2**63), "--episodes", "2", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["episodes"] == 2
+
+    @pytest.mark.parametrize("seed, entrants, message", [
+        (2**64, 2, f"tourney seed {2**64} lies outside"),
+        # Three pairs of one episode each: the last plays seed 2**63.
+        (2**63 - 2, 3, f"the last pair's last seed {2**63} lies outside"),
+    ])
+    def test_tourney_exits_2_before_any_pair(self, seed, entrants, message, tmp_path, capsys):
+        out = tmp_path / "replays"
+        out.mkdir()
+        path = tmp_path / "tourney.json"
+        path.write_text(json.dumps(_tourney_case(
+            seed=seed, replay_dir=str(out),
+            entrants=[{"name": "random", "label": str(k)} for k in range(entrants)])))
+        assert cli_main(["tourney", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert list(out.iterdir()) == []

@@ -321,6 +321,13 @@ class TestMakeTeam:
         assert itf.outer_slot_count == 2
         assert itf.raw_slot_count == 4
 
+    def test_outer_action_count_checked(self):
+        itf = make_team([[0, 1], [2, 3]])
+        itf.setup([BoxSpec((1,), 0, 1)] * 4, [DiscreteSpec(2)] * 4)
+        team = SeqV((DiscreteV(0), DiscreteV(1)))
+        with pytest.raises(SpaceMismatch, match="^MakeTeam expected 2 outer actions, got 3$"):
+            itf.act_trans(Bundle((team,) * 3))
+
 
 class TestRejectedValueMessages:
     """A node's SpaceMismatch names the rejected value as its repr, cut off
@@ -438,6 +445,33 @@ class TestSetupGuards:
         itf = self.BUILDERS[name]()
         with pytest.raises(SetupError, match="before setup"):
             getattr(itf, call)(*self.CALLS[call])
+
+    def test_layout_is_plain_tuples_written_by_setup(self):
+        itf = stack(make_team([[0, 1], [2]]), map_to_vector())
+        for name in ("raw_obs_specs", "outer_act_specs", "raw_slot_count", "slot_groups"):
+            with pytest.raises(AttributeError):
+                getattr(itf, name)
+        o, a = vec_specs(3)
+        itf.setup(o, a)
+        assert (itf.raw_obs_specs, itf.raw_act_specs) == (tuple(o), tuple(a))
+        assert itf.outer_act_specs == (SeqSpec((a[0], a[1])), SeqSpec((a[2],)))
+        assert type(itf.outer_obs_specs) is tuple and len(itf.outer_obs_specs) == 2
+        assert (itf.raw_slot_count, itf.outer_slot_count) == (3, 2)
+        assert itf.slot_groups == ((0, 1), (2,))
+        assert itf.inner.slot_groups == ((0,), (1,), (2,))
+
+    def test_unequal_spec_counts_rejected(self):
+        o, a = vec_specs(2)
+        with pytest.raises(SetupError, match="observation and action spec counts differ"):
+            identity().setup(o, a[:1])
+
+    def test_stack_refuses_a_node_that_is_set_up(self):
+        below = identity()
+        below.setup(*vec_specs(1))
+        with pytest.raises(SetupError, match="cannot stack below an interface that is already"):
+            stack(below, identity())
+        with pytest.raises(SetupError, match="cannot stack an interface that is already set up"):
+            stack(identity(), below)
 
     def test_registered_chain_reaches_every_node_once_per_call(self, monkeypatch):
         from marlkit import Interface, build_pipeline

@@ -1,17 +1,18 @@
 """marlkit's modules import each other at module level only, without a cycle.
 
 An import inside a function hides a dependency from the module's header, and
-it is the usual way to dodge an import cycle. Six more structural rules:
+it is the usual way to dodge an import cycle. Seven more structural rules:
 only the Actors plan tells a WrappedAgent from a one-slot agent, no function
 rebinds a module-level name through a global statement, every private
 module-level function or class is used somewhere in the package, only a
 node whose output spans slots writes its own _obs (the others write _view, or
 _group_view and _group_act, and the base classes own the slot loops), every
 Kept an interface node builds is a self attribute, which Interface.reset
-clears (so no _reset clears one itself), and no module reaches
-object.__new__, so every value is built by its constructor, which checks it
-and which perfbench counts. The checks read each module's AST, so nothing is
-imported and no subprocess is started.
+clears (so no _reset clears one itself), no module reaches object.__new__,
+so every value is built by its constructor, which checks it and which
+perfbench counts, and only Interface.setup writes the seven slot layout
+attributes, which no class defines as a property or method. The checks read
+each module's AST, so nothing is imported and no subprocess is started.
 """
 
 from __future__ import annotations
@@ -215,6 +216,47 @@ def _memo_faults(modules: dict[str, ast.Module]) -> list[str]:
     return sorted(found)
 
 
+# The slot layout, which Interface.setup writes once (see Interface's docstring).
+LAYOUT = frozenset(("raw_obs_specs", "raw_act_specs", "outer_obs_specs", "outer_act_specs",
+                    "raw_slot_count", "outer_slot_count", "slot_groups"))
+
+
+def _layout_writes(modules: dict[str, ast.Module]) -> list[str]:
+    """Each write of a layout attribute outside a method setup of a class named
+    Interface (an attribute store or delete, or a setattr call naming one), and
+    each class whose body defines or binds a layout name."""
+    found = []
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def visit(name: str, node: ast.AST, cls: str | None, func: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                for stmt in child.body:
+                    bound = ({stmt.name} if isinstance(stmt, defs)
+                             else {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)
+                                   and isinstance(n.ctx, ast.Store)})
+                    found.extend(f"{name}.{child.name} defines {attr}"
+                                 for attr in sorted(bound & LAYOUT))
+            attr = None
+            if isinstance(child, ast.Attribute) and not isinstance(child.ctx, ast.Load):
+                attr = child.attr
+            elif (isinstance(child, ast.Call) and len(child.args) > 1
+                  and getattr(child.func, "id", getattr(child.func, "attr", None))
+                  in ("setattr", "__setattr__")
+                  and isinstance(child.args[1], ast.Constant)):
+                attr = child.args[1].value
+            if attr in LAYOUT and (cls, func) != ("Interface", "setup"):
+                found.append(f"{name} line {child.lineno}: {attr}")
+            if isinstance(child, ast.ClassDef):
+                visit(name, child, child.name, None)
+            else:
+                visit(name, child, cls, child.name if isinstance(child, defs) else func)
+
+    for name, tree in modules.items():
+        visit(name, tree, None, None)
+    return sorted(found)
+
+
 def _object_new_uses(tree: ast.Module) -> list[int]:
     """The line of each reference to object.__new__, called or not."""
     return [node.lineno for node in ast.walk(tree)
@@ -352,6 +394,63 @@ def test_memo_fault_finder_sees_every_spelling():
         "b line 11: clear in _reset",
         "b line 9: clear in _reset",
         "b.Leaf line 4: Kept off self",
+    ]
+
+
+def test_only_interface_setup_writes_the_slot_layout():
+    modules = _modules()
+    assert _layout_writes(modules) == []
+    # Interface.setup writes all seven, so the finder reads the real tree.
+    stores = {n.attr for n in ast.walk(modules["marlkit.interfaces"])
+              if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)}
+    assert LAYOUT <= stores
+
+
+def test_layout_write_finder_sees_every_spelling():
+    modules = {
+        "a": ast.parse("class Interface:\n"
+                       "    def setup(self):\n"
+                       "        self.slot_groups = ()\n"
+                       "        self.raw_obs_specs, self.raw_act_specs = (), ()\n"
+                       "    def _setup(self):\n"
+                       "        self.outer_obs_specs = ()\n"
+                       "        (self.raw_slot_count, x) = 1, 2\n"
+                       "        self.outer_slot_count += 1\n"
+                       "        del self.slot_groups\n"
+                       "        setattr(self, 'outer_act_specs', ())\n"
+                       "        object.__setattr__(self, 'slot_groups', ())\n"
+                       "        return self.outer_obs_specs\n"),
+        "b": ast.parse("class Node(Interface):\n"
+                       "    outer_act_specs: tuple = ()\n"
+                       "    @property\n"
+                       "    def slot_groups(self): pass\n"
+                       "    def raw_slot_count(self): pass\n"
+                       "    def setup(self):\n"
+                       "        self.raw_obs_specs = ()\n"
+                       "def setup(itf):\n"
+                       "    itf.slot_groups = ()\n"
+                       "    for itf.outer_obs_specs in []: pass\n"
+                       "class Interface:\n"
+                       "    class Inner:\n"
+                       "        def f(self): self.slot_groups = ()\n"
+                       "    def setup(self):\n"
+                       "        def later(): self.slot_groups = ()\n"),
+    }
+    assert _layout_writes(modules) == [
+        "a line 10: outer_act_specs",
+        "a line 11: slot_groups",
+        "a line 6: outer_obs_specs",
+        "a line 7: raw_slot_count",
+        "a line 8: outer_slot_count",
+        "a line 9: slot_groups",
+        "b line 10: outer_obs_specs",
+        "b line 13: slot_groups",
+        "b line 15: slot_groups",
+        "b line 7: raw_obs_specs",
+        "b line 9: slot_groups",
+        "b.Node defines outer_act_specs",
+        "b.Node defines raw_slot_count",
+        "b.Node defines slot_groups",
     ]
 
 

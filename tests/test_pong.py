@@ -13,6 +13,7 @@ from marlkit import (
     EpisodeOver,
     RandomAgent,
     RngStream,
+    SetupError,
     SpaceMismatch,
     run_episode,
     space_contains,
@@ -131,6 +132,18 @@ class TestDeterminismAndRules:
         with pytest.raises(EpisodeOver):
             env.step(Bundle((DiscreteV(0), DiscreteV(0))))
 
+    def test_wrong_action_count_rejected(self):
+        env = PongEnv()
+        env.reset(0)
+        with pytest.raises(SpaceMismatch, match="^expected 2 actions, got 1$"):
+            env.step(Bundle((DiscreteV(0),)))
+
+    def test_raw_record_before_any_step_rejected(self):
+        env = PongEnv()
+        env.reset(0)
+        with pytest.raises(EpisodeOver, match="no step recorded yet"):
+            env.raw_record()
+
     def test_step_after_done_rejected(self):
         env = PongEnv(PongConfig(step_limit=1))
         env.reset(0)
@@ -198,6 +211,16 @@ class TestScreenObs:
     def test_spec_shape(self):
         env = wrap_env(PongEnv(), ScreenObs(32))
         assert env.observation_specs[0].shape == (32, 32, 1)
+
+    @pytest.mark.parametrize("resolution", [15, 513, 100000])
+    def test_resolution_bounded_in_the_constructor(self, resolution):
+        with pytest.raises(SetupError, match=rf"resolution must be in \[16, 512\], got {resolution}"):
+            ScreenObs(resolution)
+
+    def test_resolution_bounds_are_inclusive(self):
+        for resolution in (16, 512):
+            env = wrap_env(PongEnv(), ScreenObs(resolution))
+            assert env.observation_specs[0].shape == (resolution, resolution, 1)
 
     def test_ball_at_origin_rasterizes_top_left(self):
         env = PongEnv()

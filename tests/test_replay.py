@@ -180,6 +180,40 @@ def test_header_spec_must_be_what_to_jsonable_writes(replay_lines, tmp_path, cap
     assert err.startswith(f"error: {path}:1: ") and "Traceback" not in err
 
 
+SEED_TAMPERS = {
+    "header_seed": (lambda r: r[0]["spec"].update(seed=2**64),
+                    f":1: bad match spec: match seed {2**64} lies outside"),
+    # The header's spec has two episodes, so the second would play seed 2**63.
+    "header_last_seed": (lambda r: r[0]["spec"].update(seed=2**63 - 1),
+                         f":1: bad match spec: the last episode's seed {2**63} lies outside"),
+    "episode_seed": (lambda r: r[first(r, "episode")].update(seed=-2**63 - 1),
+                     f":2: episode seed {-2**63 - 1} lies outside"),
+}
+
+
+@pytest.mark.parametrize("tamper, message", SEED_TAMPERS.values(), ids=SEED_TAMPERS)
+def test_seed_outside_int64_is_format_error(replay_lines, tmp_path, capsys, tamper, message):
+    records = copy(replay_lines)
+    tamper(records)
+    path = write(tmp_path, records)
+    for read in READERS:
+        with pytest.raises(FormatError, match=rf"^{re.escape(path + message)}"):
+            read(path)
+    for argv in (["verify-replay", path], ["render", path, "--fps", "0"]):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}{message}") and "Traceback" not in err
+
+
+def test_unsupported_format_is_format_error(replay_lines, tmp_path):
+    records = copy(replay_lines)
+    records[0]["format"] = 99
+    path = write(tmp_path, records)
+    for read in READERS:
+        with pytest.raises(FormatError, match=rf"^{re.escape(path)}:1: unsupported format 99$"):
+            read(path)
+
+
 def test_read_replay_gives_the_header_spec(replay_lines, tmp_path):
     spec = read_replay(write(tmp_path, copy(replay_lines))).spec
     assert spec == MatchSpec(
@@ -314,6 +348,22 @@ def test_step_index_and_episode_seed_checked(replay_lines, tmp_path):
     result = verify(tmp_path, records)
     assert (result.ok, result.episode) == (False, 0)
     assert result.message.startswith("seed 20 is not the header's base seed 21")
+
+
+def test_renumbered_episode_detected(replay_lines, tmp_path):
+    records = copy(replay_lines)
+    records[first(records, "episode", 1)]["index"] = 5
+    result = verify(tmp_path, records)
+    assert (result.ok, result.episode, result.step) == (False, 5, None)
+    assert result.message == "episode index 5 is episode 1 of the file"
+
+
+def test_edited_reset_hash_detected(replay_lines, tmp_path):
+    records = copy(replay_lines)
+    records[first(records, "episode", 1)]["reset_hash"] = "0" * 16
+    result = verify(tmp_path, records)
+    assert (result.ok, result.episode, result.step) == (False, 1, None)
+    assert result.message == "reset state diverged"
 
 
 def test_verify_builds_envs_through_the_registry_module(replay_lines, tmp_path, monkeypatch):

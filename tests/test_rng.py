@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from marlkit import RngStream
+import pytest
+
+from marlkit import ConfigError, RandomAgent, RngStream, make_agent, make_env
 
 
 def test_same_seed_same_stream():
@@ -54,3 +56,28 @@ def test_known_stability_anchor():
     first = stream.randint(0, 10**9)
     again = RngStream(2024, ("anchor",)).randint(0, 10**9)
     assert first == again
+
+
+# Child seeds derived at the ends of the signed 64-bit range (and at 0), as
+# struct.pack("<q", seed) has always fed them to the digest.
+DERIVED = {-2**63: 5805582257892971074, 2**63 - 1: 12796420319429877716,
+           0: 14377932734006457909}
+
+
+@pytest.mark.parametrize("seed", sorted(DERIVED))
+def test_in_range_seeds_keep_their_bytes(seed):
+    assert RngStream(seed, ("x",))._derive() == DERIVED[seed]
+
+
+@pytest.mark.parametrize("seed", [2**63, -2**63 - 1, 10**23])
+def test_seed_outside_int64_is_config_error(seed):
+    message = rf"^seed {seed} lies outside the signed 64-bit range"
+    with pytest.raises(ConfigError, match=message):
+        RngStream(seed)
+    env = make_env("pong2p")  # every env draws its reset from a stream
+    with pytest.raises(ConfigError, match=message):
+        env.reset(seed)
+    with pytest.raises(ConfigError, match=message):
+        RandomAgent(seed)
+    with pytest.raises(ConfigError, match=message):
+        make_agent("random", {"seed": seed})
