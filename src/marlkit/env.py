@@ -12,16 +12,33 @@ environment ignores. After done, further steps raise EpisodeOver.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Iterable
 
 from .bundles import Bundle, StepResult
-from .errors import EpisodeOver, SpaceMismatch
+from .errors import EpisodeOver, SetupError, SpaceMismatch
 from .values import SpaceSpec, Value, space_contains, value_repr
 
 
 class Env(ABC):
-    """Base class enforcing the reset/step protocol and action validation."""
+    """Base class enforcing the reset/step protocol and action validation.
 
-    def __init__(self):
+    The constructor writes the slot layout once, as plain attributes:
+      observation_specs, action_specs: the per-slot spaces, as tuples;
+      parties: the competitive party id per slot (side or team), used for
+        match scoring, as a tuple; slot i is party i unless given;
+      num_slots: the slot count.
+    """
+
+    def __init__(self, observation_specs: Iterable[SpaceSpec],
+                 action_specs: Iterable[SpaceSpec], parties: Iterable[int] | None = None):
+        self.observation_specs = tuple(observation_specs)
+        self.action_specs = tuple(action_specs)
+        self.num_slots = len(self.action_specs)
+        self.parties = tuple(range(self.num_slots) if parties is None else parties)
+        if not len(self.observation_specs) == len(self.parties) == self.num_slots:
+            raise SetupError(f"{type(self).__name__} needs one observation spec, action spec "
+                             f"and party per slot: got {len(self.observation_specs)}, "
+                             f"{self.num_slots} and {len(self.parties)}")
         self._started = False
         self._done = False
         self._last_actions: Bundle | None = None
@@ -30,25 +47,6 @@ class Env(ABC):
         self._obs_memo: dict = {}
 
     # -- contract surface ---------------------------------------------------
-
-    @property
-    @abstractmethod
-    def observation_specs(self) -> list[SpaceSpec]:
-        """Per-slot observation spaces."""
-
-    @property
-    @abstractmethod
-    def action_specs(self) -> list[SpaceSpec]:
-        """Per-slot action spaces."""
-
-    @property
-    def num_slots(self) -> int:
-        return len(self.action_specs)
-
-    @property
-    def parties(self) -> list[int]:
-        """Competitive party id per slot (side/team); used for match scoring."""
-        return list(range(self.num_slots))
 
     @property
     def unwrapped(self) -> "Env":
@@ -67,7 +65,7 @@ class Env(ABC):
             raise EpisodeOver("step() before reset()")
         if self._done:
             raise EpisodeOver("step() after the episode ended")
-        specs = self.action_specs  # read once: a wrapper builds or copies its list
+        specs = self.action_specs
         if len(actions) != len(specs):
             raise SpaceMismatch(f"expected {len(specs)} actions, got {len(actions)}")
         for slot, (spec, act) in enumerate(zip(specs, actions)):

@@ -153,7 +153,6 @@ class BomberEnv(Env):
     """Slots 0..3 start at corners (0,0), (N-1,0), (N-1,N-1), (0,N-1)."""
 
     def __init__(self, config: BomberConfig | None = None):
-        super().__init__()
         self.cfg = config or BomberConfig()
         n = self.cfg.size
         grid1 = lambda high: BoxSpec((n, n, 1), 0.0, high)  # noqa: E731
@@ -164,7 +163,7 @@ class BomberEnv(Env):
             "blast": BoxSpec((1,), 0.0, STAT_BOUND),
             "alive": BoxSpec((1,), 0.0, 1.0),
         })
-        self._obs_spec = MappingSpec({
+        obs_spec = MappingSpec({
             "rigid": grid1(1.0),
             "wood": grid1(1.0),
             "bomb_fuse": grid1(float(self.cfg.bomb_life)),
@@ -177,30 +176,15 @@ class BomberEnv(Env):
             "tick": BoxSpec((1,), 0.0, float(self.cfg.step_limit)),
             "self_id": DiscreteSpec(4),
         })
-        self._act_spec = DiscreteSpec(6)
+        super().__init__((obs_spec,) * 4, (DiscreteSpec(6),) * 4,
+                         (0, 1, 2, 3) if self.cfg.mode == "ffa" else (0, 1, 0, 1))
         # Observation parts that are the same every tick; the changing ones
         # go through Env._reuse.
-        self._teams_value = VectorV(tuple(float(t) for t in self.teams))
+        self._teams_value = VectorV(tuple(map(float, self.parties)))
         self._self_ids = tuple((DiscreteV(slot),) for slot in range(4))
-        self._view_layout = self._obs_spec.layout
+        self._view_layout = obs_spec.layout
         # What legal_actions parsed from this episode's views.
         self._legal = Kept()
-
-    @property
-    def observation_specs(self) -> list[SpaceSpec]:
-        return [self._obs_spec] * 4
-
-    @property
-    def action_specs(self) -> list[SpaceSpec]:
-        return [self._act_spec] * 4
-
-    @property
-    def parties(self) -> list[int]:
-        return list(self.teams)
-
-    @property
-    def teams(self) -> tuple[int, ...]:
-        return (0, 1, 2, 3) if self.cfg.mode == "ffa" else (0, 1, 0, 1)
 
     # -- board generation ----------------------------------------------------
 
@@ -332,7 +316,7 @@ class BomberEnv(Env):
         return self._finish_step()
 
     def _finish_step(self) -> StepResult:
-        teams = self.teams
+        teams = self.parties
         alive = [a.alive for a in self.agents]
         living_teams = sorted({t for t, a in zip(teams, alive) if a})
         done = len(living_teams) <= 1 or self.tick >= self.cfg.step_limit

@@ -182,27 +182,15 @@ def strike_target(units, slot: int, cd: float, reach: int) -> int | None:
 
 class BattleEnv(Env):
     def __init__(self, config: BattleConfig | None = None):
-        super().__init__()
         self.cfg = config or BattleConfig()
         self.side_kinds = SCENARIOS[self.cfg.scenario]
         self.kinds = self.side_kinds + self.side_kinds
-        self._obs_spec = _observation_spec(self.kinds)
-        self._view_layout = self._obs_spec.layout
-        self._act_spec = DiscreteSpec(9)
+        obs_spec = _observation_spec(self.kinds)
+        self._view_layout = obs_spec.layout
         self._self_ids = tuple(DiscreteV(slot) for slot in range(len(self.kinds)))
-
-    @property
-    def observation_specs(self) -> list[SpaceSpec]:
-        return [self._obs_spec] * len(self.kinds)
-
-    @property
-    def action_specs(self) -> list[SpaceSpec]:
-        return [self._act_spec] * len(self.kinds)
-
-    @property
-    def parties(self) -> list[int]:
         half = len(self.side_kinds)
-        return [0] * half + [1] * half
+        super().__init__((obs_spec,) * 2 * half, (DiscreteSpec(9),) * 2 * half,
+                         (0,) * half + (1,) * half)
 
     def _do_reset(self, seed: int) -> Bundle:
         cfg = self.cfg

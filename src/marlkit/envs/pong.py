@@ -48,6 +48,11 @@ _STATE, (_BALL, _PADDLES, _SCORES, _SERVES, _TICK) = vector_mapping_struct((
 _STATE_LAYOUT = key_layout(("ball", "paddles", "scores", "serves", "tick"))
 
 
+# The largest field_w and field_h: every coordinate the physics, render_ascii
+# and pong.screen_obs scale by a field size then stays far from overflowing.
+FIELD_MAX = 1e6
+
+
 @dataclass(frozen=True)
 class PongConfig:
     field_w: float = 80.0
@@ -65,14 +70,19 @@ class PongConfig:
     mirror_serves: bool = False
 
     def __post_init__(self):
+        for name in ("field_w", "field_h", "paddle_len", "paddle_speed", "ball_speed0",
+                     "speedup", "max_speed", "max_deflect_deg", "win_score", "step_limit"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # NaN fails this test too
+                raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+        for name in ("field_w", "field_h"):
+            value = getattr(self, name)
+            if value > FIELD_MAX:
+                raise ConfigError(f"{name} must be at most {FIELD_MAX:g}, got {value!r}")
         if not (self.paddle_len < self.field_h):
             raise ConfigError("paddle_len must be smaller than field_h")
         if not (self.ball_speed0 <= self.max_speed):
             raise ConfigError("ball_speed0 must not exceed max_speed")
-        for name in ("field_w", "field_h", "paddle_len", "paddle_speed", "ball_speed0",
-                     "speedup", "max_speed", "max_deflect_deg", "win_score", "step_limit"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
 
 
 def bounce(offset_ratio: float, speed: float, *, max_deflect_deg: float = 60.0,
@@ -94,28 +104,18 @@ class PongEnv(Env):
     """Slots: 0 = left player, 1 = right player."""
 
     def __init__(self, config: PongConfig | None = None):
-        super().__init__()
-        self.cfg = config or PongConfig()
-        cfg = self.cfg
+        self.cfg = cfg = config or PongConfig()
         # The ranges _do_step keeps each coordinate in.
         half = cfg.paddle_len / 2.0
         paddle = BoxSpec((1,), half, cfg.field_h - half)
         vel = BoxSpec((1,), -cfg.max_speed, cfg.max_speed)
-        self._obs_spec = MappingSpec({
+        obs_spec = MappingSpec({
             "ball_x": BoxSpec((1,), 0.0, cfg.field_w), "ball_y": BoxSpec((1,), 0.0, cfg.field_h),
             "ball_vx": vel, "ball_vy": vel, "own_paddle_y": paddle, "opp_paddle_y": paddle,
             "own_side": BoxSpec((1,), 0.0, 1.0),
         })
-        self._act_spec = DiscreteSpec(3)
-        self._view_layout = self._obs_spec.layout
-
-    @property
-    def observation_specs(self) -> list[SpaceSpec]:
-        return [self._obs_spec, self._obs_spec]
-
-    @property
-    def action_specs(self) -> list[SpaceSpec]:
-        return [self._act_spec, self._act_spec]
+        self._view_layout = obs_spec.layout
+        super().__init__((obs_spec,) * 2, (DiscreteSpec(3),) * 2)
 
     def _do_reset(self, seed: int) -> Bundle:
         cfg = self.cfg
@@ -142,7 +142,7 @@ class PongEnv(Env):
 
     def _do_step(self, actions: Bundle) -> StepResult:
         cfg = self.cfg
-        paddle = self._obs_spec["own_paddle_y"]
+        paddle = self.observation_specs[0]["own_paddle_y"]
         for side in (0, 1):
             a = actions[side].index
             if a == UP:

@@ -30,16 +30,23 @@ _AGENTS: dict[str, AgentFactory] = {}
 _INTERFACES: dict[str, InterfaceFactory] = {}
 
 
+def _register(table: dict[str, Callable], kind: str, name: str, factory: Callable) -> None:
+    """Add name to table; ConfigError if it is taken, so no entry is silently replaced."""
+    if name in table:
+        raise ConfigError(f"{kind} {name!r} is already registered")
+    table[name] = factory
+
+
 def register_env(name: str, factory: EnvFactory) -> None:
-    _ENVS[name] = factory
+    _register(_ENVS, "environment", name, factory)
 
 
 def register_agent(name: str, factory: AgentFactory) -> None:
-    _AGENTS[name] = factory
+    _register(_AGENTS, "agent", name, factory)
 
 
 def register_interface(name: str, factory: InterfaceFactory) -> None:
-    _INTERFACES[name] = factory
+    _register(_INTERFACES, "interface", name, factory)
 
 
 def list_envs() -> list[str]:

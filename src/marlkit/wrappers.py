@@ -27,30 +27,16 @@ class WrappedEnv(Env):
     """An environment with an interface folded into reset/step."""
 
     def __init__(self, base: Env, interface: Interface):
-        super().__init__()
+        interface.setup(base.observation_specs, base.action_specs)
+        # An outer slot is its raw slots' party if they share one, else -1.
+        members = ({base.parties[i] for i in group} for group in interface.slot_groups)
+        super().__init__(interface.outer_obs_specs, interface.outer_act_specs,
+                         (m.pop() if len(m) == 1 else -1 for m in members))
         self.base = base
         self.interface = interface
-        interface.setup(base.observation_specs, base.action_specs)
         # Where each outer slot is the raw slot of its index, raw.alive holds as it is.
         self._raw_alive = interface.slot_groups == tuple(
             (i,) for i in range(interface.raw_slot_count))
-
-    @property
-    def observation_specs(self) -> list[SpaceSpec]:
-        return list(self.interface.outer_obs_specs)
-
-    @property
-    def action_specs(self) -> list[SpaceSpec]:
-        return list(self.interface.outer_act_specs)
-
-    @property
-    def parties(self) -> list[int]:
-        base_parties = self.base.parties
-        out = []
-        for group in self.interface.slot_groups:
-            members = {base_parties[i] for i in group}
-            out.append(members.pop() if len(members) == 1 else -1)
-        return out
 
     @property
     def unwrapped(self) -> Env:

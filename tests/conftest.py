@@ -25,13 +25,8 @@ from marlkit.values import SpaceSpec
 class ConstEnv(Env):
     """One slot, always observes DiscreteV(0), reward 0, done after one step."""
 
-    @property
-    def observation_specs(self):
-        return [DiscreteSpec(1)]
-
-    @property
-    def action_specs(self):
-        return [DiscreteSpec(1)]
+    def __init__(self):
+        super().__init__([DiscreteSpec(1)], [DiscreteSpec(1)])
 
     def _do_reset(self, seed):
         return Bundle((DiscreteV(0),))
@@ -58,23 +53,12 @@ class ToyVecEnv(Env):
 
     def __init__(self, slots: int = 2, obs_len: int = 3, episode_len: int = 4,
                  n_actions: int = 4):
-        super().__init__()
+        super().__init__([BoxSpec((obs_len,), -1.0, 1.0)] * slots,
+                         [DiscreteSpec(n_actions)] * slots,
+                         [0, 1] if slots == 2 else list(range(slots)))
         self._slots = slots
         self._obs_len = obs_len
         self._episode_len = episode_len
-        self._n_actions = n_actions
-
-    @property
-    def observation_specs(self):
-        return [BoxSpec((self._obs_len,), -1.0, 1.0)] * self._slots
-
-    @property
-    def action_specs(self):
-        return [DiscreteSpec(self._n_actions)] * self._slots
-
-    @property
-    def parties(self):
-        return [0, 1] if self._slots == 2 else list(range(self._slots))
 
     def _draw_obs(self):
         stream = self._rng.child(str(self.tick))

@@ -117,8 +117,8 @@ class TestBoardGeneration:
             assert len(fresh_env(size=size).observation_specs) == 4
 
     def test_team_assignment(self):
-        assert fresh_env().parties == [0, 1, 2, 3]
-        assert fresh_env(mode="2v2").parties == [0, 1, 0, 1]
+        assert fresh_env().parties == (0, 1, 2, 3)
+        assert fresh_env(mode="2v2").parties == (0, 1, 0, 1)
 
     def test_obs_match_specs(self):
         env = fresh_env()
@@ -347,7 +347,7 @@ class TestBoardMapObs:
                     for c in range(n):
                         for ch in range(8):
                             sums[ch] += grid.at(r, c, ch)
-                teams = env.teams
+                teams = env.parties
                 living = [a for a in env.agents if a.alive]
                 assert sums[0] == len(env.rigid)
                 assert sums[1] == len(env.wood)

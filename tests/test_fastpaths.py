@@ -2221,7 +2221,7 @@ SIDES_INTERLEAVED = [s for pair in zip(range(5), range(5, 10)) for s in pair]
 def test_hit_and_run_matches_reference_across_interleaved_envs():
     envs = [BattleEnv(BattleConfig(step_limit=80)),
             BattleEnv(BattleConfig(scenario="3I2Z", randomize_status=True, step_limit=80))]
-    assert all(env.parties == [0] * 5 + [1] * 5 for env in envs)
+    assert all(env.parties == (0,) * 5 + (1,) * 5 for env in envs)
     agents = [[HitAndRunAgent() for _ in range(env.num_slots)] for env in envs]
     for env, team in zip(envs, agents):
         for slot, agent in enumerate(team):

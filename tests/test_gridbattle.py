@@ -59,7 +59,7 @@ class TestSetup:
     def test_5i_has_ten_slots(self):
         env = fresh_env()
         assert env.num_slots == 10
-        assert env.parties == [0] * 5 + [1] * 5
+        assert env.parties == (0,) * 5 + (1,) * 5
 
     def test_default_status_is_full(self):
         env = BattleEnv(BattleConfig(randomize_status=False, randomize_positions=False))

@@ -55,15 +55,53 @@ class TestRunEpisode:
             assert r.length <= 500
 
     @pytest.mark.parametrize("name", ["pong2p", "gridbattle", "bomber"])
-    def test_action_specs_built_once_and_returned_in_a_fresh_list(self, name):
+    def test_layout_is_a_tuple_built_once_of_shared_specs(self, name):
         env = make_env(name)
         specs = env.action_specs
-        assert len(specs) == env.num_slots
+        assert type(specs) is tuple and len(specs) == env.num_slots
         assert all(s is specs[0] for s in specs)
-        again = env.action_specs
-        assert again is not specs and again[0] is specs[0]
-        specs.clear()
-        assert env.action_specs == again
+        assert env.action_specs is specs
+        obs = env.observation_specs
+        assert type(obs) is tuple and len(obs) == env.num_slots
+        assert all(s is obs[0] for s in obs) and env.observation_specs is obs
+        assert type(env.parties) is tuple and env.parties is env.parties
+
+
+def test_env_layout_defaults_to_one_party_per_slot():
+    env = ConstEnv()
+    assert (env.observation_specs, env.action_specs) == ((DiscreteSpec(1),), (DiscreteSpec(1),))
+    assert (env.parties, env.num_slots) == ((0,), 1)
+
+
+@pytest.mark.parametrize("obs, act, parties, counts", [
+    (2, 1, None, "got 2, 1 and 1"),
+    (1, 2, None, "got 1, 2 and 2"),
+    (2, 2, [0], "got 2, 2 and 1"),
+    (2, 2, [0, 1, 1], "got 2, 2 and 3"),
+    (0, 1, [0], "got 0, 1 and 1"),
+])
+def test_env_whose_layout_counts_differ_is_refused_when_constructed(obs, act, parties, counts):
+    class Lopsided(ConstEnv):
+        def __init__(self):
+            Env.__init__(self, [DiscreteSpec(1)] * obs, [DiscreteSpec(1)] * act, parties)
+
+    with pytest.raises(SetupError, match=f"Lopsided needs one observation spec, action spec "
+                                         f"and party per slot: {counts}"):
+        Lopsided()
+
+
+@pytest.mark.parametrize("register, table, name", [
+    ("register_env", "_ENVS", "pong2p"),
+    ("register_agent", "_AGENTS", "random"),
+    ("register_interface", "_INTERFACES", "identity"),
+])
+def test_a_taken_registry_name_is_refused(register, table, name):
+    from marlkit import registry
+
+    before = dict(getattr(registry, table))
+    with pytest.raises(ConfigError, match=f"'{name}' is already registered"):
+        getattr(registry, register)(name, lambda *args: None)
+    assert getattr(registry, table) == before
 
 
 class TestRunMatch:
@@ -136,9 +174,8 @@ class TestRunMatch:
         class PayoutEnv(Env):
             """Three slots, parties 0, 0 and 1; one tick whose reward per slot is its action."""
 
-            observation_specs = property(lambda self: [DiscreteSpec(1)] * 3)
-            action_specs = property(lambda self: [DiscreteSpec(4)] * 3)
-            parties = property(lambda self: [0, 0, 1])
+            def __init__(self):
+                super().__init__([DiscreteSpec(1)] * 3, [DiscreteSpec(4)] * 3, [0, 0, 1])
 
             def _do_reset(self, seed):
                 return Bundle((DiscreteV(0),) * 3)
@@ -936,6 +973,16 @@ class TestBoundedInputs:
         "bomber size": (["run", "--env", "bomber", "--env-param", "size=65",
                          "--agents", "random,random,random,random"],
                         "bomber size must be odd and in [5, 63], got 65"),
+        "pong field_w NaN": (PONG + ["--env-param", "field_w=NaN"],
+                             "field_w must be finite and positive, got nan"),
+        "pong field_h Infinity": (PONG + ["--env-param", "field_h=Infinity"],
+                                  "field_h must be finite and positive, got inf"),
+        "pong field_w past its bound": (PONG + ["--env-param", "field_w=1e308"],
+                                        "field_w must be at most 1e+06, got 1e+308"),
+        "pong speedup -Infinity": (PONG + ["--env-param", "speedup=-Infinity"],
+                                   "speedup must be finite and positive, got -inf"),
+        "pong paddle_speed NaN": (PONG + ["--env-param", "paddle_speed=NaN"],
+                                  "paddle_speed must be finite and positive, got nan"),
     }
 
     @pytest.mark.parametrize("probe", sorted(PROBES))
@@ -945,6 +992,36 @@ class TestBoundedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("field_w", float("nan"), "field_w must be finite and positive, got nan"),
+        ("field_w", float("inf"), "field_w must be finite and positive, got inf"),
+        ("field_h", float("inf"), "field_h must be finite and positive, got inf"),
+        ("field_w", 1e308, "field_w must be at most 1e+06, got 1e+308"),
+        ("field_h", 1e308, "field_h must be at most 1e+06, got 1e+308"),
+        ("field_h", 2**64, f"field_h must be at most 1e+06, got {2**64}"),
+        ("max_speed", float("nan"), "max_speed must be finite and positive, got nan"),
+    ])
+    @pytest.mark.parametrize("command", [["verify-replay"], ["render", "--fps", "0"]])
+    def test_replay_header_param_exits_2(self, key, value, message, command, tmp_path, capsys):
+        path = tmp_path / "match.jsonl"
+        assert cli_main(self.PONG + ["--replay", str(path)]) == 0
+        header, *rest = path.read_text().splitlines(keepends=True)
+        record = json.loads(header)
+        record["spec"]["env"]["params"][key] = value
+        path.write_text(json.dumps(record) + "\n" + "".join(rest))
+        capsys.readouterr()
+        assert cli_main([command[0], str(path), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+    def test_largest_field_runs_and_renders(self, tmp_path, capsys):
+        path = tmp_path / "match.jsonl"
+        argv = self.PONG + ["--env-param", "field_w=1e6", "--env-param", "field_h=1e6",
+                            "--replay", str(path)]
+        assert cli_main(argv) == 0
+        assert cli_main(["verify-replay", str(path)]) == 0
+        assert cli_main(["render", str(path), "--fps", "0"]) == 0
 
     def test_lowest_seed_runs(self, capsys):
         assert cli_main(self.PONG + ["--seed", str(-2**63), "--episodes", "2", "--json"]) == 0

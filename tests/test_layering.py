@@ -1,7 +1,7 @@
 """marlkit's modules import each other at module level only, without a cycle.
 
 An import inside a function hides a dependency from the module's header, and
-it is the usual way to dodge an import cycle. Seven more structural rules:
+it is the usual way to dodge an import cycle. Eight more structural rules:
 only the Actors plan tells a WrappedAgent from a one-slot agent, no function
 rebinds a module-level name through a global statement, every private
 module-level function or class is used somewhere in the package, only a
@@ -10,8 +10,9 @@ _group_view and _group_act, and the base classes own the slot loops), every
 Kept an interface node builds is a self attribute, which Interface.reset
 clears (so no _reset clears one itself), no module reaches object.__new__,
 so every value is built by its constructor, which checks it and which
-perfbench counts, and only Interface.setup writes the seven slot layout
-attributes, which no class defines as a property or method. The checks read
+perfbench counts, only Interface.setup writes the seven slot layout
+attributes of an interface, and only Env.__init__ writes the four of an
+environment, which no class defines as a property or method. The checks read
 each module's AST, so nothing is imported and no subprocess is started.
 """
 
@@ -216,15 +217,18 @@ def _memo_faults(modules: dict[str, ast.Module]) -> list[str]:
     return sorted(found)
 
 
-# The slot layout, which Interface.setup writes once (see Interface's docstring).
+# The slot layouts, which Interface.setup and Env.__init__ write once (see
+# the docstrings of Interface and Env).
 LAYOUT = frozenset(("raw_obs_specs", "raw_act_specs", "outer_obs_specs", "outer_act_specs",
                     "raw_slot_count", "outer_slot_count", "slot_groups"))
+ENV_LAYOUT = frozenset(("observation_specs", "action_specs", "parties", "num_slots"))
 
 
-def _layout_writes(modules: dict[str, ast.Module]) -> list[str]:
-    """Each write of a layout attribute outside a method setup of a class named
-    Interface (an attribute store or delete, or a setattr call naming one), and
-    each class whose body defines or binds a layout name."""
+def _layout_writes(modules: dict[str, ast.Module], layout: frozenset[str] = LAYOUT,
+                   owner: tuple[str, str] = ("Interface", "setup")) -> list[str]:
+    """Each write of a layout attribute outside the owner's method (class name,
+    method name; an attribute store or delete, or a setattr call naming one),
+    and each class whose body defines or binds a layout name."""
     found = []
     defs = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -236,7 +240,7 @@ def _layout_writes(modules: dict[str, ast.Module]) -> list[str]:
                              else {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)
                                    and isinstance(n.ctx, ast.Store)})
                     found.extend(f"{name}.{child.name} defines {attr}"
-                                 for attr in sorted(bound & LAYOUT))
+                                 for attr in sorted(bound & layout))
             attr = None
             if isinstance(child, ast.Attribute) and not isinstance(child.ctx, ast.Load):
                 attr = child.attr
@@ -245,7 +249,7 @@ def _layout_writes(modules: dict[str, ast.Module]) -> list[str]:
                   in ("setattr", "__setattr__")
                   and isinstance(child.args[1], ast.Constant)):
                 attr = child.args[1].value
-            if attr in LAYOUT and (cls, func) != ("Interface", "setup"):
+            if attr in layout and (cls, func) != owner:
                 found.append(f"{name} line {child.lineno}: {attr}")
             if isinstance(child, ast.ClassDef):
                 visit(name, child, child.name, None)
@@ -451,6 +455,40 @@ def test_layout_write_finder_sees_every_spelling():
         "b.Node defines outer_act_specs",
         "b.Node defines raw_slot_count",
         "b.Node defines slot_groups",
+    ]
+
+
+def test_only_env_init_writes_the_env_slot_layout():
+    modules = _modules()
+    assert _layout_writes(modules, ENV_LAYOUT, ("Env", "__init__")) == []
+    # Env.__init__ writes all four, so the finder reads the real tree.
+    stores = {n.attr for n in ast.walk(modules["marlkit.env"])
+              if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)}
+    assert ENV_LAYOUT <= stores
+
+
+def test_env_layout_write_finder_sees_every_spelling():
+    modules = {"a": ast.parse("class Env:\n"
+                              "    def __init__(self):\n"
+                              "        self.parties = ()\n"
+                              "    def reset(self):\n"
+                              "        self.num_slots = 1\n"
+                              "class PongEnv(Env):\n"
+                              "    @property\n"
+                              "    def observation_specs(self): pass\n"
+                              "    action_specs = ()\n"
+                              "    def __init__(self):\n"
+                              "        self.parties = ()\n"
+                              "        setattr(self, 'num_slots', 2)\n"
+                              "def wrap(env):\n"
+                              "    env.action_specs += ()\n")}
+    assert _layout_writes(modules, ENV_LAYOUT, ("Env", "__init__")) == [
+        "a line 11: parties",
+        "a line 12: num_slots",
+        "a line 14: action_specs",
+        "a line 5: num_slots",
+        "a.PongEnv defines action_specs",
+        "a.PongEnv defines observation_specs",
     ]
 
 

@@ -1,11 +1,11 @@
-"""The README's library quick tour runs as written, and its CLI examples parse."""
+"""The README's library quick tour and env example run as written, and its CLI examples parse."""
 
 from __future__ import annotations
 
 import pathlib
 import shlex
 
-from marlkit import cli
+from marlkit import cli, registry
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -17,6 +17,18 @@ def test_quick_tour_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     exec(compile(code, str(README), "exec"), {})
     assert (tmp_path / "pong.jsonl").exists()
+    assert capsys.readouterr().out.split()[-1] == "True"
+
+
+def test_env_authoring_example_runs(tmp_path, monkeypatch, capsys):
+    text = README.read_text(encoding="utf-8")
+    start = text.index("```python\n", text.index("## Writing an environment")) + len("```python\n")
+    code = text[start:text.index("```", start)]
+    monkeypatch.chdir(tmp_path)
+    try:
+        exec(compile(code, str(README), "exec"), {})
+    finally:
+        registry._ENVS.pop("coin_toss", None)
     assert capsys.readouterr().out.split()[-1] == "True"
 
 

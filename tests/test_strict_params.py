@@ -17,6 +17,7 @@ from marlkit import (
     BoxSpec,
     ConfigError,
     DiscreteSpec,
+    Env,
     MappingSpec,
     MatchSpec,
     RandomAgent,
@@ -163,9 +164,9 @@ def _foreign_slot1(scenario: str):
 
 def _respecced(env_cls, config, specs_of):
     class Respecced(env_cls):
-        @property
-        def observation_specs(self):
-            return specs_of(super().observation_specs)
+        def __init__(self, config):
+            super().__init__(config)
+            Env.__init__(self, specs_of(self.observation_specs), self.action_specs, self.parties)
 
     return lambda params: Respecced(config)
 

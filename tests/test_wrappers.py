@@ -57,19 +57,19 @@ class TestWrapEnv:
 
     def test_outer_specs_exposed(self):
         env = wrap_env(ToyVecEnv(obs_len=3), AddToVectors(2.0))
-        assert env.observation_specs == [BoxSpec((3,), 1.0, 3.0)] * 2
+        assert env.observation_specs == (BoxSpec((3,), 1.0, 3.0),) * 2
 
     def test_pong_screen_obs_shapes(self):
         env = wrap_env(PongEnv(), ScreenObs(32))
         obs = env.reset(1)
         for slot in range(2):
             assert obs[slot].shape == (32, 32, 1)
-        assert env.observation_specs == [BoxSpec((32, 32, 1), 0.0, 1.0)] * 2
+        assert env.observation_specs == (BoxSpec((32, 32, 1), 0.0, 1.0),) * 2
 
     def test_team_wrap_halves_slots(self):
         env = wrap_env(ToyVecEnv(slots=2), make_team([[0, 1]]))
         assert env.num_slots == 1
-        assert env.parties == [-1]  # slots 0 and 1 are opposing parties
+        assert env.parties == (-1,)  # slots 0 and 1 are opposing parties
 
     def test_bad_outer_action_is_space_mismatch(self):
         env = wrap_env(ToyVecEnv(), identity())
