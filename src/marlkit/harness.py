@@ -203,8 +203,9 @@ def run_match(spec: MatchSpec) -> MatchResult:
             seed = spec.base_seed + k
             env = _build_env(spec)
             slots_of = _party_layout(env, spec)
-            ids, n_parties = list(slots_of), len(slots_of)
-            assignment = {ids[(e + k) % n_parties]: spec.agents[e] for e in range(n_parties)}
+            ids = list(slots_of)
+            party_of = [ids[(e + k) % len(ids)] for e in range(len(ids))]  # entrant e's party
+            assignment = dict(zip(party_of, spec.agents))
             actors = _build_actors(env, slots_of, assignment, seed)
             try:
                 episode = run_episode(env, actors, seed, writer=writer, episode_index=k)
@@ -217,17 +218,14 @@ def run_match(spec: MatchSpec) -> MatchResult:
                 raise
             outcomes.append(episode)
             parties = env.unwrapped.parties  # of the raw slots, as episode.returns
-            for e in range(n_parties):
-                party = ids[(e + k) % n_parties]
+            for e, party in enumerate(party_of):
                 entrant_returns[e] += sum(r for r, p in zip(episode.returns, parties) if p == party)
             if episode.draw or episode.winner_party is None:
                 draws += 1
+            elif episode.winner_party == party_of[0]:
+                wins += 1
             else:
-                winner_entrant = (ids.index(episode.winner_party) - k) % n_parties
-                if winner_entrant == 0:
-                    wins += 1
-                else:
-                    losses += 1
+                losses += 1
     n_slots = len(outcomes[0].returns)
     mean_returns = tuple(
         sum(o.returns[i] for o in outcomes) / len(outcomes) for i in range(n_slots)

@@ -190,7 +190,8 @@ def _lines(path: str) -> Iterator[tuple[str, str, dict[str, Any]]]:
 def read_episodes(path: str) -> Iterator[Any]:
     """Parse a replay lazily: yield (header, spec), then each ReplayEpisode once its
     last record is read (its outcome, else the next episode header or the file's end).
-    A malformed record raises FormatError naming path:lineno when it is reached."""
+    A malformed record raises FormatError naming path:lineno when it is reached; the
+    header's env is built once, so env params its config refuses are one."""
     header: dict[str, Any] | None = None
     episode: ReplayEpisode | None = None
     for where, kind, obj in _lines(path):
@@ -202,6 +203,7 @@ def read_episodes(path: str) -> Iterator[Any]:
             recorded = obj["spec"]
             try:
                 spec = MatchSpec.from_jsonable(recorded)
+                registry.make_env(spec.env_name, spec.env_params)  # its config checks the params
             except ConfigError as exc:
                 raise FormatError(f"{where}: bad match spec: {exc}") from exc
             written = spec.to_jsonable()

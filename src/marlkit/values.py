@@ -212,31 +212,8 @@ class GridV(Value):
         out.append(b"\x03" + _U32.pack(h) + _U32.pack(w) + _U32.pack(c) + _pack_floats(self.entries))
 
 
-_KEY = itemgetter(0)
-
-
-def _sorted_index(raw, what: str) -> tuple[tuple, dict]:
-    """(entries sorted by key, key -> value dict) from a mapping or (key, value) pairs.
-
-    Raises ValueError on a duplicate key.
-    """
-    if isinstance(raw, dict) or isinstance(raw, abc.Mapping):
-        raw = raw.items()
-    items = sorted(raw, key=_KEY)
-    try:
-        index = dict(items)
-    except (TypeError, ValueError):
-        # A pair that does not unpack, or an unhashable key: raise what
-        # unpacking every pair and then hashing every key raises.
-        set([k for k, _ in items])
-        raise
-    if len(index) != len(items):
-        raise ValueError(f"{what} keys must be unique")
-    return tuple(items), index
-
-
 class KeyLayout:
-    """A mapping's keys, checked once, with what MappingV reads of them.
+    """A mapping's keys, checked once, with what MappingV and MappingSpec read of them.
 
     keys are str, strictly ascending by their own < (so unique); size is
     their count, index maps each key to its position, header is the
@@ -249,7 +226,7 @@ class KeyLayout:
     def __init__(self, keys: Sequence[str]):
         keys = tuple(keys)
         if not (all(isinstance(k, str) for k in keys) and all(map(lt, keys, keys[1:]))):
-            raise ValueError(f"layout keys must be str, unique and ascending, got {keys!r}")
+            raise ValueError(f"mapping keys must be str, unique and ascending, got {keys!r}")
         self.keys = keys
         self.size = len(keys)
         self.index = dict(zip(keys, range(len(keys))))
@@ -264,11 +241,24 @@ _shared_layout = lru_cache(maxsize=1024)(KeyLayout)
 
 
 def key_layout(keys: Sequence[str]) -> KeyLayout:
-    """The layout of keys, which must be str in strictly ascending order: one
+    """The layout of keys, which must be str in strictly ascending order (the
+    one check of a mapping's keys; a ValueError names them otherwise): one
     per distinct tuple of exact-str keys (the 1024 used last are kept). Keys
     of a str subclass keep their type and order, so each call builds one."""
     keys = tuple(keys)
     return _shared_layout(keys) if _exact(keys, str) else KeyLayout(keys)
+
+
+_KEY = itemgetter(0)
+
+
+def _sorted_pairs(raw) -> tuple[tuple, KeyLayout]:
+    """The (key, value) pairs of a mapping or pair sequence sorted by key, and
+    the key_layout of their keys, which refuses keys that are not unique str."""
+    if isinstance(raw, abc.Mapping):
+        raw = raw.items()
+    pairs = tuple(sorted(raw, key=_KEY))
+    return pairs, key_layout([k for k, _ in pairs])
 
 
 @_slot_init
@@ -279,9 +269,9 @@ class MappingV(Value):
     It holds a shared KeyLayout and a tuple of values in its key order:
     lookup (get, [], in) finds a key's position in the layout, and keys(),
     items(), entries and the canonical bytes read the layout.
-    MappingV(entries), from a dict or (key, value) pairs, sorts them, checks
-    that keys are unique str and values are Value, and finds the layout of the
-    keys. MappingV(values, layout) checks only that layout is a KeyLayout and
+    MappingV(entries), from a dict or (key, value) pairs, sorts them, finds
+    the layout of the keys (which checks them) and checks that values are
+    Value. MappingV(values, layout) checks only that layout is a KeyLayout and
     values a tuple of one Value per key.
     """
 
@@ -291,22 +281,17 @@ class MappingV(Value):
 
     def __post_init__(self):
         layout, values = self.layout, self.values
-        if type(layout) is KeyLayout and type(values) is tuple and len(values) == layout.size:
-            for v in values:
-                if not isinstance(v, Value):
-                    raise ValueError(f"mapping values must be Value, got {v!r}")
-            return
-        if layout is not None:
-            raise ValueError(f"a mapping built from a layout needs a KeyLayout and a tuple of "
-                             f"one value per key, got {value_repr(values, 2)} and {layout!r}")
-        entries, index = _sorted_index(values, "mapping")
-        for k, v in entries:
-            if not isinstance(k, str):
-                raise ValueError(f"mapping keys must be str, got {k!r}")
+        if not (type(layout) is KeyLayout and type(values) is tuple and len(values) == layout.size):
+            if layout is not None:
+                raise ValueError(f"a mapping built from a layout needs a KeyLayout and a tuple of "
+                                 f"one value per key, got {value_repr(values, 2)} and {layout!r}")
+            pairs, layout = _sorted_pairs(values)
+            values = tuple([v for _, v in pairs])
+            object.__setattr__(self, "layout", layout)
+            object.__setattr__(self, "values", values)
+        for v in values:
             if not isinstance(v, Value):
                 raise ValueError(f"mapping values must be Value, got {v!r}")
-        object.__setattr__(self, "layout", key_layout(tuple(index)))
-        object.__setattr__(self, "values", tuple(index.values()))
 
     @property
     def entries(self) -> tuple[tuple[str, Value], ...]:
@@ -504,30 +489,29 @@ class BoxSpec(SpaceSpec):
 
 @dataclass(frozen=True, slots=True)
 class MappingSpec(SpaceSpec):
-    """String-keyed mapping of sub-spaces, in ascending key order."""
+    """String-keyed mapping of sub-spaces, in ascending key order.
+
+    Construction sorts the pairs as MappingV(entries) does and stores the
+    key_layout of the keys, from which the values in the spec are built, as
+    layout; keys() and [] read it, equality and hashing only entries."""
 
     entries: tuple[tuple[str, SpaceSpec], ...]
-    _index: dict[str, SpaceSpec] = field(init=False, repr=False, compare=False)
+    layout: KeyLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        entries, index = _sorted_index(self.entries, "mapping spec")
+        entries, layout = _sorted_pairs(self.entries)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "layout", layout)
 
     def keys(self) -> tuple[str, ...]:
-        return tuple(self._index)
+        return self.layout.keys
 
     def items(self) -> tuple[tuple[str, SpaceSpec], ...]:
         return self.entries
 
-    @property
-    def layout(self) -> KeyLayout:
-        """The key_layout of this spec's keys, from which the values in it are built."""
-        return key_layout(self._index)
-
     def __getitem__(self, key: str) -> SpaceSpec:
         try:
-            return self._index[key]
+            return self.entries[self.layout.index[key]][1]
         except TypeError:
             raise KeyError(key) from None
 

@@ -1516,6 +1516,13 @@ def test_move_resolver_cases():
 # MappingV and MappingSpec: dict lookup and C-level construction checks
 
 
+def ref_check_keys(items) -> None:
+    """The one key check, said as a set test: once sorted, the keys are str and unique."""
+    keys = tuple(k for k, _ in items)
+    if not all(isinstance(k, str) for k in keys) or len(set(keys)) != len(keys):
+        raise ValueError(f"mapping keys must be str, unique and ascending, got {keys!r}")
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class RefMappingV(Value):
     """The linear-scan MappingV with its per-entry Python checks."""
@@ -1530,12 +1537,8 @@ class RefMappingV(Value):
         else:
             items = list(raw)
         items.sort(key=itemgetter(0))
-        keys = [k for k, _ in items]
-        if len(set(keys)) != len(keys):
-            raise ValueError("mapping keys must be unique")
-        for k, v in items:
-            if not isinstance(k, str):
-                raise ValueError(f"mapping keys must be str, got {k!r}")
+        ref_check_keys(items)
+        for _, v in items:
             if not isinstance(v, Value):
                 raise ValueError(f"mapping values must be Value, got {v!r}")
         object.__setattr__(self, "entries", tuple(items))
@@ -1579,9 +1582,7 @@ class RefMappingSpec(SpaceSpec):
         else:
             items = list(raw)
         items.sort(key=lambda kv: kv[0])
-        keys = [k for k, _ in items]
-        if len(set(keys)) != len(keys):
-            raise ValueError("mapping spec keys must be unique")
+        ref_check_keys(items)
         object.__setattr__(self, "entries", tuple(items))
 
     def keys(self):
@@ -1775,6 +1776,44 @@ def test_mapping_key_order_is_decided_by_the_key_types():
         assert_same_mapping(fast, ref)
         assert fast.keys() == ("b", "a") and type(fast.keys()[0]) is Rev
         assert fast.canonical_bytes() == ref.canonical_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(NAMES), st.text(max_size=3)), unique=True, max_size=6),
+       st.sampled_from(["tuple", "list", "dict"]), st.data())
+def test_a_spec_holds_the_layout_its_values_are_built_on(keys, form, data):
+    """Exact-str keys in any order: MappingSpec(raw).layout is key_layout of
+    the sorted keys, the very layout MappingV(raw) finds and space_sample
+    builds on. The layout is no part of a spec's repr, equality or hash."""
+    spec_pairs = [(k, DiscreteSpec(1 + i % 3)) for i, k in enumerate(keys)]
+    value_pairs = [(k, DiscreteV(0)) for k in keys]
+    build = {"tuple": tuple, "list": list, "dict": dict}[form]
+    spec, value = MappingSpec(build(spec_pairs)), MappingV(build(value_pairs))
+    layout = key_layout(sorted(keys))
+    assert spec.layout is value.layout is layout
+    assert spec.keys() is layout.keys
+    assert space_sample(spec, RngStream(data.draw(st.integers(0, 9)))).layout is layout
+    for k, sub in spec_pairs:
+        assert spec[k] is sub
+    ref = RefMappingSpec(spec_pairs)
+    assert spec.entries == ref.entries and repr(spec) == f"MappingSpec(entries={ref.entries!r})"
+    assert spec == MappingSpec(tuple(reversed(spec.entries))) and hash(spec) == hash(ref)
+
+
+def test_bad_keys_raise_the_one_key_error():
+    """A non-str, duplicate or unhashable key raises the one ValueError of
+    key_layout, for a value and a spec alike; a spec refuses a non-str key
+    when it is built, not at its first use."""
+    kinds = ((MappingV, DiscreteV(0)), (MappingSpec, DiscreteSpec(2)))
+    for keys in ((1,), (1, 2), ("a", "a"), (Key("a"), "a"), ([1],), ([0], [1]), (None,)):
+        message = f"mapping keys must be str, unique and ascending, got {keys!r}"
+        for cls, sub in kinds:
+            for raw in (tuple((k, sub) for k in keys), [(k, sub) for k in keys]):
+                assert outcome(lambda: cls(raw)) == (ValueError, message), raw
+        assert outcome(lambda: key_layout(keys)) == (ValueError, message)
+    for cls, sub in kinds:
+        assert outcome(lambda: cls({1: sub})) == (
+            ValueError, "mapping keys must be str, unique and ascending, got (1,)")
 
 
 # ---------------------------------------------------------------------------

@@ -1014,6 +1014,7 @@ class TestBoundedInputs:
         assert cli_main([command[0], str(path), *command[1:]]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert f"{path}:1: bad match spec: " in err
 
     def test_largest_field_runs_and_renders(self, tmp_path, capsys):
         path = tmp_path / "match.jsonl"

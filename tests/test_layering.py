@@ -12,7 +12,9 @@ clears (so no _reset clears one itself), no module reaches object.__new__,
 so every value is built by its constructor, which checks it and which
 perfbench counts, only Interface.setup writes the seven slot layout
 attributes of an interface, and only Env.__init__ writes the four of an
-environment, which no class defines as a property or method. The checks read
+environment, which no class defines as a property or method. A ninth rule
+keeps one check and one index of a mapping's keys: only values.key_layout
+builds a KeyLayout, and no class keeps an index beside its layout. The checks read
 each module's AST, so nothing is imported and no subprocess is started.
 """
 
@@ -268,6 +270,85 @@ def _object_new_uses(tree: ast.Module) -> list[int]:
             and isinstance(node.value, ast.Name) and node.value.id == "object"]
 
 
+def _layout_builds(modules: dict[str, ast.Module]) -> list[str]:
+    """module.owner of each reference to KeyLayout that may build one: a call,
+    or the class handed on as a value (to a wrapper such as lru_cache, or
+    bound to another name). The owner is the enclosing function (as
+    Class.method in a class) or else the module-level name assigned. An
+    annotation, an is/is not operand and isinstance's class argument only
+    read the class."""
+    found = set()
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for name, tree in modules.items():
+        reads = set()
+        for node in ast.walk(tree):
+            if isinstance(node, defs):
+                args = node.args
+                every = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+                notes = [a.annotation for a in every if a is not None] + [node.returns]
+                reads.update(id(n) for note in notes if note is not None for n in ast.walk(note))
+            elif isinstance(node, ast.AnnAssign):
+                reads.update(id(n) for n in ast.walk(node.annotation))
+            elif isinstance(node, ast.Compare) and all(
+                    isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+                reads.update(id(n) for n in (node.left, *node.comparators))
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None)
+                  in ("isinstance", "issubclass") and len(node.args) == 2):
+                reads.update(id(n) for n in ast.walk(node.args[1]))
+
+        def visit(node: ast.AST, owner: str | None) -> None:
+            for child in ast.iter_child_nodes(node):
+                if (getattr(child, "id", getattr(child, "attr", None)) == "KeyLayout"
+                        and isinstance(child.ctx, ast.Load) and id(child) not in reads):
+                    found.add(f"{name}.{owner}")
+                if isinstance(child, (*defs, ast.ClassDef)):
+                    inner = child.name if owner is None else f"{owner}.{child.name}"
+                elif node is tree and isinstance(child, (ast.Assign, ast.AnnAssign)):
+                    targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                    inner = ", ".join(ast.unparse(t) for t in targets)
+                else:
+                    inner = owner
+                visit(child, inner)
+
+        visit(tree, None)
+    return sorted(found)
+
+
+def _index_beside_layout(modules: dict[str, ast.Module]) -> list[str]:
+    """module.Class: name for each class that binds a layout attribute and also
+    a name ending in "index" (in its body or __slots__, as a self attribute,
+    or through a setattr call on self naming it)."""
+    found = []
+    for name, tree in modules.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            bound = set()
+            for stmt in cls.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    bound.add(stmt.name)
+                elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                    bound.update(t.id for t in targets if isinstance(t, ast.Name))
+                    if any(getattr(t, "id", None) == "__slots__" for t in targets):
+                        bound.update(n.value for n in ast.walk(stmt.value)
+                                     if isinstance(n, ast.Constant) and isinstance(n.value, str))
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and getattr(node.value, "id", None) == "self"):
+                    bound.add(node.attr)
+                elif (isinstance(node, ast.Call) and len(node.args) > 1
+                      and getattr(node.func, "id", getattr(node.func, "attr", None))
+                      in ("setattr", "__setattr__")
+                      and getattr(node.args[0], "id", None) == "self"
+                      and isinstance(node.args[1], ast.Constant)):
+                    bound.add(node.args[1].value)
+            if "layout" in bound:
+                found.extend(f"{name}.{cls.name}: {attr}" for attr in sorted(bound)
+                             if isinstance(attr, str) and attr.endswith("index"))
+    return sorted(found)
+
+
 def test_no_module_imports_inside_a_function():
     local = {name: found for name, tree in _modules().items()
              if (found := _local_imports(tree))}
@@ -507,3 +588,60 @@ def test_object_new_finder_sees_calls_and_aliases():
                      "object.__setattr__(v, 'x', 1)\n"
                      "tuple.__new__(tuple)\n")
     assert _object_new_uses(tree) == [1, 3]
+
+
+def test_only_key_layout_builds_a_key_layout_and_no_class_keeps_an_index_beside_it():
+    modules = _modules()
+    # key_layout builds one, directly or through its lru_cache of the class.
+    assert _layout_builds(modules) == ["marlkit.values._shared_layout", "marlkit.values.key_layout"]
+    assert _index_beside_layout(modules) == []
+    # The finder reads the real tree: MappingV and MappingSpec hold a layout.
+    holders = {cls.name for cls in ast.walk(modules["marlkit.values"])
+               if isinstance(cls, ast.ClassDef) and any(
+                   isinstance(stmt, ast.AnnAssign) and getattr(stmt.target, "id", None) == "layout"
+                   for stmt in cls.body)}
+    assert holders == {"MappingV", "MappingSpec"}
+
+
+def test_key_layout_finders_see_every_spelling():
+    modules = {
+        "values": ast.parse("class KeyLayout:\n"
+                            "    def __init__(self, keys): pass\n"
+                            "shared = lru_cache(KeyLayout)\n"
+                            "def key_layout(keys) -> KeyLayout:\n"
+                            "    return KeyLayout(keys)\n"
+                            "def check(layout: KeyLayout, x: values.KeyLayout | None = None):\n"
+                            "    y: KeyLayout = layout\n"
+                            "    return type(layout) is KeyLayout or isinstance(x, (KeyLayout, int))\n"),
+        "env": ast.parse("class Env:\n"
+                         "    def setup(self):\n"
+                         "        self.layout = values.KeyLayout(('a',))\n"
+                         "        make = KeyLayout\n"
+                         "def build(keys):\n"
+                         "    return list(map(KeyLayout, keys))\n"
+                         "LAYOUTS = {'a': KeyLayout(('a',))}\n"),
+        "spec": ast.parse("class A:\n"
+                          "    layout: KeyLayout = None\n"
+                          "    _index: dict = None\n"
+                          "class B:\n"
+                          "    __slots__ = ('layout', 'key_index')\n"
+                          "class C:\n"
+                          "    def __init__(self):\n"
+                          "        self.layout = None\n"
+                          "        object.__setattr__(self, '_index', {})\n"
+                          "class D:\n"
+                          "    @property\n"
+                          "    def layout(self): pass\n"
+                          "    def __post_init__(self):\n"
+                          "        setattr(self, 'by_index', {})\n"
+                          "class KeyLayout:\n"
+                          "    __slots__ = ('keys', 'index')\n"
+                          "class E:\n"
+                          "    layout = None\n"
+                          "    def f(self, other):\n"
+                          "        other._index = {}\n"),
+    }
+    assert _layout_builds(modules) == ["env.Env.setup", "env.LAYOUTS", "env.build",
+                                       "values.key_layout", "values.shared"]
+    assert _index_beside_layout(modules) == ["spec.A: _index", "spec.B: key_index",
+                                             "spec.C: _index", "spec.D: by_index"]

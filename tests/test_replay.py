@@ -147,6 +147,24 @@ def test_match_spec_without_env_name_is_format_error(replay_lines, tmp_path, env
             read(path)
 
 
+@pytest.mark.parametrize("params, message", [
+    ({"win_score": 2, "field_w": float("nan")}, "field_w must be finite and positive, got nan"),
+    ({"win_score": 0}, "win_score must be finite and positive, got 0"),
+    ({"win_scor": 2}, "PongConfig parameters has unknown keys ['win_scor']"),
+])
+def test_header_env_params_the_config_refuses_are_format_errors(replay_lines, tmp_path,
+                                                                 params, message):
+    # The reader builds the header's env once, so the fault names path:line
+    # before any episode is read, as every other header fault does.
+    records = copy(replay_lines)
+    records[0]["spec"]["env"]["params"] = params
+    path = write(tmp_path, records)
+    for read in READERS:
+        with pytest.raises(FormatError) as info:
+            read(path)
+        assert str(info.value).startswith(f"{path}:1: bad match spec: {message}")
+
+
 HEADER_TAMPERS = {
     "episodes_float": (lambda spec: spec.update(episodes=2.0),
                        "'episodes' must be an integer, got 2.0"),
@@ -374,7 +392,7 @@ def test_verify_builds_envs_through_the_registry_module(replay_lines, tmp_path, 
     make_env = registry.make_env
     monkeypatch.setattr(registry, "make_env", lambda *a: built.append(a[0]) or make_env(*a))
     assert verify(tmp_path, copy(replay_lines)).ok
-    assert built == ["pong2p", "pong2p"]
+    assert built == ["pong2p"] * 3  # the header's, to check its params, and one per episode
 
 
 def test_cli_names_the_diverged_field(replay_lines, tmp_path, capsys):
@@ -445,9 +463,10 @@ def test_verify_reads_no_record_between_two_steps_of_an_episode(replay_lines, tm
     logged_lines(monkeypatch, events)
     monkeypatch.setattr(registry, "make_env", logged_make_env)
     assert verify(tmp_path, copy(replay_lines)).ok
-    split = first(replay_lines, "outcome") + 1  # the header and episode 0, then episode 1
-    expected = "".join("r" * len(part) + "m" + "s" * sum(r["kind"] == "step" for r in part)
-                       for part in (replay_lines[:split], replay_lines[split:]))
+    split = first(replay_lines, "outcome") + 1  # episode 0, then episode 1
+    # The header's env is built once, as the header is read, to check its params.
+    expected = "rm" + "".join("r" * len(part) + "m" + "s" * sum(r["kind"] == "step" for r in part)
+                              for part in (replay_lines[1:split], replay_lines[split:]))
     assert "".join(events) == expected
 
 
