@@ -23,6 +23,10 @@ from .registry import (AgentSpec, MatchSpec, config_value, env_entry, list_agent
 from .replay import read_episodes, replay_verify, step_actions
 
 
+# The slowest render rate, a frame every 1000 s: a much slower one overflows time.sleep.
+MIN_FPS = 0.001
+
+
 class _UsageError(Exception):
     pass
 
@@ -105,7 +109,7 @@ def _build_parser() -> _Parser:
     render = sub.add_parser("render", help="ASCII animation of a replay")
     render.add_argument("path", metavar="PATH")
     render.add_argument("--fps", type=float, default=4.0,
-                        help="frames per second; 0 disables sleeping")
+                        help=f"frames per second, 0 or at least {MIN_FPS:g}; 0 disables sleeping")
     render.add_argument("--episodes", type=int, default=None,
                         help="render at most this many episodes")
     render.set_defaults(func=_cmd_render)
@@ -209,7 +213,9 @@ def _cmd_verify(args) -> int:
 def _cmd_render(args) -> int:
     if args.episodes is not None and args.episodes < 1:
         raise _UsageError(f"--episodes must be at least 1, got {args.episodes}")
-    delay = 1.0 / args.fps if args.fps and args.fps > 0 else 0.0
+    if not (args.fps == 0 or args.fps >= MIN_FPS):  # NaN and negative rates too
+        raise _UsageError(f"--fps must be 0 or at least {MIN_FPS:g}, got {args.fps}")
+    delay = 1.0 / args.fps if args.fps else 0.0
     with closing(read_episodes(args.path)) as reader:  # --episodes leaves the rest unread
         spec = next(reader)[1]
         for ep in islice(reader, args.episodes):

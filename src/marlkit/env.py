@@ -20,7 +20,8 @@ from .values import SpaceSpec, Value, space_contains, value_repr
 
 
 class Env(ABC):
-    """Base class enforcing the reset/step protocol and action validation.
+    """Base class enforcing the reset/step protocol and action validation; it
+    keeps no observation memo (bomber keeps its own, see BomberEnv).
 
     The constructor writes the slot layout once, as plain attributes:
       observation_specs, action_specs: the per-slot spaces, as tuples;
@@ -43,8 +44,6 @@ class Env(ABC):
         self._done = False
         self._last_actions: Bundle | None = None
         self._last_result: StepResult | None = None
-        # The last value built per observation part, with its source; see _reuse.
-        self._obs_memo: dict = {}
 
     # -- contract surface ---------------------------------------------------
 
@@ -82,21 +81,6 @@ class Env(ABC):
         if self._last_actions is None or self._last_result is None:
             raise EpisodeOver("no step recorded yet")
         return self._last_actions, self._last_result
-
-    def _reuse(self, name, source, build):
-        """build(source), or the value built last for name if source is equal.
-
-        Equal sources must build byte-identical values, as copies of an env's
-        fields do. Comparing sources, not a dirty flag, keeps direct edits of
-        the fields safe, and a memo keyed by content may outlive an episode
-        without changing a byte.
-        """
-        hit = self._obs_memo.get(name)
-        if hit is not None and hit[0] == source:
-            return hit[1]
-        value = build(source)
-        self._obs_memo[name] = (source, value)
-        return value
 
     # -- hooks ---------------------------------------------------------------
 

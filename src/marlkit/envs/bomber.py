@@ -52,8 +52,9 @@ IDLE, UP, DOWN, LEFT, RIGHT, PLACE = range(6)
 MOVE_DELTAS = {UP: (-1, 0), DOWN: (1, 0), LEFT: (0, -1), RIGHT: (0, 1)}
 ITEM_AMMO, ITEM_BLAST = 1, 2
 ATTR_CAP = 10.0
-# Loose static bound for ammo/blast in the observation space: initial value
-# plus at most one power-up per wood cell.
+# The least observation bound of ammo, blast and bomb_strength. A config's
+# bound is its larger initial value plus one power-up per board cell, which
+# is below this one for the default config.
 STAT_BOUND = 128.0
 
 Cell = tuple[int, int]
@@ -150,24 +151,30 @@ def detonate(
 
 
 class BomberEnv(Env):
-    """Slots 0..3 start at corners (0,0), (N-1,0), (N-1,N-1), (0,N-1)."""
+    """Slots 0..3 start at corners (0,0), (N-1,0), (N-1,N-1), (0,N-1).
+
+    The view's readers (board_map, rotate, bomber.simple) key on part
+    identity, so each part that can change is kept until its source does
+    (see _reuse).
+    """
 
     def __init__(self, config: BomberConfig | None = None):
         self.cfg = config or BomberConfig()
         n = self.cfg.size
         grid1 = lambda high: BoxSpec((n, n, 1), 0.0, high)  # noqa: E731
+        stat = max(STAT_BOUND, max(self.cfg.initial_ammo, self.cfg.initial_blast) + n * n)
         agent_spec = MappingSpec({
             "row": BoxSpec((1,), 0.0, n - 1),
             "col": BoxSpec((1,), 0.0, n - 1),
-            "ammo": BoxSpec((1,), 0.0, STAT_BOUND),
-            "blast": BoxSpec((1,), 0.0, STAT_BOUND),
+            "ammo": BoxSpec((1,), 0.0, stat),
+            "blast": BoxSpec((1,), 0.0, stat),
             "alive": BoxSpec((1,), 0.0, 1.0),
         })
         obs_spec = MappingSpec({
             "rigid": grid1(1.0),
             "wood": grid1(1.0),
             "bomb_fuse": grid1(float(self.cfg.bomb_life)),
-            "bomb_strength": grid1(STAT_BOUND),
+            "bomb_strength": grid1(stat),
             "bomb_owner": grid1(4.0),  # owner slot + 1; 0 where no bomb
             "flames": grid1(float(self.cfg.flame_life)),
             "items": grid1(2.0),
@@ -179,12 +186,13 @@ class BomberEnv(Env):
         super().__init__((obs_spec,) * 4, (DiscreteSpec(6),) * 4,
                          (0, 1, 2, 3) if self.cfg.mode == "ffa" else (0, 1, 0, 1))
         # Observation parts that are the same every tick; the changing ones
-        # go through Env._reuse.
+        # go through _reuse.
         self._teams_value = VectorV(tuple(map(float, self.parties)))
         self._self_ids = tuple((DiscreteV(slot),) for slot in range(4))
         self._view_layout = obs_spec.layout
         # What legal_actions parsed from this episode's views.
         self._legal = Kept()
+        self._obs_memo: dict = {}  # part name -> (source, value); see _reuse
 
     # -- board generation ----------------------------------------------------
 
@@ -345,6 +353,19 @@ class BomberEnv(Env):
         for (r, c), v in mapping.items():
             data[r * n + c] = float(v)
         return GridV((n, n, 1), tuple(data))
+
+    def _reuse(self, name, source, build):
+        """build(source), or the value built last for name if source is equal.
+
+        Equal sources, copies of the env's fields, build byte-identical values.
+        Comparing sources, not a dirty flag, keeps direct edits of the fields
+        safe, and lets the memo outlive an episode without changing a byte."""
+        hit = self._obs_memo.get(name)
+        if hit is not None and hit[0] == source:
+            return hit[1]
+        value = build(source)
+        self._obs_memo[name] = (source, value)
+        return value
 
     def _observe(self) -> Bundle:
         reuse = self._reuse

@@ -143,23 +143,23 @@ _STATE = key_layout(("tick", "units"))
 _PADDED = key_layout(("alive", "obs"))
 
 
-def _unit_value(fields: tuple) -> MappingV:
-    """A unit's observed mapping from its fields, in the order of its sorted keys.
+def _unit_value(u: Unit) -> MappingV:
+    """A unit's observed mapping, its values in the order of its sorted keys.
 
     row, col, cd and team hold ints, so the shared small-number vectors serve
     them. hp and shield are clamped at 0.0: max(0.0, x) is x when x > 0.0 and
     0.0 otherwise (-0.0 and NaN included).
     """
-    alive, cd, col, hp, melee, row, shield, team = fields
+    hp, shield = u.hp, u.shield
     return MappingV((
-        _ONE if alive else _ZERO,
-        _small(cd),
-        _small(col),
+        _ONE if u.alive else _ZERO,
+        _small(u.cd),
+        _small(u.col),
         VectorV((hp,)) if hp > 0.0 else _ZERO,
-        _ONE if melee else _ZERO,
-        _small(row),
+        _ONE if u.kind is MELEE else _ZERO,
+        _small(u.row),
         VectorV((shield,)) if shield > 0.0 else _ZERO,
-        _small(team),
+        _small(u.team),
     ), _UNIT)
 
 
@@ -286,16 +286,11 @@ class BattleEnv(Env):
     def _observe(self) -> Bundle:
         """One view per slot: its self_id and the same units sequence.
 
-        Views and ticks share unit sub-values (see _unit_value), and a unit's
-        mapping is kept while its fields are unchanged; a value is never
-        mutated.
+        Each unit's mapping is built anew every tick, from the shared
+        small-number vectors where they serve (see _unit_value): readers key
+        on the units sequence, which is new every tick, and none on a unit.
         """
-        reuse = self._reuse
-        units_value = SeqV(tuple(
-            reuse(slot, (u.alive, u.cd, u.col, u.hp, u.kind is MELEE, u.row, u.shield, u.team),
-                  _unit_value)
-            for slot, u in enumerate(self.units)
-        ))
+        units_value = SeqV(tuple(map(_unit_value, self.units)))
         layout = self._view_layout  # self_id, units
         return Bundle(tuple(
             MappingV((self_id, units_value), layout) for self_id in self._self_ids

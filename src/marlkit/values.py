@@ -41,14 +41,11 @@ class Value:
     __slots__ = ()
 
     def canonical_bytes(self) -> bytes:
-        """Canonical little-endian serialization; the basis of equality and hashing."""
-        cb = self._cb
-        if cb is None:
-            parts: list[bytes] = []
-            self._encode(parts)
-            cb = b"".join(parts)
-            object.__setattr__(self, "_cb", cb)
-        return cb
+        """Canonical little-endian serialization, the basis of equality and hashing;
+        encoded on every call, as a value keeps nothing beside its fields."""
+        parts: list[bytes] = []
+        self._encode(parts)
+        return b"".join(parts)
 
     def _encode(self, out: list[bytes]) -> None:
         raise NotImplementedError
@@ -98,27 +95,24 @@ def _slot_init(cls: type) -> type:
 
     The dataclass-generated __init__ of a frozen class stores each field with
     object.__setattr__, which looks the name up on the type first. The
-    parameters and defaults are read from dataclasses.fields: an init field
-    is a parameter, a field with init=False and a default (_cb) is stored as
-    that default, and one without is left to __post_init__, which holds
-    every check. The frozen __setattr__ and __delattr__ stay, so
-    assigning or deleting a field still raises FrozenInstanceError.
+    parameters and defaults are read from dataclasses.fields: every field is
+    a constructor parameter (a default_factory, kw_only or init=False field
+    is refused with TypeError), and __post_init__ holds every check. The
+    frozen __setattr__ and __delattr__ stay, so assigning or deleting a field
+    still raises FrozenInstanceError.
     """
     params, body, names = [], [], {}
     for f in fields(cls):
-        if f.default_factory is not MISSING or f.kw_only:
-            raise TypeError(f"{cls.__name__}.{f.name}: no default_factory or kw_only field")
+        if f.default_factory is not MISSING or f.kw_only or not f.init:
+            raise TypeError(f"{cls.__name__}.{f.name}: no default_factory, kw_only or init=False")
         setter, default = f"_set_{f.name}", f"_default_{f.name}"
         names[setter], names[default] = cls.__dict__[f.name].__set__, f.default
-        if f.init:
-            params.append(f.name if f.default is MISSING else f"{f.name}={default}")
-            body.append(f" {setter}(self, {f.name})\n")
-        elif f.default is not MISSING:
-            body.append(f" {setter}(self, {default})\n")
+        params.append(f.name if f.default is MISSING else f"{f.name}={default}")
+        body.append(f" {setter}(self, {f.name})\n")
     exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body)} self.__post_init__()\n", names)
     init = cls.__init__ = names["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__annotations__ = {f.name: f.type for f in fields(cls) if f.init} | {"return": None}
+    init.__annotations__ = {f.name: f.type for f in fields(cls)} | {"return": None}
     return cls
 
 
@@ -132,7 +126,6 @@ class DiscreteV(Value):
     """
 
     index: int
-    _cb: bytes | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         index = self.index
@@ -159,7 +152,6 @@ class VectorV(Value):
     """
 
     entries: tuple[float, ...]
-    _cb: bytes | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not _exact(self.entries, float):
@@ -185,7 +177,6 @@ class GridV(Value):
 
     shape: tuple[int, int, int]
     entries: tuple[float, ...]
-    _cb: bytes | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         shape, entries = self.shape, self.entries
@@ -277,7 +268,6 @@ class MappingV(Value):
 
     values: tuple[Value, ...]
     layout: KeyLayout | None = None
-    _cb: bytes | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         layout, values = self.layout, self.values
@@ -367,7 +357,6 @@ class SeqV(Value):
     """
 
     items: tuple[Value, ...]
-    _cb: bytes | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         items = self.items

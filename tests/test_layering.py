@@ -14,8 +14,11 @@ perfbench counts, only Interface.setup writes the seven slot layout
 attributes of an interface, and only Env.__init__ writes the four of an
 environment, which no class defines as a property or method. A ninth rule
 keeps one check and one index of a mapping's keys: only values.key_layout
-builds a KeyLayout, and no class keeps an index beside its layout. The checks read
-each module's AST, so nothing is imported and no subprocess is started.
+builds a KeyLayout, and no class keeps an index beside its layout. A tenth
+keeps values write-once: object.__setattr__ appears only inside a
+__post_init__, so nothing (a cache, say) is written into a frozen object
+after it is built. The checks read each module's AST, so nothing is
+imported and no subprocess is started.
 """
 
 from __future__ import annotations
@@ -268,6 +271,24 @@ def _object_new_uses(tree: ast.Module) -> list[int]:
     return [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and node.attr == "__new__"
             and isinstance(node.value, ast.Name) and node.value.id == "object"]
+
+
+def _late_writes(tree: ast.Module) -> list[int]:
+    """The line of each reference to object.__setattr__, called or not, whose
+    innermost enclosing function (a def or lambda) is not a __post_init__."""
+    found = []
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+    def visit(node: ast.AST, func: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr == "__setattr__"
+                    and isinstance(child.value, ast.Name) and child.value.id == "object"
+                    and func != "__post_init__"):
+                found.append(child.lineno)
+            visit(child, getattr(child, "name", "<lambda>") if isinstance(child, defs) else func)
+
+    visit(tree, None)
+    return sorted(found)
 
 
 def _layout_builds(modules: dict[str, ast.Module]) -> list[str]:
@@ -588,6 +609,31 @@ def test_object_new_finder_sees_calls_and_aliases():
                      "object.__setattr__(v, 'x', 1)\n"
                      "tuple.__new__(tuple)\n")
     assert _object_new_uses(tree) == [1, 3]
+
+
+def test_no_object_is_written_after_its_post_init():
+    modules = _modules()
+    found = {name: lines for name, tree in modules.items() if (lines := _late_writes(tree))}
+    assert found == {}
+    # The finder reads the real tree: every value conversion writes this way.
+    assert any(isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+               for node in ast.walk(modules["marlkit.values"]))
+
+
+def test_late_write_finder_sees_calls_aliases_and_nested_functions():
+    tree = ast.parse("class V:\n"
+                     "    def __post_init__(self):\n"
+                     "        object.__setattr__(self, 'x', 1)\n"
+                     "        def later(v):\n"
+                     "            object.__setattr__(v, 'y', 2)\n"
+                     "        self.f = lambda: object.__setattr__(self, 'z', 3)\n"
+                     "    def canonical_bytes(self):\n"
+                     "        object.__setattr__(self, '_cb', b'')\n"
+                     "write = object.__setattr__\n"
+                     "super().__setattr__('x', 1)\n"
+                     "setattr(v, 'x', 1)\n"
+                     "object.__new__(V)\n")
+    assert _late_writes(tree) == [5, 6, 8, 9]
 
 
 def test_only_key_layout_builds_a_key_layout_and_no_class_keeps_an_index_beside_it():

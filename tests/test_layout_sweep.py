@@ -51,12 +51,15 @@ ENV_CONFIGS = {
                                    "step_limit": TICKS}),
     "bomber-ffa": ("bomber", {"step_limit": TICKS}),
     "bomber-2v2": ("bomber", {"mode": "2v2", "step_limit": TICKS}),
+    # Initial stats past the default config's bound, which the specs must follow.
+    "bomber-stats": ("bomber", {"initial_ammo": 200, "initial_blast": 300, "step_limit": TICKS}),
 }
 NODES = sorted(set(list_interfaces()) - {"make_team", "concat_obs_act"})
 PIPELINES = [(name,) for name in NODES] + list(product(NODES, repeat=2))
-# How many of PIPELINES set up on each config: 141 in all, as a probe of the
-# same configs and pipelines found before this sweep was written.
-SET_UP = {"pong": 17, "battle-5I": 17, "battle-3I2Z": 17, "bomber-ffa": 45, "bomber-2v2": 45}
+# How many of PIPELINES set up on each config: 141 in all over the first five,
+# as a probe of the same configs and pipelines found before this sweep was written.
+SET_UP = {"pong": 17, "battle-5I": 17, "battle-3I2Z": 17, "bomber-ffa": 45, "bomber-2v2": 45,
+          "bomber-stats": 45}
 LAYOUT = ("raw_obs_specs", "raw_act_specs", "outer_obs_specs", "outer_act_specs",
           "raw_slot_count", "outer_slot_count", "slot_groups")
 SEED = 0
@@ -109,7 +112,8 @@ def test_either_side_has_one_layout_and_plays_in_spec(config):
 TRIPLES = list(product(NODES, repeat=3))
 # How many of TRIPLES set up on each config, and how many of those each run
 # plays both ways (a fixed sample, so the sweep stays within its budget).
-SET_UP_3 = {"pong": 40, "battle-5I": 40, "battle-3I2Z": 40, "bomber-ffa": 178, "bomber-2v2": 178}
+SET_UP_3 = {"pong": 40, "battle-5I": 40, "battle-3I2Z": 40, "bomber-ffa": 178, "bomber-2v2": 178,
+            "bomber-stats": 178}
 SAMPLE_3 = 10
 
 
