@@ -19,11 +19,10 @@ slot, 0 to survivors of a step-limit draw. 2v2 (teams are slots {0,2} vs
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import compress, product
-from operator import is_, itemgetter
+from operator import itemgetter
 
 from ..agents import Agent, require_spec
 from ..bundles import NO_INFO, Bundle, StepResult, outcome_info
@@ -193,6 +192,7 @@ class BomberEnv(Env):
         # What legal_actions parsed from this episode's views.
         self._legal = Kept()
         self._obs_memo: dict = {}  # part name -> (source, value); see _reuse
+        self._agent_seqs = Kept()  # the agents SeqV over its members, each from _reuse
 
     # -- board generation ----------------------------------------------------
 
@@ -376,7 +376,7 @@ class BomberEnv(Env):
         )
         # The views' values in key order: those before self_id, then after it.
         head = (
-            reuse("agents", agents, SeqV),
+            self._agent_seqs.get("agents", _seq, *agents),
             reuse("bomb_fuse", {(b.row, b.col): b.fuse for b in bombs}, self._grid_from_map),
             reuse("bomb_owner", {(b.row, b.col): b.owner + 1 for b in bombs},
                   self._grid_from_map),
@@ -482,6 +482,10 @@ def _agent_value(fields: tuple[int, int, int, int, bool]) -> MappingV:
         VectorV((float(col),)),
         VectorV((float(row),)),
     ), _AGENT)
+
+
+def _seq(*items: Value) -> SeqV:
+    return SeqV(items)
 
 
 # ---------------------------------------------------------------------------
@@ -741,11 +745,6 @@ def _rotate_grid(grid: GridV, quarter_turns: int) -> GridV:
     return GridV(grid.shape, _rotation_getter(n, ch, k)(grid.entries))
 
 
-def _whole(e: float) -> bool:
-    """Whether e is a whole number and not below +0.0, so float(int(e)) is e bit for bit."""
-    return e == int(e) and math.copysign(1.0, e) > 0.0
-
-
 def _rotate_pos(r: int, c: int, n: int, quarter_turns: int) -> tuple[int, int]:
     """Cell (r, c) of an n x n plane after quarter_turns turns: the one quarter turn."""
     for _ in range(quarter_turns % 4):
@@ -781,9 +780,9 @@ class RotateView(Interface):
     _setup plans from each slot's spec which entries a turn changes: the
     square grids, agents and act_mask. Each view makes one Kept.get, keyed
     by slot, over just those entries, and a place_getter puts the turned
-    values in their places; only a miss looks each entry up per (key, turns).
-    A slot of 0 turns gets its own view back, unless an agent coordinate is
-    not yet written as rotate writes it (a whole number, not -0.0).
+    values in their places. A miss turns agents anew and looks each other
+    entry up per (key, turns); a 0-turn slot's new view holds its own grids
+    and act_mask.
     """
 
     def _setup(self, obs_specs, act_specs):
@@ -811,19 +810,15 @@ class RotateView(Interface):
                                 in_spec.layout))
         return obs_specs, act_specs
 
-    def _turn(self, slot: int, turned: list, *values: Value) -> tuple | None:
-        """The turned values of one view, or None if each is the value itself."""
+    def _turn(self, slot: int, turned: list, *values: Value) -> tuple:
+        """The turned values of one view."""
         k = self._turns[slot]
         get = self._rotated.get
-        out = tuple(get((key, k), fn, v, k) for (_, key, fn), v in zip(turned, values))
-        return None if all(map(is_, out, values)) else out
+        return tuple(fn(v, k) if key == "agents" else get((key, k), fn, v, k)
+                     for (_, key, fn), v in zip(turned, values))
 
     def _rotate_agents(self, agents: SeqV, k: int) -> SeqV:
-        """agents with row and col turned k times and written as whole numbers;
-        agents itself for k == 0 when they already are."""
-        if k == 0 and all(_whole(agent["row"].entries[0]) and _whole(agent["col"].entries[0])
-                          for agent in agents):
-            return agents
+        """A new agents value, row and col turned k times and written as whole numbers."""
         n = self._n
         rotated = []
         for agent in agents:
@@ -838,10 +833,7 @@ class RotateView(Interface):
         assert self._turns is not None, "rotate used before reset"
         inputs, build, place, layout = self._plans[slot]
         values = view.values
-        turned = self._views.get(slot, build, *inputs(values))
-        if turned is None:
-            return view
-        return MappingV(place(values + turned), layout)
+        return MappingV(place(values + self._views.get(slot, build, *inputs(values))), layout)
 
     def _reset(self, obs: Bundle) -> Bundle:
         self._turns = [view["self_id"].index % 4 for view in obs]

@@ -318,6 +318,9 @@ def round_robin(entrants: Sequence[AgentSpec], env_name: str,
             if (a, b) != (i, j):
                 raise ConfigError(f"pairs {labels[a]!r} vs {labels[b]!r} and {labels[i]!r} "
                                   f"vs {labels[j]!r} would both write {path}")
+    for entrant in entrants:  # a bad entrant is refused before any pair plays
+        make_agent(entrant.name, entrant.params)
+        build_pipeline(entrant.interfaces)
     board = Scoreboard(labels=labels, episodes_per_pair=episodes_per_pair)
     for pair_index, ((i, j), path) in enumerate(zip(pairs, paths)):
         spec = MatchSpec(

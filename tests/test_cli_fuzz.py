@@ -264,6 +264,17 @@ def tourney_case(draw) -> tuple[dict | str, bool]:
     return config, bool(hostile)
 
 
+# Tourney configs whose one bad entrant comes third, so that its first pair is
+# the last: it must be refused before the pairs ahead of it play.
+LATE_BAD_ENTRANTS = [
+    ({"env": {"name": "pong2p", "params": {"step_limit": 3}}, "episodes_per_pair": 2,
+      "entrants": [{"name": "random", "label": "e0"}, {"name": "random", "label": "e1"}, bad]},
+     True)
+    for bad in ({"name": "nope"}, {"name": "random", "params": {"seed": "x"}},
+                {"name": "random", "interfaces": [{"name": "nope_itf"}]})
+]
+
+
 # The other commands: listings, help, version and the replay readers, with good
 # and bad paths and flags. "{tmp}/good.jsonl" is a valid replay.
 OTHER = [
@@ -300,7 +311,7 @@ def generated(strategy, count: int) -> list:
 def test_generated_cli_cases_end_in_their_exit_codes(tmp_path):
     tmp = str(tmp_path)
     cases = [(argv, hostile, "run") for argv, hostile in generated(run_case(), 160)]
-    for i, (config, hostile) in enumerate(generated(tourney_case(), 50)):
+    for i, (config, hostile) in enumerate(generated(tourney_case(), 50) + LATE_BAD_ENTRANTS):
         path = tmp_path / f"tourney{i}.json"
         text = config if isinstance(config, str) else json.dumps(config)
         path.write_bytes(text.replace(TMP, tmp).encode("utf-8", "surrogateescape"))
@@ -324,7 +335,7 @@ def test_generated_cli_cases_end_in_their_exit_codes(tmp_path):
     faults = []
     for (argv, hostile, command), (code, traced, resets) in zip(cases, results):
         want = (1, 2) if hostile else (0,)
-        if code not in want or traced or (hostile and command == "run" and resets):
+        if code not in want or traced or (hostile and command in ("run", "tourney") and resets):
             shown = [a if len(a) < 60 else a[:57] + "..." for a in argv]
             faults.append(f"{shown}: exit {code}, traceback {traced}, resets {resets}")
     assert faults == []

@@ -16,6 +16,7 @@ from marlkit import (
     DiscreteV,
     Env,
     InvalidPartition,
+    MarlkitError,
     MatchSpec,
     RandomAgent,
     SetupError,
@@ -572,6 +573,21 @@ class TestRoundRobin:
         assert cli_main(["tourney", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("bad", [
+        AgentSpec(name="nope"), AgentSpec(name="random", params={"seed": "x"}),
+        AgentSpec(name="random", interfaces=({"name": "nope_itf"},)),
+    ], ids=["name", "params", "interfaces"])
+    def test_bad_entrant_is_refused_before_any_reset(self, monkeypatch, bad):
+        resets = []
+        reset = Env.reset
+        monkeypatch.setattr(Env, "reset",
+                            lambda env, seed: resets.append(seed) or reset(env, seed))
+        # Its first pair is the last one, so every other pair would play first.
+        with pytest.raises(MarlkitError):
+            round_robin(self.entrants()[:2] + [bad], "pong2p", {"step_limit": 60},
+                        episodes_per_pair=2)
+        assert resets == []
 
     def test_four_party_env_is_config_error_without_replays(self, tmp_path):
         with pytest.raises(ConfigError, match="4 parties"):

@@ -17,8 +17,10 @@ keeps one check and one index of a mapping's keys: only values.key_layout
 builds a KeyLayout, and no class keeps an index beside its layout. A tenth
 keeps values write-once: object.__setattr__ appears only inside a
 __post_init__, so nothing (a cache, say) is written into a frozen object
-after it is built. The checks read each module's AST, so nothing is
-imported and no subprocess is started.
+after it is built. An eleventh finds no import that its module never
+reads (a name listed in __all__ is read), but for one named exception.
+The checks read each module's AST, so nothing is imported and no
+subprocess is started.
 """
 
 from __future__ import annotations
@@ -370,6 +372,35 @@ def _index_beside_layout(modules: dict[str, ast.Module]) -> list[str]:
     return sorted(found)
 
 
+# Imported names that their module never reads, each with its reason.
+UNUSED_IMPORTS = [
+    # perfbench wraps replay.value_hash_hex, so it stays importable there
+    # until ROADMAP item 1 PR A deletes it.
+    "marlkit.replay.value_hash_hex",
+]
+
+
+def _unused_imports(modules: dict[str, ast.Module]) -> list[str]:
+    """module.name of each name a module binds by import and never reads; a
+    name listed in the module's __all__ counts as read."""
+    found = []
+    for name, tree in modules.items():
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update(a.asname or a.name.partition(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update(a.asname or a.name for a in node.names if a.name != "*")
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        for stmt in tree.body:  # each statement that names __all__ lists exports
+            nodes = list(ast.walk(stmt))
+            if any(isinstance(n, ast.Name) and n.id == "__all__" for n in nodes):
+                read.update(n.value for n in nodes if isinstance(n, ast.Constant))
+        found.extend(f"{name}.{b}" for b in sorted(bound - read))
+    return found
+
+
 def test_no_module_imports_inside_a_function():
     local = {name: found for name, tree in _modules().items()
              if (found := _local_imports(tree))}
@@ -691,3 +722,26 @@ def test_key_layout_finders_see_every_spelling():
                                        "values.key_layout", "values.shared"]
     assert _index_beside_layout(modules) == ["spec.A: _index", "spec.B: key_index",
                                              "spec.C: _index", "spec.D: by_index"]
+
+
+def test_src_holds_no_unused_import():
+    assert _unused_imports(_modules()) == UNUSED_IMPORTS
+
+
+def test_unused_import_finder_sees_aliases_dotted_imports_and_all():
+    modules = {
+        "a": ast.parse("from __future__ import annotations\n"
+                       "import os.path\n"
+                       "import json as js\n"
+                       "import re\n"
+                       "from math import pi, tau as turn, e, inf\n"
+                       "from .b import *\n"
+                       "__all__ = ['e']\n"
+                       "__all__ += ['inf']\n"
+                       "def f(x: re.Pattern):\n"
+                       "    pi = 3\n"
+                       "    return os.path.join(x)\n"),
+        "b": ast.parse("from a import js, pi\n"
+                       "js.dumps(pi)\n"),
+    }
+    assert _unused_imports(modules) == ["a.js", "a.pi", "a.turn"]
