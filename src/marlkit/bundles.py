@@ -54,15 +54,16 @@ class Bundle:
 @_slot_init
 @dataclass(frozen=True, slots=True)
 class StepResult:
-    """One environment tick: observations, rewards, global done, per-slot alive.
+    """One environment tick's transition: rewards, global done, per-slot alive
+    and info. It holds no observation: Env.observe() builds those on request.
 
     Construction converts rewards to a float tuple, done to a bool and alive
-    to a bool tuple, and checks that both tuples have one entry per slot of
-    obs. A tuple of exact floats, an exact bool and a tuple of exact bools
-    are stored as they are.
+    to a bool tuple, and checks that both tuples have the same non-zero
+    length (Env.step checks it against the env's slot count). A tuple of
+    exact floats, an exact bool and a tuple of exact bools are stored as
+    they are.
     """
 
-    obs: Bundle
     rewards: tuple[float, ...]
     done: bool
     alive: tuple[bool, ...]
@@ -75,12 +76,9 @@ class StepResult:
             object.__setattr__(self, "done", bool(self.done))
         if not _exact(self.alive, bool):
             object.__setattr__(self, "alive", tuple(map(bool, self.alive)))
-        n = len(self.obs)
-        if len(self.rewards) != n or len(self.alive) != n:
-            raise ValueError(
-                f"rewards ({len(self.rewards)}) and alive ({len(self.alive)}) "
-                f"must match obs slot count ({n})"
-            )
+        if not len(self.rewards) == len(self.alive) > 0:
+            raise ValueError(f"rewards ({len(self.rewards)}) and alive ({len(self.alive)}) "
+                             "must have one entry per slot, and there is at least one")
 
 
 def outcome_info(winner: int | None) -> MappingV:

@@ -1,8 +1,12 @@
 """The multi-agent environment contract.
 
-An environment owns a tuple of agent slots. reset(seed) returns the initial
-observation bundle; step(actions) takes one action per slot and advances one
-tick. Identical (seed, action sequence) yields bitwise-identical results.
+An environment owns a tuple of agent slots. step(actions) takes one action per
+slot, advances one tick and returns the transition: rewards, done, alive flags
+and info. observe() builds the observations of the current state only when
+asked, so a replay verifier re-simulates at transition cost; reset(seed)
+returns the first ones. A subclass writes the hooks _do_reset (set the state),
+_do_step (advance it) and _observe. Identical (seed, action sequence) yields
+bitwise-identical results.
 
 done is a single global flag plus per-slot alive flags: dead slots keep
 receiving observations and must keep submitting actions, which the
@@ -20,8 +24,8 @@ from .values import SpaceSpec, Value, space_contains, value_repr
 
 
 class Env(ABC):
-    """Base class enforcing the reset/step protocol and action validation; it
-    keeps no observation memo (bomber keeps its own, see BomberEnv).
+    """Base class enforcing the reset/step/observe protocol and action
+    validation; it keeps no observation memo (bomber keeps its own).
 
     The constructor writes the slot layout once, as plain attributes:
       observation_specs, action_specs: the per-slot spaces, as tuples;
@@ -52,12 +56,18 @@ class Env(ABC):
         return self
 
     def reset(self, seed: int) -> Bundle:
-        obs = self._do_reset(int(seed))
+        self._do_reset(int(seed))
         self._started = True
         self._done = False
         self._last_actions = None
         self._last_result = None
-        return obs
+        return self.observe()
+
+    def observe(self) -> Bundle:
+        """The observation of every slot in the current state, built by _observe."""
+        if not self._started:
+            raise EpisodeOver("observe() before reset()")
+        return self._observe()
 
     def step(self, actions: Bundle) -> StepResult:
         if not self._started:
@@ -71,6 +81,9 @@ class Env(ABC):
             if not space_contains(spec, act):
                 raise SpaceMismatch(f"slot {slot}: action {value_repr(act)} not in {spec!r}")
         result = self._do_step(actions)
+        if len(result.rewards) != self.num_slots:
+            raise SpaceMismatch(f"{type(self).__name__}._do_step returned {len(result.rewards)} "
+                                f"rewards and alive flags for {self.num_slots} slots")
         self._done = result.done
         self._last_actions = actions
         self._last_result = result
@@ -85,10 +98,13 @@ class Env(ABC):
     # -- hooks ---------------------------------------------------------------
 
     @abstractmethod
-    def _do_reset(self, seed: int) -> Bundle: ...
+    def _do_reset(self, seed: int) -> None: ...
 
     @abstractmethod
     def _do_step(self, actions: Bundle) -> StepResult: ...
+
+    @abstractmethod
+    def _observe(self) -> Bundle: ...
 
     def state_value(self) -> Value:
         """Canonical snapshot of the full simulator state, for hashing/replays."""

@@ -207,7 +207,7 @@ class BomberEnv(Env):
     def _orbit(self, cell: Cell) -> set[Cell]:
         return {_rotate_pos(*cell, self.cfg.size, k) for k in range(4)}
 
-    def _do_reset(self, seed: int) -> Bundle:
+    def _do_reset(self, seed: int) -> None:
         cfg = self.cfg
         n = cfg.size
         board_rng = RngStream(seed, ("bomber", "board"))
@@ -245,7 +245,6 @@ class BomberEnv(Env):
         self.tick = 0
         self._rigid_grid = self._grid_from_map(dict.fromkeys(self.rigid, 1.0))
         self._legal.clear()
-        return self._observe()
 
     # -- stepping --------------------------------------------------------------
 
@@ -337,13 +336,7 @@ class BomberEnv(Env):
                 rewards = [1.0 if t == winner else -1.0 for t in teams]
             elif self.cfg.mode == "ffa":
                 rewards = [0.0 if a else -1.0 for a in alive]
-        return StepResult(
-            obs=self._observe(),
-            rewards=tuple(rewards),
-            done=done,
-            alive=tuple(alive),
-            info=info,
-        )
+        return StepResult(rewards=tuple(rewards), done=done, alive=tuple(alive), info=info)
 
     # -- observations -----------------------------------------------------------
 

@@ -192,7 +192,7 @@ class BattleEnv(Env):
         super().__init__((obs_spec,) * 2 * half, (DiscreteSpec(9),) * 2 * half,
                          (0,) * half + (1,) * half)
 
-    def _do_reset(self, seed: int) -> Bundle:
+    def _do_reset(self, seed: int) -> None:
         cfg = self.cfg
         rng = RngStream(seed, ("battle",))
         half = len(self.side_kinds)
@@ -216,7 +216,6 @@ class BattleEnv(Env):
                 hp=hp, shield=shield, cd=cd, alive=True,
             ))
         self.tick = 0
-        return self._observe()
 
     def _do_step(self, actions: Bundle) -> StepResult:
         units = self.units
@@ -275,13 +274,8 @@ class BattleEnv(Env):
                 for slot, u in enumerate(units):
                     rewards[slot] += 1.0 if u.team == winner else -1.0
             info = outcome_info(winner)
-        return StepResult(
-            obs=self._observe(),
-            rewards=tuple(rewards),
-            done=done,
-            alive=tuple(u.alive for u in units),
-            info=info,
-        )
+        return StepResult(rewards=tuple(rewards), done=done,
+                          alive=tuple(u.alive for u in units), info=info)
 
     def _observe(self) -> Bundle:
         """One view per slot: its self_id and the same units sequence.

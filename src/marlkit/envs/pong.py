@@ -117,7 +117,7 @@ class PongEnv(Env):
         self._view_layout = obs_spec.layout
         super().__init__((obs_spec,) * 2, (DiscreteSpec(3),) * 2)
 
-    def _do_reset(self, seed: int) -> Bundle:
+    def _do_reset(self, seed: int) -> None:
         cfg = self.cfg
         self._serve_rng = RngStream(seed, ("pong", "serve"))
         self._first_dir = self._serve_rng.choice((-1, 1))
@@ -128,7 +128,6 @@ class PongEnv(Env):
         self.tick = 0
         self._serve_count = 0
         self._serve()
-        return self._observe()
 
     def _serve(self) -> None:
         cfg = self.cfg
@@ -166,13 +165,7 @@ class PongEnv(Env):
         if done:
             left, right = self.scores
             info = outcome_info(None if left == right else 0 if left > right else 1)
-        return StepResult(
-            obs=self._observe(),
-            rewards=tuple(rewards),
-            done=done,
-            alive=(True, True),
-            info=info,
-        )
+        return StepResult(rewards=tuple(rewards), done=done, alive=(True, True), info=info)
 
     def _advance_ball(self) -> int | None:
         """Move the ball for one tick, reflecting off walls and paddles.

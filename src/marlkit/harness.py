@@ -84,12 +84,12 @@ def run_episode(env: Env, actors: Sequence[Agent | WrappedAgent], seed: int,
             if writer is not None:
                 writer.step(tally.length - 1, raw_actions, raw_result.rewards,
                             raw_result.done, state_hash(env))
-            obs, rewards = result.obs, result.rewards
             if result.done:
                 episode = tally.result(raw_result.info)
                 if writer is not None:
                     writer.outcome(episode)
                 return episode
+            obs, rewards = env.observe(), result.rewards
     except Exception as exc:
         where = f"episode {episode_index} (seed {seed}), tick {tally.length}"
         _add_context(exc, f"{where}: {exc}", where, exc)
@@ -318,19 +318,20 @@ def round_robin(entrants: Sequence[AgentSpec], env_name: str,
             if (a, b) != (i, j):
                 raise ConfigError(f"pairs {labels[a]!r} vs {labels[b]!r} and {labels[i]!r} "
                                   f"vs {labels[j]!r} would both write {path}")
-    for entrant in entrants:  # a bad entrant is refused before any pair plays
-        make_agent(entrant.name, entrant.params)
-        build_pipeline(entrant.interfaces)
+    specs = [MatchSpec(env_name=env_name, env_params=dict(env_params or {}),
+                       env_interfaces=tuple(env_interfaces), agents=(entrants[i], entrants[j]),
+                       episodes=episodes_per_pair, base_seed=base_seed + k * episodes_per_pair,
+                       replay_path=path) for k, ((i, j), path) in enumerate(zip(pairs, paths))]
+    env = _build_env(specs[0])  # its constructor writes the specs; it is never reset
+    slots_of = _party_layout(env, specs[0])
+    for entrant in entrants:  # set up against every party, before any pair plays
+        actors = _build_actors(env, slots_of, dict.fromkeys(slots_of, entrant), base_seed)
+        try:
+            Actors(actors).setup(env.observation_specs, env.action_specs)
+        except SetupError as exc:
+            raise ConfigError(f"entrant {entrant.display!r} does not fit {env_name}: {exc}") from exc
     board = Scoreboard(labels=labels, episodes_per_pair=episodes_per_pair)
-    for pair_index, ((i, j), path) in enumerate(zip(pairs, paths)):
-        spec = MatchSpec(
-            env_name=env_name, env_params=dict(env_params or {}),
-            env_interfaces=tuple(env_interfaces),
-            agents=(entrants[i], entrants[j]),
-            episodes=episodes_per_pair,
-            base_seed=base_seed + pair_index * episodes_per_pair,
-            replay_path=path,
-        )
+    for (i, j), spec in zip(pairs, specs):
         result = run_match(spec)
         board.record(i, j, result.wins, result.draws, result.losses)
     return board

@@ -1,12 +1,12 @@
 """Attaching interfaces to either side of the RL loop.
 
-wrap_env(env, itf) hides the transforms inside env.step(): the wrapped
-environment exposes the interface's outer specs. wrap_agent(members, itf,
-obs_specs, act_specs) hides them inside the agent instead: the wrapped agent
-accepts raw observations for the slots whose specs it was set up on and emits
-raw actions, so agents trained with different interfaces can play each other
-in the original environment. Either way, itf.setup() on the raw specs alone
-decides the slot layout.
+wrap_env(env, itf) hides the transforms inside env.step() and env.observe():
+the wrapped environment exposes the interface's outer specs. wrap_agent(members,
+itf, obs_specs, act_specs) hides them inside the agent instead: the wrapped
+agent accepts raw observations for the slots whose specs it was set up on and
+emits raw actions, so agents trained with different interfaces can play each
+other in the original environment. Either way, itf.setup() on the raw specs
+alone decides the slot layout.
 lift_single_wrapper adapts a classic single-slot observation/reward/action
 wrapper so it composes in interface stacks.
 """
@@ -24,7 +24,7 @@ from .values import SpaceSpec, Value, space_contains, value_repr
 
 
 class WrappedEnv(Env):
-    """An environment with an interface folded into reset/step."""
+    """An environment with an interface folded into reset, step and observe."""
 
     def __init__(self, base: Env, interface: Interface):
         interface.setup(base.observation_specs, base.action_specs)
@@ -42,16 +42,19 @@ class WrappedEnv(Env):
     def unwrapped(self) -> Env:
         return self.base.unwrapped
 
-    def _do_reset(self, seed: int) -> Bundle:
-        return self.interface.reset(self.base.reset(seed))
+    def _do_reset(self, seed: int) -> None:
+        self._outer = self.interface.reset(self.base.reset(seed))
 
     def _do_step(self, actions: Bundle) -> StepResult:
-        raw_actions = self.interface.act_trans(actions)
-        raw = self.base.step(raw_actions)
-        obs, rewards = self.interface.obs_trans(raw.obs, raw.rewards)
+        # obs_trans runs once per tick, so the outer bundle is kept for _observe.
+        raw = self.base.step(self.interface.act_trans(actions))
+        self._outer, rewards = self.interface.obs_trans(self.base.observe(), raw.rewards)
         alive = raw.alive if self._raw_alive else tuple(
             any(raw.alive[i] for i in g) for g in self.interface.slot_groups)
-        return StepResult(obs=obs, rewards=rewards, done=raw.done, alive=alive, info=raw.info)
+        return StepResult(rewards=rewards, done=raw.done, alive=alive, info=raw.info)
+
+    def _observe(self) -> Bundle:
+        return self._outer
 
     def raw_record(self) -> tuple[Bundle, StepResult]:
         return self.base.raw_record()

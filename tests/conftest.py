@@ -29,11 +29,13 @@ class ConstEnv(Env):
         super().__init__([DiscreteSpec(1)], [DiscreteSpec(1)])
 
     def _do_reset(self, seed):
+        pass
+
+    def _observe(self):
         return Bundle((DiscreteV(0),))
 
     def _do_step(self, actions):
         return StepResult(
-            obs=Bundle((DiscreteV(0),)),
             rewards=(0.0,),
             done=True,
             alive=(True,),
@@ -60,7 +62,7 @@ class ToyVecEnv(Env):
         self._obs_len = obs_len
         self._episode_len = episode_len
 
-    def _draw_obs(self):
+    def _observe(self):
         stream = self._rng.child(str(self.tick))
         return Bundle(tuple(
             VectorV(tuple(stream.uniform(-1.0, 1.0) for _ in range(self._obs_len)))
@@ -71,7 +73,6 @@ class ToyVecEnv(Env):
         self._rng = RngStream(seed, ("toy",))
         self.tick = 0
         self.trace: list[int] = []
-        return self._draw_obs()
 
     def _do_step(self, actions):
         self.trace.extend(a.index for a in actions)
@@ -79,7 +80,6 @@ class ToyVecEnv(Env):
         done = self.tick >= self._episode_len
         info = MappingV({"draw": DiscreteV(1)}) if done else MappingV(())
         return StepResult(
-            obs=self._draw_obs(),
             rewards=tuple(slot + self.tick * 0.1 for slot in range(self._slots)),
             done=done,
             alive=(True,) * self._slots,

@@ -418,7 +418,7 @@ class TestAttrObs:
         last = -1.0
         for _ in range(15):
             result = env.step(idle4())
-            views, _ = itf.obs_trans(result.obs, (0.0,) * 4)
+            views, _ = itf.obs_trans(env.observe(), (0.0,) * 4)
             tick = views[0]["attrs"].entries[3]
             assert tick > last
             last = tick
@@ -521,7 +521,7 @@ class TestActMask:
                 result = env.step(Bundle(tuple(DiscreteV(rng.randrange(6)) for _ in range(4))))
                 if result.done:
                     break
-                obs = result.obs
+                obs = env.observe()
         assert checked > 2000 and wrong == 0
 
     def test_mask_equals_brute_force_oracle_sample(self):
@@ -640,7 +640,7 @@ class TestRotate:
             # independent raw run with the hand-remapped world action
             raw_env.step(idle4({slot: _VIEW_TO_WORLD[slot][view_action]}))
             assert state_hash(wrapped) == state_hash(raw_env)
-            me2 = result.obs[slot]["agents"][slot]
+            me2 = wrapped.observe()[slot]["agents"][slot]
             p2 = (me2["row"].entries[0], me2["col"].entries[0])
             assert p2 == (p1[0] + view_delta[0], p1[1] + view_delta[1])
 
@@ -724,7 +724,7 @@ class TestObsConformance:
         for _ in range(60):
             result = env.step(Bundle(tuple(DiscreteV(rng.randrange(6)) for _ in range(4))))
             for slot in range(4):
-                assert space_contains(specs[slot], result.obs[slot])
+                assert space_contains(specs[slot], env.observe()[slot])
             if result.done:
                 break
 

@@ -51,19 +51,21 @@ def test_bundle_never_empty():
 
 def test_step_result_length_checks():
     with pytest.raises(ValueError):
-        StepResult(obs=Bundle((x, y)), rewards=(0.0,), done=False, alive=(True, True))
+        StepResult(rewards=(0.0,), done=False, alive=(True, True))
     with pytest.raises(ValueError):
-        StepResult(obs=Bundle((x,)), rewards=(0.0,), done=False, alive=())
+        StepResult(rewards=(0.0,), done=False, alive=())
+    with pytest.raises(ValueError):
+        StepResult(rewards=(), done=False, alive=())
 
 
 def test_step_result_info_default():
-    r = StepResult(obs=Bundle((x,)), rewards=(0.0,), done=False, alive=(True,))
+    r = StepResult(rewards=(0.0,), done=False, alive=(True,))
     assert isinstance(r.info, MappingV) and r.info.keys() == ()
     assert r.info is NO_INFO
 
 
 def test_step_result_converts_rewards_and_alive():
-    r = StepResult(obs=Bundle((x, y)), rewards=[1, True], done=1, alive=[1, 0])
+    r = StepResult(rewards=[1, True], done=1, alive=[1, 0])
     assert r.rewards == (1.0, 1.0) and [type(v) for v in r.rewards] == [float, float]
     assert r.done is True  # a replay's "done" must be a JSON boolean
     assert r.alive == (True, False) and [type(v) for v in r.alive] == [bool, bool]

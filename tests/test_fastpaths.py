@@ -151,12 +151,11 @@ def ref_seq(items):
     return items
 
 
-def ref_step_result(obs, rewards, done, alive):
+def ref_step_result(rewards, done, alive):
     rewards, done, alive = tuple(map(float, rewards)), bool(done), tuple(map(bool, alive))
-    n = len(obs)
-    if len(rewards) != n or len(alive) != n:
+    if len(rewards) != len(alive) or not rewards:
         raise ValueError(f"rewards ({len(rewards)}) and alive ({len(alive)}) "
-                         f"must match obs slot count ({n})")
+                         "must have one entry per slot, and there is at least one")
     return rewards, done, alive
 
 
@@ -272,15 +271,14 @@ flags = st.one_of(st.booleans(), st.integers(0, 2), st.sampled_from([0.0, math.n
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 3), st.one_of(st.lists(st.floats(), max_size=4), st.lists(scalars, max_size=4)),
+@given(st.one_of(st.lists(st.floats(), max_size=4), st.lists(scalars, max_size=4)),
        flags, st.one_of(st.lists(st.booleans(), max_size=4), st.lists(flags, max_size=4)),
        st.booleans())
-def test_step_result_matches_reference(n, rewards, done, alive, as_tuple):
-    obs = Bundle((DiscreteV(0),) * n)
+def test_step_result_matches_reference(rewards, done, alive, as_tuple):
     if as_tuple:
         rewards, alive = tuple(rewards), tuple(alive)
-    fast = outcome(lambda: StepResult(obs=obs, rewards=rewards, done=done, alive=alive))
-    ref = outcome(lambda: ref_step_result(obs, rewards, done, alive))
+    fast = outcome(lambda: StepResult(rewards=rewards, done=done, alive=alive))
+    ref = outcome(lambda: ref_step_result(rewards, done, alive))
     assert fast[0] == ref[0]
     if fast[0] != "ok":
         assert fast == ref
@@ -288,7 +286,7 @@ def test_step_result_matches_reference(n, rewards, done, alive, as_tuple):
     fast, (ref_rewards, ref_done, ref_alive) = fast[1], ref[1]
     assert same_stored(fast.rewards, ref_rewards)
     assert type(fast.done) is bool and fast.done == ref_done
-    assert fast.alive == ref_alive and [type(a) for a in fast.alive] == [bool] * n
+    assert fast.alive == ref_alive and [type(a) for a in fast.alive] == [bool] * len(alive)
     assert (fast.rewards is rewards) == (as_tuple and all(type(r) is float for r in rewards))
     assert (fast.alive is alive) == (as_tuple and all(type(a) is bool for a in alive))
 
@@ -314,7 +312,7 @@ def generated_init_reference(cls: type) -> type:
 def slot_init_cases() -> dict:
     """(args, kwargs) per class: positional, keyword, canonical, converted and bad input."""
     d, v = DiscreteV(1), VectorV((0.5,))
-    b, info = Bundle((d, v)), MappingV((("winner", d),))
+    info = MappingV((("winner", d),))
     ab = key_layout(("a", "b"))
     return {
         DiscreteV: [((3,), {}), ((), {"index": 0}), ((Index(2),), {}), ((2**64 - 1,), {}),
@@ -342,14 +340,13 @@ def slot_init_cases() -> dict:
                ((None,), {})],
         Bundle: [(((d, v),), {}), ((), {"slots": [v]}), (((),), {}), (((d, None),), {}),
                  ((3,), {})],
-        StepResult: [((b, (0.0, 1.0), False, (True, True)), {}),
-                     ((), {"obs": b, "rewards": [0, 1], "done": 1, "alive": [1, 0]}),
-                     ((b, (0.0, 1.0), True, (True, True), info), {}),
-                     ((b,), {"rewards": (0.0, -0.0), "done": False, "alive": (True, True),
-                             "info": info}),
-                     ((b, (0.0,), False, (True, True)), {}), ((b, (0.0, 1.0), False), {}),
-                     ((b, (0.0, 1.0), False, (True, True)), {"done": True}),
-                     ((b, ("x", 1.0), False, (True, True)), {})],
+        StepResult: [(((0.0, 1.0), False, (True, True)), {}),
+                     ((), {"rewards": [0, 1], "done": 1, "alive": [1, 0]}),
+                     (((0.0, 1.0), True, (True, True), info), {}),
+                     (((0.0, -0.0),), {"done": False, "alive": (True, True), "info": info}),
+                     (((0.0,), False, (True, True)), {}), (((0.0, 1.0), False), {}),
+                     (((0.0, 1.0), False, (True, True)), {"done": True}),
+                     ((("x", 1.0), False, (True, True)), {}), (((), False, ()), {})],
     }
 
 
@@ -449,8 +446,8 @@ def test_every_construction_runs_post_init_once(monkeypatch):
     SeqV((d, v))
     b = Bundle((d, v))
     replace(b, slots=(v,))
-    StepResult(b, (0.0, 1.0), False, (True, True))
-    StepResult(obs=b, rewards=[0, 1], done=0, alive=[1, 1], info=replace(m))
+    StepResult((0.0, 1.0), False, (True, True))
+    StepResult(rewards=[0, 1], done=0, alive=[1, 1], info=replace(m))
     for bad in (lambda: DiscreteV(-1), lambda: MappingV((("a", 1),)), lambda: Bundle(())):
         with pytest.raises(ValueError):
             bad()
@@ -585,7 +582,7 @@ def test_board_map_same_output_with_shared_or_separate_grids():
             assert view["board_map"] == ref_board_map(view)
         result = env.step(Bundle(tuple(agent.step(obs[s], 0.0, False)
                                        for s, agent in enumerate(agents))))
-        obs = result.obs
+        obs = env.observe()
         if result.done:
             episode += 1
             obs = env.reset(5 + episode)
@@ -847,7 +844,7 @@ def test_bomber_reused_observations_match_emptied_memos(seed):
                     obs = env._observe()
             result = env.step(Bundle(tuple(agent.step(obs[s], 0.0, False)
                                            for s, agent in enumerate(agents))))
-            obs, done = result.obs, result.done
+            obs, done = env.observe(), result.done
             ticks += 1
             assert same_bytes(obs, fresh_observe(env))
             for names, (chain, fresh_chain) in chains.items():
@@ -870,8 +867,8 @@ def test_bomber_observe_encodes_nothing_on_a_moving_board(monkeypatch):
     moved = 0
     for _ in range(100):
         before = obs[0]["agents"]
-        obs = env.step(Bundle(tuple(agent.step(obs[s], 0.0, False)
-                                    for s, agent in enumerate(agents)))).obs
+        env.step(Bundle(tuple(agent.step(obs[s], 0.0, False) for s, agent in enumerate(agents))))
+        obs = env.observe()
         moved += obs[0]["agents"] is not before
     assert moved > 50
     assert encoded == []
@@ -915,7 +912,7 @@ def test_bomber_tick_memos_hold_one_tick_and_nothing_across_reset():
     while not done:
         result = env.step(Bundle(tuple(agent.step(obs[s], 0.0, False)
                                        for s, agent in enumerate(agents))))
-        obs, done = result.obs, result.done
+        obs, done = env.observe(), result.done
         ticks += 1
     assert ticks == 800
     # board_map keeps at most a terrain and a board map per view, rotate
@@ -955,7 +952,7 @@ def test_battle_encoder_memos_hold_nothing_across_reset(scenario):
     while not done:
         result = env.step(Bundle(tuple(agent.step(obs[s], 0.0, False)
                                        for s, agent in enumerate(agents))))
-        obs, done = result.obs, result.done
+        obs, done = env.observe(), result.done
     assert sum(result.alive[:5]) and sum(result.alive[5:])
     # img keeps one grid per team, dead_pad at most one padded view per slot.
     assert 0 < len(kept_entries(img)) <= 2
@@ -985,7 +982,7 @@ def test_rotate_hands_an_unturned_slot_its_own_view():
         result = env.step(Bundle(tuple(a.step(out[s], 0.0, False) for s, a in enumerate(agents))))
         if result.done:
             break
-        obs = result.obs
+        obs = env.observe()
         out, _ = rotate.obs_trans(obs, result.rewards)
 
 
@@ -1036,7 +1033,7 @@ def test_chains_on_views_of_two_envs_match_reference(names):
         for e, env in enumerate(envs):
             result = env.step(Bundle(tuple(a.step(obs[e][s], 0.0, False)
                                            for s, a in enumerate(agents[e]))))
-            obs[e] = env.reset(tick) if result.done else result.obs
+            obs[e] = env.reset(tick) if result.done else env.observe()
 
 
 def test_act_mask_under_rotate_reuses_masks_on_an_idle_board(monkeypatch):
@@ -1050,7 +1047,10 @@ def test_act_mask_under_rotate_reuses_masks_on_an_idle_board(monkeypatch):
     env = wrap_env(make_env("bomber", {"mode": "ffa"}),
                    build_pipeline([{"name": "bomber.act_mask"}, {"name": "bomber.rotate"}]))
     idle = Bundle((DiscreteV(IDLE),) * 4)
-    views = [env.reset(3)] + [env.step(idle).obs for _ in range(20)]
+    views = [env.reset(3)]
+    for _ in range(20):
+        env.step(idle)
+        views.append(env.observe())
     # Each slot rotates its mask once, at reset; the 20 idle ticks that
     # follow hold the same mask object and reuse the rotation.
     assert sorted(calls) == [0, 1, 2, 3]
@@ -1077,7 +1077,7 @@ def test_act_mask_shares_one_object_per_distinct_mask():
             raw = env.reset(8 + tick)
             obs = chain.reset(raw)
         else:
-            raw = result.obs
+            raw = env.observe()
             obs, _ = chain.obs_trans(raw, result.rewards)
     assert len(by_bytes) > 4
 
@@ -1112,7 +1112,7 @@ def test_legal_actions_parses_each_state_once(monkeypatch):
             changed += bool(parses)
             result = env.step(Bundle(tuple(a.step(obs[s], 0.0, False)
                                            for s, a in enumerate(agents))))
-            obs, done = result.obs, result.done
+            obs, done = env.observe(), result.done
     assert states > 60 and changed > 20
 
 
@@ -1303,7 +1303,7 @@ def test_simple_bomber_matches_reference_under_edits_and_interleaving(seed, rota
                     actions[e].append(act)
             for e in live:
                 result = envs[e].step(Bundle(tuple(actions[e])))
-                obs[e], done[e] = result.obs, result.done
+                obs[e], done[e] = envs[e].observe(), result.done
             tick += 1
     assert checked > 800 and placed > 15 and flaming > 150
 
@@ -1332,7 +1332,7 @@ def test_simple_bomber_reparses_equal_but_not_identical_grids():
         if result.done:
             obs = env.reset(3 + tick)
         else:
-            obs = result.obs
+            obs = env.observe()
 
 
 def test_simple_bomber_on_short_lived_views():
@@ -1984,7 +1984,7 @@ def test_per_tick_mappings_take_the_canonical_path(monkeypatch):
             while not done:
                 result = env.step(Bundle(tuple(agent.step(v, 0.0, False)
                                                for agent, v in zip(agents, obs))))
-                obs, done = result.obs, result.done
+                obs, done = env.observe(), result.done
                 env.state_value()
                 ticks += 1
             ticking[0] = False
@@ -2092,7 +2092,7 @@ def test_pong_observe_matches_reference(seed, mirror, field_w, action_seed):
         result = env.step(Bundle((actions.step(None, 0.0, False),
                                   actions.step(None, 0.0, False))))
         assert_same_observation(env)
-        assert result.obs == ref_pong_observe(env)
+        assert env.observe() == ref_pong_observe(env)
         if result.done:
             break
 
@@ -2264,7 +2264,7 @@ def test_battle_observations_match_reference_under_direct_edits(scenario, seed):
                     obs = env._observe()
             result = env.step(Bundle(tuple(agent.step(obs[s], 0.0, False)
                                            for s, agent in enumerate(agents))))
-            obs, done = result.obs, result.done
+            obs, done = env.observe(), result.done
             ticks += 1
             check_battle_view(env, chain, obs)
     assert ticks > 60
@@ -2334,7 +2334,7 @@ def test_hit_and_run_matches_reference_across_interleaved_envs():
                     checked += 1
             for e in live:
                 result = envs[e].step(Bundle(tuple(actions[e][s] for s in range(10))))
-                obs[e], done[e] = result.obs, result.done
+                obs[e], done[e] = envs[e].observe(), result.done
             tick += 1
     assert checked > 500
 
@@ -2355,7 +2355,7 @@ def test_hit_and_run_reparses_an_equal_but_not_identical_units_value():
         result = env.step(Bundle(tuple(ref_hit_and_run_step(v) for v in obs)))
         if result.done:
             break
-        obs = result.obs
+        obs = env.observe()
 
 
 def test_hit_and_run_on_short_lived_units_values():
@@ -2446,7 +2446,7 @@ def test_img_encoders_match_reference_over_play_and_edits(scenario, seed):
             dead_views += sum(not u.alive for u in env.units)
             result = env.step(Bundle(tuple(agent.step(obs[s], 0.0, False)
                                            for s, agent in enumerate(agents))))
-            obs, done = result.obs, result.done
+            obs, done = env.observe(), result.done
     assert dead_views > 0
 
 
@@ -2471,8 +2471,9 @@ def test_img_encoders_encode_once_per_table_and_team(scenario, monkeypatch):
     again, _ = itf.obs_trans(interleaved, (0.0,) * 10)
     assert len(encoded) == 2 and all(a is b for a, b in zip(again, out))
     # A new units value is encoded once per team again.
-    result = env.step(Bundle((DiscreteV(ATTACK),) * 10))
-    interleaved = Bundle(tuple(result.obs[s] for s in SIDES_INTERLEAVED))
+    env.step(Bundle((DiscreteV(ATTACK),) * 10))
+    views = env.observe()
+    interleaved = Bundle(tuple(views[s] for s in SIDES_INTERLEAVED))
     grids, _ = itf.obs_trans(interleaved, (0.0,) * 10)
     assert len(encoded) == 4 and same_bytes(grids, ref_img_obs(scenario, interleaved))
 
@@ -2496,7 +2497,7 @@ def test_img_encoders_match_reference_on_views_of_two_envs(scenario):
                 edit_battle(env, rng)
             result = env.step(Bundle(tuple(DiscreteV(rng.randrange(ATTACK + 1))
                                            for _ in range(env.num_slots))))
-            obs[e] = env.reset(tick) if result.done else result.obs
+            obs[e] = env.reset(tick) if result.done else env.observe()
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,7 @@ def test_bomber_interface_observations_pinned(case):
             actions = tuple(agent.step(obs[s], rewards[s], False)
                             for s, agent in enumerate(agents))
             result = env.step(Bundle(actions))
-            obs, rewards = result.obs, result.rewards
+            obs, rewards = env.observe(), result.rewards
             if result.done:
                 break
         for view in obs:
@@ -169,7 +169,7 @@ def test_gridbattle_observations_pinned(case):
             actions = tuple(agent.step(obs[s], rewards[s], False)
                             for s, agent in enumerate(agents))
             result = env.step(Bundle(actions))
-            obs, rewards = result.obs, result.rewards
+            obs, rewards = env.observe(), result.rewards
             absorb(obs, pipeline.obs_trans(obs, rewards)[0])
             if result.done:
                 break
@@ -196,7 +196,7 @@ def test_pong_observations_pinned(mirror_serves):
                 digest.update(view.canonical_bytes())
             actions = tuple(agent.step(obs[s], rewards[s], False) for s, agent in enumerate(agents))
             result = env.step(Bundle(actions))
-            obs, rewards = result.obs, result.rewards
+            obs, rewards = env.observe(), result.rewards
             if result.done:
                 break
         for view in obs:

@@ -232,7 +232,7 @@ class TestStepRules:
                 agent.step(obs[i], rewards[i], False) for i, agent in enumerate(agents)
             ))
             result = env.step(acts)
-            obs, rewards = result.obs, result.rewards
+            obs, rewards = env.observe(), result.rewards
             if result.done:
                 break
         assert result.info.get("winner") is not None
@@ -512,7 +512,7 @@ class TestStrikeTarget:
                         assert (acts[slot].index == ATTACK) == strikes
                         attacks += strikes
                 result = env.step(Bundle(tuple(acts)))
-                obs, done = result.obs, result.done
+                obs, done = env.observe(), result.done
         assert attacks >= 50
 
 
@@ -526,7 +526,7 @@ class TestConformanceAndPurity:
         for _ in range(40):
             result = env.step(Bundle(tuple(DiscreteV(rng.randrange(9)) for _ in range(10))))
             for slot in range(10):
-                assert space_contains(specs[slot], result.obs[slot])
+                assert space_contains(specs[slot], env.observe()[slot])
             if result.done:
                 break
 

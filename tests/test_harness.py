@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -179,11 +180,13 @@ class TestRunMatch:
                 super().__init__([DiscreteSpec(1)] * 3, [DiscreteSpec(4)] * 3, [0, 0, 1])
 
             def _do_reset(self, seed):
+                pass
+
+            def _observe(self):
                 return Bundle((DiscreteV(0),) * 3)
 
             def _do_step(self, actions):
-                return StepResult(obs=Bundle((DiscreteV(0),) * 3),
-                                  rewards=tuple(float(a.index) for a in actions), done=True,
+                return StepResult(rewards=tuple(float(a.index) for a in actions), done=True,
                                   alive=(True,) * 3, info=outcome_info(None))
 
         register_env("test.payout", lambda params: PayoutEnv())
@@ -586,6 +589,23 @@ class TestRoundRobin:
         # Its first pair is the last one, so every other pair would play first.
         with pytest.raises(MarlkitError):
             round_robin(self.entrants()[:2] + [bad], "pong2p", {"step_limit": 60},
+                        episodes_per_pair=2)
+        assert resets == []
+
+    @pytest.mark.parametrize("misfit, message", [
+        (AgentSpec(name="bomber.simple", label="simple"),
+         "entrant 'simple' does not fit pong2p: "),
+        (AgentSpec(name="random", interfaces=({"name": "bomber.rotate"},), label="rotated"),
+         "entrant 'random' behind agent-side pipeline [{'name': 'bomber.rotate'}] does not fit"),
+    ], ids=["agent", "agent-side-pipeline"])
+    def test_misfit_entrant_is_refused_before_any_reset(self, monkeypatch, misfit, message):
+        resets = []
+        reset = Env.reset
+        monkeypatch.setattr(Env, "reset",
+                            lambda env, seed: resets.append(seed) or reset(env, seed))
+        # Its first pair is the last one, so every other pair would play first.
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            round_robin(self.entrants()[:2] + [misfit], "pong2p", {"step_limit": 60},
                         episodes_per_pair=2)
         assert resets == []
 

@@ -19,7 +19,9 @@ keeps values write-once: object.__setattr__ appears only inside a
 __post_init__, so nothing (a cache, say) is written into a frozen object
 after it is built. An eleventh finds no import that its module never
 reads (a name listed in __all__ is read), but for one named exception.
-The checks read each module's AST, so nothing is imported and no
+A twelfth keeps observations out of the transition: only Env.observe reads
+the _observe hook, but for BomberEnv.legal_actions, so no _do_step or
+_do_reset builds an observation. The checks read each module's AST, so nothing is imported and no
 subprocess is started.
 """
 
@@ -401,6 +403,34 @@ def _unused_imports(modules: dict[str, ast.Module]) -> list[str]:
     return found
 
 
+def _observe_readers(modules: dict[str, ast.Module]) -> list[str]:
+    """Where each read of an _observe attribute (a call, an alias or a getattr
+    naming it) sits: module.Class.method, by the outermost function around it,
+    or the module and line outside any function. A def of _observe is no read."""
+    found = []
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def visit(name: str, node: ast.AST, cls: str | None, func: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            read = isinstance(child, ast.Attribute) and child.attr == "_observe" and isinstance(
+                child.ctx, ast.Load)
+            read = read or (isinstance(child, ast.Call) and getattr(child.func, "id", None)
+                            in ("getattr", "hasattr") and len(child.args) > 1
+                            and isinstance(child.args[1], ast.Constant)
+                            and child.args[1].value == "_observe")
+            if read:
+                found.append(".".join(filter(None, (name, cls, func))) if func
+                             else f"{name} line {child.lineno}")
+            if isinstance(child, ast.ClassDef):
+                visit(name, child, child.name, None)
+            else:
+                visit(name, child, cls, func or (child.name if isinstance(child, defs) else None))
+
+    for name, tree in modules.items():
+        visit(name, tree, None, None)
+    return sorted(found)
+
+
 def test_no_module_imports_inside_a_function():
     local = {name: found for name, tree in _modules().items()
              if (found := _local_imports(tree))}
@@ -745,3 +775,39 @@ def test_unused_import_finder_sees_aliases_dotted_imports_and_all():
                        "js.dumps(pi)\n"),
     }
     assert _unused_imports(modules) == ["a.js", "a.pi", "a.turn"]
+
+
+def test_only_env_observe_builds_observations():
+    # No _do_step or _do_reset builds an observation: a caller that needs
+    # only the transition (replay_verify, render) never pays for one.
+    # BomberEnv.legal_actions reads its own view of the current state.
+    assert _observe_readers(_modules()) == ["marlkit.env.Env.observe",
+                                            "marlkit.envs.bomber.BomberEnv.legal_actions"]
+
+
+def test_observe_reader_finder_sees_every_spelling():
+    modules = {"a": ast.parse("class Env:\n"
+                              "    def observe(self):\n"
+                              "        return self._observe()\n"
+                              "    def _observe(self): pass\n"
+                              "class PongEnv(Env):\n"
+                              "    def _do_step(self, actions):\n"
+                              "        return StepResult(obs=self._observe())\n"
+                              "    def _do_reset(self, seed):\n"
+                              "        build = self._observe\n"
+                              "        later = lambda: getattr(self, '_observe')()\n"
+                              "        def inner():\n"
+                              "            return super()._observe()\n"
+                              "    def _observe(self):\n"
+                              "        self._observe = None\n"
+                              "        return hasattr(self, '_observe')\n"
+                              "env._observe()\n")}
+    assert _observe_readers(modules) == [
+        "a line 16",
+        "a.Env.observe",
+        "a.PongEnv._do_reset",
+        "a.PongEnv._do_reset",
+        "a.PongEnv._do_reset",
+        "a.PongEnv._do_step",
+        "a.PongEnv._observe",
+    ]

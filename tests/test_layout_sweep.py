@@ -236,7 +236,7 @@ def test_rotate_view_moves_land_where_the_raw_env_puts_them(config):
                                          for m, k in zip(view_moves, turns))))
             assert state_hash(env.unwrapped) == state_hash(twin), (pipeline, view_moves)
             assert result.done == raw.done
-            after = positions(raw.obs)
+            after = positions(twin.observe())
             moved += sum(a != b for a, b in zip(after, before))
             done, before = raw.done, after
     assert ran == 12

@@ -73,7 +73,8 @@ class TestReset:
         env = PongEnv()
         env.reset(3)
         env.step(Bundle((DiscreteV(STAY), DiscreteV(STAY))))
-        obs = env.step(Bundle((DiscreteV(STAY), DiscreteV(STAY)))).obs
+        env.step(Bundle((DiscreteV(STAY), DiscreteV(STAY))))
+        obs = env.observe()
         a, b = obs[0], obs[1]
         assert b["ball_x"].entries[0] == 80.0 - a["ball_x"].entries[0]
         assert b["ball_vx"].entries[0] == -a["ball_vx"].entries[0]
@@ -325,6 +326,6 @@ def test_obs_conform_to_specs_along_trajectories():
     for _ in range(200):
         result = env.step(Bundle((DiscreteV(rng.randrange(3)), DiscreteV(rng.randrange(3)))))
         for slot in range(2):
-            assert space_contains(env.observation_specs[slot], result.obs[slot])
+            assert space_contains(env.observation_specs[slot], env.observe()[slot])
         if result.done:
             break

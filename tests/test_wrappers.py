@@ -43,7 +43,7 @@ def drive(env, seed=3, steps=10, action=0):
     trail = [env.reset(seed)]
     for _ in range(steps):
         result = env.step(Bundle((DiscreteV(action),) * env.num_slots))
-        trail.append((result.obs, result.rewards, result.done, result.alive))
+        trail.append((env.observe(), result.rewards, result.done, result.alive))
         if result.done:
             break
     return trail
