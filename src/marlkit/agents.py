@@ -15,7 +15,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, Sequence
 
-from .errors import SetupError
+from .errors import SetupError, SpaceMismatch
 from .rng import RngStream
 from .values import (
     BoxSpec,
@@ -26,6 +26,7 @@ from .values import (
     SpaceSpec,
     Value,
     space_sample,
+    value_repr,
 )
 
 
@@ -128,12 +129,16 @@ class TeamAgent(Agent):
             member.setup(o, a)
 
     def reset(self, first_obs: Value) -> None:
-        assert isinstance(first_obs, SeqV)
-        for member, o in zip(self.members, first_obs.items):
+        for member, o in zip(self.members, self._lanes(first_obs)):
             member.reset(o)
 
     def step(self, obs: Value, reward: float, done: bool) -> Value:
-        assert isinstance(obs, SeqV)
         return SeqV(tuple(
-            member.step(o, reward, done) for member, o in zip(self.members, obs.items)
+            member.step(o, reward, done) for member, o in zip(self.members, self._lanes(obs))
         ))
+
+    def _lanes(self, obs: Value) -> tuple[Value, ...]:
+        if not isinstance(obs, SeqV) or len(obs.items) != len(self.members):
+            raise SpaceMismatch(f"TeamAgent needs a SeqV observation of {len(self.members)} "
+                                f"lanes, got {value_repr(obs)}")
+        return obs.items

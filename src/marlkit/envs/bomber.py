@@ -27,7 +27,7 @@ from operator import itemgetter
 from ..agents import Agent, require_spec
 from ..bundles import NO_INFO, Bundle, StepResult, outcome_info
 from ..env import Env
-from ..errors import ConfigError, SetupError
+from ..errors import ConfigError, EpisodeOver, SetupError
 from ..interfaces import Interface, append_key, place_getter
 from ..rng import RngStream
 from ..values import (
@@ -823,7 +823,8 @@ class RotateView(Interface):
         return SeqV(tuple(rotated))
 
     def _view(self, view: MappingV, slot: int) -> MappingV:
-        assert self._turns is not None, "rotate used before reset"
+        if self._turns is None:
+            raise EpisodeOver(f"{type(self).__name__} used before reset()")
         inputs, build, place, layout = self._plans[slot]
         values = view.values
         return MappingV(place(values + self._views.get(slot, build, *inputs(values))), layout)
@@ -833,7 +834,8 @@ class RotateView(Interface):
         return super()._reset(obs)
 
     def _act(self, actions: Bundle) -> Bundle:
-        assert self._turns is not None, "rotate used before reset"
+        if self._turns is None:
+            raise EpisodeOver(f"{type(self).__name__} used before reset()")
         # Idle, PlaceBomb and any action outside the moves pass through as
         # they came, for the env to check.
         out = []

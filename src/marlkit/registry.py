@@ -21,63 +21,52 @@ from .interfaces import Interface, concat_obs_act, identity, make_team, map_to_v
 from .rng import RngStream, check_seed
 from .serial import value_from_jsonable
 
-EnvFactory = Callable[[Mapping[str, Any]], Env]
-AgentFactory = Callable[[Mapping[str, Any], RngStream], Agent]
-InterfaceFactory = Callable[[Mapping[str, Any]], Interface]
 
-_ENVS: dict[str, EnvFactory] = {}
-_AGENTS: dict[str, AgentFactory] = {}
-_INTERFACES: dict[str, InterfaceFactory] = {}
+class _Table(dict):
+    """One kind's factories by registry name: registered, listed and looked up here."""
 
+    def __init__(self, kind: str):
+        super().__init__()
+        self.kind = kind
 
-def _register(table: dict[str, Callable], kind: str, name: str, factory: Callable) -> None:
-    """Add name to table; ConfigError if it is taken, so no entry is silently replaced."""
-    if name in table:
-        raise ConfigError(f"{kind} {name!r} is already registered")
-    table[name] = factory
+    def register(self, name: str, factory: Callable) -> None:
+        """Add name; ConfigError, with the table unchanged, unless name is a
+        non-empty str that is not taken and factory is callable."""
+        if type(name) is not str or not name:
+            raise ConfigError(f"{self.kind} name must be a non-empty string, got {name!r}")
+        if not callable(factory):
+            raise ConfigError(f"{self.kind} {name!r} needs a callable factory, got {factory!r}")
+        if name in self:
+            raise ConfigError(f"{self.kind} {name!r} is already registered")
+        self[name] = factory
 
+    def names(self) -> list[str]:
+        return sorted(self)
 
-def register_env(name: str, factory: EnvFactory) -> None:
-    _register(_ENVS, "environment", name, factory)
-
-
-def register_agent(name: str, factory: AgentFactory) -> None:
-    _register(_AGENTS, "agent", name, factory)
-
-
-def register_interface(name: str, factory: InterfaceFactory) -> None:
-    _register(_INTERFACES, "interface", name, factory)
-
-
-def list_envs() -> list[str]:
-    return sorted(_ENVS)
+    def lookup(self, name: str) -> Callable:
+        """The factory of name; RegistryError listing the known names if none."""
+        if name not in self:
+            raise RegistryError(f"unknown {self.kind} {name!r}; known: {self.names()}")
+        return self[name]
 
 
-def list_agents() -> list[str]:
-    return sorted(_AGENTS)
-
-
-def list_interfaces() -> list[str]:
-    return sorted(_INTERFACES)
+_ENVS, _AGENTS, _INTERFACES = _Table("environment"), _Table("agent"), _Table("interface")
+register_env, list_envs = _ENVS.register, _ENVS.names
+register_agent, list_agents = _AGENTS.register, _AGENTS.names
+register_interface, list_interfaces = _INTERFACES.register, _INTERFACES.names
 
 
 def make_env(name: str, params: Mapping[str, Any] | None = None) -> Env:
-    if name not in _ENVS:
-        raise RegistryError(f"unknown environment {name!r}; known: {list_envs()}")
-    return _ENVS[name](dict(params or {}))
+    return _ENVS.lookup(name)(dict(params or {}))
 
 
 def make_agent(name: str, params: Mapping[str, Any] | None = None,
                rng: RngStream | None = None) -> Agent:
-    if name not in _AGENTS:
-        raise RegistryError(f"unknown agent {name!r}; known: {list_agents()}")
-    return _AGENTS[name](dict(params or {}), rng if rng is not None else RngStream(0))
+    return _AGENTS.lookup(name)(dict(params or {}), rng if rng is not None else RngStream(0))
 
 
 def make_interface(name: str, params: Mapping[str, Any] | None = None) -> Interface:
-    if name not in _INTERFACES:
-        raise RegistryError(f"unknown interface {name!r}; known: {list_interfaces()}")
-    return _INTERFACES[name](dict(params or {}))
+    return _INTERFACES.lookup(name)(dict(params or {}))
 
 
 _JSON_TYPES = {int: "an integer", str: "a string", dict: "a JSON object", list: "a JSON list"}
@@ -108,15 +97,19 @@ def build_pipeline(specs: Sequence[Mapping[str, Any]]) -> Interface | None:
     """Stack pipeline entries, listed inner to outer; None for an empty list.
 
     An entry's parameters may sit under "params" or inline next to "name",
-    e.g. {"name": "make_team", "groups": [[0, 1], [2, 3]]}.
+    e.g. {"name": "make_team", "groups": [[0, 1], [2, 3]]}, but a key given
+    both ways is a ConfigError.
     """
     require_pipeline(specs)
     itf: Interface | None = None
     for entry in specs:
-        params = dict(config_value(entry, "params", dict, {}, f"pipeline entry {entry['name']!r}"))
+        what = f"pipeline entry {entry['name']!r}"
+        params = dict(config_value(entry, "params", dict, {}, what))
         for key, value in entry.items():
             if key not in ("name", "params"):
-                params.setdefault(key, value)
+                if key in params:
+                    raise ConfigError(f'{what} gives {key!r} both inline and under "params"')
+                params[key] = value
         node = make_interface(entry["name"], params)
         itf = node if itf is None else stack(node, itf)
     return itf

@@ -19,6 +19,7 @@ from marlkit import (
     SeqSpec,
     SeqV,
     SetupError,
+    SpaceMismatch,
     TeamAgent,
     VectorV,
     make_env,
@@ -73,6 +74,20 @@ def test_team_agent_splits_lanes():
     team.reset(SeqV((DiscreteV(0), DiscreteV(0))))
     action = team.step(SeqV((DiscreteV(0), DiscreteV(0))), 0.0, False)
     assert action == SeqV((DiscreteV(0), DiscreteV(2)))
+
+
+@pytest.mark.parametrize("obs", [DiscreteV(0), SeqV((DiscreteV(0),) * 3)], ids=["bare", "3 lanes"])
+def test_team_agent_refuses_an_observation_that_is_not_a_seq_of_its_lanes(obs):
+    # A check that holds under python -O; before, a third lane was dropped
+    # without a word.
+    team = TeamAgent([ConstantAgent(DiscreteV(0))] * 2)
+    team.setup(SeqSpec((DiscreteSpec(1),) * 2), SeqSpec((DiscreteSpec(1),) * 2))
+    message = r"^TeamAgent needs a SeqV observation of 2 lanes, got (DiscreteV|SeqV)\("
+    with pytest.raises(SpaceMismatch, match=message):
+        team.reset(obs)
+    team.reset(SeqV((DiscreteV(0),) * 2))
+    with pytest.raises(SpaceMismatch, match=message):
+        team.step(obs, 0.0, False)
 
 
 def test_team_agent_lane_count_validated():

@@ -11,6 +11,7 @@ from marlkit import (
     Bundle,
     ConfigError,
     DiscreteV,
+    EpisodeOver,
     RandomAgent,
     RngStream,
     run_episode,
@@ -653,6 +654,16 @@ class TestRotate:
         for slot in range(4):
             assert rotated[slot]["rigid"] == _rotate_grid(raw[slot]["rigid"], slot)
             assert rotated[slot]["wood"] == _rotate_grid(raw[slot]["wood"], slot)
+
+    def test_used_before_reset_is_refused(self):
+        # A check that holds under python -O, where an assert would be stripped.
+        env = fresh_env()
+        itf = RotateView()
+        itf.setup(env.observation_specs, env.action_specs)
+        with pytest.raises(EpisodeOver, match=r"^RotateView used before reset\(\)$"):
+            itf.obs_trans(env._observe(), (0.0,) * 4)
+        with pytest.raises(EpisodeOver, match=r"^RotateView used before reset\(\)$"):
+            itf.act_trans(idle4({}))
 
     def test_position_transform_matches_grid_transform(self):
         n = 11

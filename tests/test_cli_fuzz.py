@@ -109,10 +109,12 @@ ENVS = {
     },
 }
 # Pipelines refused on every env above: unknown names and params, bounds,
-# shapes that are not a list of objects, and deep nesting.
+# shapes that are not a list of objects, deep nesting, and a param given both
+# inline and under "params".
 BAD_PIPELINES = (
     "nope", '[{"name": "nope"}]', '[{"name": "identity", "resolutoin": 3}]', "[1]", '["x"]',
     '{"name": "identity"}', '[{"params": {}}]', '[{"name": 5}]', "[", DEEP,
+    '[{"name": "pong.screen_obs", "params": {"resolution": 32}, "resolution": 64}]',
     *(f'[{{"name": "pong.screen_obs", "resolution": {r}}}]'
       for r in ("1.5", '"32"', "NaN", "true")),
 )

@@ -92,18 +92,81 @@ def test_env_whose_layout_counts_differ_is_refused_when_constructed(obs, act, pa
         Lopsided()
 
 
-@pytest.mark.parametrize("register, table, name", [
-    ("register_env", "_ENVS", "pong2p"),
-    ("register_agent", "_AGENTS", "random"),
-    ("register_interface", "_INTERFACES", "identity"),
-])
-def test_a_taken_registry_name_is_refused(register, table, name):
-    from marlkit import registry
+# (kind, table, register, list, make, one built-in name) per registry table
+REGISTRIES = [
+    ("environment", "_ENVS", "register_env", "list_envs", "make_env", "pong2p"),
+    ("agent", "_AGENTS", "register_agent", "list_agents", "make_agent", "random"),
+    ("interface", "_INTERFACES", "register_interface", "list_interfaces", "make_interface",
+     "identity"),
+]
+
+
+@pytest.mark.parametrize("kind, table, register, listing, make, name", REGISTRIES)
+def test_registry_table_rules(kind, table, register, listing, make, name):
+    from marlkit import RegistryError, registry
 
     before = dict(getattr(registry, table))
-    with pytest.raises(ConfigError, match=f"'{name}' is already registered"):
+    with pytest.raises(ConfigError, match=f"^{kind} '{name}' is already registered$"):
         getattr(registry, register)(name, lambda *args: None)
     assert getattr(registry, table) == before
+    known = getattr(registry, listing)()
+    assert known == sorted(before) and name in known
+    with pytest.raises(RegistryError, match=re.escape(f"unknown {kind} 'nope'; known: {known}")):
+        getattr(registry, make)("nope")
+
+
+@pytest.mark.parametrize("kind, table, register, listing, make, name", REGISTRIES)
+@pytest.mark.parametrize("bad_name, factory, message", [
+    (5, len, "name must be a non-empty string, got 5"),
+    ("", len, "name must be a non-empty string, got ''"),
+    (["x"], len, "name must be a non-empty string, got ['x']"),
+    ("test.not_callable", 5, "'test.not_callable' needs a callable factory, got 5"),
+])
+def test_registration_checks_its_input(kind, table, register, listing, make, name,
+                                       bad_name, factory, message):
+    # Before the check, a registered 5 made every listing and every unknown
+    # name's lookup a TypeError, and a factory 5 failed only when made.
+    from marlkit import RegistryError, registry
+
+    before = dict(getattr(registry, table))
+    with pytest.raises(ConfigError, match=f"^{kind} {re.escape(message)}$"):
+        getattr(registry, register)(bad_name, factory)
+    assert getattr(registry, table) == before
+    assert getattr(registry, listing)() == sorted(before)
+    with pytest.raises(RegistryError, match=f"unknown {kind} 'nope'"):
+        getattr(registry, make)("nope")
+
+
+def test_factories_are_looked_up_by_module_attribute_at_call_time(monkeypatch):
+    # perfbench's spans wrap these module attributes: a caller that held its
+    # own reference to a factory would bypass them.
+    from collections import Counter
+
+    from marlkit import build_pipeline, harness, registry
+
+    calls = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[f"{module.__name__}.{name}"] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(registry, "make_interface")
+    build_pipeline([{"name": "identity"}, {"name": "map_to_vector"}])
+    assert calls == {"marlkit.registry.make_interface": 2}
+    for name in ("make_env", "make_agent", "build_pipeline"):
+        count(harness, name)
+    identity = ({"name": "identity"},)
+    run_match(MatchSpec(env_name="pong2p", env_params={"step_limit": 3}, env_interfaces=identity,
+                        agents=(AgentSpec("random"), AgentSpec("random", interfaces=identity)),
+                        episodes=2))
+    # Per episode: one env, an env-side and an agent-side pipeline of one
+    # node each, and one agent per party.
+    assert calls == {"marlkit.registry.make_interface": 2 + 4, "marlkit.harness.make_env": 2,
+                     "marlkit.harness.build_pipeline": 4, "marlkit.harness.make_agent": 4}
 
 
 class TestRunMatch:
@@ -865,6 +928,29 @@ class TestConfigAliases:
         itf.setup([DiscreteSpec(2)] * 4, [DiscreteSpec(2)] * 4)
         assert itf.outer_slot_count == 2
         assert itf.raw_slot_count == 4
+
+    def test_a_param_given_inline_and_under_params_is_refused(self, tmp_path, capsys):
+        # Before, the inline 64 was dropped without a word and the pipeline
+        # built at 32, while the replay header recorded both.
+        from marlkit import build_pipeline
+
+        entry = {"name": "pong.screen_obs", "params": {"resolution": 32}, "resolution": 64}
+        message = ("pipeline entry 'pong.screen_obs' gives 'resolution' both inline and "
+                   'under "params"')
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build_pipeline([entry])
+        assert cli_main(["run", "--env", "pong2p", "--agents", "random,random",
+                         "--env-itf", json.dumps([entry])]) == 2
+        assert message in capsys.readouterr().err
+        path = tmp_path / "tourney.json"
+        path.write_text(json.dumps({
+            "env": {"name": "pong2p", "params": {"step_limit": 20}},
+            "entrants": [{"name": "random"},
+                         {"name": "random", "label": "screen", "interfaces": [entry]}],
+            "episodes_per_pair": 1,
+        }))
+        assert cli_main(["tourney", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_unknown_agent_keys_rejected(self, tmp_path, capsys):
         # Misspellings of "interfaces" must not run the entrant without its pipeline.

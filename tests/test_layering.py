@@ -21,8 +21,10 @@ after it is built. An eleventh finds no import that its module never
 reads (a name listed in __all__ is read), but for one named exception.
 A twelfth keeps observations out of the transition: only Env.observe reads
 the _observe hook, but for BomberEnv.legal_actions, so no _do_step or
-_do_reset builds an observation. The checks read each module's AST, so nothing is imported and no
-subprocess is started.
+_do_reset builds an observation. A thirteenth finds no assert statement,
+as python -O strips them: every check in src raises a toolkit error. The
+checks read each module's AST, so nothing is imported and no subprocess is
+started.
 """
 
 from __future__ import annotations
@@ -431,6 +433,11 @@ def _observe_readers(modules: dict[str, ast.Module]) -> list[str]:
     return sorted(found)
 
 
+def _asserts(tree: ast.Module) -> list[int]:
+    """The line of each assert statement."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
 def test_no_module_imports_inside_a_function():
     local = {name: found for name, tree in _modules().items()
              if (found := _local_imports(tree))}
@@ -811,3 +818,20 @@ def test_observe_reader_finder_sees_every_spelling():
         "a.PongEnv._do_step",
         "a.PongEnv._observe",
     ]
+
+
+def test_src_holds_no_assert_statement():
+    found = {name: lines for name, tree in _modules().items() if (lines := _asserts(tree))}
+    assert found == {}
+
+
+def test_assert_finder_sees_assert_statements_at_any_depth():
+    tree = ast.parse("assert x\n"
+                     "class A:\n"
+                     "    def f(self):\n"
+                     "        if self.y:\n"
+                     "            assert self.y, 'y'\n"
+                     "        lambda: assertions\n"
+                     "        self.assertEqual(1, 1)\n"
+                     "        raise AssertionError('z')\n")
+    assert _asserts(tree) == [1, 5]
