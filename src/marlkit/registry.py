@@ -44,8 +44,8 @@ class _Table(dict):
         return sorted(self)
 
     def lookup(self, name: str) -> Callable:
-        """The factory of name; RegistryError listing the known names if none."""
-        if name not in self:
+        """The factory of name; RegistryError listing the known names if none (or not a str)."""
+        if not isinstance(name, str) or name not in self:
             raise RegistryError(f"unknown {self.kind} {name!r}; known: {self.names()}")
         return self[name]
 

@@ -137,6 +137,20 @@ def test_registration_checks_its_input(kind, table, register, listing, make, nam
         getattr(registry, make)("nope")
 
 
+@pytest.mark.parametrize("make, name, kind, table", [
+    ("make_env", ["x"], "environment", "_ENVS"),
+    ("make_agent", {"a": 1}, "agent", "_AGENTS"),
+    ("make_interface", ["y"], "interface", "_INTERFACES"),
+])
+def test_a_name_that_is_not_a_string_is_a_registry_error(make, name, kind, table):
+    # An unhashable name was a bare TypeError from the table's dict lookup.
+    from marlkit import RegistryError, registry
+
+    known = sorted(getattr(registry, table))
+    with pytest.raises(RegistryError, match=re.escape(f"unknown {kind} {name!r}; known: {known}")):
+        getattr(registry, make)(name)
+
+
 def test_factories_are_looked_up_by_module_attribute_at_call_time(monkeypatch):
     # perfbench's spans wrap these module attributes: a caller that held its
     # own reference to a factory would bypass them.

@@ -430,18 +430,19 @@ def test_an_earlier_divergence_is_reported_before_a_later_malformed_record(
     assert capsys.readouterr().out.startswith("DIVERGED at episode 0, step 0: done diverged")
 
 
-def logged_lines(monkeypatch, events: list[str]) -> None:
-    """Append "r" to events for each record that replay._lines yields."""
+def logged_lines(monkeypatch, events: list[str], reader: str = "_lines") -> None:
+    """Append "r" to events for each item that the reader (a generator of
+    replay, called with the path) yields: _lines a record, _file_lines a line."""
     from marlkit import replay
 
-    lines = replay._lines
+    lines = getattr(replay, reader)
 
     def logged(path):
         for item in lines(path):
             events.append("r")
             yield item
 
-    monkeypatch.setattr(replay, "_lines", logged)
+    monkeypatch.setattr(replay, reader, logged)
 
 
 def test_verify_reads_no_record_between_two_steps_of_an_episode(replay_lines, tmp_path,
@@ -460,7 +461,7 @@ def test_verify_reads_no_record_between_two_steps_of_an_episode(replay_lines, tm
         events.append("m")
         return env
 
-    logged_lines(monkeypatch, events)
+    logged_lines(monkeypatch, events, "_file_lines")  # the byte check's reader
     monkeypatch.setattr(registry, "make_env", logged_make_env)
     assert verify(tmp_path, copy(replay_lines)).ok
     split = first(replay_lines, "outcome") + 1  # episode 0, then episode 1
