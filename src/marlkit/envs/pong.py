@@ -42,6 +42,11 @@ STAY, UP, DOWN = 0, 1, 2
 _LEFT_SIDE = VectorV((0.0,))
 _RIGHT_SIDE = VectorV((1.0,))
 
+# A tick's rewards: no goal, slot 0 scored, slot 1 scored. Both players are always alive.
+_NO_GOAL = (0.0, 0.0)
+_SCORED = ((1.0, -1.0), (-1.0, 1.0))
+_ALIVE = (True, True)
+
 # state_value() is a mapping of five vectors with fixed keys and lengths.
 _STATE, (_BALL, _PADDLES, _SCORES, _SERVES, _TICK) = vector_mapping_struct((
     ("ball", 4), ("paddles", 2), ("scores", 2), ("serves", 1), ("tick", 1)))
@@ -115,6 +120,9 @@ class PongEnv(Env):
             "own_side": BoxSpec((1,), 0.0, 1.0),
         })
         self._view_layout = obs_spec.layout
+        self._paddle_move = paddle.low, paddle.high, cfg.paddle_speed  # bounds and speed
+        # The floats _observe last built vectors of (None until its first call).
+        self._vx = self._vy = self._left_y = self._right_y = None
         super().__init__((obs_spec,) * 2, (DiscreteSpec(3),) * 2)
 
     def _do_reset(self, seed: int) -> None:
@@ -141,21 +149,20 @@ class PongEnv(Env):
 
     def _do_step(self, actions: Bundle) -> StepResult:
         cfg = self.cfg
-        paddle = self.observation_specs[0]["own_paddle_y"]
-        for side in (0, 1):
-            a = actions[side].index
+        (low, high, speed), paddle_y = self._paddle_move, self.paddle_y
+        for side, action in enumerate(actions.slots):
+            a = action.index
             if a == UP:
-                self.paddle_y[side] -= cfg.paddle_speed
+                paddle_y[side] -= speed
             elif a == DOWN:
-                self.paddle_y[side] += cfg.paddle_speed
-            self.paddle_y[side] = max(paddle.low, min(paddle.high, self.paddle_y[side]))
+                paddle_y[side] += speed
+            paddle_y[side] = max(low, min(high, paddle_y[side]))
 
         scorer = self._advance_ball()
-        rewards = [0.0, 0.0]
+        rewards = _NO_GOAL
         if scorer is not None:
             self.scores[scorer] += 1
-            rewards[scorer] = 1.0
-            rewards[1 - scorer] = -1.0
+            rewards = _SCORED[scorer]
             if self.scores[scorer] < cfg.win_score:
                 self._serve()
 
@@ -165,7 +172,7 @@ class PongEnv(Env):
         if done:
             left, right = self.scores
             info = outcome_info(None if left == right else 0 if left > right else 1)
-        return StepResult(rewards=tuple(rewards), done=done, alive=(True, True), info=info)
+        return StepResult(rewards, done, _ALIVE, info)
 
     def _advance_ball(self) -> int | None:
         """Move the ball for one tick, reflecting off walls and paddles.
@@ -219,20 +226,29 @@ class PongEnv(Env):
         return None
 
     def _observe(self) -> Bundle:
-        """Both egocentric views; values they have in common are built once."""
-        ball_y = VectorV((self.ball_y,))
-        ball_vy = VectorV((self.ball_vy,))
-        left = VectorV((self.paddle_y[0],))
-        right = VectorV((self.paddle_y[1],))
+        """Both egocentric views; values they have in common are built once.
+
+        Velocity and paddle vectors are kept while their float is the same object, not just ==."""
+        vx, vy = self.ball_vx, self.ball_vy
+        left_y, right_y = self.paddle_y
+        if vx is not self._vx:
+            self._vx, self._vx_vec, self._neg_vx_vec = vx, VectorV((vx,)), VectorV((-vx,))
+        if vy is not self._vy:
+            self._vy, self._vy_vec = vy, VectorV((vy,))
+        if left_y is not self._left_y:
+            self._left_y, self._left = left_y, VectorV((left_y,))
+        if right_y is not self._right_y:
+            self._right_y, self._right = right_y, VectorV((right_y,))
+        ball_y, ball_vy = VectorV((self.ball_y,)), self._vy_vec
+        left, right = self._left, self._right
         layout = self._view_layout
         # Values in the layout's key order: ball_vx, ball_vy, ball_x, ball_y,
         # opp_paddle_y, own_paddle_y, own_side.
         return Bundle((
-            MappingV((VectorV((self.ball_vx,)), ball_vy, VectorV((self.ball_x,)), ball_y,
+            MappingV((self._vx_vec, ball_vy, VectorV((self.ball_x,)), ball_y,
                       right, left, _LEFT_SIDE), layout),
-            MappingV((VectorV((-self.ball_vx,)), ball_vy,
-                      VectorV((self.cfg.field_w - self.ball_x,)), ball_y,
-                      left, right, _RIGHT_SIDE), layout),
+            MappingV((self._neg_vx_vec, ball_vy, VectorV((self.cfg.field_w - self.ball_x,)),
+                      ball_y, left, right, _RIGHT_SIDE), layout),
         ))
 
     def state_value(self) -> Value:

@@ -36,3 +36,13 @@ class RegistryError(MarlkitError):
 
 class FormatError(MarlkitError):
     """A replay or config file could not be parsed."""
+
+
+def add_context(exc: Exception, message: str, note: str, cause: BaseException | None) -> None:
+    """Raise a MarlkitError again from cause as its class and attributes with message as
+    its text, not running its __init__ again; note any other exception."""
+    if isinstance(exc, MarlkitError):
+        err = Exception.__new__(type(exc), message)
+        err.__dict__.update(exc.__dict__)
+        raise err from cause
+    exc.add_note(note)

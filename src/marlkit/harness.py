@@ -22,7 +22,7 @@ from typing import Any, Mapping, Sequence
 from .agents import Agent
 from .bundles import Bundle, EpisodeResult, EpisodeTally
 from .env import Env
-from .errors import ConfigError, InvalidPartition, MarlkitError, SetupError
+from .errors import ConfigError, InvalidPartition, SetupError, add_context
 from .registry import AgentSpec, MatchSpec, build_pipeline, make_agent, make_env
 from .replay import ReplayWriter, atomic_write, state_hash
 from .rng import RngStream, check_seed
@@ -38,16 +38,6 @@ def toolkit_version() -> str:
 
 # ---------------------------------------------------------------------------
 # Episode loop
-
-
-def _add_context(exc: Exception, message: str, note: str, cause: BaseException | None) -> None:
-    """Raise a MarlkitError again from cause as its class and attributes with message as
-    its text, not running its __init__ again; note any other exception."""
-    if isinstance(exc, MarlkitError):
-        err = Exception.__new__(type(exc), message)
-        err.__dict__.update(exc.__dict__)
-        raise err from cause
-    exc.add_note(note)
 
 
 def run_episode(env: Env, actors: Sequence[Agent | WrappedAgent], seed: int,
@@ -92,7 +82,7 @@ def run_episode(env: Env, actors: Sequence[Agent | WrappedAgent], seed: int,
             obs, rewards = env.observe(), result.rewards
     except Exception as exc:
         where = f"episode {episode_index} (seed {seed}), tick {tally.length}"
-        _add_context(exc, f"{where}: {exc}", where, exc)
+        add_context(exc, f"{where}: {exc}", where, exc)
         raise
 
 
@@ -214,7 +204,7 @@ def run_match(spec: MatchSpec) -> MatchResult:
                 # who played where.
                 entrants = "entrants by party: " + ", ".join(
                     f"{p} {a.display!r}" for p, a in sorted(assignment.items()))
-                _add_context(exc, f"{exc} ({entrants})", entrants, exc.__cause__)
+                add_context(exc, f"{exc} ({entrants})", entrants, exc.__cause__)
                 raise
             outcomes.append(episode)
             parties = env.unwrapped.parties  # of the raw slots, as episode.returns

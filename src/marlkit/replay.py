@@ -96,6 +96,7 @@ class ReplayWriter:
 
     def __init__(self, stream: IO[str]):
         self._stream = stream
+        self._rewards, self._rewards_text = None, ""  # the rewards tuple step last wrote, its text
 
     def match_header(self, spec: MatchSpec, version: str) -> None:
         self._stream.write(_match_line(spec, version))
@@ -105,14 +106,18 @@ class ReplayWriter:
 
     def step(self, t: int, raw_actions: Bundle, rewards: tuple[float, ...],
              done: bool, digest: str) -> None:
-        """Write _dump's step line without building the record (StepResult's rewards are floats)."""
+        """Write _dump's step line without building the record (StepResult's rewards are floats).
+
+        The last rewards text is reused while rewards is the same tuple object, not just ==."""
         actions_text = ",".join(['{"d":%d}' % a.index if type(a) is DiscreteV
                                  else _dump(value_to_jsonable(a)) for a in raw_actions])
-        rewards_text = ",".join(map(float.__repr__, rewards))
-        if "n" in rewards_text:  # non-finite, and rare: no _floats_text call on every step
-            rewards_text = _floats_text(rewards)
+        if rewards is not self._rewards:
+            rewards_text = ",".join(map(float.__repr__, rewards))
+            if "n" in rewards_text:  # non-finite, and rare: no _floats_text call on every step
+                rewards_text = _floats_text(rewards)
+            self._rewards, self._rewards_text = rewards, rewards_text
         self._stream.write(_STEP_LINE % (actions_text, "true" if done else "false",
-                                         encode_basestring_ascii(digest), rewards_text, t))
+                                         encode_basestring_ascii(digest), self._rewards_text, t))
 
     def outcome(self, episode: EpisodeResult) -> None:
         self._stream.write(_outcome_line(episode))

@@ -18,7 +18,7 @@ from typing import Sequence
 from .agents import Agent
 from .bundles import Bundle, StepResult
 from .env import Env
-from .errors import SetupError, SpaceMismatch
+from .errors import SetupError, SpaceMismatch, add_context
 from .interfaces import Combine, Interface
 from .values import SpaceSpec, Value, space_contains, value_repr
 
@@ -90,9 +90,12 @@ class Actors:
 
     A WrappedAgent covers its interface's raw slots and takes per-slot
     sequences; any other agent covers one slot and takes that slot's value.
+    An error in reset or step names the actor's slot or block and class, as
+    run_episode names the tick (errors.add_context).
     """
 
-    def __init__(self, actors: Sequence[Agent | WrappedAgent]):
+    def __init__(self, actors: Sequence[Agent | WrappedAgent], slot_word: str = "slot"):
+        self._slot_word = slot_word  # what the slots are called in an error's context
         # Per actor: the slot index or block slice it reads, and whether its
         # step returns a block of actions.
         self._plan: list[tuple[Agent | WrappedAgent, int | slice, bool]] = []
@@ -108,17 +111,30 @@ class Actors:
             actor.setup(obs_specs[key], act_specs[key])
 
     def reset(self, first_obs: Sequence[Value]) -> None:
-        for actor, key, _ in self._plan:
-            actor.reset(first_obs[key])
+        try:
+            for actor, key, _ in self._plan:
+                actor.reset(first_obs[key])
+        except Exception as exc:
+            self._name_slot(exc, actor, key)
+            raise
 
     def step(self, obs: Sequence[Value], rewards: Sequence[float], done: bool) -> list[Value]:
         actions: list[Value] = []
-        for actor, key, block in self._plan:
-            if block:
-                actions += actor.step(obs[key], rewards[key], done)
-            else:
-                actions.append(actor.step(obs[key], rewards[key], done))
+        try:
+            for actor, key, block in self._plan:
+                if block:
+                    actions += actor.step(obs[key], rewards[key], done)
+                else:
+                    actions.append(actor.step(obs[key], rewards[key], done))
+        except Exception as exc:
+            self._name_slot(exc, actor, key)
+            raise
         return actions
+
+    def _name_slot(self, exc: Exception, actor: Agent | WrappedAgent, key: int | slice) -> None:
+        slots = f" {key}" if type(key) is int else f"s {key.start}-{key.stop - 1}"
+        where = f"{self._slot_word}{slots} ({type(actor).__name__})"
+        add_context(exc, f"{where}: {exc}", where, exc)
 
 
 class WrappedAgent:
@@ -133,7 +149,7 @@ class WrappedAgent:
 
     def __init__(self, members: Sequence[Agent | WrappedAgent], interface: Interface):
         interface._require_setup()
-        self._members = Actors(members)
+        self._members = Actors(members, "outer slot")
         self.interface = interface
         if self._members.slots != interface.outer_slot_count:
             raise SetupError(f"interface exposes {interface.outer_slot_count} outer slots; "

@@ -56,7 +56,7 @@ from marlkit import (
     value_to_jsonable,
     wrap_env,
 )
-from marlkit.bundles import NO_INFO
+from marlkit.bundles import NO_INFO, outcome_info
 from marlkit.envs.bomber import (
     IDLE,
     MOVE_DELTAS,
@@ -88,11 +88,11 @@ from marlkit.envs.gridbattle import (
     HitAndRunAgent,
     _any_nonzero,
 )
-from marlkit.envs.pong import PongConfig, PongEnv
+from marlkit.envs.pong import DOWN, UP, PongConfig, PongEnv
 from marlkit.interfaces import Interface, place_getter
-from marlkit.replay import ReplayWriter
-from marlkit.values import (Kept, SpaceSpec, Value, _slot_init, key_layout, value_repr,
-                            vector_mapping_struct)
+from marlkit.replay import ReplayWriter, _floats_text
+from marlkit.values import (SMALL_DISCRETE, Kept, SpaceSpec, Value, _slot_init, key_layout,
+                            value_repr, vector_mapping_struct)
 
 
 class Flt(float):
@@ -2110,6 +2110,116 @@ def test_pong_observe_on_signed_zero_and_nan_velocities():
 
 
 # ---------------------------------------------------------------------------
+# PongEnv._do_step: bounds and speed read once, shared reward and alive
+# tuples; _observe keeps its velocity and paddle vectors while their floats
+# are the same objects
+
+
+def ref_pong_step(env: PongEnv, actions: Bundle) -> StepResult:
+    """The step that read its bounds from the spec and built its tuples every tick."""
+    cfg = env.cfg
+    paddle = env.observation_specs[0]["own_paddle_y"]
+    for side in (0, 1):
+        a = actions[side].index
+        if a == UP:
+            env.paddle_y[side] -= cfg.paddle_speed
+        elif a == DOWN:
+            env.paddle_y[side] += cfg.paddle_speed
+        env.paddle_y[side] = max(paddle.low, min(paddle.high, env.paddle_y[side]))
+
+    scorer = env._advance_ball()
+    rewards = [0.0, 0.0]
+    if scorer is not None:
+        env.scores[scorer] += 1
+        rewards[scorer] = 1.0
+        rewards[1 - scorer] = -1.0
+        if env.scores[scorer] < cfg.win_score:
+            env._serve()
+
+    env.tick += 1
+    done = max(env.scores) >= cfg.win_score or env.tick >= cfg.step_limit
+    info = NO_INFO
+    if done:
+        left, right = env.scores
+        info = outcome_info(None if left == right else 0 if left > right else 1)
+    return StepResult(rewards=tuple(rewards), done=done, alive=(True, True), info=info)
+
+
+def assert_same_pong(env: PongEnv, ref: PongEnv) -> None:
+    """env's state and observation are ref's, and env's views are the reference's bytes."""
+    assert env.state_bytes() == ref.state_bytes()
+    views = [v.canonical_bytes() for v in env.observe()]
+    assert views == [v.canonical_bytes() for v in ref_pong_observe(env)]
+    assert views == [v.canonical_bytes() for v in ref_pong_observe(ref)]
+
+
+pong_configs = st.builds(
+    PongConfig, field_w=st.floats(4.0, 200.0), paddle_len=st.floats(0.5, 79.5),
+    paddle_speed=st.sampled_from([2.0, 3, 0.75, 40.0]), win_score=st.integers(1, 3),
+    mirror_serves=st.booleans(), step_limit=st.just(300))
+action_streams = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1,
+                          max_size=30)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(pong_configs, st.integers(0, 2**32), action_streams),
+                min_size=2, max_size=2))
+def test_pong_step_and_observe_match_reference(games):
+    """Two envs stepped in turn, two episodes each, against reference envs."""
+    EPISODES = 2
+    envs = [(PongEnv(cfg), PongEnv(cfg)) for cfg, _, _ in games]
+    ticks, episodes = [0, 0], [0, 0]
+    for (env, ref), (_, seed, _) in zip(envs, games):
+        env.reset(seed)
+        ref.reset(seed)
+        assert_same_pong(env, ref)
+    while min(episodes) < EPISODES:
+        for k, ((env, ref), (_, seed, stream)) in enumerate(zip(envs, games)):
+            if episodes[k] == EPISODES:
+                continue
+            actions = Bundle(tuple(SMALL_DISCRETE[a] for a in stream[ticks[k] % len(stream)]))
+            ticks[k] += 1
+            fast, want = env.step(actions), ref_pong_step(ref, actions)
+            assert list(map(float.__repr__, fast.rewards)) == list(map(float.__repr__,
+                                                                       want.rewards))
+            assert (fast.done, fast.alive, fast.info) == (want.done, want.alive, want.info)
+            assert fast.info.canonical_bytes() == want.info.canonical_bytes()
+            assert_same_pong(env, ref)
+            if fast.done:
+                episodes[k] += 1
+                if episodes[k] < EPISODES:
+                    env.reset(seed + episodes[k])
+                    ref.reset(seed + episodes[k])
+                    assert_same_pong(env, ref)
+
+
+def float_of_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+@pytest.mark.parametrize("target", ["ball_vx", "ball_vy", "left", "right"])
+def test_pong_observe_after_direct_edits(target):
+    """Each kept vector follows its float's object: an equal but distinct float,
+    -0.0 after 0.0, and NaNs of other payloads or signs all give the reference."""
+    env = PongEnv()
+    env.reset(0)
+    one = 1.5
+    edits = [one, float_of_bits(struct.unpack("<Q", struct.pack("<d", one))[0]), one,
+             0.0, -0.0, 0.0, float_of_bits(0x7FF8000000000000),
+             float_of_bits(0x7FF8000000000001), float_of_bits(0xFFF8000000000002),
+             float_of_bits(0x7FF0000000000003), -0.0, 1.5]
+    assert edits[1] == one and edits[1] is not one
+    for value in edits:
+        if target in ("left", "right"):
+            env.paddle_y[target == "right"] = value
+        else:
+            setattr(env, target, value)
+        views = env.observe()
+        assert [v.canonical_bytes() for v in views] == [
+            v.canonical_bytes() for v in ref_pong_observe(env)]
+
+
+# ---------------------------------------------------------------------------
 # Gridbattle: units built from shared sub-values and kept while their fields
 # hold, hit_and_run's one-entry table cache and dead_pad's per-object flags,
 # against the per-field, per-lookup and per-view code they replaced
@@ -2649,6 +2759,52 @@ def test_step_line_non_finite_rewards():
         out = io.StringIO()
         ReplayWriter(out).step(3, Bundle((DiscreteV(1),)), (0.5, reward), True, "ab")
         assert out.getvalue() == ref_step_line(3, [DiscreteV(1)], [0.5, reward], True, "ab")
+
+
+def ref_rewards_text(rewards) -> str:
+    """The rewards text ReplayWriter.step built on every step."""
+    text = ",".join(map(float.__repr__, rewards))
+    return _floats_text(rewards) if "n" in text else text
+
+
+def assert_writes_reference_rewards(feed) -> None:
+    out = io.StringIO()
+    writer = ReplayWriter(out)
+    for t, rewards in enumerate(feed):
+        writer.step(t, Bundle((DiscreteV(1),)), rewards, False, "ab")
+    for t, (line, rewards) in enumerate(zip(out.getvalue().splitlines(True), feed)):
+        assert line == ref_step_line(t, [DiscreteV(1)], rewards, False, "ab")
+        assert f'"rewards":[{ref_rewards_text(rewards)}]' in line
+
+
+def test_writer_keeps_the_rewards_text_of_the_same_tuple_only():
+    shared = (0.0, 1.0)
+    nan = (math.nan, -1.0)
+    assert_writes_reference_rewards([shared, shared, (-0.0, 1.0), shared, (0.0, 1.0), nan, nan,
+                                     (float_of_bits(0x7FF8000000000001), -1.0), shared])
+
+
+def equal_copy(rewards: tuple) -> tuple:
+    """Another tuple object of the same floats."""
+    return tuple(list(rewards))
+
+
+def signed_zeros_flipped(rewards: tuple) -> tuple:
+    """An equal tuple whose zeros have the other sign."""
+    return tuple(-x if x == 0 else x for x in rewards)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), any_double), min_size=1,
+                         max_size=3).map(tuple), min_size=1, max_size=4),
+       st.lists(st.tuples(st.integers(0, 3),
+                          st.sampled_from([None, equal_copy, signed_zeros_flipped])),
+                max_size=12))
+def test_writer_rewards_text_matches_reference(pool, picks):
+    """Tuples reused as objects, equal copies of the same floats and equal
+    copies with their zeros' signs flipped."""
+    assert_writes_reference_rewards([
+        remake(pool[i % len(pool)]) if remake else pool[i % len(pool)] for i, remake in picks])
 
 
 @settings(max_examples=200, deadline=None)

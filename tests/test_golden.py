@@ -90,6 +90,18 @@ REPLAY_SHA256 = {
     "bomber": "1b3634ea7730a280836272a1609b56008ba87bd8060e2db828389e5118ce79c0",
 }
 
+# Pong replays under three configs, pinned before pong's tick kept its
+# vectors and shared its reward tuples: follow_ball against a seeded random
+# player serves, clamps the random paddle at both walls, scores and wins.
+# config params, sha256 of the replay.
+PONG_REPLAY_CASES = {
+    "default": ({}, "99990a7fdfd506b6c9b66275c8838dce5ac2d708c89dea96df3e4f80b2f8e014"),
+    "mirror-win2": ({"mirror_serves": True, "win_score": 2},
+                    "e5642c4ee574039b10728b1d92c9cc342a74f95f432052569ebc9ce46604aa18"),
+    "narrow-long-paddle": ({"field_w": 63.5, "paddle_len": 20.0},
+                           "86a50e5e4982dc15015c84be4228acd231b024523ea40c8efb1f43a936671a73"),
+}
+
 # (winner_party, draw, length, returns) per episode.
 OUTCOMES = {
     "pong": [(0, False, 786, (5.0, -5.0)), (1, False, 441, (-5.0, 5.0))],
@@ -212,3 +224,15 @@ def test_match_replay_and_outcomes_pinned(name, tmp_path, monkeypatch):
     outcomes = [(o.winner_party, o.draw, o.length, o.returns) for o in result.outcomes]
     assert outcomes == OUTCOMES[name]
     assert hashlib.sha256(path.read_bytes()).hexdigest() == REPLAY_SHA256[name]
+
+
+@pytest.mark.parametrize("case", sorted(PONG_REPLAY_CASES))
+def test_pong_replays_pinned(case, tmp_path, monkeypatch):
+    """Every replay byte of 3-episode pong matches under three configs."""
+    params, pin = PONG_REPLAY_CASES[case]
+    monkeypatch.setattr(marlkit.harness, "toolkit_version", lambda: "golden")
+    path = tmp_path / "pong.jsonl"
+    run_match(MatchSpec(env_name="pong2p", env_params=params,
+                        agents=(AgentSpec("pong.follow_ball"), AgentSpec("random")),
+                        episodes=3, base_seed=11, replay_path=str(path)))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == pin

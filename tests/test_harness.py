@@ -365,11 +365,16 @@ class TestErrorContext:
             del registry._AGENTS["test.boom"]
         exc = info.value
         assert type(exc) is Boom
-        assert str(exc) == ("episode 0 (seed 3), tick 2: boom 7: bad "
+        assert str(exc) == ("episode 0 (seed 3), tick 2: slot 0 (BoomAgent): boom 7: bad "
                             "(entrants by party: 0 'test.boom', 1 'random')")
         assert (exc.code, exc.detail) == (7, "bad")
-        assert type(exc.__cause__) is Boom and exc.__cause__.__cause__ is None
-        assert exc.__cause__.args == ("boom 7: bad",)
+        # Raised from the error that named the slot, itself raised from the original.
+        named = exc.__cause__
+        assert type(named) is Boom and str(named) == "slot 0 (BoomAgent): boom 7: bad"
+        assert (named.code, named.detail) == (7, "bad")
+        original = named.__cause__
+        assert type(original) is Boom and original.__cause__ is None
+        assert original.args == ("boom 7: bad",)
 
     def test_other_exception_passes_through_with_notes(self):
         from marlkit import register_agent, registry
@@ -393,8 +398,93 @@ class TestErrorContext:
             del registry._AGENTS["boom"]
         exc = info.value
         assert type(exc) is ZeroDivisionError and exc.__cause__ is None
-        assert exc.__notes__ == ["episode 0 (seed 3), tick 4",
+        assert exc.__notes__ == ["slot 0 (BoomAgent)", "episode 0 (seed 3), tick 4",
                                  "entrants by party: 0 'boom', 1 'random'"]
+
+    @staticmethod
+    def raising_agent(exc: Exception, call: int, method: str = "step") -> type:
+        """A RandomAgent class whose instances raise exc on their class's call-th step
+        (or reset) call, counted across every instance."""
+        calls = [0]
+
+        def hook(self, *args):
+            calls[0] += 1
+            if calls[0] == call:
+                raise exc
+            return getattr(RandomAgent, method)(self, *args)
+
+        return type("BoomAgent", (RandomAgent,), {method: hook})
+
+    def run_with(self, name: str, cls: type, spec: MatchSpec, *argv: str):
+        """run_match(spec), or marlkit with argv, with name registered as cls."""
+        from marlkit import register_agent, registry
+
+        register_agent(name, lambda params, rng: cls(rng=rng))
+        try:
+            return cli_main(list(argv)) if argv else run_match(spec)
+        finally:
+            del registry._AGENTS[name]
+
+    def test_agent_exception_notes_name_its_slot(self):
+        spec = MatchSpec(env_name="pong2p", agents=(AgentSpec("random"), AgentSpec("boom")))
+        with pytest.raises(ZeroDivisionError) as info:
+            self.run_with("boom", self.raising_agent(ZeroDivisionError("x"), 4), spec)
+        assert info.value.__notes__ == ["slot 1 (BoomAgent)", "episode 0 (seed 0), tick 3",
+                                        "entrants by party: 0 'random', 1 'boom'"]
+
+    def test_agent_reset_error_names_its_slot(self):
+        spec = MatchSpec(env_name="pong2p", agents=(AgentSpec("random"), AgentSpec("boom")))
+        with pytest.raises(SetupError) as info:
+            self.run_with("boom", self.raising_agent(SetupError("no"), 1, "reset"), spec)
+        assert str(info.value) == ("episode 0 (seed 0), tick 0: slot 1 (BoomAgent): no "
+                                   "(entrants by party: 0 'random', 1 'boom')")
+
+    # Each gridbattle party as one outer slot whose lanes a TeamAgent plays.
+    TEAMS = '[{"name": "make_team", "groups": [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]}]'
+
+    @classmethod
+    def team_agent(cls) -> type:
+        """A TeamAgent of five lanes, the third of which raises at tick 2."""
+        from marlkit import TeamAgent
+
+        lane = cls.raising_agent(SpaceMismatch("lane 2 out of range"), 13)
+
+        class Team(TeamAgent):
+            def __init__(self, rng):
+                super().__init__([lane(rng=rng.child(str(m))) for m in range(5)])
+
+        return Team
+
+    def test_team_member_space_mismatch_keeps_class_and_exit_code(self, capsys):
+        spec = MatchSpec(env_name="gridbattle", env_params={"scenario": "5I"},
+                         env_interfaces=(json.loads(self.TEAMS)[0],),
+                         agents=(AgentSpec("random"), AgentSpec("test.team")))
+        with pytest.raises(SpaceMismatch) as info:
+            self.run_with("test.team", self.team_agent(), spec)
+        where = "episode 0 (seed 0), tick 2: slot 1 (Team): lane 2 out of range"
+        assert type(info.value) is SpaceMismatch
+        assert str(info.value) == f"{where} (entrants by party: 0 'random', 1 'test.team')"
+        assert type(info.value.__cause__.__cause__) is SpaceMismatch
+        assert self.run_with("test.team", self.team_agent(), spec, "run", "--env", "gridbattle",
+                             "--env-param", "scenario=5I", "--env-itf", self.TEAMS,
+                             "--agents", "random,test.team") == 2
+        assert capsys.readouterr().err == (
+            f"error: {where} (entrants by party: 0 'random', 1 'test.team')\n")
+
+    def test_error_behind_a_wrapped_agent_names_the_block(self):
+        spec = MatchSpec(env_name="gridbattle", env_params={"scenario": "5I"},
+                         agents=(AgentSpec("random"),
+                                 AgentSpec("boom", interfaces=({"name": "identity"},))))
+        with pytest.raises(ConfigError) as info:
+            self.run_with("boom", self.raising_agent(ConfigError("bad"), 8), spec)
+        assert str(info.value) == (
+            "episode 0 (seed 0), tick 1: slots 5-9 (WrappedAgent): "
+            "outer slot 2 (BoomAgent): bad (entrants by party: 0 'random', 1 'boom')")
+        block = info.value.__cause__
+        assert str(block) == "slots 5-9 (WrappedAgent): outer slot 2 (BoomAgent): bad"
+        assert str(block.__cause__) == "outer slot 2 (BoomAgent): bad"
+        assert type(block.__cause__.__cause__) is ConfigError
+        assert block.__cause__.__cause__.args == ("bad",)
 
     @staticmethod
     def deep_action(levels: int) -> dict:
